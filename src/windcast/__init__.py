@@ -6,6 +6,13 @@ normal predictive distributions from space-time regressions trained by
 CRPS minimization, with a full verification suite.
 """
 
+import os
+
+# One BLAS thread per process (--jobs parallelizes; workers inherit; explicit values win)
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 __version__ = "0.1.0"
 
 from .errors import WindcastError  # noqa: F401

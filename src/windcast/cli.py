@@ -243,7 +243,12 @@ def cmd_report(cfg: RunConfig) -> None:
         text = f"{red:.1f}%" if math.isfinite(red) else "n/a"
         lines.append(f"  {r.station} k={r.horizon} {r.variant}: {text}")
     path = os.path.join(cfg.out_dir, "report.txt")
-    _atomic(path, lambda p: open(p, "w").write("\n".join(lines) + "\n"))
+
+    def write_report(p):
+        with open(p, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+
+    _atomic(path, write_report)
     print(f"wrote {path}")
 
 

@@ -144,7 +144,9 @@ class RunConfig:
         if self.synth is not None:
             d["data"]["synth"] = dataclasses.asdict(self.synth)
         if self.csv_dir is not None:
-            d["data"]["csv"] = {"dir": self.csv_dir}
+            schema = dataclasses.asdict(self.csv_schema)
+            schema["sentinels"] = list(schema["sentinels"])
+            d["data"]["csv"] = {"dir": self.csv_dir, "schema": schema}
         return d
 
     def digest(self) -> str:

@@ -50,8 +50,6 @@ class RollingConfig:
     restarts: int = 3
     max_lag: int = 10
     min_rows_per_param: int = 10
-    ftol: float = 1e-8
-    max_evals_per_param: int = 500
 
     @property
     def window_hours(self) -> int:
@@ -190,8 +188,7 @@ def run_rolling_station(
             fit_seed = int(fit_seed_base.generate_state(j + 1)[j])
             models[k] = fit_crps(
                 state, specs[k], (refit_at - config.window_hours, refit_at),
-                seed=fit_seed, restarts=config.restarts, ftol=config.ftol,
-                max_evals_per_param=config.max_evals_per_param, bundle=bundles[k],
+                seed=fit_seed, restarts=config.restarts, bundle=bundles[k],
             )
 
         for t in range(refit_at, min(refit_at + config.refit_hours, test_end)):

@@ -15,7 +15,8 @@ residual volatility,
 Lag bundles are chosen once per target/horizon by greedy forward selection
 under BIC on the least-squares center fit; coefficients are then estimated
 on a sliding window by minimizing the mean CRPS of the resulting truncated
-normal forecasts with a simplex search warm-started from least squares.
+normal forecasts (Gneiting et al. 2006; Thorarinsdottir & Gneiting 2010)
+with BFGS on the analytic gradient, started from least squares.
 Positivity of b0, b1 is enforced by optimizing their logarithms.
 
 Training jobs for distinct (station, horizon, variant) triples share only
@@ -29,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy.optimize import minimize
 
 from . import __version__
 from .diurnal import (
@@ -41,14 +43,15 @@ from .diurnal import (
 )
 from .errors import InvalidInputError, TrainingDataError
 from .geostrophy import GeoWindSeries
-from .predictive import TruncatedNormal, _crps_core
-from .optim import nelder_mead
+from .predictive import TruncatedNormal, _crps_grad
 from .series import Network
 from .timeutil import hours_of_day
 
 MAX_LAG = 10
 MAX_HORIZON = 6
 SIGMA_FLOOR = 1e-8
+BFGS_GTOL = 1e-8  # gradient max-norm at which a CRPS fit stops
+BFGS_MAXITER = 1000
 DIURNAL_METHODS = (TRIG,) + EMPIRICAL_METHODS
 
 #: model family name -> (include_gw, include_gw_direction, include_temp_diff)
@@ -591,8 +594,7 @@ def select_lags_bic(
 def _initial_point(X, y_resid, vol):
     """Least-squares warm start plus a moment-matched affine scale model.
 
-    Also returns initial simplex steps: coefficient standard errors are the
-    natural exploration scale for the simplex around the OLS solution.
+    Also returns the residual spread, which scales restart perturbations.
     """
     coeffs, _, _, _ = np.linalg.lstsq(X, y_resid, rcond=None)
     resid = y_resid - X @ coeffs
@@ -608,10 +610,14 @@ def _initial_point(X, y_resid, vol):
     floor = max(0.05 * s, 1e-4)
     b0 = max(b0, floor)
     b1 = max(b1, floor / max(vbar, 1.0))
-    theta0 = np.concatenate([coeffs, [np.log(b0), np.log(b1)]])
+    return np.concatenate([coeffs, [np.log(b0), np.log(b1)]]), s
+
+
+def _restart_steps(X, s):
+    """Perturbation scales for restarts: the coefficient standard errors
+    around the least-squares solution, and 0.1 for log b0 and log b1."""
     se = np.sqrt(np.maximum(np.diag(np.linalg.pinv(X.T @ X)) * s * s, 1e-10))
-    steps = np.concatenate([np.maximum(se, 1e-3), [0.1, 0.1]])
-    return theta0, steps
+    return np.concatenate([np.maximum(se, 1e-3), [0.1, 0.1]])
 
 
 def fit_crps(
@@ -620,18 +626,18 @@ def fit_crps(
     window: tuple,
     seed: int = 0,
     restarts: int = 3,
-    ftol: float = 1e-8,
-    max_evals_per_param: int = 500,
     bundle: DesignBundle | None = None,
 ) -> TrainedModel:
     """Minimum-CRPS coefficient estimation over a sliding window.
 
     Rows are issue times in [window_start, window_end - horizon] with fully
     observed features, target, and volatility; rows with missing values are
-    dropped. The simplex search starts from the least-squares fit;
-    additional seeded restarts perturb that start to guard against local
-    minima. The recorded ``crps_trace`` of the winning run is the running
-    best objective and is non-increasing by construction.
+    dropped. BFGS minimizes the mean CRPS from the least-squares start, on
+    the analytic gradient chained through mu = offset + X beta and
+    sigma = max(exp(theta_b0) + exp(theta_b1) v, SIGMA_FLOOR); additional
+    seeded restarts perturb that start to guard against local minima. The
+    recorded ``crps_trace`` of the winning run is the running best
+    objective over its evaluations and is non-increasing by construction.
     """
     if bundle is None or bundle.spec != spec:
         bundle = DesignBundle.build(state, spec)
@@ -647,30 +653,38 @@ def fit_crps(
     y = bundle.target[rows]
     offset = bundle.offset[rows]
     vol = bundle.vol[rows]
-    for name, arr in (("features", X), ("targets", y), ("volatility", vol)):
-        if np.any(np.isinf(arr)):
-            raise TrainingDataError(f"non-finite {name} inside the training window")
 
-    def objective(theta):
+    def objective(theta, trace):
         mu = offset + X @ theta[:p_center]
-        sigma = np.maximum(np.exp(theta[p_center]) + np.exp(theta[p_center + 1]) * vol,
-                           SIGMA_FLOOR)
         with np.errstate(over="ignore", invalid="ignore"):
-            val = float(np.mean(_crps_core(mu, sigma, y)))
-        return val if np.isfinite(val) else 1e12
+            b0, b1 = np.exp(theta[p_center:])
+            raw = b0 + b1 * vol
+            sigma = np.maximum(raw, SIGMA_FLOOR)
+            crps, d_mu, d_sigma = _crps_grad(mu, sigma, y)
+            val = float(np.mean(crps))
+            d_sigma = np.where(raw > SIGMA_FLOOR, d_sigma, 0.0)
+            grad = np.concatenate([X.T @ d_mu, [d_sigma.sum() * b0, d_sigma @ vol * b1]]) / n
+        if not (np.isfinite(val) and np.all(np.isfinite(grad))):
+            val, grad = 1e12, np.zeros_like(theta)
+        trace.append(min(trace[-1], val) if trace else val)
+        return val, grad
 
-    x0, steps = _initial_point(X, y - offset, vol)
-    rng = np.random.default_rng(seed)
+    x0, s = _initial_point(X, y - offset, vol)
+    starts = [x0]
+    if restarts > 1:
+        steps = _restart_steps(X, s)
+        rng = np.random.default_rng(seed)
+        starts += [x0 + rng.normal(0.0, 1.0, x0.size) * steps for _ in range(restarts - 1)]
     best = None
-    max_evals = max_evals_per_param * x0.size
-    for r in range(max(1, restarts)):
-        start = x0 if r == 0 else x0 + rng.normal(0.0, 1.0, x0.size) * steps
-        result = nelder_mead(objective, start, ftol=ftol, max_evals=max_evals,
-                             steps=steps)
-        if best is None or result.fun < best.fun:
-            best = result
+    for start in starts:
+        trace = []
+        result = minimize(objective, start, args=(trace,), method="BFGS", jac=True,
+                          options={"gtol": BFGS_GTOL, "maxiter": BFGS_MAXITER})
+        if best is None or result.fun < best[0].fun:
+            best = (result, trace)
 
-    theta = best.x
+    result, trace = best
+    theta = result.x
     coefficients = Coefficients(
         names=bundle.names,
         center=theta[:p_center].copy(),
@@ -682,10 +696,10 @@ def fit_crps(
         coefficients=coefficients,
         window=(int(window[0]), int(window[1])),
         profiles=dict(state.profiles),
-        train_crps=best.fun,
+        train_crps=float(result.fun),
         n_rows=n,
         seed=seed,
-        crps_trace=tuple(best.trace),
+        crps_trace=tuple(trace),
     )
 
 

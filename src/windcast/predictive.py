@@ -14,6 +14,8 @@ primitives (complementary-error-function based, abs error < 1e-12).
 ``crps`` is the closed-form continuous ranked probability score; its
 independent check ``crps_numeric`` integrates the defining integral by
 adaptive quadrature and is the authority whenever the two disagree.
+``_crps_grad`` adds the analytic derivatives in mu and sigma that the
+minimum-CRPS fit needs.
 """
 
 from __future__ import annotations
@@ -52,7 +54,11 @@ def pdf_values(mu, sigma, y):
 def cdf_values(mu, sigma, y):
     """CDF of N+(mu, sigma) at y (vectorized); 0 below the truncation point."""
     mu, sigma = _check_params(mu, sigma)
-    y = np.asarray(y, dtype=float)
+    return _cdf_core(mu, sigma, np.asarray(y, dtype=float))
+
+
+def _cdf_core(mu, sigma, y):
+    """CDF algebra without argument validation (quadrature integrands)."""
     w = (y - mu) / sigma
     out = -np.expm1(log_ndtr(-w) - log_ndtr(mu / sigma))
     return np.where(y < 0.0, 0.0, np.clip(out, 0.0, 1.0))
@@ -72,38 +78,82 @@ def quantile_values(mu, sigma, p):
     return mu - sigma * ndtri_exp(np.log1p(-p) + log_ndtr(mu / sigma))
 
 
-def _crps_core(mu, sigma, y):
-    """CRPS algebra without argument validation (hot path for training).
+def _truncation_terms(a, w):
+    """Ratios shared by the CRPS and its gradient, with P = Phi(a):
 
-    Mild truncation (mu/sigma > -5, the operating regime) takes a direct
-    ndtr evaluation; heavier truncation goes through log-space ratios, and
-    past mu/sigma ~ -1e6 (where even the log-space exponents lose the
-    cancellation of their a^2 terms in float64) the law is an exponential
-    tail at 0 with rate |mu|/sigma^2, whose CRPS is exact to O(1/a^2).
+        g = -2 (1 - Phi(w)) / P,   t2 = 2 phi(w) / P,
+        t3 = Phi(sqrt(2) a) / (sqrt(pi) P^2),   m = phi(a) / P.
+
+    Mild truncation (min a > -5, the operating regime) takes direct ndtr
+    evaluations; heavier truncation goes through log-space ratios.
+    """
+    a_min = float(np.min(a)) if np.ndim(a) else float(a)
+    if a_min > -5.0:
+        p_inv = 1.0 / ndtr(a)
+        g = (2.0 * ndtr(w) - 2.0) * p_inv
+        t2 = 2.0 * np.exp(-0.5 * w * w - _LOG_SQRT_2PI) * p_inv
+        t3 = _INV_SQRT_PI * ndtr(_SQRT2 * a) * p_inv * p_inv
+        m = np.exp(-0.5 * a * a - _LOG_SQRT_2PI) * p_inv
+        return g, t2, t3, m
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_p = log_ndtr(a)
+        g = -2.0 * np.exp(log_ndtr(-w) - log_p)
+        t2 = 2.0 * np.exp(-0.5 * w * w - _LOG_SQRT_2PI - log_p)
+        t3 = _INV_SQRT_PI * np.exp(log_ndtr(_SQRT2 * a) - 2.0 * log_p)
+        m = np.exp(-0.5 * a * a - _LOG_SQRT_2PI - log_p)
+    return g, t2, t3, m
+
+
+def _exponential_tail(a, mu, sigma, y):
+    """Rows past mu/sigma ~ -1e6, where even the log-space ratios lose the
+    cancellation of their a^2 terms in float64: the law is an exponential
+    tail at 0 with rate lam = |mu|/sigma^2, whose CRPS
+    y + (2 exp(-lam y) - 1.5) / lam is exact to O(1/a^2).
+
+    Returns (mask, crps, d crps/d lam, lam); None when no row is that far out.
+    """
+    extreme = a < -1e6
+    if not np.any(extreme):
+        return None
+    lam = np.where(extreme, np.abs(mu) / sigma**2, 1.0)
+    decay = np.exp(-np.minimum(lam * y, 7.0e2))
+    crps = y + (2.0 * decay - 1.5) / lam
+    d_lam = -(2.0 * y * decay + (2.0 * decay - 1.5) / lam) / lam
+    return extreme, crps, d_lam, lam
+
+
+def _crps_grad(mu, sigma, y):
+    """CRPS and its partial derivatives: (crps, d crps/d mu, d crps/d sigma).
+
+    Three regimes: see ``_truncation_terms`` and ``_exponential_tail``. With
+    crps = sigma f(a, w), a = mu/sigma and w = (y - mu)/sigma,
+
+        f_w = 1 + g,   f_a = m (2 t3 - w g - t2 - 2 m),
+        d/d mu = f_a - f_w,   d/d sigma = t2 - t3 - a f_a.
     """
     inv = 1.0 / sigma
     a = mu * inv
     w = (y - mu) * inv
-    a_min = float(np.min(a)) if np.ndim(a) else float(a)
-    if a_min > -5.0:
-        p_inv = 1.0 / ndtr(a)
-        t1 = w * ((2.0 * ndtr(w) - 2.0) * p_inv + 1.0)
-        t2 = 2.0 * np.exp(-0.5 * w * w - _LOG_SQRT_2PI) * p_inv
-        t3 = _INV_SQRT_PI * ndtr(_SQRT2 * a) * p_inv * p_inv
-        return sigma * (t1 + t2 - t3)
+    g, t2, t3, m = _truncation_terms(a, w)
     with np.errstate(over="ignore", invalid="ignore"):
-        log_p = log_ndtr(a)
-        t1 = w * (1.0 - 2.0 * np.exp(log_ndtr(-w) - log_p))
-        t2 = 2.0 * np.exp(-0.5 * w * w - _LOG_SQRT_2PI - log_p)
-        t3 = _INV_SQRT_PI * np.exp(log_ndtr(_SQRT2 * a) - 2.0 * log_p)
-        out = sigma * (t1 + t2 - t3)
-    extreme = a < -1e6
-    if np.any(extreme):
-        lam = np.where(extreme, np.abs(mu) / sigma**2, 1.0)
-        lam_y = np.minimum(lam * y, 7.0e2)
-        tail = y + (2.0 * np.exp(-lam_y) - 1.5) / lam
-        out = np.where(extreme, tail, out)
-    return out
+        f_w = g + 1.0
+        f_a = m * (2.0 * t3 - w * g - t2 - 2.0 * m)
+        crps = sigma * (w * f_w + t2 - t3)
+        d_mu = f_a - f_w
+        d_sigma = t2 - t3 - a * f_a
+    tail = _exponential_tail(a, mu, sigma, y)
+    if tail is not None:
+        extreme, tail_crps, d_lam, lam = tail
+        # lam = -mu / sigma^2 on these rows (mu < 0)
+        crps = np.where(extreme, tail_crps, crps)
+        d_mu = np.where(extreme, -d_lam * inv * inv, d_mu)
+        d_sigma = np.where(extreme, -2.0 * d_lam * lam * inv, d_sigma)
+    return crps, d_mu, d_sigma
+
+
+def _crps_core(mu, sigma, y):
+    """CRPS algebra without argument validation."""
+    return _crps_grad(mu, sigma, y)[0]
 
 
 def crps_values(mu, sigma, y):
@@ -160,13 +210,13 @@ class TruncatedNormal:
         """
         if y < 0.0:
             raise InvalidInputError("observed wind speed must be nonnegative")
-        mu, sigma = self.mu, self.sigma
+        mu, sigma = self.mu, self.sigma  # validated in __post_init__
 
         def below(x):
-            return cdf_values(mu, sigma, x) ** 2
+            return _cdf_core(mu, sigma, x) ** 2
 
         def above(x):
-            f = cdf_values(mu, sigma, x)
+            f = _cdf_core(mu, sigma, x)
             return (f - 1.0) * (f - 1.0)
 
         hi = max(y, mu + 12.0 * sigma, 1.0) + 12.0 * sigma

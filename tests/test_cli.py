@@ -1,16 +1,21 @@
 """CLI pipeline: config validation, chained stages, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
+import windcast
 from windcast.cli import main
-from windcast.config import config_from_dict, load_config
+from windcast.config import config_from_dict, dump_config, load_config
 from windcast.errors import ConfigError
 from windcast.forecast import read_records_csv
 from windcast.geostrophy import GeoWindSeries
+from windcast.ingest import CANONICAL_SCHEMA
 from windcast.model import load_bundle
 
 from conftest import benchmark_config_dict, run_pipeline
@@ -70,6 +75,49 @@ class TestConfigValidation:
         cfg = load_config(path)
         assert cfg.stations == ["S01", "S02", "S03", "S04"]
         assert cfg.validate() == []
+
+
+def csv_config(unit="m_s"):
+    cfg = small_config("out")
+    cfg["data"] = {"source": "csv", "csv": {"dir": "archive", "schema": {
+        "columns": dict(CANONICAL_SCHEMA.columns),
+        "units": dict(CANONICAL_SCHEMA.units, speed=unit),
+        "sentinels": [-999.0, 9999.0],
+    }}}
+    return cfg
+
+
+class TestConfigDigest:
+    def test_synth_digest_unchanged(self):
+        assert config_from_dict(small_config("out")).digest() == "f8ea2e1add10"
+
+    def test_csv_schema_changes_digest(self):
+        assert (config_from_dict(csv_config("m_s")).digest()
+                != config_from_dict(csv_config("mph")).digest())
+
+    def test_csv_config_round_trips(self, tmp_path):
+        cfg = config_from_dict(csv_config("mph"))
+        dump_config(cfg, tmp_path / "config.yaml")
+        back = load_config(tmp_path / "config.yaml")
+        assert back.csv_schema.units["speed"] == "mph"
+        assert back.csv_schema.sentinels == [-999.0, 9999.0]
+        assert back.digest() == cfg.digest()
+
+
+def _import_env(**overrides):
+    """Environment variables seen after ``import windcast`` in a fresh interpreter."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(overrides)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(windcast.__file__))
+    code = "import os, windcast; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    return out.stdout.strip()
+
+
+def test_import_defaults_one_blas_thread():
+    assert _import_env() == "1"
+    assert _import_env(OPENBLAS_NUM_THREADS="3") == "3"
 
 
 @pytest.fixture(scope="module")

@@ -307,6 +307,30 @@ class TestFitCrps:
         with pytest.raises(TrainingDataError):
             fit_crps(state, spec, (bounds[0], bounds[0] + 4), seed=0)
 
+    def test_stationary_at_fitted_coefficients(self):
+        # central differences of the window CRPS in the fitted parameters
+        # (center, log b0, log b1) vanish at the fit; a wrong chain rule in
+        # the fitter's gradient would stop it elsewhere
+        state, spec, bounds = _recovery_setup(noise=0.3)
+        model = fit_crps(state, spec, bounds, seed=0, restarts=1)
+        bundle = DesignBundle.build(state, spec)
+        rows = bundle.valid_rows(*bounds)
+        X, y, offset, vol = (bundle.X[rows], bundle.target[rows], bundle.offset[rows],
+                             bundle.vol[rows])
+
+        def window_crps(theta):
+            mu = offset + X @ theta[:-2]
+            sigma = np.exp(theta[-2]) + np.exp(theta[-1]) * vol
+            return crps_values(mu, sigma, y).mean()
+
+        c = model.coefficients
+        theta = np.concatenate([c.center, [math.log(c.b0), math.log(c.b1)]])
+        assert window_crps(theta) == pytest.approx(model.train_crps, rel=1e-12)
+        h = 1e-6
+        grad = np.array([(window_crps(theta + h * e) - window_crps(theta - h * e)) / (2 * h)
+                         for e in np.eye(theta.size)])
+        assert np.max(np.abs(grad)) < 1e-6
+
 
 class TestPredictParams:
     def test_intercept_plus_diurnal(self):

@@ -1,5 +1,7 @@
 """Truncated normal distribution: CDF/quantile/CRPS against independent oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -8,6 +10,8 @@ from scipy.integrate import quad
 from windcast.errors import InvalidDistributionError, InvalidInputError
 from windcast.predictive import (
     TruncatedNormal,
+    _crps_core,
+    _crps_grad,
     cdf_values,
     crps_values,
     pdf_values,
@@ -121,6 +125,43 @@ class TestCrps:
     def test_rejects_negative_observation(self):
         with pytest.raises(InvalidInputError):
             TruncatedNormal(1.0, 1.0).crps(-0.1)
+
+
+class TestCrpsGradient:
+    """``_crps_grad`` against central differences of ``_crps_core``, one
+    array per regime (the regime follows the smallest mu/sigma in a call)."""
+
+    @staticmethod
+    def _grid(a_values):
+        a, sigma, y = np.meshgrid(np.asarray(a_values, dtype=float), [0.3, 1.0, 2.5],
+                                  [0.0, 0.4, 3.0, 9.0], indexing="ij")
+        return (a * sigma).ravel(), sigma.ravel(), y.ravel()
+
+    @pytest.mark.parametrize("a_values,rel_step", [
+        ([-4.5, -2.0, -0.8, 0.0, 1.5, 4.0, 8.0], 1e-4),  # direct, mu/sigma > -5
+        ([-5.5, -8.0, -15.0, -30.0], 1e-4),  # log-space, -1e6 < mu/sigma <= -5
+        ([-2e6, -1e7, -1e9], 1e-2),  # exponential tail, mu/sigma < -1e6
+    ])
+    def test_matches_central_differences(self, a_values, rel_step):
+        mu, sigma, y = self._grid(a_values)
+        _, d_mu, d_sigma = _crps_grad(mu, sigma, y)
+        h_mu = rel_step * np.maximum(np.abs(mu), sigma)
+        h_sigma = rel_step * sigma
+        fd_mu = (_crps_core(mu + h_mu, sigma, y) - _crps_core(mu - h_mu, sigma, y)) / (2 * h_mu)
+        fd_sigma = (_crps_core(mu, sigma + h_sigma, y)
+                    - _crps_core(mu, sigma - h_sigma, y)) / (2 * h_sigma)
+        np.testing.assert_allclose(d_mu, fd_mu, rtol=1e-3)
+        np.testing.assert_allclose(d_sigma, fd_sigma, rtol=1e-3)
+
+    def test_untruncated_limit(self):
+        # far from the truncation point the law is N(mu, sigma), whose CRPS has
+        # d/dmu = 1 - 2 Phi(w) = -erf(w/sqrt(2)) and d/dsigma = 2 phi(w) - 1/sqrt(pi)
+        w = np.array([-1.5, 0.0, 0.7])
+        _, d_mu, d_sigma = _crps_grad(np.full(3, 40.0), np.ones(3), 40.0 + w)
+        np.testing.assert_allclose(d_mu, [-math.erf(v / math.sqrt(2)) for v in w],
+                                   atol=1e-12)
+        phi = np.exp(-0.5 * w * w) / np.sqrt(2 * np.pi)
+        np.testing.assert_allclose(d_sigma, 2 * phi - 1 / np.sqrt(np.pi), atol=1e-12)
 
 
 class TestDensityAndInterval:
