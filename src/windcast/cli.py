@@ -142,7 +142,7 @@ def cmd_train(cfg: RunConfig) -> None:
                                  seed=cfg.seed, restarts=cfg.restarts)
                 path = _bundle_path(cfg, variant, station, k)
                 os.makedirs(os.path.dirname(path), exist_ok=True)
-                _atomic(path, lambda p, m=model: save_bundle(m, p))
+                _atomic(path, lambda p, m=model: save_bundle(m, p, cfg.digest()))
                 print(f"trained {variant} {station} k={k}: "
                       f"{len(model.coefficients.names)} center terms, "
                       f"window CRPS {model.train_crps:.4f} -> {path}")
@@ -171,13 +171,15 @@ def cmd_forecast(cfg: RunConfig, jobs: int | None = None) -> None:
                 for k in cfg.horizons:
                     path = _bundle_path(cfg, variant, station, k)
                     if os.path.exists(path):
-                        specs[k] = load_bundle(path).spec
+                        specs[k] = load_bundle(path, cfg.digest()).spec
                 selected = specs or None
             tasks.append((data, variant, station, list(cfg.horizons), train, test,
                           rolling, cfg.seed, selected))
 
     results: dict[tuple, list[ForecastRecord]] = {}
     if jobs > 1 and len(tasks) > 1:
+        if any(v != PERSISTENCE for v in cfg.variants):
+            import scipy.optimize  # noqa: F401  (fits need it; import before forking to share it)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for variant, station, records in pool.map(_forecast_job, tasks):
                 results[(variant, station)] = records
@@ -197,20 +199,13 @@ def cmd_forecast(cfg: RunConfig, jobs: int | None = None) -> None:
         print(f"{variant}: {len(records)} forecasts ({n_fallback} fallbacks) -> {path}")
 
 
-def _read_all_records(cfg: RunConfig) -> dict:
-    out = {}
+def _all_reports(cfg: RunConfig) -> list:
+    reports = []
     for variant in cfg.variants:
         path = os.path.join(cfg.out_dir, "forecasts", f"{variant}.csv")
         if not os.path.exists(path):
             raise LoadError(f"{path} not found (run the forecast command first)")
-        out[variant] = read_records_csv(path)
-    return out
-
-
-def _all_reports(cfg: RunConfig) -> list:
-    reports = []
-    for variant, records in _read_all_records(cfg).items():
-        groups = score_groups(records, variant, pit_bins=cfg.pit_bins,
+        groups = score_groups(read_records_csv(path), variant, pit_bins=cfg.pit_bins,
                               interval_level=cfg.interval_level)
         reports.extend(groups.values())
     return reports

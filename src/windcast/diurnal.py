@@ -13,9 +13,7 @@ profile and is residualized independently.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -70,17 +68,6 @@ class EmpiricalDiurnal:
     def evaluate(self, hours_of_day):
         idx = np.mod(np.asarray(hours_of_day, dtype=np.int64), 24)
         return np.asarray(self.hourly_mean)[idx]
-
-
-DiurnalProfile = Union[TrigDiurnal, EmpiricalDiurnal]
-
-
-@dataclass(frozen=True)
-class ResidualSeries:
-    """A series minus its diurnal profile, keeping the profile for restore."""
-
-    values: np.ndarray
-    profile: DiurnalProfile
 
 
 def fit_trig(hours_of_day, values) -> TrigDiurnal:
@@ -146,26 +133,3 @@ def fit_empirical(
         )
     sums = np.bincount(bucket_hours, weights=vals[mask], minlength=24)
     return EmpiricalDiurnal(tuple(sums / counts), method, window)
-
-
-def residualize(values, hours_of_day, profile: DiurnalProfile) -> ResidualSeries:
-    """Subtract the profile evaluated at each timestamp's hour-of-day."""
-    vals = np.asarray(values, dtype=float)
-    return ResidualSeries(vals - profile.evaluate(hours_of_day), profile)
-
-
-def restore(residual: ResidualSeries, hours_of_day) -> np.ndarray:
-    """Invert residualize: residual + profile; exact round trip."""
-    return residual.values + residual.profile.evaluate(hours_of_day)
-
-
-def profile_to_rows(profile: DiurnalProfile):
-    """(hour, value) rows for CSV export."""
-    return [(h, float(v)) for h, v in enumerate(profile.evaluate(np.arange(24)))]
-
-
-def write_profile_csv(profile: DiurnalProfile, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["hour", "value"])
-        writer.writerows(profile_to_rows(profile))

@@ -29,10 +29,6 @@ class TrainingDataError(WindcastError):
     """Training window too small or contaminated by non-finite values."""
 
 
-class MissingFeatureError(WindcastError):
-    """A referenced lagged value is missing at the requested time."""
-
-
 class LoadError(WindcastError):
     """A data file could not be parsed against its declared schema."""
 

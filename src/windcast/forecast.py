@@ -15,14 +15,15 @@ unavailable (NaN point).
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, LoadError, TrainingDataError
+from .csvio import read_columns, write_columns
+from .errors import InvalidInputError, TrainingDataError
 from .model import (
     DesignBundle,
     ModelData,
@@ -36,7 +37,7 @@ from .model import (
     select_lags_bic,
 )
 from .predictive import quantile_values
-from .timeutil import epoch_hour, iso_hour
+from .timeutil import iso_hours
 
 FORECAST_CSV_COLUMNS = (
     "station", "issue_time", "horizon", "mu", "sigma", "point", "fallback", "observed",
@@ -69,6 +70,37 @@ class ForecastRecord:
     point: float
     fallback: bool
     observed: float
+
+
+@dataclass
+class ForecastColumns:
+    """Forecast records as columns: one array per ForecastRecord field."""
+
+    station: np.ndarray  # str
+    issue_time: np.ndarray  # int64 epoch hours
+    horizon: np.ndarray  # int64
+    mu: np.ndarray
+    sigma: np.ndarray
+    point: np.ndarray
+    fallback: np.ndarray  # bool
+    observed: np.ndarray
+
+    @classmethod
+    def from_records(cls, records) -> "ForecastColumns":
+        if isinstance(records, cls):
+            return records
+        return cls(*(np.array(list(map(attrgetter(f.name), records))) for f in fields(cls)))
+
+    def __len__(self) -> int:
+        return self.horizon.size
+
+    def __iter__(self):
+        for row in zip(*(getattr(self, f.name).tolist() for f in fields(self))):
+            yield ForecastRecord(*row)
+
+    def take(self, rows) -> "ForecastColumns":
+        """The records selected by a boolean mask or an index array."""
+        return ForecastColumns(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 def latest_observation(data: ModelData, station_index: int, t_index: int,
@@ -214,62 +246,18 @@ def run_rolling_station(
     return records
 
 
-def run_rolling(
-    data: ModelData,
-    variant: str,
-    targets: Sequence[str],
-    horizons: Sequence[int],
-    train: tuple,
-    test: tuple,
-    config: RollingConfig = RollingConfig(),
-    seed: int = 0,
-    selected: dict | None = None,
-) -> list[ForecastRecord]:
-    """Forecasts for every target station, ordered (station, issue, horizon)."""
-    out: list[ForecastRecord] = []
-    for station in targets:
-        sel = selected.get(station) if selected else None
-        out.extend(run_rolling_station(data, variant, station, horizons, train,
-                                       test, config, seed, sel))
-    return out
-
-
 def write_records_csv(records: Sequence[ForecastRecord], path,
                       header_lines: Sequence[str] = ()) -> None:
-    def cell(x):
-        return repr(float(x)) if math.isfinite(x) else ""
-
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(FORECAST_CSV_COLUMNS)
-        for r in records:
-            writer.writerow([
-                r.station, iso_hour(r.issue_time), r.horizon, cell(r.mu),
-                cell(r.sigma), cell(r.point), int(r.fallback), cell(r.observed),
-            ])
+    cols = ForecastColumns.from_records(records)
+    write_columns(path, FORECAST_CSV_COLUMNS,
+                  [cols.station, iso_hours(cols.issue_time), cols.horizon, cols.mu,
+                   cols.sigma, cols.point, cols.fallback, cols.observed], header_lines)
 
 
-def read_records_csv(path) -> list[ForecastRecord]:
-    def num(text):
-        return float(text) if text else math.nan
-
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(line for line in fh if not line.startswith("#"))
-        missing = set(FORECAST_CSV_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise LoadError(f"{path}: missing forecast columns {sorted(missing)}")
-        for row in reader:
-            records.append(ForecastRecord(
-                station=row["station"],
-                issue_time=epoch_hour(row["issue_time"]),
-                horizon=int(row["horizon"]),
-                mu=num(row["mu"]),
-                sigma=num(row["sigma"]),
-                point=num(row["point"]),
-                fallback=bool(int(row["fallback"])),
-                observed=num(row["observed"]),
-            ))
-    return records
+def read_records_csv(path) -> "ForecastColumns":
+    kinds = {"station": "str", "issue_time": "time", "horizon": "int", "mu": "float",
+             "sigma": "float", "point": "float", "fallback": "int", "observed": "float"}
+    table = read_columns(path, kinds)
+    table["issue_time"] //= 60
+    table["fallback"] = table["fallback"] != 0
+    return ForecastColumns(**table)

@@ -17,7 +17,6 @@ only variations matter and is configurable via ``MeanRemovalPolicy``.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
@@ -25,14 +24,14 @@ from typing import Sequence
 
 import numpy as np
 
+from .csvio import read_columns, write_columns
 from .errors import (
     InvalidInputError,
-    LoadError,
     RankDeficiencyError,
     UnsupportedLatitudeError,
 )
 from .series import Network, StationMeta
-from .timeutil import epoch_hour, iso_hour, month_index
+from .timeutil import iso_hours, month_index
 
 EARTH_RADIUS_M = 6.371e6
 
@@ -87,7 +86,8 @@ class MeanRemovalPolicy(enum.Enum):
 
 @dataclass(frozen=True)
 class PlaneFit:
-    """Least-squares plane Z(x, y) = a0 + a1*x + a2*y fitted to one hour."""
+    """Least-squares plane Z(x, y) = a0 + a1*x + a2*y; arrays over hours when
+    several hours sharing a station layout are fitted at once."""
 
     a0: float
     a1: float
@@ -113,39 +113,18 @@ class GeoWindSeries:
         return int(self.times.size)
 
     def to_csv(self, path, header_lines: Sequence[str] = ()) -> None:
-        with open(path, "w", newline="") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            writer = csv.writer(fh)
-            writer.writerow(GEOWIND_CSV_COLUMNS)
-            for i in range(self.n):
-                writer.writerow(
-                    [
-                        iso_hour(self.times[i]),
-                        repr(float(self.u_g[i])),
-                        repr(float(self.v_g[i])),
-                        repr(float(self.w_g[i])),
-                        repr(float(self.theta_g[i])),
-                        int(self.n_stations[i]),
-                        repr(float(self.rms_residual[i])),
-                    ]
-                )
+        write_columns(path, GEOWIND_CSV_COLUMNS,
+                      [iso_hours(self.times), self.u_g, self.v_g, self.w_g, self.theta_g,
+                       np.asarray(self.n_stations, dtype=np.int64), self.rms_residual],
+                      header_lines, nonfinite=None)
 
     @classmethod
     def from_csv(cls, path) -> "GeoWindSeries":
-        rows = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(line for line in fh if not line.startswith("#"))
-            header = next(reader, None)
-            if header is None or tuple(header) != GEOWIND_CSV_COLUMNS:
-                raise LoadError(f"{path}: unexpected geostrophic wind CSV header {header}")
-            for rec in reader:
-                rows.append(rec)
-        times = np.array([epoch_hour(r[0]) for r in rows], dtype=np.int64)
-        cols = [np.array([float(r[i]) for r in rows]) for i in range(1, 5)]
-        n_st = np.array([int(r[5]) for r in rows], dtype=np.int64)
-        rms = np.array([float(r[6]) for r in rows])
-        return cls(times, cols[0], cols[1], cols[2], cols[3], n_st, rms)
+        kinds = dict.fromkeys(GEOWIND_CSV_COLUMNS, "float")
+        kinds.update({GEOWIND_CSV_COLUMNS[0]: "time", "n_stations": "int"})
+        table = read_columns(path, kinds)
+        return cls(table[GEOWIND_CSV_COLUMNS[0]] // 60,
+                   *(table[c] for c in GEOWIND_CSV_COLUMNS[1:]))
 
 
 def reduce_to_reference(p_i, z_i, t_bar_kelvin, const: PhysicalConstants = PhysicalConstants()):
@@ -178,25 +157,25 @@ def project_local(stations: Sequence[StationMeta], origin_lat: float, origin_lon
 
 
 def fit_plane(x, y, z) -> PlaneFit:
-    """Least-squares plane through points (x, y, z).
+    """Least-squares plane through points (x, y, z); a (k, m) ``z`` fits m
+    planes over the same k points at once, and the fit's fields are arrays.
 
-    Uses an orthogonal (SVD) factorization rather than normal equations so
+    Uses the SVD pseudo-inverse rather than normal equations so
     near-collinear station layouts stay well conditioned. Raises
     RankDeficiencyError when the points do not determine a plane.
     """
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     n = x.size
     if n < 3:
         raise RankDeficiencyError(f"need at least 3 points for a plane, got {n}")
-    design = np.column_stack([np.ones(n), x, y])
-    coeffs, _, rank, _ = np.linalg.lstsq(design, z, rcond=None)
-    if rank < 3:
+    design = np.column_stack([np.ones(n), x, np.asarray(y, dtype=float)])
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    if np.sum(s > s[0] * max(design.shape) * np.finfo(float).eps) < 3:
         raise RankDeficiencyError("collinear or degenerate station layout")
-    resid = z - design @ coeffs
-    rms = float(np.sqrt(np.mean(resid**2)))
-    return PlaneFit(float(coeffs[0]), float(coeffs[1]), float(coeffs[2]), rms, int(n))
+    coefs = ((vt.T / s) @ u.T) @ z
+    rms = np.sqrt(np.mean((z - design @ coefs) ** 2, axis=0))
+    return PlaneFit(coefs[0], coefs[1], coefs[2], rms, n)
 
 
 def coriolis(latitude_deg: float, const: PhysicalConstants = PhysicalConstants()) -> float:
@@ -295,24 +274,18 @@ def estimate_series(
     rms = np.full(n, np.nan)
     n_used = np.zeros(n, dtype=np.int64)
 
-    # group hours sharing a station-validity mask: one SVD per layout
+    # group hours sharing a station-validity mask: one plane fit per layout
     codes = np.packbits(ok, axis=0).T  # (n, ceil(S/8)) byte signature per hour
-    scale = const.g0 / f
     for signature in np.unique(codes[usable], axis=0):
         hours = np.nonzero(usable & np.all(codes == signature, axis=1))[0]
         members = ok[:, hours[0]]
-        design = np.column_stack([np.ones(members.sum()), x[members], y[members]])
-        u_svd, s_svd, vt_svd = np.linalg.svd(design, full_matrices=False)
-        if np.sum(s_svd > s_svd[0] * max(design.shape) * np.finfo(float).eps) < 3:
+        try:
+            fit = fit_plane(x[members], y[members], anomalies[members][:, hours])
+        except RankDeficiencyError:
             continue  # collinear layout: leave these hours missing
-        pinv = (vt_svd.T / s_svd) @ u_svd.T
-        zmat = anomalies[members][:, hours]  # (k, m)
-        coefs = pinv @ zmat  # (3, m)
-        resid = zmat - design @ coefs
-        u_g[hours] = -scale * coefs[2]
-        v_g[hours] = scale * coefs[1]
-        rms[hours] = np.sqrt(np.mean(resid**2, axis=0))
-        n_used[hours] = members.sum()
+        u_g[hours], v_g[hours] = geostrophic_from_plane(fit, f, const)
+        rms[hours] = fit.rms_residual
+        n_used[hours] = fit.n_stations
 
     w_g = np.hypot(u_g, v_g)
     theta_g = np.arctan2(v_g, u_g)

@@ -13,7 +13,6 @@ hour are present (default 9 of 12 five-minute records).
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import os
@@ -22,9 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .csvio import read_columns, write_columns
 from .errors import InvalidInputError, LoadError
 from .series import StationMeta, StationSeries
-from .timeutil import iso_hour, parse_timestamp
+from .timeutil import iso_hours
 
 ROLES = ("time", "station", "speed", "direction", "temperature", "pressure")
 
@@ -32,7 +32,7 @@ ROLES = ("time", "station", "speed", "direction", "temperature", "pressure")
 _SPEED_FACTORS = {"m_s": 1.0, "km_h": 1.0 / 3.6, "mph": 0.44704, "knot": 0.514444}
 _PRESSURE_FACTORS = {"hpa": 1.0, "mb": 1.0, "pa": 0.01}
 _DIRECTION_UNITS = ("deg", "rad")
-_TEMPERATURE_UNITS = ("celsius", "kelvin", "fahrenheit")
+_TEMPERATURE_AFFINE = {"celsius": (0.0, 1.0), "kelvin": (273.15, 1.0), "fahrenheit": (32.0, 1.8)}
 
 MET_FROM = "meteorological_from"
 MATH_TOWARD = "math_toward"
@@ -64,7 +64,7 @@ class SchemaConfig:
         checks = (
             ("speed", _SPEED_FACTORS.keys()),
             ("direction", _DIRECTION_UNITS),
-            ("temperature", _TEMPERATURE_UNITS),
+            ("temperature", _TEMPERATURE_AFFINE.keys()),
             ("pressure", _PRESSURE_FACTORS.keys()),
         )
         for role, known in checks:
@@ -107,81 +107,41 @@ class RawRecords:
     n_malformed: int = 0
 
 
-def _convert_direction(deg_or_rad: float, unit: str, convention: str) -> float:
-    rad = math.radians(deg_or_rad) if unit == "deg" else float(deg_or_rad)
-    if convention == MET_FROM:
-        # bearing the wind blows FROM (clockwise from north) -> travel
-        # direction (counterclockwise from east)
-        rad = 1.5 * math.pi - rad
-    return rad % (2.0 * math.pi)
-
-
-def _to_canonical(role: str, value: float, unit: str) -> float:
-    if role == "speed":
-        return value * _SPEED_FACTORS[unit]
-    if role == "pressure":
-        return value * _PRESSURE_FACTORS[unit]
+def _to_canonical(role: str, values: np.ndarray, schema: SchemaConfig) -> np.ndarray:
+    unit = schema.units[role]
+    if role == "direction":
+        rad = np.radians(values) if unit == "deg" else values
+        if schema.direction_convention == MET_FROM:
+            # bearing the wind blows FROM (clockwise from north) -> travel
+            # direction (counterclockwise from east)
+            rad = 1.5 * math.pi - rad
+        return rad % (2.0 * math.pi)
     if role == "temperature":
-        if unit == "kelvin":
-            return value - 273.15
-        if unit == "fahrenheit":
-            return (value - 32.0) / 1.8
-        return value
-    return value
+        offset, divisor = _TEMPERATURE_AFFINE[unit]
+        return (values - offset) / divisor
+    return values * (_SPEED_FACTORS if role == "speed" else _PRESSURE_FACTORS)[unit]
 
 
 def read_raw(path, schema: SchemaConfig, station_id: str | None = None) -> RawRecords:
     """Parse one CSV into canonical-unit records.
 
     Rows with a malformed numeric field are counted and their bad fields
-    dropped; an unparseable timestamp or a missing schema column is a hard
-    LoadError carrying the offending line number.
+    read as missing; an unparseable timestamp or a missing schema column is
+    a hard LoadError carrying the offending line number.
     """
-    times, cols = [], {r: [] for r in ("speed", "direction", "temperature", "pressure")}
-    n_malformed = 0
-    sentinels = set(schema.sentinels)
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(line for line in fh if not line.startswith("#"))
-        if reader.fieldnames is None:
-            raise LoadError(f"{path}: empty file")
-        missing = [c for c in schema.columns.values() if c not in reader.fieldnames]
-        if missing:
-            raise LoadError(f"{path}: columns {missing} not found in header {reader.fieldnames}")
-        station_col = schema.columns.get("station")
-        for lineno, row in enumerate(reader, start=2):
-            if station_id is not None and station_col is not None:
-                if row[station_col] != station_id:
-                    continue
-            try:
-                t = parse_timestamp(row[schema.columns["time"]])
-            except InvalidInputError as exc:
-                raise LoadError(f"{path}:{lineno}: {exc}") from None
-            times.append(int(t.astype("int64")))
-            bad = False
-            for role in ("speed", "direction", "temperature", "pressure"):
-                text = (row[schema.columns[role]] or "").strip()
-                try:
-                    value = float(text)
-                except ValueError:
-                    value = math.nan
-                    bad = bad or text != ""
-                if value in sentinels or not math.isfinite(value):
-                    value = math.nan
-                elif role == "direction":
-                    value = _convert_direction(value, schema.units["direction"],
-                                               schema.direction_convention)
-                else:
-                    value = _to_canonical(role, value, schema.units[role])
-                cols[role].append(value)
-            n_malformed += bad
-    return RawRecords(
-        times_min=np.asarray(times, dtype=np.int64),
-        speed=np.asarray(cols["speed"]),
-        direction=np.asarray(cols["direction"]),
-        temperature=np.asarray(cols["temperature"]),
-        pressure=np.asarray(cols["pressure"]),
-        n_malformed=n_malformed,
-    )
+    cols = schema.columns
+    kinds = {name: "time" if role == "time" else "str" if role == "station" else "float"
+             for role, name in cols.items()}
+    keep = (cols["station"], station_id) if station_id is not None and "station" in cols else None
+    table = read_columns(path, kinds, keep=keep, lenient=True)
+    values = {}
+    for role in ("speed", "direction", "temperature", "pressure"):
+        raw = table[cols[role]]
+        missing = np.isin(raw, schema.sentinels) | ~np.isfinite(raw)
+        with np.errstate(invalid="ignore"):
+            values[role] = np.where(missing, np.nan, _to_canonical(role, raw, schema))
+    return RawRecords(times_min=table[cols["time"]], **values,
+                      n_malformed=int(table.malformed.sum()))
 
 
 def hourly_average(raw: RawRecords, schema: SchemaConfig, meta: StationMeta) -> StationSeries:
@@ -224,65 +184,39 @@ def hourly_average(raw: RawRecords, schema: SchemaConfig, meta: StationMeta) -> 
 
 
 def load_station_csv(path, schema: SchemaConfig, meta: StationMeta) -> StationSeries:
-    """read_raw + hourly_average for one station file."""
-    return hourly_average(read_raw(path, schema, station_id=meta.id), schema, meta)
+    """read_raw + hourly_average for one station file; logs a warning when
+    rows had malformed numeric fields."""
+    raw = read_raw(path, schema, station_id=meta.id)
+    if raw.n_malformed:
+        log.warning("station %s: %d rows with a malformed numeric field in %s",
+                    meta.id, raw.n_malformed, path)
+    return hourly_average(raw, schema, meta)
 
 
 def write_station_csv(series: StationSeries, path, header_lines: Sequence[str] = ()) -> None:
     """Write the canonical hourly CSV (CANONICAL_SCHEMA layout)."""
     cols = CANONICAL_SCHEMA.columns
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow([cols["time"], cols["station"], cols["speed"],
-                         cols["direction"], cols["temperature"], cols["pressure"]])
-        for i in range(series.n):
-            direction = series.wind_direction[i]
-            if math.isfinite(direction):
-                # canonical files carry meteorological degrees
-                direction = math.degrees((1.5 * math.pi - direction) % (2.0 * math.pi))
-                dir_text = repr(float(direction))
-            else:
-                dir_text = ""
-            row = [iso_hour(series.times[i]), series.meta.id]
-            for value in (series.wind_speed[i],):
-                row.append(repr(float(value)) if math.isfinite(value) else "")
-            row.append(dir_text)
-            for value in (series.temperature[i], series.pressure[i]):
-                row.append(repr(float(value)) if math.isfinite(value) else "")
-            writer.writerow(row)
+    # canonical files carry meteorological degrees
+    with np.errstate(invalid="ignore"):
+        direction = np.degrees((1.5 * math.pi - series.wind_direction) % (2.0 * math.pi))
+    write_columns(path, [cols[r] for r in ROLES],
+                  [iso_hours(series.times), [series.meta.id] * series.n, series.wind_speed,
+                   direction, series.temperature, series.pressure], header_lines)
 
 
 STATIONS_FILE_COLUMNS = ("station", "latitude_deg", "longitude_deg", "elevation_m")
 
 
 def write_stations_csv(stations: Sequence[StationMeta], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(STATIONS_FILE_COLUMNS)
-        for m in stations:
-            writer.writerow([m.id, repr(float(m.latitude)), repr(float(m.longitude)),
-                             repr(float(m.elevation))])
+    write_columns(path, STATIONS_FILE_COLUMNS,
+                  [[m.id for m in stations], [float(m.latitude) for m in stations],
+                   [float(m.longitude) for m in stations], [float(m.elevation) for m in stations]])
 
 
 def read_stations_csv(path) -> list[StationMeta]:
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        need = set(STATIONS_FILE_COLUMNS) - set(reader.fieldnames or ())
-        if need:
-            raise LoadError(f"{path}: missing columns {sorted(need)}")
-        for row in reader:
-            out.append(
-                StationMeta(
-                    id=row["station"],
-                    latitude=float(row["latitude_deg"]),
-                    longitude=float(row["longitude_deg"]),
-                    elevation=float(row["elevation_m"]),
-                )
-            )
-    return out
+    table = read_columns(path, dict(zip(STATIONS_FILE_COLUMNS, ("str", "float", "float", "float"))))
+    return [StationMeta(id=i, latitude=lat, longitude=lon, elevation=z)
+            for i, lat, lon, z in zip(*(table[c].tolist() for c in STATIONS_FILE_COLUMNS))]
 
 
 def load_network_dir(directory, schema: SchemaConfig = CANONICAL_SCHEMA,

@@ -25,12 +25,12 @@ read-only inputs and can run in parallel.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import __version__
 from .diurnal import (
@@ -41,7 +41,7 @@ from .diurnal import (
     fit_empirical,
     fit_trig,
 )
-from .errors import InvalidInputError, TrainingDataError
+from .errors import InvalidInputError, LoadError, TrainingDataError
 from .geostrophy import GeoWindSeries
 from .predictive import TruncatedNormal, _crps_grad
 from .series import Network
@@ -106,7 +106,6 @@ class FeatureSpec:
     gw_lags: int = -1  # max lag when include_gw; -1 = no bundle selected
     include_gw_direction: bool = False
     include_temp_diff: bool = False
-    temp_diff_network_mean: bool = False
     diurnal_method: str = TRIG
 
     def __post_init__(self):
@@ -122,18 +121,7 @@ class FeatureSpec:
             raise InvalidInputError(f"unknown diurnal method {self.diurnal_method!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "target_station": self.target_station,
-            "horizon": self.horizon,
-            "speed_lags": dict(self.speed_lags),
-            "direction_lags": dict(self.direction_lags),
-            "include_gw": self.include_gw,
-            "gw_lags": self.gw_lags,
-            "include_gw_direction": self.include_gw_direction,
-            "include_temp_diff": self.include_temp_diff,
-            "temp_diff_network_mean": self.temp_diff_network_mean,
-            "diurnal_method": self.diurnal_method,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureSpec":
@@ -373,11 +361,7 @@ class DesignBundle:
             names.append("gw_sin[0]")
             cols.append(data.gw_sin)
         if spec.include_temp_diff:
-            if spec.temp_diff_network_mean:
-                with np.errstate(invalid="ignore"):
-                    temp = np.nanmean(data.temperature, axis=0)
-            else:
-                temp = data.temperature[data.station_index(spec.target_station)]
+            temp = data.temperature[data.station_index(spec.target_station)]
             names.append("temp_diff_24h")
             cols.append(temp - _shift(temp, 24))
 
@@ -463,15 +447,24 @@ class TrainedModel:
         )
 
 
-def save_bundle(model: TrainedModel, path) -> None:
+def save_bundle(model: TrainedModel, path, config_sha: str) -> None:
+    """Write the bundle as JSON, stamped with the digest of the run config."""
     with open(path, "w") as fh:
-        json.dump(model.to_dict(), fh, indent=1, sort_keys=True)
+        json.dump(dict(model.to_dict(), config_sha=config_sha), fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
-def load_bundle(path) -> TrainedModel:
+def load_bundle(path, config_sha: str | None = None) -> TrainedModel:
+    """Read a bundle, refusing one trained under another config than
+    ``config_sha``, or stamped with none, as stale. ``config_sha=None`` is an
+    inspection read: it skips the check."""
     with open(path) as fh:
-        return TrainedModel.from_dict(json.load(fh))
+        d = json.load(fh)
+    found = d.get("config_sha")
+    if config_sha is not None and found != config_sha:
+        raise LoadError(f"{path}: bundle trained under config {found or '(none recorded)'}, "
+                        f"this run is config {config_sha}; re-run train")
+    return TrainedModel.from_dict(d)
 
 
 def bic_score(design: np.ndarray, target: np.ndarray) -> float:
@@ -639,6 +632,8 @@ def fit_crps(
     recorded ``crps_trace`` of the winning run is the running best
     objective over its evaluations and is non-increasing by construction.
     """
+    from scipy.optimize import minimize  # deferred: most stages never fit
+
     if bundle is None or bundle.spec != spec:
         bundle = DesignBundle.build(state, spec)
     rows = bundle.valid_rows(window[0], window[1])

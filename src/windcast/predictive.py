@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import log_ndtr, ndtr, ndtri_exp
 
 from .errors import InvalidDistributionError, InvalidInputError
@@ -165,11 +164,6 @@ def crps_values(mu, sigma, y):
     return _crps_core(mu, sigma, y)
 
 
-def mean_crps(mu, sigma, y):
-    """Mean closed-form CRPS over aligned parameter/observation arrays."""
-    return float(np.mean(crps_values(mu, sigma, y)))
-
-
 @dataclass(frozen=True)
 class TruncatedNormal:
     """Normal law with center mu and scale sigma, restricted to [0, inf)."""
@@ -179,9 +173,6 @@ class TruncatedNormal:
 
     def __post_init__(self):
         _check_params(self.mu, self.sigma)
-
-    def pdf(self, y: float) -> float:
-        return float(pdf_values(self.mu, self.sigma, y))
 
     def cdf(self, y: float) -> float:
         return float(cdf_values(self.mu, self.sigma, y))
@@ -208,6 +199,8 @@ class TruncatedNormal:
         Development-time oracle for the closed form; deliberately routed
         through the generic integrand rather than the CRPS algebra.
         """
+        from scipy.integrate import quad  # only this oracle needs it
+
         if y < 0.0:
             raise InvalidInputError("observed wind speed must be nonnegative")
         mu, sigma = self.mu, self.sigma  # validated in __post_init__

@@ -230,5 +230,3 @@ def benchmark_config(seed: int = 424242) -> SynthConfig:
 
 BENCHMARK_TARGETS = ("S01", "S02", "S03", "S04")
 BENCHMARK_GW_STATIONS = tuple(f"S{i:02d}" for i in range(5, 17))
-BENCHMARK_TRAIN = ("2008-01-01T00:00", "2010-01-01T00:00")
-BENCHMARK_TEST = ("2010-01-01T00:00", "2011-01-01T00:00")

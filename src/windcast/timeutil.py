@@ -18,15 +18,21 @@ SEASONS = ("DJF", "MAM", "JJA", "SON")
 _MONTH_SEASON = np.array([0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 0])
 
 
+def iso_text(text: str) -> str:
+    """Timestamp text as numpy parses it: stripped, 'T' between date and
+    time (a space is accepted), no trailing 'Z'."""
+    return text.strip().replace(" ", "T").removesuffix("Z")
+
+
 def parse_timestamp(text: str) -> np.datetime64:
-    """Parse an ISO-8601 UTC timestamp to minute precision."""
-    s = text.strip().replace(" ", "T")
-    if s.endswith("Z"):
-        s = s[:-1]
+    """Parse an ISO-8601 UTC timestamp to minute precision; blank is an error."""
     try:
-        return np.datetime64(s, "m")
-    except ValueError as exc:
-        raise InvalidInputError(f"unparseable timestamp {text!r}") from exc
+        value = np.datetime64(iso_text(text), "m")
+    except ValueError:
+        value = np.datetime64("NaT")
+    if np.isnat(value):
+        raise InvalidInputError(f"unparseable timestamp {text!r}")
+    return value
 
 
 def epoch_minutes(text: str) -> int:
@@ -39,9 +45,14 @@ def epoch_hour(text: str) -> int:
 
 
 def iso_hour(eh) -> str:
-    """ISO-8601 rendering of an epoch hour, e.g. '2008-01-01T05:00:00Z'."""
-    dt = np.datetime64(int(eh), "h")
-    return str(dt) + ":00Z"
+    """ISO-8601 rendering of an epoch hour, e.g. '2008-01-01T05:00Z'."""
+    return iso_hours([eh])[0]
+
+
+def iso_hours(eh) -> list[str]:
+    """iso_hour of each epoch hour in an array."""
+    text = np.datetime_as_string(np.asarray(eh, dtype=np.int64).astype("datetime64[h]"))
+    return [t + ":00Z" for t in text.tolist()]
 
 
 def hours_of_day(eh, tz_offset_hours: int = 0):
@@ -72,10 +83,3 @@ def month_number(eh):
 def season_index(eh):
     """Season of each epoch hour: 0=DJF, 1=MAM, 2=JJA, 3=SON."""
     return _MONTH_SEASON[month_number(eh) - 1]
-
-
-def hour_range(start_eh: int, end_eh: int):
-    """Contiguous hourly axis [start, end)."""
-    if end_eh < start_eh:
-        raise InvalidInputError("end before start")
-    return np.arange(int(start_eh), int(end_eh), dtype=np.int64)

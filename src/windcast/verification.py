@@ -11,15 +11,16 @@ scored too, which matches the headline treatment of full test samples.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
+from .csvio import write_columns
 from .errors import EmptyReportError, InvalidInputError
-from .forecast import ForecastRecord
+from .forecast import ForecastColumns
 from .model import ModelData, _shift, _lead
 from .predictive import cdf_values, crps_values, quantile_values
 from .timeutil import format_month, month_index
@@ -50,29 +51,29 @@ class ScoreReport:
 
 
 def score(
-    records: Sequence[ForecastRecord],
+    records,
     variant: str,
     pit_bins: int = 10,
     interval_level: float = 0.90,
     include_fallbacks: bool = True,
 ) -> ScoreReport:
-    """Score a homogeneous set of records (one station and horizon)."""
-    if not records:
+    """Score a homogeneous set of records (one station and horizon), given as
+    ForecastColumns or a sequence of ForecastRecord."""
+    records = ForecastColumns.from_records(records)
+    if not len(records):
         raise EmptyReportError("no forecast records to score")
-    stations = {r.station for r in records}
-    horizons = {r.horizon for r in records}
-    if len(stations) > 1 or len(horizons) > 1:
+    if np.unique(records.station).size > 1 or np.unique(records.horizon).size > 1:
         raise InvalidInputError("score() expects records for one station and horizon")
     if not include_fallbacks:
-        records = [r for r in records if not r.fallback]
+        records = records.take(~records.fallback)
 
-    usable = [r for r in records if math.isfinite(r.observed) and math.isfinite(r.point)]
-    if not usable:
+    usable = records.take(np.isfinite(records.observed) & np.isfinite(records.point))
+    if not len(usable):
         raise EmptyReportError("no records with both a point forecast and an observation")
 
-    obs = np.array([r.observed for r in usable])
-    pts = np.array([r.point for r in usable])
-    valid_month = month_index(np.array([r.issue_time + r.horizon for r in usable]))
+    obs = usable.observed
+    pts = usable.point
+    valid_month = month_index(usable.issue_time + usable.horizon)
     abs_err = np.abs(obs - pts)
     sq_err = (obs - pts) ** 2
 
@@ -83,13 +84,13 @@ def score(
     crps_m = np.full(len(months), np.nan)
     width_m = np.full(len(months), np.nan)
 
-    prob = np.array([math.isfinite(r.mu) and math.isfinite(r.sigma) for r in usable])
+    prob = np.isfinite(usable.mu) & np.isfinite(usable.sigma)
     crps_all = np.full(len(usable), np.nan)
     pit_all = np.full(len(usable), np.nan)
     width_all = np.full(len(usable), np.nan)
     if np.any(prob):
-        mu = np.array([r.mu for r in usable])[prob]
-        sg = np.array([r.sigma for r in usable])[prob]
+        mu = usable.mu[prob]
+        sg = usable.sigma[prob]
         yy = obs[prob]
         crps_all[prob] = crps_values(mu, sg, yy)
         pit_all[prob] = cdf_values(mu, sg, yy)
@@ -110,9 +111,9 @@ def score(
     n_prob = int(prob.sum())
     pit_counts, _ = np.histogram(pit_all[prob], bins=pit_bins, range=(0.0, 1.0))
     return ScoreReport(
-        station=usable[0].station,
+        station=str(usable.station[0]),
         variant=variant,
-        horizon=usable[0].horizon,
+        horizon=int(usable.horizon[0]),
         months=months,
         n_by_month=n_by_month,
         mae_by_month=mae_m,
@@ -127,16 +128,18 @@ def score(
         mean_width=float(width_all[prob].mean()) if n_prob else math.nan,
         interval_level=interval_level,
         pit_counts=pit_counts,
-        n_fallback=sum(r.fallback for r in records),
+        n_fallback=int(records.fallback.sum()),
     )
 
 
-def score_groups(records: Sequence[ForecastRecord], variant: str, **kwargs) -> dict:
+def score_groups(records, variant: str, **kwargs) -> dict:
     """Score per (station, horizon); keys are those tuples."""
-    groups: dict[tuple, list] = {}
-    for r in records:
-        groups.setdefault((r.station, r.horizon), []).append(r)
-    return {key: score(recs, variant, **kwargs) for key, recs in sorted(groups.items())}
+    records = ForecastColumns.from_records(records)
+    keys = sorted(set(zip(records.station.tolist(), records.horizon.tolist())))
+    return {(station, horizon): score(records.take((records.station == station)
+                                                   & (records.horizon == horizon)),
+                                      variant, **kwargs)
+            for station, horizon in keys}
 
 
 def relative_reduction(report: ScoreReport, baseline: ScoreReport) -> dict:
@@ -181,12 +184,9 @@ class LagCorrelationTable:
     rows: dict  # variable name -> np.ndarray over lags
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["variable"] + [f"lag{l}" for l in self.lags])
-            for name, vals in self.rows.items():
-                writer.writerow([name] + [repr(float(v)) if math.isfinite(v) else ""
-                                          for v in vals])
+        write_columns(path, ["variable"] + [f"lag{l}" for l in self.lags],
+                      [list(self.rows)] + [[float(v[j]) for v in self.rows.values()]
+                                           for j in range(len(self.lags))])
 
 
 def lag_correlations(
@@ -239,41 +239,39 @@ SCORES_CSV_COLUMNS = (
 )
 
 
+def _write_blocks(path, header, blocks, header_lines) -> None:
+    """Write per-report blocks of columns, one block after another."""
+    columns = [list(chain.from_iterable(col)) for col in zip(*blocks)]
+    write_columns(path, header, columns or [[]] * len(header), header_lines)
+
+
 def write_scores_csv(reports: Sequence[ScoreReport], path,
                      header_lines: Sequence[str] = ()) -> None:
-    def cell(x):
-        return repr(float(x)) if math.isfinite(x) else ""
-
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(SCORES_CSV_COLUMNS)
-        for r in reports:
-            for i, m in enumerate(r.months):
-                writer.writerow([r.station, r.variant, r.horizon, format_month(m),
-                                 int(r.n_by_month[i]), cell(r.mae_by_month[i]),
-                                 cell(r.rmse_by_month[i]), cell(r.crps_by_month[i]),
-                                 cell(r.width_by_month[i])])
-            writer.writerow([r.station, r.variant, r.horizon, "overall",
-                             r.n_scored, cell(r.mae), cell(r.rmse), cell(r.crps),
-                             cell(r.mean_width)])
+    """Monthly rows then an 'overall' row per report."""
+    blocks = []
+    for r in reports:
+        k = len(r.months) + 1
+        blocks.append(([r.station] * k, [r.variant] * k, [r.horizon] * k,
+                       [format_month(m) for m in r.months] + ["overall"],
+                       r.n_by_month.tolist() + [r.n_scored],
+                       r.mae_by_month.tolist() + [r.mae],
+                       r.rmse_by_month.tolist() + [r.rmse],
+                       r.crps_by_month.tolist() + [r.crps],
+                       r.width_by_month.tolist() + [r.mean_width]))
+    _write_blocks(path, SCORES_CSV_COLUMNS, blocks, header_lines)
 
 
 def write_pit_csv(reports: Sequence[ScoreReport], path,
                   header_lines: Sequence[str] = ()) -> None:
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["station", "variant", "horizon", "bin_lo", "bin_hi",
-                         "count", "expected"])
-        for r in reports:
-            nb = r.pit_counts.size
-            for b in range(nb):
-                writer.writerow([r.station, r.variant, r.horizon,
-                                 repr(b / nb), repr((b + 1) / nb),
-                                 int(r.pit_counts[b]), repr(r.n_prob / nb)])
+    blocks = []
+    for r in reports:
+        nb = r.pit_counts.size
+        edges = np.arange(nb + 1) / nb
+        blocks.append(([r.station] * nb, [r.variant] * nb, [r.horizon] * nb,
+                       edges[:-1].tolist(), edges[1:].tolist(), r.pit_counts.tolist(),
+                       [r.n_prob / nb] * nb))
+    _write_blocks(path, ("station", "variant", "horizon", "bin_lo", "bin_hi", "count",
+                         "expected"), blocks, header_lines)
 
 
 def format_score_table(reports: Sequence[ScoreReport], metric: str) -> str:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -120,6 +121,15 @@ def test_import_defaults_one_blas_thread():
     assert _import_env(OPENBLAS_NUM_THREADS="3") == "3"
 
 
+def test_cli_import_defers_fit_only_scipy():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(windcast.__file__)))
+    code = ("import sys, windcast.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 @pytest.fixture(scope="module")
 def pipeline_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli-run")
@@ -210,6 +220,48 @@ def test_geowind_matches_truth_on_noiseless_data(tmp_path):
     truth = GeoWindSeries.from_csv(out / "data" / "truth.csv")
     assert np.nanmax(np.abs(est.u_g - truth.u_g)) < 1e-6
     assert np.nanmax(np.abs(est.v_g - truth.v_g)) < 1e-6
+
+
+class TestBundleDigest:
+    """forecast reuses a trained bundle only under the config that trained it."""
+
+    def _copy(self, pipeline_run, tmp_path):
+        src, cfg = pipeline_run
+        out = tmp_path / "run"
+        shutil.copytree(src, out)
+        (out / "forecasts" / "TDDGW-MD.csv").unlink()
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(dict(cfg, out_dir=str(out))))
+        return out, path, load_config(path).digest()
+
+    def test_bundles_carry_the_config_digest(self, pipeline_run):
+        out, cfg = pipeline_run
+        digest = load_config(out / "config.yaml").digest()
+        raw = json.loads((out / "models/TDDGW-MD/S01_k2.json").read_text())
+        assert raw["config_sha"] == digest
+        assert load_bundle(out / "models/TDDGW-MD/S01_k2.json", digest).spec.horizon == 2
+
+    def test_mismatch_refused(self, pipeline_run, tmp_path, capsys):
+        out, path, digest = self._copy(pipeline_run, tmp_path)
+        bundle = out / "models/TDDGW-MD/S02_k2.json"
+        raw = json.loads(bundle.read_text())
+        raw["config_sha"] = "0123456789ab"
+        bundle.write_text(json.dumps(raw))
+        assert main(["forecast", "--config", str(path)]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "LoadError"
+        assert "0123456789ab" in payload["message"] and digest in payload["message"]
+        assert not (out / "forecasts" / "TDDGW-MD.csv").exists()
+
+    def test_bundle_without_digest_refused(self, pipeline_run, tmp_path, capsys):
+        out, path, digest = self._copy(pipeline_run, tmp_path)
+        bundle = out / "models/TDDGW-MD/S01_k2.json"
+        raw = json.loads(bundle.read_text())
+        del raw["config_sha"]
+        bundle.write_text(json.dumps(raw))
+        assert main(["forecast", "--config", str(path)]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert "(none recorded)" in payload["message"] and digest in payload["message"]
 
 
 def test_evaluate_without_observations_fails_cleanly(tmp_path, capsys):

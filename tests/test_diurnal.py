@@ -8,10 +8,9 @@ from windcast.diurnal import (
     TrigDiurnal,
     fit_empirical,
     fit_trig,
-    residualize,
-    restore,
 )
 from windcast.errors import InsufficientDataError, RankDeficiencyError
+from windcast.model import ModelData, ResidualState
 from windcast.timeutil import epoch_hour, hours_of_day, season_index
 
 
@@ -128,21 +127,34 @@ class TestFitEmpirical:
         assert before.hourly_mean == after.hourly_mean
 
 
+def _residual_state(times, speed, method, cos_dir=None):
+    """ResidualState of one station, its profiles fitted on the whole series."""
+    n = times.size
+    data = ModelData(times=times, stations=["S1"], speed=speed[None, :],
+                     cos_dir=(np.ones(n) if cos_dir is None else cos_dir)[None, :],
+                     sin_dir=np.zeros((1, n)), temperature=np.full((1, n), 15.0),
+                     gw_speed=np.ones(n), gw_cos=np.ones(n), gw_sin=np.zeros(n))
+    end = int(times[-1]) + 1
+    return ResidualState.build(data, method, end, (int(times[0]), end))
+
+
 class TestResidualize:
+    """Residual arrays are the series minus its diurnal profile."""
+
     def test_round_trip(self):
         rng = np.random.default_rng(6)
         times, hod = _hourly("2008-05-01T00:00", 90)
         values = np.abs(rng.normal(6, 2, times.size))
-        prof = fit_trig(hod, values)
-        res = residualize(values, hod, prof)
-        assert restore(res, hod) == pytest.approx(values, abs=1e-12)
+        state = _residual_state(times, values, "TRIG")
+        restored = state.speed_r[0] + state.profiles["speed/S1"].evaluate(hod)
+        assert restored == pytest.approx(values, abs=1e-12)
 
     def test_series_equal_to_profile(self):
         prof = EmpiricalDiurnal(tuple(np.linspace(1, 4, 24)), "YMD", "whole record")
-        _, hod = _hourly("2008-02-01T00:00", 10)
-        values = prof.evaluate(hod)
-        res = residualize(values, hod, prof)
-        assert np.allclose(res.values, 0.0, atol=1e-14)
+        times, hod = _hourly("2008-02-01T00:00", 10)
+        state = _residual_state(times, prof.evaluate(hod), "YMD")
+        assert state.profiles["speed/S1"].hourly_mean == pytest.approx(prof.hourly_mean)
+        assert np.allclose(state.speed_r[0], 0.0, atol=1e-14)
 
     def test_direction_component_residual_mean(self):
         # least-squares residuals are orthogonal to the constant regressor,
@@ -153,6 +165,5 @@ class TestResidualize:
         theta = (2.2 + 0.5 * np.sin(2 * np.pi * hod / 24)
                  + rng.normal(0, 0.4, times.size))
         cos_series = np.cos(theta)
-        prof = fit_trig(hod, cos_series)
-        res = residualize(cos_series, hod, prof)
-        assert abs(res.values.mean()) < 1e-12
+        state = _residual_state(times, np.full(times.size, 5.0), "TRIG", cos_dir=cos_series)
+        assert abs(state.cos_r[0].mean()) < 1e-12

@@ -10,7 +10,6 @@ from windcast.forecast import (
     RollingConfig,
     persistence,
     read_records_csv,
-    run_rolling,
     run_rolling_station,
     write_records_csv,
 )
@@ -91,8 +90,9 @@ class TestRunRolling:
 
     def test_record_count_and_order(self, data):
         (t0, t1), (ts, te) = _bounds(data, 100, 4)
-        recs = run_rolling(data, "TDDGW-MD", ["S01", "S02"], [1, 2], (t0, t1),
-                           (ts, te), ROLLING, seed=5)
+        recs = [r for st in ("S01", "S02")
+                for r in run_rolling_station(data, "TDDGW-MD", st, [1, 2], (t0, t1),
+                                             (ts, te), ROLLING, seed=5)]
         assert len(recs) == 2 * 96 * 2
         keys = [(r.station, r.issue_time, r.horizon) for r in recs]
         assert keys == sorted(keys)

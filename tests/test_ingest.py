@@ -1,5 +1,6 @@
 """Station CSV ingestion: schema handling, unit audit, hourly averaging."""
 
+import logging
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from windcast.ingest import (
     RawRecords,
     SchemaConfig,
     hourly_average,
+    load_network_dir,
     load_station_csv,
     read_raw,
     read_stations_csv,
@@ -194,6 +196,26 @@ def test_math_toward_convention(tmp_path):
     _write(path, [f"2008-01-01T00:00:00Z,PICT,5.0,{math.pi/4},15.0,920.0"])
     series = load_station_csv(path, schema, META)
     assert series.wind_direction[0] == pytest.approx(math.pi / 4, abs=1e-12)
+
+
+def test_load_network_dir_warns_per_station_with_malformed_rows(tmp_path, caplog):
+    metas = [META, StationMeta("JAYT", 33.25, -100.57, 640.0)]
+    write_stations_csv(metas, tmp_path / "stations.csv")
+    header = "time_utc,station,wind_speed_ms,wind_dir_deg,temp_c,pressure_hpa"
+    rows = [f"2008-01-01T{h:02d}:00Z,{{id}},5.0,90.0,15.0,920.0" for h in range(4)]
+    good = [r.format(id="JAYT") for r in rows]
+    bad = [r.format(id="PICT") for r in rows]
+    bad[1] = bad[1].replace("5.0", "fast")
+    bad[2] = bad[2].replace("920.0", "high").replace("15.0", "warm")
+    _write(tmp_path / "PICT.csv", bad, header=header)
+    _write(tmp_path / "JAYT.csv", good, header=header)
+    with caplog.at_level(logging.WARNING, logger="windcast.ingest"):
+        series = load_network_dir(tmp_path)
+    assert [s.meta.id for s in series] == ["PICT", "JAYT"]
+    assert np.isnan(series[0].wind_speed[1]) and np.isnan(series[0].pressure[2])
+    warnings = [r.getMessage() for r in caplog.records]
+    assert len(warnings) == 1
+    assert "PICT" in warnings[0] and "2 rows" in warnings[0]
 
 
 def test_stations_metadata_round_trip(tmp_path):

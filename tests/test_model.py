@@ -1,11 +1,12 @@
 """Regression machinery: features, volatility, BIC selection, CRPS training."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from windcast.errors import InvalidInputError, TrainingDataError
+from windcast.errors import InvalidInputError, LoadError, TrainingDataError
 from windcast.model import (
     Coefficients,
     DesignBundle,
@@ -380,8 +381,8 @@ def test_bundle_round_trip(tmp_path):
     state, spec, bounds = _recovery_setup(noise=0.3)
     model = fit_crps(state, spec, bounds, seed=2, restarts=1)
     path = tmp_path / "bundle.json"
-    save_bundle(model, path)
-    back = load_bundle(path)
+    save_bundle(model, path, "aaaaaaaaaaaa")
+    back = load_bundle(path, "aaaaaaaaaaaa")
     assert back.spec == model.spec
     assert np.array_equal(back.coefficients.center, model.coefficients.center)
     assert back.coefficients.b0 == model.coefficients.b0
@@ -391,6 +392,22 @@ def test_bundle_round_trip(tmp_path):
     prof_b = back.profiles["speed/S1"]
     h = np.arange(24)
     np.testing.assert_allclose(prof_a.evaluate(h), prof_b.evaluate(h), rtol=1e-15)
+
+
+def test_bundle_config_digest(tmp_path):
+    state, spec, bounds = _recovery_setup(noise=0.3)
+    model = fit_crps(state, spec, bounds, seed=2, restarts=1)
+    path = tmp_path / "bundle.json"
+    save_bundle(model, path, config_sha="aaaaaaaaaaaa")
+    assert load_bundle(path, "aaaaaaaaaaaa").spec == model.spec
+    with pytest.raises(LoadError, match="aaaaaaaaaaaa.*bbbbbbbbbbbb"):
+        load_bundle(path, "bbbbbbbbbbbb")
+    raw = json.loads(path.read_text())
+    del raw["config_sha"]  # as written before bundles carried a digest
+    path.write_text(json.dumps(raw))
+    assert load_bundle(path).spec == model.spec
+    with pytest.raises(LoadError, match="none recorded"):
+        load_bundle(path, "aaaaaaaaaaaa")
 
 
 def test_scale_coefficients_must_be_positive():
