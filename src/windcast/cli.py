@@ -28,7 +28,7 @@ from . import __version__
 from .config import RunConfig, dump_config, load_config
 from .errors import ConfigError, LoadError, WindcastError
 from .forecast import (
-    ForecastRecord,
+    ForecastColumns,
     RollingConfig,
     read_records_csv,
     run_rolling_station,
@@ -123,10 +123,29 @@ def cmd_geowind(cfg: RunConfig) -> None:
     print(f"estimated geostrophic wind for {n_ok}/{series.n} hours -> {path}")
 
 
-def cmd_train(cfg: RunConfig) -> None:
+def _map_jobs(fn, tasks: list, jobs: int) -> list:
+    """``fn(*task)`` for each of ``tasks``, results in task order; in a pool
+    of ``jobs`` worker processes when there is more than one of each."""
+    if jobs > 1 and len(tasks) > 1:
+        import scipy.optimize  # noqa: F401  (pooled tasks fit; import before forking to share it)
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, *zip(*tasks)))
+    return [fn(*task) for task in tasks]
+
+
+def _train_job(state, vspec, station, horizons, train, window, seed, restarts, max_lag):
+    models = []
+    for k in horizons:
+        spec = select_lags_bic(state, station, k, vspec, train, max_lag=max_lag)
+        models.append(fit_crps(state, spec, window, seed=seed, restarts=restarts))
+    return models
+
+
+def cmd_train(cfg: RunConfig, jobs: int | None = None) -> None:
     data = _load_model_data(cfg)
     train = (cfg.train_start, cfg.train_end)
-    rolling = _rolling_config(cfg)
+    window = (cfg.train_end - _rolling_config(cfg).window_hours, cfg.train_end)
+    keys, tasks = [], []
     for variant in cfg.variants:
         if variant == PERSISTENCE:
             continue
@@ -134,69 +153,52 @@ def cmd_train(cfg: RunConfig) -> None:
         state = ResidualState.build(data, vspec.diurnal_method, cfg.train_end,
                                     train, cfg.window_days)
         for station in cfg.stations:
-            for k in cfg.horizons:
-                spec = select_lags_bic(state, station, k, vspec, train,
-                                       max_lag=cfg.max_lag)
-                model = fit_crps(state, spec,
-                                 (cfg.train_end - rolling.window_hours, cfg.train_end),
-                                 seed=cfg.seed, restarts=cfg.restarts)
-                path = _bundle_path(cfg, variant, station, k)
-                os.makedirs(os.path.dirname(path), exist_ok=True)
-                _atomic(path, lambda p, m=model: save_bundle(m, p, cfg.digest()))
-                print(f"trained {variant} {station} k={k}: "
-                      f"{len(model.coefficients.names)} center terms, "
-                      f"window CRPS {model.train_crps:.4f} -> {path}")
+            keys.append((variant, station))
+            tasks.append((state, vspec, station, list(cfg.horizons), train, window,
+                          cfg.seed, cfg.restarts, cfg.max_lag))
 
-
-def _forecast_job(args):
-    data, variant, station, horizons, train, test, rolling, seed, selected = args
-    records = run_rolling_station(data, variant, station, horizons, train, test,
-                                  rolling, seed, selected)
-    return variant, station, records
+    for (variant, station), models in zip(keys, _map_jobs(_train_job, tasks, jobs or cfg.jobs)):
+        for k, model in zip(cfg.horizons, models):
+            path = _bundle_path(cfg, variant, station, k)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            _atomic(path, lambda p, m=model: save_bundle(m, p, cfg.digest()))
+            print(f"trained {variant} {station} k={k}: "
+                  f"{len(model.coefficients.names)} center terms, "
+                  f"window CRPS {model.train_crps:.4f} -> {path}")
 
 
 def cmd_forecast(cfg: RunConfig, jobs: int | None = None) -> None:
+    """PSS is computed here; only the variants that fit models go to the pool."""
     data = _load_model_data(cfg)
     train = (cfg.train_start, cfg.train_end)
     test = (cfg.test_start, cfg.test_end)
     rolling = _rolling_config(cfg)
-    jobs = jobs or cfg.jobs
 
-    tasks = []
+    results: dict[tuple, ForecastColumns] = {}
+    fit_keys, fit_tasks = [], []
     for variant in cfg.variants:
         for station in cfg.stations:
-            selected = None
-            if variant != PERSISTENCE:
-                specs = {}
-                for k in cfg.horizons:
-                    path = _bundle_path(cfg, variant, station, k)
-                    if os.path.exists(path):
-                        specs[k] = load_bundle(path, cfg.digest()).spec
-                selected = specs or None
-            tasks.append((data, variant, station, list(cfg.horizons), train, test,
-                          rolling, cfg.seed, selected))
-
-    results: dict[tuple, list[ForecastRecord]] = {}
-    if jobs > 1 and len(tasks) > 1:
-        if any(v != PERSISTENCE for v in cfg.variants):
-            import scipy.optimize  # noqa: F401  (fits need it; import before forking to share it)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for variant, station, records in pool.map(_forecast_job, tasks):
-                results[(variant, station)] = records
-    else:
-        for task in tasks:
-            variant, station, records = _forecast_job(task)
-            results[(variant, station)] = records
+            if variant == PERSISTENCE:
+                results[(variant, station)] = run_rolling_station(
+                    data, variant, station, cfg.horizons, train, test, rolling)
+                continue
+            specs = {}
+            for k in cfg.horizons:
+                path = _bundle_path(cfg, variant, station, k)
+                if os.path.exists(path):
+                    specs[k] = load_bundle(path, cfg.digest()).spec
+            fit_keys.append((variant, station))
+            fit_tasks.append((data, variant, station, list(cfg.horizons), train, test,
+                              rolling, cfg.seed, specs or None))
+    results.update(zip(fit_keys, _map_jobs(run_rolling_station, fit_tasks, jobs or cfg.jobs)))
 
     os.makedirs(os.path.join(cfg.out_dir, "forecasts"), exist_ok=True)
     for variant in cfg.variants:
-        records = []
-        for station in cfg.stations:
-            records.extend(results[(variant, station)])
+        columns = ForecastColumns.concat([results[(variant, s)] for s in cfg.stations])
         path = os.path.join(cfg.out_dir, "forecasts", f"{variant}.csv")
-        _atomic(path, lambda p, r=records: write_records_csv(r, p, _provenance(cfg, "forecast")))
-        n_fallback = sum(r.fallback for r in records)
-        print(f"{variant}: {len(records)} forecasts ({n_fallback} fallbacks) -> {path}")
+        _atomic(path, lambda p, c=columns: write_records_csv(c, p, _provenance(cfg, "forecast")))
+        print(f"{variant}: {len(columns)} forecasts ({int(columns.fallback.sum())} fallbacks) "
+              f"-> {path}")
 
 
 def _all_reports(cfg: RunConfig) -> list:
@@ -293,8 +295,8 @@ def main(argv=None) -> int:
         os.makedirs(cfg.out_dir, exist_ok=True)
         _atomic(os.path.join(cfg.out_dir, "config.yaml"),
                 lambda p: dump_config(cfg, p))
-        if args.command == "forecast":
-            cmd_forecast(cfg, jobs=jobs)
+        if args.command in ("train", "forecast"):
+            COMMANDS[args.command](cfg, jobs=jobs)
         else:
             COMMANDS[args.command](cfg)
         return 0

@@ -15,8 +15,7 @@ unavailable (NaN point).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from typing import Sequence
 
@@ -98,44 +97,49 @@ class ForecastColumns:
         for row in zip(*(getattr(self, f.name).tolist() for f in fields(self))):
             yield ForecastRecord(*row)
 
+    @classmethod
+    def concat(cls, parts: Sequence["ForecastColumns"]) -> "ForecastColumns":
+        return cls(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)))
+
     def take(self, rows) -> "ForecastColumns":
         """The records selected by a boolean mask or an index array."""
         return ForecastColumns(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
-def latest_observation(data: ModelData, station_index: int, t_index: int,
-                       max_back_hours: int):
-    """Most recent finite speed at or before t; None beyond the lookback."""
-    lo = max(0, t_index - max_back_hours)
-    window = data.speed[station_index, lo:t_index + 1]
-    finite = np.nonzero(np.isfinite(window))[0]
-    if finite.size == 0:
-        return None, None
-    j = int(finite[-1])
-    return float(window[j]), lo + j
+def persistence(data: ModelData, station: str, test: tuple, horizons: Sequence[int],
+                max_back_hours: int = 45 * 24) -> ForecastColumns:
+    """Persistence forecasts for every issue hour in ``test`` = (start, end)
+    and every horizon, ordered by issue hour, then horizon.
 
-
-def persistence(data: ModelData, station: str, t_eh: int, horizon: int,
-                max_back_hours: int = 45 * 24) -> ForecastRecord:
-    """Persistence point forecast: the current wind speed, at any horizon."""
+    The point is the latest finite speed at or before the issue hour, at any
+    horizon: one forward fill of finite indices over the station's series.
+    It is flagged as a fallback when that observation predates the issue
+    hour, and is NaN when it lies more than ``max_back_hours`` back.
+    """
     si = data.station_index(station)
-    ti = data.index_of_time(t_eh)
-    value, at = latest_observation(data, si, ti, max_back_hours)
-    fallback = at != ti
-    if value is None:
-        value = math.nan
-        fallback = True
-    vi = ti + horizon
-    observed = float(data.speed[si, vi]) if vi < data.n else math.nan
-    return ForecastRecord(station, int(t_eh), horizon, math.nan, math.nan,
-                          value, bool(fallback), observed)
-
-
-def _observed(data: ModelData, station_index: int, t_index: int, k: int) -> float:
-    vi = t_index + k
-    if vi < data.n:
-        return float(data.speed[station_index, vi])
-    return math.nan
+    issue_times = np.arange(int(test[0]), int(test[1]), dtype=np.int64)
+    horizons = np.asarray(horizons, dtype=np.int64)
+    ti = np.arange(issue_times.size)
+    if issue_times.size:  # the axis is contiguous, so both ends on it cover the period
+        ti += data.index_of_time(issue_times[0])
+        data.index_of_time(issue_times[-1])
+    speed = data.speed[si]
+    latest = np.maximum.accumulate(np.where(np.isfinite(speed), np.arange(data.n), -1))[ti]
+    point = np.where((latest >= 0) & (ti - latest <= max_back_hours),
+                     speed[np.maximum(latest, 0)], np.nan)
+    vi = (ti[:, None] + horizons).ravel()
+    observed = np.where(vi < data.n, speed[np.minimum(vi, data.n - 1)], np.nan)
+    n = vi.size
+    return ForecastColumns(
+        station=np.full(n, station),
+        issue_time=np.repeat(issue_times, horizons.size),
+        horizon=np.tile(horizons, issue_times.size),
+        mu=np.full(n, np.nan),
+        sigma=np.full(n, np.nan),
+        point=np.repeat(point, horizons.size),
+        fallback=np.repeat(latest != ti, horizons.size),
+        observed=observed,
+    )
 
 
 def _state_cache_key(method: str, fit_time: int):
@@ -158,8 +162,9 @@ def run_rolling_station(
     config: RollingConfig = RollingConfig(),
     seed: int = 0,
     selected: dict | None = None,
-) -> list[ForecastRecord]:
-    """All forecasts for one (variant, target station) over the test period.
+) -> ForecastColumns:
+    """All forecasts for one (variant, target station) over the test period,
+    ordered by issue hour, then horizon.
 
     ``selected`` may carry pre-selected FeatureSpecs keyed by horizon (from
     a saved training run); otherwise BIC selection runs on the training
@@ -176,15 +181,9 @@ def run_rolling_station(
         )
     horizons = sorted(set(int(k) for k in horizons))
     si = data.station_index(station)
-    issue_times = np.arange(test_start, test_end, dtype=np.int64)
-
+    pss = persistence(data, station, (test_start, test_end), horizons, config.window_hours)
     if variant == PERSISTENCE:
-        records = [
-            persistence(data, station, t, k, max_back_hours=config.window_hours)
-            for t in issue_times
-            for k in horizons
-        ]
-        return records
+        return pss
 
     vspec = parse_variant(variant)
 
@@ -201,8 +200,8 @@ def run_rolling_station(
                                        max_lag=config.max_lag,
                                        min_rows_per_param=config.min_rows_per_param)
 
-    records: list[ForecastRecord] = []
-    mu_list, sigma_list, slot = [], [], []
+    mu = np.full(len(pss), np.nan)
+    sigma = np.full(len(pss), np.nan)
     state = None
     state_key = None
     models: dict[int, TrainedModel] = {}
@@ -225,28 +224,20 @@ def run_rolling_station(
 
         for t in range(refit_at, min(refit_at + config.refit_hours, test_end)):
             ti = data.index_of_time(t)
-            for k in horizons:
+            row = (t - test_start) * len(horizons)
+            for j, k in enumerate(horizons):
                 dist = predict_params(models[k], bundles[k], ti)
-                if dist is None:
-                    rec = persistence(data, station, t, k, config.window_hours)
-                    rec.fallback = True
-                    records.append(rec)
-                else:
-                    records.append(ForecastRecord(
-                        station, t, k, dist.mu, dist.sigma, math.nan, False,
-                        _observed(data, si, ti, k)))
-                    mu_list.append(dist.mu)
-                    sigma_list.append(dist.sigma)
-                    slot.append(len(records) - 1)
+                if dist is not None:
+                    mu[row + j], sigma[row + j] = dist.mu, dist.sigma
 
-    if slot:  # vectorized median point forecasts
-        points = quantile_values(np.asarray(mu_list), np.asarray(sigma_list), 0.5)
-        for idx, pt in zip(slot, points):
-            records[idx].point = float(pt)
-    return records
+    # a distribution has finite mu; every other record falls back to persistence
+    have = np.isfinite(mu)
+    point = pss.point.copy()
+    point[have] = quantile_values(mu[have], sigma[have], 0.5)  # vectorized medians
+    return replace(pss, mu=mu, sigma=sigma, point=point, fallback=~have)
 
 
-def write_records_csv(records: Sequence[ForecastRecord], path,
+def write_records_csv(records: ForecastColumns | Sequence[ForecastRecord], path,
                       header_lines: Sequence[str] = ()) -> None:
     cols = ForecastColumns.from_records(records)
     write_columns(path, FORECAST_CSV_COLUMNS,

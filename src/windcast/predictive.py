@@ -10,6 +10,9 @@ the normal CDF so that heavily truncated cases (mu << 0) stay accurate:
 which is evaluated through ``log_ndtr`` and never divides two underflowing
 tails. ``ndtr``/``ndtri_exp`` provide the standard-normal CDF and quantile
 primitives (complementary-error-function based, abs error < 1e-12).
+``scipy.special`` is imported by the functions that use it, on first call,
+so stages that never evaluate a distribution (geowind, persistence-only
+forecasts) do not load it.
 
 ``crps`` is the closed-form continuous ranked probability score; its
 independent check ``crps_numeric`` integrates the defining integral by
@@ -24,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri_exp
 
 from .errors import InvalidDistributionError, InvalidInputError
 
@@ -43,6 +45,8 @@ def _check_params(mu, sigma):
 
 def pdf_values(mu, sigma, y):
     """Density of N+(mu, sigma) at y (vectorized)."""
+    from scipy.special import log_ndtr
+
     mu, sigma = _check_params(mu, sigma)
     y = np.asarray(y, dtype=float)
     w = (y - mu) / sigma
@@ -58,6 +62,8 @@ def cdf_values(mu, sigma, y):
 
 def _cdf_core(mu, sigma, y):
     """CDF algebra without argument validation (quadrature integrands)."""
+    from scipy.special import log_ndtr
+
     w = (y - mu) / sigma
     out = -np.expm1(log_ndtr(-w) - log_ndtr(mu / sigma))
     return np.where(y < 0.0, 0.0, np.clip(out, 0.0, 1.0))
@@ -69,6 +75,8 @@ def quantile_values(mu, sigma, p):
     Solves F(y) = p through the complementary tail, so the inversion
     round-trips with the CDF essentially to machine precision.
     """
+    from scipy.special import log_ndtr, ndtri_exp
+
     mu, sigma = _check_params(mu, sigma)
     p = np.asarray(p, dtype=float)
     if np.any(~((p > 0.0) & (p < 1.0))):
@@ -86,6 +94,8 @@ def _truncation_terms(a, w):
     Mild truncation (min a > -5, the operating regime) takes direct ndtr
     evaluations; heavier truncation goes through log-space ratios.
     """
+    from scipy.special import log_ndtr, ndtr
+
     a_min = float(np.min(a)) if np.ndim(a) else float(a)
     if a_min > -5.0:
         p_inv = 1.0 / ndtr(a)

@@ -11,6 +11,7 @@ import pytest
 import yaml
 
 import windcast
+from windcast import cli
 from windcast.cli import main
 from windcast.config import config_from_dict, dump_config, load_config
 from windcast.errors import ConfigError
@@ -121,13 +122,20 @@ def test_import_defaults_one_blas_thread():
     assert _import_env(OPENBLAS_NUM_THREADS="3") == "3"
 
 
-def test_cli_import_defers_fit_only_scipy():
+DEFERRED_SCIPY = ("scipy.optimize", "scipy.integrate", "scipy.special")
+
+
+def _scipy_loaded_after(code):
+    """The deferred scipy modules loaded once ``code`` ran in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(windcast.__file__)))
-    code = ("import sys, windcast.cli; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))")
+    code += f"; print(sorted(m for m in {DEFERRED_SCIPY!r} if m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "[]"
+                         text=True, timeout=120, check=True)
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_defers_fit_only_scipy():
+    assert _scipy_loaded_after("import sys, windcast.cli") == "[]"
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +228,58 @@ def test_geowind_matches_truth_on_noiseless_data(tmp_path):
     truth = GeoWindSeries.from_csv(out / "data" / "truth.csv")
     assert np.nanmax(np.abs(est.u_g - truth.u_g)) < 1e-6
     assert np.nanmax(np.abs(est.v_g - truth.v_g)) < 1e-6
+
+
+def test_persistence_only_stages_never_load_scipy(pipeline_run, tmp_path):
+    src, cfg = pipeline_run
+    out = tmp_path / "out"
+    shutil.copytree(src / "data", out / "data")
+    path = _write_config(tmp_path, dict(cfg, out_dir=str(out), variants=["PSS"]))
+    stages = ("geowind", "forecast", "evaluate", "report")
+    code = ("import sys; from windcast.cli import main; "
+            f"assert all(main([s, '--config', {str(path)!r}]) == 0 for s in {stages!r})")
+    assert _scipy_loaded_after(code) == "[]"
+    assert (out / "report.txt").exists()
+
+
+class TestJobs:
+    """One worker and two give the same bytes, on the mixed path: PSS in the
+    calling process, the fitted variant in the pool."""
+
+    def _rerun(self, pipeline_run, tmp_path, command, jobs, monkeypatch):
+        pools = []
+
+        class Pool(cli.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        src, cfg = pipeline_run
+        out = tmp_path / f"{command}-{jobs}"
+        shutil.copytree(src, out)
+        shutil.rmtree(out / ("models" if command == "train" else "forecasts"))
+        path = _write_config(out, dict(cfg, out_dir=str(out)))
+        assert main([command, "--config", str(path), "--jobs", str(jobs)]) == 0
+        assert pools == ([] if jobs == 1 else [jobs])
+        return out
+
+    def _same_files(self, a, b, pattern):
+        names = sorted(p.relative_to(a) for p in a.glob(pattern))
+        assert names == sorted(p.relative_to(b) for p in b.glob(pattern))
+        assert names
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_forecasts_identical(self, pipeline_run, tmp_path, monkeypatch):
+        one, two = (self._rerun(pipeline_run, tmp_path, "forecast", j, monkeypatch)
+                    for j in (1, 2))
+        self._same_files(one, two, "forecasts/*.csv")
+
+    def test_train_bundles_identical(self, pipeline_run, tmp_path, monkeypatch):
+        one, two = (self._rerun(pipeline_run, tmp_path, "train", j, monkeypatch)
+                    for j in (1, 2))
+        self._same_files(one, two, "models/*/*.json")
 
 
 class TestBundleDigest:

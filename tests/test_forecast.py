@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from windcast.forecast import (
+    ForecastColumns,
     ForecastRecord,
     RollingConfig,
     persistence,
@@ -14,7 +15,7 @@ from windcast.forecast import (
     write_records_csv,
 )
 from windcast.predictive import TruncatedNormal
-from windcast.errors import TrainingDataError
+from windcast.errors import InvalidInputError, TrainingDataError
 
 from conftest import make_model_data
 
@@ -33,13 +34,37 @@ def _bounds(data, train_days, test_days):
     return (t0, t1), (t1, t1 + 24 * test_days)
 
 
+def _one(data, station, t_eh, horizon, max_back_hours=45 * 24):
+    """The persistence record for one issue hour and horizon."""
+    (rec,) = persistence(data, station, (t_eh, t_eh + 1), [horizon], max_back_hours)
+    return rec
+
+
+def oracle_persistence(data, station, t_eh, horizon, max_back_hours):
+    """Per-record persistence: a scan back from the issue hour over the
+    lookback for the latest finite speed."""
+    si = data.station_index(station)
+    ti = data.index_of_time(t_eh)
+    lo = max(0, ti - max_back_hours)
+    finite = np.nonzero(np.isfinite(data.speed[si, lo:ti + 1]))[0]
+    if finite.size == 0:
+        value, fallback = math.nan, True
+    else:
+        at = lo + int(finite[-1])
+        value, fallback = float(data.speed[si, at]), at != ti
+    vi = ti + horizon
+    observed = float(data.speed[si, vi]) if vi < data.n else math.nan
+    return ForecastRecord(station, int(t_eh), horizon, math.nan, math.nan,
+                          value, bool(fallback), observed)
+
+
 class TestPersistence:
     def test_definitional(self, data):
         t = int(data.times[1000])
         si = data.station_index("S01")
         current = float(data.speed[si, 1000])
         for k in (1, 2, 6):
-            rec = persistence(data, "S01", t, k)
+            rec = _one(data, "S01", t, k)
             assert rec.point == current
             assert not rec.fallback
             assert math.isnan(rec.mu) and math.isnan(rec.sigma)
@@ -50,14 +75,14 @@ class TestPersistence:
                                height_noise_m=0.0)
         si = d.station_index("S01")
         t = int(d.times[200])
-        rec = persistence(d, "S01", t, 2)
+        rec = _one(d, "S01", t, 2)
         assert rec.observed == pytest.approx(rec.point, abs=1e-9)
 
     def test_missing_current_uses_latest_and_flags(self, data):
         d = data.truncated_at(int(data.times[-1]))  # private copy
         si = d.station_index("S01")
         d.speed[si, 1000] = np.nan
-        rec = persistence(d, "S01", int(d.times[1000]), 2)
+        rec = _one(d, "S01", int(d.times[1000]), 2)
         assert rec.fallback
         assert rec.point == float(d.speed[si, 999])
 
@@ -75,15 +100,95 @@ class TestPersistence:
         assert mae == pytest.approx(brute, rel=1e-12)
 
 
+WINDOW = 6  # lookback of the fault-injection cases, in hours
+
+
+def _holed(data, station, *slices):
+    """Private copy of ``data`` with ``station``'s speed blanked on ``slices``."""
+    d = data.truncated_at(int(data.times[-1]))
+    si = d.station_index(station)
+    for sl in slices:
+        d.speed[si, sl] = np.nan
+    return d
+
+
+class TestPersistenceFaults:
+    """The vectorised forward fill against the per-record scan, bit for bit."""
+
+    def _check(self, d, first, last, horizons=(1, 2, 6), max_back=WINDOW):
+        t0 = int(d.times[first])
+        t1 = int(d.times[last]) + 1
+        got = persistence(d, "S01", (t0, t1), list(horizons), max_back)
+        want = ForecastColumns.from_records(
+            [oracle_persistence(d, "S01", t, k, max_back)
+             for t in range(t0, t1) for k in horizons])
+        for name in ("station", "issue_time", "horizon", "mu", "sigma", "point",
+                     "fallback", "observed"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        return got
+
+    def test_nan_at_issue_hour(self, data):
+        d = _holed(data, "S01", 500)
+        got = self._check(d, 495, 505)
+        at = got.issue_time == int(d.times[500])
+        assert got.fallback[at].all()
+        assert (got.point[at] == d.speed[d.station_index("S01"), 499]).all()
+
+    @pytest.mark.parametrize("gap, usable", [(WINDOW, True), (WINDOW + 1, False)])
+    def test_gap_at_the_lookback_edge(self, data, gap, usable):
+        # finite at 600, blank from 601 through 600 + gap: the issue hour
+        # 600 + gap sees its latest observation exactly ``gap`` hours back
+        d = _holed(data, "S01", slice(601, 601 + gap))
+        got = self._check(d, 595, 600 + gap + 3)
+        at = got.issue_time == int(d.times[600 + gap])
+        assert got.fallback[at].all()
+        if usable:
+            assert (got.point[at] == d.speed[d.station_index("S01"), 600]).all()
+        else:
+            assert np.isnan(got.point[at]).all()
+
+    def test_leading_nans(self, data):
+        d = _holed(data, "S01", slice(0, 10))
+        got = self._check(d, 0, 14, max_back=45 * 24)
+        early = got.issue_time < int(d.times[10])
+        assert np.isnan(got.point[early]).all() and got.fallback[early].all()
+
+    def test_station_nan_everywhere(self, data):
+        d = _holed(data, "S01", slice(None))
+        got = self._check(d, 0, 30)
+        assert np.isnan(got.point).all() and got.fallback.all()
+        assert np.isnan(got.observed).all()
+
+    def test_valid_time_past_the_axis(self, data):
+        n = data.n
+        got = self._check(data, n - 8, n - 1)
+        past = got.issue_time + got.horizon > int(data.times[-1])
+        assert past.any() and np.isnan(got.observed[past]).all()
+        assert np.isfinite(got.observed[~past]).all()
+
+    def test_test_period_off_the_axis_rejected(self, data):
+        first, last = int(data.times[0]), int(data.times[-1])
+        for test in ((first - 3, first + 2), (last - 3, last + 2)):
+            with pytest.raises(InvalidInputError):  # neither IndexError nor a wrapped index
+                persistence(data, "S01", test, [1])
+
+    def test_rolling_test_period_past_the_data_rejected(self, data):
+        (t0, t1), _ = _bounds(data, 100, 1)
+        end = int(data.times[-1]) + 3
+        with pytest.raises(InvalidInputError):
+            run_rolling_station(data, "PSS", "S01", [1], (t0, t1), (end - 24, end), ROLLING)
+
+
 class TestRunRolling:
     def test_pss_records_match_persistence_op(self, data):
         (t0, t1), (ts, te) = _bounds(data, 100, 3)
         recs = run_rolling_station(data, "PSS", "S01", [1, 4], (t0, t1), (ts, te),
                                    ROLLING)
         assert len(recs) == 72 * 2
-        for rec in recs[:40]:
-            direct = persistence(data, "S01", rec.issue_time, rec.horizon,
-                                 ROLLING.window_hours)
+        for rec in list(recs)[:40]:
+            direct = _one(data, "S01", rec.issue_time, rec.horizon,
+                          ROLLING.window_hours)
             assert rec.point == direct.point
             assert rec.observed == direct.observed or (
                 math.isnan(rec.observed) and math.isnan(direct.observed))
@@ -146,6 +251,19 @@ class TestRunRolling:
         # the hole can only matter if S02 was selected; persistence point
         # forecasts must exist either way
         assert all(math.isfinite(r.point) for r in flagged + clean)
+
+    def test_fallbacks_read_the_persistence_columns(self, data):
+        (t0, t1), (ts, te) = _bounds(data, 100, 2)
+        holed = _holed(data, "S01", data.index_of_time(ts + 30))  # the target's own lag
+        recs = run_rolling_station(holed, "TDD", "S01", [2], (t0, t1), (ts, te),
+                                   ROLLING, seed=5)
+        pss = persistence(holed, "S01", (ts, te), [2], ROLLING.window_hours)
+        fb = recs.fallback
+        assert fb.any() and not fb.all()
+        assert np.isnan(recs.mu[fb]).all() and np.isnan(recs.sigma[fb]).all()
+        assert np.isfinite(recs.mu[~fb]).all() and np.isfinite(recs.sigma[~fb]).all()
+        assert recs.point[fb].tobytes() == pss.point[fb].tobytes()
+        assert recs.observed.tobytes() == pss.observed.tobytes()
 
 
 def test_records_csv_round_trip(tmp_path):
