@@ -29,12 +29,16 @@ EMPIRICAL_METHODS = (MD, SMD, YMD)
 MD_WINDOW_DAYS = 45
 
 
+_BASE = 2.0 * np.pi * np.arange(24.0) / 24.0
+#: columns 1, sin, cos, sin2, cos2 of 2*pi*hour/24 for hours 0..23
+_TRIG_TABLE = np.column_stack(
+    [np.ones(24), np.sin(_BASE), np.cos(_BASE), np.sin(2.0 * _BASE), np.cos(2.0 * _BASE)]
+)
+
+
 def _trig_design(hours):
-    h = np.asarray(hours, dtype=float)
-    base = 2.0 * np.pi * h / 24.0
-    return np.column_stack(
-        [np.ones(h.size), np.sin(base), np.cos(base), np.sin(2.0 * base), np.cos(2.0 * base)]
-    )
+    """Harmonic rows for integer hours of day, gathered from the 24-row table."""
+    return _TRIG_TABLE[np.mod(np.asarray(hours, dtype=np.int64), 24)]
 
 
 @dataclass(frozen=True)

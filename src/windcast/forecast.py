@@ -168,7 +168,8 @@ def run_rolling_station(
 
     ``selected`` may carry pre-selected FeatureSpecs keyed by horizon (from
     a saved training run); otherwise BIC selection runs on the training
-    period first.
+    period first. The residual state built for selection also serves the
+    refits while its cache key holds.
     """
     train_start, train_end = int(train[0]), int(train[1])
     test_start, test_end = int(test[0]), int(test[1])
@@ -202,17 +203,17 @@ def run_rolling_station(
 
     mu = np.full(len(pss), np.nan)
     sigma = np.full(len(pss), np.nan)
-    state = None
-    state_key = None
+    state, state_key = sel_state, _state_cache_key(vspec.diurnal_method, train_end)
     models: dict[int, TrainedModel] = {}
-    bundles: dict[int, DesignBundle] = {}
+    bundles: dict[int, DesignBundle] | None = None
 
     for refit_at in range(test_start, test_end, config.refit_hours):
         key = _state_cache_key(vspec.diurnal_method, refit_at)
         if key != state_key:
             state = ResidualState.build(data, vspec.diurnal_method, refit_at,
                                         (train_start, train_end), config.window_days)
-            state_key = key
+            state_key, bundles = key, None
+        if bundles is None:
             bundles = {k: DesignBundle.build(state, specs[k]) for k in horizons}
         fit_seed_base = np.random.SeedSequence([seed & 0xFFFFFFFF, si, refit_at])
         for j, k in enumerate(horizons):

@@ -13,7 +13,8 @@ residual volatility,
     v_t = sqrt( (1/2S) * sum_s sum_{l=0,1} (yr[s,t-l] - yr[s,t-l-1])^2 )
 
 Lag bundles are chosen once per target/horizon by greedy forward selection
-under BIC on the least-squares center fit; coefficients are then estimated
+under BIC on the least-squares center fit, each candidate scored from the
+normal equations of one Gram matrix; coefficients are then estimated
 on a sliding window by minimizing the mean CRPS of the resulting truncated
 normal forecasts (Gneiting et al. 2006; Thorarinsdottir & Gneiting 2010)
 with BFGS on the analytic gradient, started from least squares.
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -53,6 +55,8 @@ SIGMA_FLOOR = 1e-8
 BFGS_GTOL = 1e-8  # gradient max-norm at which a CRPS fit stops
 BFGS_MAXITER = 1000
 DIURNAL_METHODS = (TRIG,) + EMPIRICAL_METHODS
+
+log = logging.getLogger(__name__)
 
 #: model family name -> (include_gw, include_gw_direction, include_temp_diff)
 VARIANT_FLAGS = {
@@ -467,12 +471,15 @@ def load_bundle(path, config_sha: str | None = None) -> TrainedModel:
     return TrainedModel.from_dict(d)
 
 
-def bic_score(design: np.ndarray, target: np.ndarray) -> float:
-    """BIC of a least-squares fit: n*ln(SSE/n) + p*ln(n)."""
-    n, p = design.shape
-    coeffs, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
-    sse = float(np.sum((target - design @ coeffs) ** 2))
-    sse = max(sse, 1e-300)
+def bic_score(gram: np.ndarray, xty: np.ndarray, yty: float, n: int) -> float:
+    """BIC n*ln(SSE/n) + p*ln(n) of the least-squares fit of y on n rows of a
+    p-column design X, from its normal equations: ``gram`` = XᵀX, ``xty`` =
+    Xᵀy and ``yty`` = yᵀy. SSE = yᵀy - xtyᵀβ with β the minimum-norm
+    solution of gram β = xty, which a rank-deficient X also has.
+    """
+    p = gram.shape[0]
+    coeffs, _, _, _ = np.linalg.lstsq(gram, xty, rcond=None)
+    sse = max(float(yty - xty @ coeffs), 1e-300)
     return n * np.log(sse / n) + p * np.log(n)
 
 
@@ -493,6 +500,9 @@ def select_lags_bic(
     with the lowest BIC is kept while it improves on the incumbent.
     Geostrophic-direction and temperature-difference columns are fixed by
     the variant, not selected. Deterministic given the data.
+
+    The Gram matrix of the full candidate pool over the selection rows is
+    formed once; each candidate is scored from its sub-block.
     """
     data = state.data
     families: list[tuple] = [("speed", st) for st in data.stations]
@@ -522,6 +532,7 @@ def select_lags_bic(
         )
     X = pool.X[rows]
     y = pool.target[rows] - pool.offset[rows]  # residual-scale target
+    gram, xty, yty = X.T @ X, X.T @ y, float(y @ y)
     name_to_col = {nm: i for i, nm in enumerate(pool.names)}
 
     forced = ["intercept"]
@@ -552,7 +563,7 @@ def select_lags_bic(
 
     def score(names):
         idx = [name_to_col[nm] for nm in names]
-        return bic_score(X[:, idx], y)
+        return bic_score(gram[np.ix_(idx, idx)], xty[idx], yty, n)
 
     best = score(spec_cols())
     while True:
@@ -679,6 +690,9 @@ def fit_crps(
             best = (result, trace)
 
     result, trace = best
+    if not result.success:
+        log.warning("CRPS fit over window [%d, %d] did not converge after %d "
+                    "iterations: %s", window[0], window[1], result.nit, result.message)
     theta = result.x
     coefficients = Coefficients(
         names=bundle.names,

@@ -1,5 +1,6 @@
 """CLI pipeline: config validation, chained stages, determinism."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -352,3 +353,66 @@ def test_seed_flag_overrides_config(tmp_path):
     path_b.write_text(yaml.safe_dump(cfg_b))
     assert main(["synth", "--config", str(path_b)]) == 0
     assert a == (out_b / "data" / "S01.csv").read_bytes()
+
+
+def _data_sha(path) -> str:
+    """sha256 of a data file without its ``#`` provenance lines."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    return hashlib.sha256(b"".join(l for l in lines if not l.startswith(b"#"))).hexdigest()
+
+
+def _bundle_sha(path) -> str:
+    """sha256 of a bundle's JSON without the library version and config digest."""
+    raw = json.loads(path.read_text())
+    del raw["library_version"], raw["config_sha"]
+    return hashlib.sha256(json.dumps(raw, sort_keys=True).encode()).hexdigest()
+
+
+class TestFrozenModelOutputs:
+    """sha256 of model outputs recorded before selection scored candidates from
+    a Gram matrix, trig profiles gathered rows from a table and the first refit
+    reused the selection state."""
+
+    FORECASTS = {
+        "PSS.csv": "f01aa06b1fe896af780deaf9cbe95cce4974a16bd3d22d3b60712ef5ed8d6fcb",
+        "TDD.csv": "58e2905f44a25c4aea4ed20664236070512ca8a0fadd3aa7db9ca8eeb5b9cb2c",
+        "TDDGW-MD.csv": "0c0ab0d3fb9b3081a7642defd0f1b2efc2610e7ade65a886ef24e1bccbf4cbc4",
+    }
+    BUNDLES = {
+        "TDD/S01_k2.json": "a3c7176f3fb2ca48ac3f9ce3be74c61a55e6507243e71c101f746a000ab17362",
+        "TDD/S02_k2.json": "6b546884aa897b0dfc66e83ebfd2d7ec8f7dbc4b7c063c6f63e62c1f8a2d4499",
+        "TDD/S03_k2.json": "28247eb64c68cef47f8d0fc4001cf17f5e37f08f8ff47a4f7e8e11a66d969817",
+        "TDD/S04_k2.json": "56cc297d15dc41e342d869ea56005e7678489637daa9a45db9de5d06e4cfe073",
+        "TDDGW-MD/S01_k2.json": "d443e111e9b7930a89f457e7e8d9d2e78e9948fce6e9d9cc62f131d447edd3fb",
+        "TDDGW-MD/S02_k2.json": "00c7af77b9b6ed725fe132ce607c651210b76b2c9a20261127bfa8fe08c37570",
+        "TDDGW-MD/S03_k2.json": "f00880500fda1cb17e835f0db074e923920b68b1207c958b8482c2ef3d8bb957",
+        "TDDGW-MD/S04_k2.json": "d25d5120b7edfc192396cb52dabbefa52602b6718c6503ad973ef067bdc7d20e",
+    }
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("frozen")
+        cfg = small_config(out, variants=["PSS", "TDD", "TDDGW-MD"])
+        cfg["test"]["end"] = "2008-05-03T00:00"
+        path = _write_config(out, cfg)
+        run_pipeline(path, out, commands=("synth", "geowind", "forecast"))
+        selected = {name: (out / "forecasts" / name).read_bytes() for name in self.FORECASTS}
+        run_pipeline(path, out, commands=("train",))
+        return out, selected, path
+
+    def test_forecasts(self, run):
+        out, _, _ = run
+        assert {name: _data_sha(out / "forecasts" / name) for name in self.FORECASTS} \
+            == self.FORECASTS
+
+    def test_train_bundles(self, run):
+        out, _, _ = run
+        names = sorted(str(p.relative_to(out / "models")) for p in out.glob("models/*/*.json"))
+        assert names == sorted(self.BUNDLES)
+        assert {name: _bundle_sha(out / "models" / name) for name in names} == self.BUNDLES
+
+    def test_saved_specs_forecast_the_same_bytes(self, run):
+        out, selected, path = run
+        assert main(["forecast", "--config", str(path)]) == 0  # now reads models/
+        for name, text in selected.items():
+            assert (out / "forecasts" / name).read_bytes() == text, name

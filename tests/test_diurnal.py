@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from windcast.diurnal import (
+    _TRIG_TABLE,
     EmpiricalDiurnal,
     TrigDiurnal,
     fit_empirical,
+    _trig_design,
     fit_trig,
 )
 from windcast.errors import InsufficientDataError, RankDeficiencyError
@@ -69,6 +71,18 @@ class TestFitTrig:
         prof = TrigDiurnal((1.0, 0.5, -0.25, 0.1, 0.2))
         h = np.arange(24)
         assert prof.evaluate(h) == pytest.approx(prof.evaluate(h + 24), abs=1e-12)
+
+    def test_harmonic_table_is_the_direct_harmonics(self):
+        def direct(hours):
+            base = 2.0 * np.pi * np.asarray(hours, dtype=float) / 24.0
+            return np.column_stack([np.ones(base.size), np.sin(base), np.cos(base),
+                                    np.sin(2.0 * base), np.cos(2.0 * base)])
+
+        assert _TRIG_TABLE.tobytes() == direct(np.arange(24)).tobytes()
+        # rows gathered for a long series equal harmonics computed in place
+        _, hod = _hourly("2008-03-01T00:00", 40)
+        hod = np.random.default_rng(4).permutation(hod)
+        assert _trig_design(hod).tobytes() == direct(hod).tobytes()
 
 
 class TestFitEmpirical:

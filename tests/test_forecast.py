@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from windcast import forecast
 from windcast.forecast import (
     ForecastColumns,
     ForecastRecord,
@@ -14,6 +15,7 @@ from windcast.forecast import (
     run_rolling_station,
     write_records_csv,
 )
+from windcast.model import ResidualState
 from windcast.predictive import TruncatedNormal
 from windcast.errors import InvalidInputError, TrainingDataError
 
@@ -264,6 +266,42 @@ class TestRunRolling:
         assert np.isfinite(recs.mu[~fb]).all() and np.isfinite(recs.sigma[~fb]).all()
         assert recs.point[fb].tobytes() == pss.point[fb].tobytes()
         assert recs.observed.tobytes() == pss.observed.tobytes()
+
+
+class TestStateReuse:
+    """The residual state built for selection serves the first refits while
+    its cache key holds, and equals a state built afresh for them."""
+
+    @pytest.mark.parametrize("variant, delay_days, rebuilt", [
+        ("TDD", 0, []), ("TDD", 1, []), ("TDD-SMD", 1, []), ("TDD-YMD", 1, []),
+        ("TDDGW-MD", 0, [1]), ("TDDGW-MD", 1, [0, 1]),
+    ])
+    def test_first_refit_state(self, data, monkeypatch, variant, delay_days, rebuilt):
+        (t0, t1), _ = _bounds(data, 100, 2)
+        ts = t1 + 24 * delay_days
+        method = variant.partition("-")[2] or "TRIG"
+        fresh = ResidualState.build(data, method, ts, (t0, t1), ROLLING.window_days)
+
+        built, fitted = [], []
+        build, fit = ResidualState.build.__func__, forecast.fit_crps
+
+        def spy_build(cls, *args, **kwargs):
+            built.append(build(cls, *args, **kwargs))
+            return built[-1]
+
+        def spy_fit(state, *args, **kwargs):
+            fitted.append(state)
+            return fit(state, *args, **kwargs)
+
+        monkeypatch.setattr(ResidualState, "build", classmethod(spy_build))
+        monkeypatch.setattr(forecast, "fit_crps", spy_fit)
+        run_rolling_station(data, variant, "S01", [2], (t0, t1), (ts, ts + 48), ROLLING, seed=5)
+
+        assert [st.fit_time for st in built] == [t1] + [ts + 24 * day for day in rebuilt]
+        assert (fitted[0] is built[0]) == (0 not in rebuilt)  # built[0] selected the lags
+        for name in ("speed_r", "cos_r", "sin_r", "gw_r", "vol"):
+            assert getattr(fitted[0], name).tobytes() == getattr(fresh, name).tobytes(), name
+        assert fitted[0].profiles == fresh.profiles
 
 
 def test_records_csv_round_trip(tmp_path):

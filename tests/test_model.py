@@ -1,6 +1,7 @@
 """Regression machinery: features, volatility, BIC selection, CRPS training."""
 
 import json
+import logging
 import math
 
 import numpy as np
@@ -25,6 +26,8 @@ from windcast.model import (
 )
 from windcast.predictive import crps_values
 from windcast.timeutil import epoch_hour
+
+from conftest import make_model_data
 
 
 def _ar1(rng, n, mean, std, rho):
@@ -168,15 +171,150 @@ class TestSpecValidation:
             parse_variant("TDDXX")
 
 
+def _design_bic(X, y):
+    """``bic_score`` of the least-squares fit of y on the design X."""
+    return bic_score(X.T @ X, X.T @ y, float(y @ y), X.shape[0])
+
+
+def _lstsq_bic(X, y):
+    """BIC n*ln(SSE/n) + p*ln(n) from a least-squares fit on the design itself."""
+    n, p = X.shape
+    coeffs, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
+    sse = max(float(np.sum((y - X @ coeffs) ** 2)), 1e-300)
+    return n * np.log(sse / n) + p * np.log(n)
+
+
+def oracle_select_lags_bic(state, target_station, horizon, variant, window,
+                           max_lag=10, min_rows_per_param=10):
+    """Greedy forward selection that refits ``lstsq`` on the columns of
+    every candidate, as selection did before it scored from a Gram matrix."""
+    data = state.data
+    families = [("speed", st) for st in data.stations]
+    families += [("dir", st) for st in data.stations]
+    if variant.include_gw:
+        families.append(("gw",))
+    full = FeatureSpec(
+        target_station=target_station, horizon=horizon,
+        speed_lags={st: max_lag for st in data.stations},
+        direction_lags={st: max_lag for st in data.stations},
+        include_gw=variant.include_gw, gw_lags=max_lag if variant.include_gw else -1,
+        include_gw_direction=variant.include_gw_direction,
+        include_temp_diff=variant.include_temp_diff, diurnal_method=variant.diurnal_method)
+    pool = DesignBundle.build(state, full)
+    rows = pool.valid_rows(window[0], window[1], need_vol=False)
+    assert rows.size >= min_rows_per_param * len(pool.names)
+    X = pool.X[rows]
+    y = pool.target[rows] - pool.offset[rows]
+    col = {nm: i for i, nm in enumerate(pool.names)}
+    forced = ["intercept"]
+    if variant.include_gw_direction:
+        forced += ["gw_cos[0]", "gw_sin[0]"]
+    if variant.include_temp_diff:
+        forced += ["temp_diff_24h"]
+
+    def family_cols(fam, q):
+        if fam[0] == "speed":
+            return [f"speed_r[{fam[1]}][{j}]" for j in range(q + 1)]
+        if fam[0] == "dir":
+            return [nm for j in range(q + 1)
+                    for nm in (f"cos_r[{fam[1]}][{j}]", f"sin_r[{fam[1]}][{j}]")]
+        return [f"gw_r[{j}]" for j in range(q + 1)]
+
+    chosen = {fam: -1 for fam in families}
+
+    def score():
+        names = list(forced)
+        for fam in families:
+            if chosen[fam] >= 0:
+                names += family_cols(fam, chosen[fam])
+        return _lstsq_bic(X[:, [col[nm] for nm in names]], y)
+
+    best = score()
+    while True:
+        best_fam, best_bic = None, best
+        for fam in families:
+            q = chosen[fam]
+            if q + 1 > max_lag:
+                continue
+            chosen[fam] = q + 1
+            candidate = score()
+            chosen[fam] = q
+            if candidate < best_bic:
+                best_fam, best_bic = fam, candidate
+        if best_fam is None:
+            break
+        chosen[best_fam] += 1
+        best = best_bic
+    return FeatureSpec(
+        target_station=target_station, horizon=horizon,
+        speed_lags={f[1]: q for f, q in chosen.items() if f[0] == "speed" and q >= 0},
+        direction_lags={f[1]: q for f, q in chosen.items() if f[0] == "dir" and q >= 0},
+        include_gw=variant.include_gw,
+        gw_lags=next((q for f, q in chosen.items() if f[0] == "gw"), -1),
+        include_gw_direction=variant.include_gw_direction,
+        include_temp_diff=variant.include_temp_diff, diurnal_method=variant.diurnal_method)
+
+
 class TestBicSelection:
     def test_duplicate_column_never_helps(self, plain_state):
         state, _ = plain_state
         rng = np.random.default_rng(3)
         X = np.column_stack([np.ones(500), rng.normal(0, 1, 500)])
         y = X @ np.array([1.0, 0.5]) + rng.normal(0, 1, 500)
-        base = bic_score(X, y)
+        base = _design_bic(X, y)
         duplicated = np.column_stack([X, X[:, 1]])
-        assert bic_score(duplicated, y) > base
+        assert _design_bic(duplicated, y) > base
+
+    @pytest.mark.parametrize("collinear", [None, 1e-3])
+    def test_gram_score_matches_design_lstsq(self, collinear):
+        # the normal equations square the condition number: at a column
+        # difference of 1e-5 the two scores part by about 5e-8 relative
+        rng = np.random.default_rng(17)
+        for p in (1, 2, 5, 20):
+            X = np.column_stack([np.ones(800), rng.normal(0, 1, (800, p - 1))])
+            if collinear and p > 2:
+                X[:, -1] = X[:, 1] + collinear * rng.standard_normal(800)
+            y = X @ rng.normal(0, 1, p) + rng.normal(0, 0.5, 800)
+            assert _design_bic(X, y) == pytest.approx(_lstsq_bic(X, y), rel=1e-9)
+
+    def test_rank_deficient_design_scores_like_lstsq(self):
+        rng = np.random.default_rng(5)
+        X = np.column_stack([np.ones(600), rng.normal(0, 1, (600, 3))])
+        X = np.column_stack([X, X[:, 1], X[:, 2] - X[:, 3]])  # rank 4 of 6 columns
+        y = X[:, :4] @ np.array([1.0, 0.5, -0.3, 0.2]) + rng.normal(0, 1, 600)
+        assert _design_bic(X, y) == pytest.approx(_lstsq_bic(X, y), rel=1e-9)
+
+    @pytest.mark.parametrize("variant", ["TDD", "TDDGW-MD", "TDDGWDT-SMD"])
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_matches_lstsq_oracle(self, variant, seed):
+        data, _ = make_model_data(seed=seed, days=100)
+        vspec = parse_variant(variant)
+        bounds = (int(data.times[0]), int(data.times[-1]) + 1)
+        state = ResidualState.build(data, vspec.diurnal_method, bounds[1], bounds)
+        for station, k in (("S01", 1), ("S03", 3)):
+            spec = select_lags_bic(state, station, k, vspec, bounds)
+            assert spec == oracle_select_lags_bic(state, station, k, vspec, bounds)
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-6])
+    def test_duplicate_and_near_collinear_stations_match_oracle(self, noise):
+        # S2 repeats S1 (exactly, or up to tiny noise); the target S3 follows both
+        rng = np.random.default_rng(31)
+        n = 24 * 90
+        driver = np.abs(_ar1(rng, n, 6, 1.5, 0.9))
+        twin = driver + noise * rng.standard_normal(n)
+        target = np.abs(1.0 + 0.6 * np.concatenate([[driver[0]] * 2, driver[:-2]])
+                        + _ar1(rng, n, 0, 0.6, 0.5))
+        angles = rng.uniform(0, 2 * math.pi, (1, n))
+        directions = np.vstack([angles, angles + noise, rng.uniform(0, 2 * math.pi, (1, n))])
+        data = _make_data(np.vstack([driver, twin, target]), directions=directions)
+        bounds = (int(data.times[0]), int(data.times[-1]) + 1)
+        for variant in ("TDD", "TDDGW-MD"):
+            vspec = parse_variant(variant)
+            state = ResidualState.build(data, vspec.diurnal_method, bounds[1], bounds)
+            for station, k in (("S3", 2), ("S1", 1)):
+                spec = select_lags_bic(state, station, k, vspec, bounds, max_lag=4)
+                assert spec == oracle_select_lags_bic(state, station, k, vspec, bounds,
+                                                      max_lag=4)
 
     def test_white_noise_selects_intercept_only(self):
         rng = np.random.default_rng(77)
@@ -302,6 +440,22 @@ class TestFitCrps:
         model = fit_crps(state, spec, bounds, seed=0, restarts=1)
         assert model.train_crps < 1e-4
         assert model.coefficients.b0 > 0 and model.coefficients.b1 > 0
+
+    def test_unconverged_fit_logs_one_warning(self, caplog, monkeypatch):
+        monkeypatch.setattr("windcast.model.BFGS_MAXITER", 1)
+        state, spec, bounds = _recovery_setup(noise=0.3)
+        with caplog.at_level(logging.WARNING, logger="windcast.model"):
+            fit_crps(state, spec, bounds, seed=0, restarts=2)
+        (record,) = caplog.records
+        text = record.getMessage()
+        assert f"[{bounds[0]}, {bounds[1]}]" in text
+        assert "after 1 iterations" in text and "Maximum number of iterations" in text
+
+    def test_converged_fit_logs_nothing(self, caplog):
+        state, spec, bounds = _recovery_setup(noise=0.3)
+        with caplog.at_level(logging.DEBUG, logger="windcast.model"):
+            fit_crps(state, spec, bounds, seed=0, restarts=2)
+        assert caplog.records == []
 
     def test_too_small_window(self):
         state, spec, bounds = _recovery_setup()
