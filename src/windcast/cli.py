@@ -2,12 +2,16 @@
 
 Subcommands chain through files under the run's output directory:
 
-    synth     -> <out>/data/{stations.csv, <ID>.csv, truth.csv}
-    geowind   -> <out>/geowind.csv
-    train     -> <out>/models/<variant>/<station>_k<h>.json
-    forecast  -> <out>/forecasts/<variant>.csv
-    evaluate  -> <out>/scores.csv, <out>/pit.csv
-    report    -> <out>/report.txt
+    synth                                -> <out>/data/{stations.csv, <ID>.csv, truth.csv}
+    geowind   data/                      -> <out>/geowind.csv
+    train     data/, geowind.csv         -> <out>/models/<variant>/<station>_k<h>.json
+    forecast  data/, geowind.csv[, models/] -> <out>/forecasts/<variant>.csv
+    evaluate  forecasts/                 -> <out>/scores.csv, <out>/pit.csv
+    report    scores.csv                 -> <out>/report.txt
+
+With more than one job, synth, geowind, train and forecast each open one
+pool of worker processes, which writes or reads the station CSVs one task
+per station and, in train and forecast, then runs the model fits.
 
 Every command validates the config first and fails with a machine-readable
 JSON error on stderr and a nonzero exit code. Outputs are written
@@ -18,6 +22,7 @@ seed reproduce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -50,6 +55,7 @@ from .series import Network
 from .synth import write_dataset
 from .verification import (
     format_score_table,
+    read_scores_csv,
     relative_reduction,
     score_groups,
     write_pit_csv,
@@ -63,10 +69,34 @@ def _provenance(cfg: RunConfig, command: str) -> list:
     return [f"windcast {__version__} {command} seed={cfg.seed} config_sha={cfg.digest()}"]
 
 
+def _provenance_sha(path) -> str | None:
+    """The config digest in a file's provenance line, or None."""
+    with open(path) as fh:
+        first = fh.readline()
+    _, found, sha = first.partition(" config_sha=")
+    return sha.strip() if found else None
+
+
 def _atomic(path, write_fn):
     tmp = f"{path}.tmp"
     write_fn(tmp)
     os.replace(tmp, path)
+
+
+def _stage_pool(jobs: int, variants=()):
+    """The one worker pool of a stage, or a null context for one job. A stage
+    that fits model ``variants`` imports scipy.optimize first, so that the
+    forked workers share it."""
+    if jobs <= 1:
+        return contextlib.nullcontext()
+    if set(variants) - {PERSISTENCE}:
+        import scipy.optimize  # noqa: F401
+    return ProcessPoolExecutor(max_workers=jobs)
+
+
+def _map(pool, fn, tasks: list) -> list:
+    """``fn(*task)`` for each of ``tasks``, results in task order."""
+    return list(pool.map(fn, *zip(*tasks))) if pool and tasks else [fn(*t) for t in tasks]
 
 
 def _data_dir(cfg: RunConfig) -> str:
@@ -75,23 +105,26 @@ def _data_dir(cfg: RunConfig) -> str:
     return os.path.join(cfg.out_dir, "data")
 
 
-def _load_network(cfg: RunConfig, station_ids=None) -> Network:
+def _load_network(cfg: RunConfig, station_ids=None, pool=None) -> Network:
     directory = _data_dir(cfg)
     if not os.path.isdir(directory):
         raise LoadError(
             f"data directory {directory!r} not found"
             + (" (run the synth command first)" if cfg.data_source == "synth" else "")
         )
-    series = load_network_dir(directory, cfg.csv_schema, station_ids)
+    series = load_network_dir(directory, cfg.csv_schema, station_ids, pool)
     return Network.from_series(series)
 
 
-def _load_model_data(cfg: RunConfig) -> ModelData:
-    network = _load_network(cfg, cfg.features)
+def _load_model_data(cfg: RunConfig, pool) -> ModelData:
+    """The stations and geowind.csv, read side by side when there is a pool."""
     gw_path = os.path.join(cfg.out_dir, "geowind.csv")
+    pending = pool.submit(GeoWindSeries.from_csv, gw_path) \
+        if pool and os.path.exists(gw_path) else None
+    network = _load_network(cfg, cfg.features, pool)
     if not os.path.exists(gw_path):
         raise LoadError(f"{gw_path} not found (run the geowind command first)")
-    geowind = GeoWindSeries.from_csv(gw_path)
+    geowind = pending.result() if pending else GeoWindSeries.from_csv(gw_path)
     return ModelData.from_network(network, geowind, cfg.features, cfg.tz_offset_hours)
 
 
@@ -104,33 +137,25 @@ def _bundle_path(cfg: RunConfig, variant: str, station: str, horizon: int) -> st
     return os.path.join(cfg.out_dir, "models", variant, f"{station}_k{horizon}.json")
 
 
-def cmd_synth(cfg: RunConfig) -> None:
+def cmd_synth(cfg: RunConfig, jobs: int) -> None:
     if cfg.data_source != "synth":
         raise ConfigError(["synth command requires data.source == 'synth'"])
     out = os.path.join(cfg.out_dir, "data")
-    write_dataset(cfg.synth, out, cfg.constants)
+    with _stage_pool(jobs) as pool:
+        write_dataset(cfg.synth, out, cfg.constants, pool)
     print(f"wrote synthetic dataset ({cfg.synth.n_stations} stations, "
           f"{cfg.synth.days} days) to {out}")
 
 
-def cmd_geowind(cfg: RunConfig) -> None:
-    network = _load_network(cfg, cfg.gw_stations)
+def cmd_geowind(cfg: RunConfig, jobs: int) -> None:
+    with _stage_pool(jobs) as pool:
+        network = _load_network(cfg, cfg.gw_stations, pool)
     series = estimate_series(network, cfg.constants, cfg.mean_removal,
                              min_stations=cfg.min_stations)
     path = os.path.join(cfg.out_dir, "geowind.csv")
     _atomic(path, lambda p: series.to_csv(p, _provenance(cfg, "geowind")))
     n_ok = int((series.n_stations >= cfg.min_stations).sum())
     print(f"estimated geostrophic wind for {n_ok}/{series.n} hours -> {path}")
-
-
-def _map_jobs(fn, tasks: list, jobs: int) -> list:
-    """``fn(*task)`` for each of ``tasks``, results in task order; in a pool
-    of ``jobs`` worker processes when there is more than one of each."""
-    if jobs > 1 and len(tasks) > 1:
-        import scipy.optimize  # noqa: F401  (pooled tasks fit; import before forking to share it)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, *zip(*tasks)))
-    return [fn(*task) for task in tasks]
 
 
 def _train_job(state, vspec, station, horizons, train, window, seed, restarts, max_lag):
@@ -141,23 +166,25 @@ def _train_job(state, vspec, station, horizons, train, window, seed, restarts, m
     return models
 
 
-def cmd_train(cfg: RunConfig, jobs: int | None = None) -> None:
-    data = _load_model_data(cfg)
+def cmd_train(cfg: RunConfig, jobs: int) -> None:
     train = (cfg.train_start, cfg.train_end)
     window = (cfg.train_end - _rolling_config(cfg).window_hours, cfg.train_end)
     keys, tasks = [], []
-    for variant in cfg.variants:
-        if variant == PERSISTENCE:
-            continue
-        vspec = parse_variant(variant)
-        state = ResidualState.build(data, vspec.diurnal_method, cfg.train_end,
-                                    train, cfg.window_days)
-        for station in cfg.stations:
-            keys.append((variant, station))
-            tasks.append((state, vspec, station, list(cfg.horizons), train, window,
-                          cfg.seed, cfg.restarts, cfg.max_lag))
+    with _stage_pool(jobs, cfg.variants) as pool:
+        data = _load_model_data(cfg, pool)
+        for variant in cfg.variants:
+            if variant == PERSISTENCE:
+                continue
+            vspec = parse_variant(variant)
+            state = ResidualState.build(data, vspec.diurnal_method, cfg.train_end,
+                                        train, cfg.window_days)
+            for station in cfg.stations:
+                keys.append((variant, station))
+                tasks.append((state, vspec, station, list(cfg.horizons), train, window,
+                              cfg.seed, cfg.restarts, cfg.max_lag))
+        trained = _map(pool, _train_job, tasks)
 
-    for (variant, station), models in zip(keys, _map_jobs(_train_job, tasks, jobs or cfg.jobs)):
+    for (variant, station), models in zip(keys, trained):
         for k, model in zip(cfg.horizons, models):
             path = _bundle_path(cfg, variant, station, k)
             os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -167,30 +194,31 @@ def cmd_train(cfg: RunConfig, jobs: int | None = None) -> None:
                   f"window CRPS {model.train_crps:.4f} -> {path}")
 
 
-def cmd_forecast(cfg: RunConfig, jobs: int | None = None) -> None:
+def cmd_forecast(cfg: RunConfig, jobs: int) -> None:
     """PSS is computed here; only the variants that fit models go to the pool."""
-    data = _load_model_data(cfg)
     train = (cfg.train_start, cfg.train_end)
     test = (cfg.test_start, cfg.test_end)
     rolling = _rolling_config(cfg)
 
     results: dict[tuple, ForecastColumns] = {}
     fit_keys, fit_tasks = [], []
-    for variant in cfg.variants:
-        for station in cfg.stations:
-            if variant == PERSISTENCE:
-                results[(variant, station)] = run_rolling_station(
-                    data, variant, station, cfg.horizons, train, test, rolling)
-                continue
-            specs = {}
-            for k in cfg.horizons:
-                path = _bundle_path(cfg, variant, station, k)
-                if os.path.exists(path):
-                    specs[k] = load_bundle(path, cfg.digest()).spec
-            fit_keys.append((variant, station))
-            fit_tasks.append((data, variant, station, list(cfg.horizons), train, test,
-                              rolling, cfg.seed, specs or None))
-    results.update(zip(fit_keys, _map_jobs(run_rolling_station, fit_tasks, jobs or cfg.jobs)))
+    with _stage_pool(jobs, cfg.variants) as pool:
+        data = _load_model_data(cfg, pool)
+        for variant in cfg.variants:
+            for station in cfg.stations:
+                if variant == PERSISTENCE:
+                    results[(variant, station)] = run_rolling_station(
+                        data, variant, station, cfg.horizons, train, test, rolling)
+                    continue
+                specs = {}
+                for k in cfg.horizons:
+                    path = _bundle_path(cfg, variant, station, k)
+                    if os.path.exists(path):
+                        specs[k] = load_bundle(path, cfg.digest()).spec
+                fit_keys.append((variant, station))
+                fit_tasks.append((data, variant, station, list(cfg.horizons), train, test,
+                                  rolling, cfg.seed, specs or None))
+        results.update(zip(fit_keys, _map(pool, run_rolling_station, fit_tasks)))
 
     os.makedirs(os.path.join(cfg.out_dir, "forecasts"), exist_ok=True)
     for variant in cfg.variants:
@@ -223,7 +251,14 @@ def cmd_evaluate(cfg: RunConfig) -> None:
 
 
 def cmd_report(cfg: RunConfig) -> None:
-    reports = _all_reports(cfg)
+    scores_path = os.path.join(cfg.out_dir, "scores.csv")
+    if not os.path.exists(scores_path):
+        raise LoadError(f"{scores_path} not found (run the evaluate command first)")
+    found = _provenance_sha(scores_path)
+    if found != cfg.digest():
+        raise LoadError(f"{scores_path}: scored under config {found or '(none recorded)'}, "
+                        f"this run is config {cfg.digest()}; re-run evaluate")
+    reports = read_scores_csv(scores_path)
     by_key = {(r.variant, r.station, r.horizon): r for r in reports}
     lines = [f"windcast {__version__} verification report (config {cfg.digest()})", ""]
     for metric in ("mae", "rmse", "crps", "width90"):
@@ -257,6 +292,7 @@ COMMANDS = {
     "evaluate": cmd_evaluate,
     "report": cmd_report,
 }
+POOLED = ("synth", "geowind", "train", "forecast")  # the commands that take a job count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,14 +325,14 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg.out_dir = args.out
         jobs = args.jobs
-        if jobs is None and os.environ.get(JOBS_ENV):
-            jobs = int(os.environ[JOBS_ENV])
+        if jobs is None:
+            jobs = int(os.environ[JOBS_ENV]) if os.environ.get(JOBS_ENV) else cfg.jobs
 
         os.makedirs(cfg.out_dir, exist_ok=True)
         _atomic(os.path.join(cfg.out_dir, "config.yaml"),
                 lambda p: dump_config(cfg, p))
-        if args.command in ("train", "forecast"):
-            COMMANDS[args.command](cfg, jobs=jobs)
+        if args.command in POOLED:
+            COMMANDS[args.command](cfg, jobs)
         else:
             COMMANDS[args.command](cfg)
         return 0

@@ -150,9 +150,11 @@ class RunConfig:
         return d
 
     def digest(self) -> str:
-        """Semantic config hash; the output location does not change results."""
+        """Semantic config hash; the output location and the job count do not
+        change results."""
         d = self.to_dict()
         d.pop("out_dir", None)
+        d.pop("jobs", None)
         payload = json.dumps(d, sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()[:12]
 

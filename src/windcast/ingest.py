@@ -17,6 +17,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -183,14 +184,25 @@ def hourly_average(raw: RawRecords, schema: SchemaConfig, meta: StationMeta) -> 
     return StationSeries(meta=meta, times=axis, **out)
 
 
-def load_station_csv(path, schema: SchemaConfig, meta: StationMeta) -> StationSeries:
-    """read_raw + hourly_average for one station file; logs a warning when
-    rows had malformed numeric fields."""
+def _load_station(path, schema: SchemaConfig, meta: StationMeta):
+    """read_raw + hourly_average for one station file; returns the series and
+    the number of rows with a malformed numeric field."""
     raw = read_raw(path, schema, station_id=meta.id)
-    if raw.n_malformed:
+    return hourly_average(raw, schema, meta), raw.n_malformed
+
+
+def _warn_malformed(meta: StationMeta, n_malformed: int, path) -> None:
+    if n_malformed:
         log.warning("station %s: %d rows with a malformed numeric field in %s",
-                    meta.id, raw.n_malformed, path)
-    return hourly_average(raw, schema, meta)
+                    meta.id, n_malformed, path)
+
+
+def load_station_csv(path, schema: SchemaConfig, meta: StationMeta) -> StationSeries:
+    """One station file as an hourly StationSeries; logs a warning when rows
+    had malformed numeric fields."""
+    series, n_malformed = _load_station(path, schema, meta)
+    _warn_malformed(meta, n_malformed, path)
+    return series
 
 
 def write_station_csv(series: StationSeries, path, header_lines: Sequence[str] = ()) -> None:
@@ -220,8 +232,11 @@ def read_stations_csv(path) -> list[StationMeta]:
 
 
 def load_network_dir(directory, schema: SchemaConfig = CANONICAL_SCHEMA,
-                     station_ids: Sequence[str] | None = None):
-    """Load a directory of per-station CSVs plus a stations.csv metadata file."""
+                     station_ids: Sequence[str] | None = None, pool=None):
+    """Load a directory of per-station CSVs plus a stations.csv metadata file,
+    in stations.csv order. With an executor ``pool``, each station file is
+    read in a worker; the malformed-row warnings are logged here either way,
+    one per station in that order."""
     metas = read_stations_csv(os.path.join(directory, "stations.csv"))
     if station_ids is not None:
         wanted = set(station_ids)
@@ -229,10 +244,13 @@ def load_network_dir(directory, schema: SchemaConfig = CANONICAL_SCHEMA,
         missing = wanted - {m.id for m in metas}
         if missing:
             raise LoadError(f"stations.csv lacks entries for {sorted(missing)}")
-    series = []
-    for meta in metas:
-        path = os.path.join(directory, f"{meta.id}.csv")
+    paths = [os.path.join(directory, f"{meta.id}.csv") for meta in metas]
+    for meta, path in zip(metas, paths):
         if not os.path.exists(path):
             raise LoadError(f"no data file for station {meta.id}: {path}")
-        series.append(load_station_csv(path, schema, meta))
+    loaded = (pool.map if pool else map)(_load_station, paths, repeat(schema), metas)
+    series = []
+    for meta, path, (station, n_malformed) in zip(metas, paths, loaded):
+        _warn_malformed(meta, n_malformed, path)
+        series.append(station)
     return series

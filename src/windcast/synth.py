@@ -190,16 +190,20 @@ def generate(config: SynthConfig, const: PhysicalConstants = PhysicalConstants()
     return series, truth
 
 
-def write_dataset(config: SynthConfig, out_dir, const: PhysicalConstants = PhysicalConstants()):
-    """Generate and write station CSVs, stations.csv and truth.csv."""
+def write_dataset(config: SynthConfig, out_dir, const: PhysicalConstants = PhysicalConstants(),
+                  pool=None):
+    """Generate and write station CSVs, stations.csv and truth.csv; with an
+    executor ``pool``, the station CSVs are written in its workers."""
     series, truth = generate(config, const)
     os.makedirs(out_dir, exist_ok=True)
     write_stations_csv([s.meta for s in series], os.path.join(out_dir, "stations.csv"))
-    for s in series:
-        write_station_csv(s, os.path.join(out_dir, f"{s.meta.id}.csv"),
-                          header_lines=[f"synthetic station {s.meta.id} seed={config.seed}"])
+    written = (pool.map if pool else map)(
+        write_station_csv, series,
+        [os.path.join(out_dir, f"{s.meta.id}.csv") for s in series],
+        [[f"synthetic station {s.meta.id} seed={config.seed}"] for s in series])
     truth.to_csv(os.path.join(out_dir, "truth.csv"),
                  header_lines=[f"synthetic geostrophic truth seed={config.seed}"])
+    list(written)  # the station files are complete, and a worker's error raised, here
     return series, truth
 
 

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .csvio import write_columns
+from .csvio import read_columns, write_columns
 from .errors import EmptyReportError, InvalidInputError
 from .forecast import ForecastColumns
 from .model import ModelData, _shift, _lead
@@ -27,8 +27,9 @@ from .timeutil import format_month, month_index
 
 
 @dataclass
-class ScoreReport:
-    """Verification scores for one (station, variant, horizon) cell."""
+class CellScores:
+    """The monthly and overall scores of one (station, variant, horizon) cell:
+    what scores.csv holds."""
 
     station: str
     variant: str
@@ -42,9 +43,15 @@ class ScoreReport:
     n_scored: int
     mae: float
     rmse: float
-    n_prob: int
     crps: float
     mean_width: float
+
+
+@dataclass
+class ScoreReport(CellScores):
+    """Verification scores for one (station, variant, horizon) cell."""
+
+    n_prob: int
     interval_level: float
     pit_counts: np.ndarray
     n_fallback: int
@@ -142,7 +149,7 @@ def score_groups(records, variant: str, **kwargs) -> dict:
             for station, horizon in keys}
 
 
-def relative_reduction(report: ScoreReport, baseline: ScoreReport) -> dict:
+def relative_reduction(report: CellScores, baseline: CellScores) -> dict:
     """Percent score reduction vs. a baseline: 100*(baseline - model)/baseline.
 
     NaN marks cells where the baseline is zero (undefined) or missing.
@@ -245,7 +252,7 @@ def _write_blocks(path, header, blocks, header_lines) -> None:
     write_columns(path, header, columns or [[]] * len(header), header_lines)
 
 
-def write_scores_csv(reports: Sequence[ScoreReport], path,
+def write_scores_csv(reports: Sequence[CellScores], path,
                      header_lines: Sequence[str] = ()) -> None:
     """Monthly rows then an 'overall' row per report."""
     blocks = []
@@ -261,6 +268,26 @@ def write_scores_csv(reports: Sequence[ScoreReport], path,
     _write_blocks(path, SCORES_CSV_COLUMNS, blocks, header_lines)
 
 
+def read_scores_csv(path) -> list[CellScores]:
+    """The cells of a scores.csv in file order; floats read back bit-exactly."""
+    kinds = dict(zip(SCORES_CSV_COLUMNS, ("str", "str", "int", "str", "int") + ("float",) * 4))
+    table = read_columns(path, kinds)
+    cells, lo = [], 0
+    for end in np.flatnonzero(table["month"] == "overall").tolist():
+        rows = slice(lo, end)
+        cells.append(CellScores(
+            station=str(table["station"][end]), variant=str(table["variant"][end]),
+            horizon=int(table["horizon"][end]),
+            months=tuple(table["month"][rows].astype("datetime64[M]").astype(np.int64).tolist()),
+            n_by_month=table["n"][rows], mae_by_month=table["mae"][rows],
+            rmse_by_month=table["rmse"][rows], crps_by_month=table["crps"][rows],
+            width_by_month=table["width90"][rows], n_scored=int(table["n"][end]),
+            mae=float(table["mae"][end]), rmse=float(table["rmse"][end]),
+            crps=float(table["crps"][end]), mean_width=float(table["width90"][end])))
+        lo = end + 1
+    return cells
+
+
 def write_pit_csv(reports: Sequence[ScoreReport], path,
                   header_lines: Sequence[str] = ()) -> None:
     blocks = []
@@ -274,7 +301,7 @@ def write_pit_csv(reports: Sequence[ScoreReport], path,
                          "expected"), blocks, header_lines)
 
 
-def format_score_table(reports: Sequence[ScoreReport], metric: str) -> str:
+def format_score_table(reports: Sequence[CellScores], metric: str) -> str:
     """Plain-text table: one row per (station, variant), months as columns,
     'Overall' last."""
     getters = {

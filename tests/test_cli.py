@@ -92,7 +92,7 @@ def csv_config(unit="m_s"):
 
 class TestConfigDigest:
     def test_synth_digest_unchanged(self):
-        assert config_from_dict(small_config("out")).digest() == "f8ea2e1add10"
+        assert config_from_dict(small_config("out")).digest() == "63bf341efad4"
 
     def test_csv_schema_changes_digest(self):
         assert (config_from_dict(csv_config("m_s")).digest()
@@ -243,9 +243,36 @@ def test_persistence_only_stages_never_load_scipy(pipeline_run, tmp_path):
     assert (out / "report.txt").exists()
 
 
+def test_report_of_a_fitted_run_never_loads_scipy(pipeline_run, tmp_path):
+    src, cfg = pipeline_run
+    out = tmp_path / "out"
+    shutil.copytree(src, out)
+    (out / "report.txt").unlink()
+    path = _write_config(tmp_path, dict(cfg, out_dir=str(out)))
+    code = ("import sys; from windcast.cli import main; "
+            f"assert main(['report', '--config', {str(path)!r}]) == 0")
+    assert _scipy_loaded_after(code) == "[]"
+    assert (out / "report.txt").read_bytes() == (src / "report.txt").read_bytes()
+
+
+def test_pooled_io_stages_never_load_scipy_optimize(pipeline_run, tmp_path):
+    _, cfg = pipeline_run
+    out = tmp_path / "out"
+    path = _write_config(tmp_path, dict(cfg, out_dir=str(out)))
+    code = ("import sys; from windcast.cli import main; "
+            f"assert all(main([s, '--config', {str(path)!r}, '--jobs', '2']) == 0 "
+            "for s in ('synth', 'geowind'))")
+    assert "scipy.optimize" not in _scipy_loaded_after(code)
+    assert (out / "geowind.csv").exists()
+
+
 class TestJobs:
-    """One worker and two give the same bytes, on the mixed path: PSS in the
-    calling process, the fitted variant in the pool."""
+    """One worker and two give the same bytes, and a stage opens at most one
+    pool, which also does its station file I/O. On the mixed forecast path PSS
+    runs in the calling process and the fitted variant in the pool."""
+
+    OUTPUTS = {"synth": "data", "geowind": "geowind.csv", "train": "models",
+               "forecast": "forecasts"}
 
     def _rerun(self, pipeline_run, tmp_path, command, jobs, monkeypatch):
         pools = []
@@ -256,13 +283,24 @@ class TestJobs:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        io_pooled = []  # per station-file call: whether it was given the pool
+        for name in ("write_dataset", "load_network_dir"):
+            def spy(*args, _fn=getattr(cli, name)):
+                io_pooled.append(args[-1] is not None)
+                return _fn(*args)
+            monkeypatch.setattr(cli, name, spy)
         src, cfg = pipeline_run
         out = tmp_path / f"{command}-{jobs}"
         shutil.copytree(src, out)
-        shutil.rmtree(out / ("models" if command == "train" else "forecasts"))
+        output = out / self.OUTPUTS[command]
+        if output.is_dir():
+            shutil.rmtree(output)
+        else:
+            output.unlink()
         path = _write_config(out, dict(cfg, out_dir=str(out)))
         assert main([command, "--config", str(path), "--jobs", str(jobs)]) == 0
         assert pools == ([] if jobs == 1 else [jobs])
+        assert io_pooled == [jobs > 1]
         return out
 
     def _same_files(self, a, b, pattern):
@@ -281,6 +319,38 @@ class TestJobs:
         one, two = (self._rerun(pipeline_run, tmp_path, "train", j, monkeypatch)
                     for j in (1, 2))
         self._same_files(one, two, "models/*/*.json")
+
+    def test_synth_data_identical(self, pipeline_run, tmp_path, monkeypatch):
+        one, two = (self._rerun(pipeline_run, tmp_path, "synth", j, monkeypatch)
+                    for j in (1, 2))
+        self._same_files(one, two, "data/*")
+
+    def test_geowind_identical(self, pipeline_run, tmp_path, monkeypatch):
+        one, two = (self._rerun(pipeline_run, tmp_path, "geowind", j, monkeypatch)
+                    for j in (1, 2))
+        self._same_files(one, two, "geowind.csv")
+
+
+class TestWorkerFaults:
+    """A corrupt station file fails a pooled stage with the same JSON error as
+    one job."""
+
+    @pytest.mark.parametrize("command, station", [("geowind", "S05"), ("forecast", "S01")])
+    def test_corrupt_station_file(self, pipeline_run, tmp_path, capsys, command, station):
+        src, cfg = pipeline_run
+        out = tmp_path / "out"
+        shutil.copytree(src, out)
+        data = out / "data" / f"{station}.csv"
+        data.write_text(data.read_text().replace("2008-03-02T05:00Z", "2008-03-02T5 o'clock"))
+        path = _write_config(tmp_path, dict(cfg, out_dir=str(out)))
+        payloads = []
+        for jobs in ("1", "2"):
+            assert main([command, "--config", str(path), "--jobs", jobs]) == 1
+            payloads.append(json.loads(capsys.readouterr().err))
+        assert payloads[0] == payloads[1]
+        assert payloads[0]["error"] == "LoadError"
+        assert f"{station}.csv:" in payloads[0]["message"]
+        assert "5 o'clock" in payloads[0]["message"]
 
 
 class TestBundleDigest:
@@ -314,6 +384,14 @@ class TestBundleDigest:
         assert "0123456789ab" in payload["message"] and digest in payload["message"]
         assert not (out / "forecasts" / "TDDGW-MD.csv").exists()
 
+    def test_job_count_is_not_in_the_digest(self, pipeline_run, tmp_path):
+        out, path, digest = self._copy(pipeline_run, tmp_path)
+        _, cfg = pipeline_run
+        path.write_text(yaml.safe_dump(dict(cfg, out_dir=str(out), jobs=cfg["jobs"] + 1)))
+        assert load_config(path).digest() == digest
+        assert main(["forecast", "--config", str(path)]) == 0
+        assert (out / "forecasts" / "TDDGW-MD.csv").exists()
+
     def test_bundle_without_digest_refused(self, pipeline_run, tmp_path, capsys):
         out, path, digest = self._copy(pipeline_run, tmp_path)
         bundle = out / "models/TDDGW-MD/S01_k2.json"
@@ -323,6 +401,39 @@ class TestBundleDigest:
         assert main(["forecast", "--config", str(path)]) == 1
         payload = json.loads(capsys.readouterr().err)
         assert "(none recorded)" in payload["message"] and digest in payload["message"]
+
+
+class TestReportScores:
+    """report reads the scores.csv that evaluate wrote under this config."""
+
+    def _copy(self, pipeline_run, tmp_path):
+        src, cfg = pipeline_run
+        out = tmp_path / "run"
+        shutil.copytree(src, out)
+        (out / "report.txt").unlink()
+        path = _write_config(tmp_path, dict(cfg, out_dir=str(out)))
+        return out, path, load_config(path).digest()
+
+    def _refused(self, path, capsys):
+        assert main(["report", "--config", str(path)]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "LoadError"
+        return payload["message"]
+
+    def test_missing_scores_refused(self, pipeline_run, tmp_path, capsys):
+        out, path, _ = self._copy(pipeline_run, tmp_path)
+        (out / "scores.csv").unlink()
+        assert "run the evaluate command first" in self._refused(path, capsys)
+        assert not (out / "report.txt").exists()
+
+    def test_stale_scores_refused(self, pipeline_run, tmp_path, capsys):
+        out, path, digest = self._copy(pipeline_run, tmp_path)
+        scores = out / "scores.csv"
+        scores.write_text(scores.read_text().replace(f"config_sha={digest}",
+                                                     "config_sha=0123456789ab", 1))
+        message = self._refused(path, capsys)
+        assert "0123456789ab" in message and digest in message
+        assert not (out / "report.txt").exists()
 
 
 def test_evaluate_without_observations_fails_cleanly(tmp_path, capsys):

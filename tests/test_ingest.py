@@ -2,6 +2,7 @@
 
 import logging
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -224,3 +225,23 @@ def test_stations_metadata_round_trip(tmp_path):
     write_stations_csv(metas, path)
     back = read_stations_csv(path)
     assert back == metas
+
+
+def test_load_network_dir_in_a_pool_warns_in_station_order(tmp_path, caplog):
+    ids = ["PICT", "JAYT", "ASPR"]
+    write_stations_csv([StationMeta(i, 33.25, -100.57, 640.0) for i in ids],
+                       tmp_path / "stations.csv")
+    header = "time_utc,station,wind_speed_ms,wind_dir_deg,temp_c,pressure_hpa"
+    for n_bad, station in zip((2, 0, 1), ids):
+        rows = [f"2008-01-01T{h:02d}:00Z,{station},5.0,90.0,15.0,920.0" for h in range(4)]
+        rows[:n_bad] = [r.replace(",5.0,", ",fast,") for r in rows[:n_bad]]
+        _write(tmp_path / f"{station}.csv", rows, header=header)
+    with caplog.at_level(logging.WARNING, logger="windcast.ingest"), \
+            ProcessPoolExecutor(max_workers=2) as pool:
+        series = load_network_dir(tmp_path, pool=pool)
+    assert [s.meta.id for s in series] == ids
+    assert np.isnan(series[0].wind_speed[:2]).all() and np.isfinite(series[1].wind_speed).all()
+    warnings = [r.getMessage() for r in caplog.records]
+    assert len(warnings) == 2
+    assert "PICT" in warnings[0] and "2 rows" in warnings[0]
+    assert "ASPR" in warnings[1] and "1 rows" in warnings[1]

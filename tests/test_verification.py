@@ -12,8 +12,10 @@ from windcast.model import ModelData
 from windcast.predictive import TruncatedNormal
 from windcast.timeutil import epoch_hour
 from windcast.verification import (
+    CellScores,
     format_score_table,
     lag_correlations,
+    read_scores_csv,
     relative_reduction,
     score,
     score_groups,
@@ -210,3 +212,24 @@ def test_score_csv_and_table_outputs(tmp_path):
     assert "MAE" in table and "Overall" in table
     with pytest.raises(InvalidInputError):
         format_score_table(reports, "nope")
+
+
+def test_scores_csv_round_trips_bit_exactly(tmp_path):
+    """What report reads back is what evaluate scored, NaN cells included."""
+    point_only = [ForecastRecord(r.station, r.issue_time, r.horizon, math.nan, math.nan,
+                                 r.point, True, r.observed)
+                  for r in _records(n=24 * 70, seed=8)]
+    reports = [score(_records(n=24 * 70, seed=7), "TDD"), score(point_only, "PSS")]
+    write_scores_csv(reports, tmp_path / "scores.csv", header_lines=["x"])
+    cells = read_scores_csv(tmp_path / "scores.csv")
+    assert math.isnan(cells[1].crps)
+    assert len(cells) == len(reports)
+    for cell, rep in zip(cells, reports):
+        for name in CellScores.__dataclass_fields__:
+            want, got = getattr(rep, name), getattr(cell, name)
+            np.testing.assert_array_equal(np.asarray(got), np.asarray(want), err_msg=name)
+            assert type(got) is type(want) or isinstance(want, np.ndarray), name
+    for metric in ("mae", "rmse", "crps", "width90"):
+        assert format_score_table(cells, metric) == format_score_table(reports, metric)
+    assert repr(relative_reduction(cells[0], cells[1])) \
+        == repr(relative_reduction(reports[0], reports[1]))
