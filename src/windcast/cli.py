@@ -11,7 +11,8 @@ Subcommands chain through files under the run's output directory:
 
 With more than one job, synth, geowind, train and forecast each open one
 pool of worker processes, which writes or reads the station CSVs one task
-per station and, in train and forecast, then runs the model fits.
+per station and then runs the lag selection (train) or the rolling fits
+(forecast). train fits no coefficients: a bundle holds the selected lags.
 
 Every command validates the config first and fails with a machine-readable
 JSON error on stderr and a nonzero exit code. Outputs are written
@@ -45,7 +46,6 @@ from .model import (
     ModelData,
     PERSISTENCE,
     ResidualState,
-    fit_crps,
     load_bundle,
     parse_variant,
     save_bundle,
@@ -130,7 +130,7 @@ def _load_model_data(cfg: RunConfig, pool) -> ModelData:
 
 def _rolling_config(cfg: RunConfig) -> RollingConfig:
     return RollingConfig(window_days=cfg.window_days, refit_hours=cfg.refit_hours,
-                         restarts=cfg.restarts, max_lag=cfg.max_lag)
+                         max_lag=cfg.max_lag)
 
 
 def _bundle_path(cfg: RunConfig, variant: str, station: str, horizon: int) -> str:
@@ -158,19 +158,15 @@ def cmd_geowind(cfg: RunConfig, jobs: int) -> None:
     print(f"estimated geostrophic wind for {n_ok}/{series.n} hours -> {path}")
 
 
-def _train_job(state, vspec, station, horizons, train, window, seed, restarts, max_lag):
-    models = []
-    for k in horizons:
-        spec = select_lags_bic(state, station, k, vspec, train, max_lag=max_lag)
-        models.append(fit_crps(state, spec, window, seed=seed, restarts=restarts))
-    return models
+def _train_job(state, vspec, station, horizons, train, max_lag):
+    return [select_lags_bic(state, station, k, vspec, train, max_lag=max_lag)
+            for k in horizons]
 
 
 def cmd_train(cfg: RunConfig, jobs: int) -> None:
     train = (cfg.train_start, cfg.train_end)
-    window = (cfg.train_end - _rolling_config(cfg).window_hours, cfg.train_end)
     keys, tasks = [], []
-    with _stage_pool(jobs, cfg.variants) as pool:
+    with _stage_pool(jobs) as pool:
         data = _load_model_data(cfg, pool)
         for variant in cfg.variants:
             if variant == PERSISTENCE:
@@ -180,18 +176,15 @@ def cmd_train(cfg: RunConfig, jobs: int) -> None:
                                         train, cfg.window_days)
             for station in cfg.stations:
                 keys.append((variant, station))
-                tasks.append((state, vspec, station, list(cfg.horizons), train, window,
-                              cfg.seed, cfg.restarts, cfg.max_lag))
-        trained = _map(pool, _train_job, tasks)
+                tasks.append((state, vspec, station, list(cfg.horizons), train, cfg.max_lag))
+        selected = _map(pool, _train_job, tasks)
 
-    for (variant, station), models in zip(keys, trained):
-        for k, model in zip(cfg.horizons, models):
+    for (variant, station), specs in zip(keys, selected):
+        for k, spec in zip(cfg.horizons, specs):
             path = _bundle_path(cfg, variant, station, k)
             os.makedirs(os.path.dirname(path), exist_ok=True)
-            _atomic(path, lambda p, m=model: save_bundle(m, p, cfg.digest()))
-            print(f"trained {variant} {station} k={k}: "
-                  f"{len(model.coefficients.names)} center terms, "
-                  f"window CRPS {model.train_crps:.4f} -> {path}")
+            _atomic(path, lambda p, s=spec: save_bundle(s, p, cfg.digest()))
+            print(f"selected lags for {variant} {station} k={k} -> {path}")
 
 
 def cmd_forecast(cfg: RunConfig, jobs: int) -> None:
@@ -214,10 +207,10 @@ def cmd_forecast(cfg: RunConfig, jobs: int) -> None:
                 for k in cfg.horizons:
                     path = _bundle_path(cfg, variant, station, k)
                     if os.path.exists(path):
-                        specs[k] = load_bundle(path, cfg.digest()).spec
+                        specs[k] = load_bundle(path, cfg.digest())
                 fit_keys.append((variant, station))
                 fit_tasks.append((data, variant, station, list(cfg.horizons), train, test,
-                                  rolling, cfg.seed, specs or None))
+                                  rolling, specs or None))
         results.update(zip(fit_keys, _map(pool, run_rolling_station, fit_tasks)))
 
     os.makedirs(os.path.join(cfg.out_dir, "forecasts"), exist_ok=True)

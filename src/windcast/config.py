@@ -47,7 +47,6 @@ class RunConfig:
     test_end: int = 0
     window_days: int = 45
     refit_hours: int = 24
-    restarts: int = 3
     max_lag: int = MAX_LAG
     tz_offset_hours: int = 0
     mean_removal: MeanRemovalPolicy = MeanRemovalPolicy.MONTHLY
@@ -103,8 +102,6 @@ class RunConfig:
             )
         if self.refit_hours < 1:
             v.append("refit_hours must be >= 1")
-        if self.restarts < 1:
-            v.append("restarts must be >= 1")
         if not 1 <= self.max_lag <= MAX_LAG:
             v.append(f"max_lag must lie in 1..{MAX_LAG}")
         if self.min_stations < 3:
@@ -131,7 +128,6 @@ class RunConfig:
             "test": {"start": iso_hour(self.test_start), "end": iso_hour(self.test_end)},
             "window_days": self.window_days,
             "refit_hours": self.refit_hours,
-            "restarts": self.restarts,
             "max_lag": self.max_lag,
             "tz_offset_hours": self.tz_offset_hours,
             "mean_removal": self.mean_removal.value,
@@ -224,7 +220,11 @@ def config_from_dict(raw: dict) -> RunConfig:
     else:
         violations.append("test period is required")
 
-    for name in ("window_days", "refit_hours", "restarts", "max_lag",
+    if raw.get("restarts", 1) != 1:
+        violations.append("restarts: random restarts were removed, since they never beat "
+                          "the single least-squares start in the ROADMAP fit study; "
+                          "only 1 is accepted")
+    for name in ("window_days", "refit_hours", "max_lag",
                  "tz_offset_hours", "min_stations", "pit_bins", "jobs"):
         if name in raw:
             try:

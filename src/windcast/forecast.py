@@ -47,9 +47,7 @@ FORECAST_CSV_COLUMNS = (
 class RollingConfig:
     window_days: int = 45
     refit_hours: int = 24
-    restarts: int = 3
     max_lag: int = 10
-    min_rows_per_param: int = 10
 
     @property
     def window_hours(self) -> int:
@@ -160,7 +158,6 @@ def run_rolling_station(
     train: tuple,
     test: tuple,
     config: RollingConfig = RollingConfig(),
-    seed: int = 0,
     selected: dict | None = None,
 ) -> ForecastColumns:
     """All forecasts for one (variant, target station) over the test period,
@@ -181,7 +178,6 @@ def run_rolling_station(
             f"the {config.window_hours} h sliding window"
         )
     horizons = sorted(set(int(k) for k in horizons))
-    si = data.station_index(station)
     pss = persistence(data, station, (test_start, test_end), horizons, config.window_hours)
     if variant == PERSISTENCE:
         return pss
@@ -198,8 +194,7 @@ def run_rolling_station(
         else:
             specs[k] = select_lags_bic(sel_state, station, k, vspec,
                                        (train_start, train_end),
-                                       max_lag=config.max_lag,
-                                       min_rows_per_param=config.min_rows_per_param)
+                                       max_lag=config.max_lag)
 
     mu = np.full(len(pss), np.nan)
     sigma = np.full(len(pss), np.nan)
@@ -215,12 +210,10 @@ def run_rolling_station(
             state_key, bundles = key, None
         if bundles is None:
             bundles = {k: DesignBundle.build(state, specs[k]) for k in horizons}
-        fit_seed_base = np.random.SeedSequence([seed & 0xFFFFFFFF, si, refit_at])
-        for j, k in enumerate(horizons):
-            fit_seed = int(fit_seed_base.generate_state(j + 1)[j])
+        for k in horizons:
             models[k] = fit_crps(
                 state, specs[k], (refit_at - config.window_hours, refit_at),
-                seed=fit_seed, restarts=config.restarts, bundle=bundles[k],
+                bundle=bundles[k],
             )
 
         for t in range(refit_at, min(refit_at + config.refit_hours, test_end)):

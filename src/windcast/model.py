@@ -12,16 +12,17 @@ residual volatility,
     sigma_t = b0 + b1 * v_t,   b0, b1 > 0
     v_t = sqrt( (1/2S) * sum_s sum_{l=0,1} (yr[s,t-l] - yr[s,t-l-1])^2 )
 
-Lag bundles are chosen once per target/horizon by greedy forward selection
-under BIC on the least-squares center fit, each candidate scored from the
-normal equations of one Gram matrix; coefficients are then estimated
-on a sliding window by minimizing the mean CRPS of the resulting truncated
+Lag bundles are chosen once per target/horizon on the training record by
+greedy forward selection under BIC on the least-squares center fit, each
+candidate scored from the normal equations of one Gram matrix; a saved
+bundle holds that selection only. Coefficients are then estimated on a
+sliding window by minimizing the mean CRPS of the resulting truncated
 normal forecasts (Gneiting et al. 2006; Thorarinsdottir & Gneiting 2010)
-with BFGS on the analytic gradient, started from least squares.
+with one BFGS run on the analytic gradient, started from least squares.
 Positivity of b0, b1 is enforced by optimizing their logarithms.
 
-Training jobs for distinct (station, horizon, variant) triples share only
-read-only inputs and can run in parallel.
+Selection and fits for distinct (station, horizon, variant) triples share
+only read-only inputs and can run in parallel.
 """
 
 from __future__ import annotations
@@ -37,9 +38,7 @@ import numpy as np
 from . import __version__
 from .diurnal import (
     EMPIRICAL_METHODS,
-    EmpiricalDiurnal,
     TRIG,
-    TrigDiurnal,
     fit_empirical,
     fit_trig,
 )
@@ -392,74 +391,29 @@ class DesignBundle:
 
 @dataclass(frozen=True)
 class TrainedModel:
-    """Selected predictors plus fitted coefficients for one window."""
+    """Selected predictors plus coefficients fitted on one window."""
 
     spec: FeatureSpec
     coefficients: Coefficients
-    window: tuple  # (start_eh, end_eh)
-    profiles: dict
     train_crps: float
     n_rows: int
-    seed: int
-    crps_trace: tuple = ()
-
-    def to_dict(self) -> dict:
-        prof = {}
-        for key, p in self.profiles.items():
-            if isinstance(p, TrigDiurnal):
-                prof[key] = {"type": "trig", "coeffs": list(p.coeffs)}
-            else:
-                prof[key] = {"type": "empirical", "method": p.method,
-                             "window": p.window, "hourly_mean": list(p.hourly_mean)}
-        return {
-            "format_version": 1,
-            "library_version": __version__,
-            "seed": self.seed,
-            "spec": self.spec.to_dict(),
-            "coefficients": {
-                "names": list(self.coefficients.names),
-                "center": [float(c) for c in self.coefficients.center],
-                "b0": self.coefficients.b0,
-                "b1": self.coefficients.b1,
-            },
-            "window": [int(self.window[0]), int(self.window[1])],
-            "train_crps": self.train_crps,
-            "n_rows": self.n_rows,
-            "diurnal_profiles": prof,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainedModel":
-        if d.get("format_version") != 1:
-            raise InvalidInputError(f"unsupported bundle version {d.get('format_version')}")
-        prof = {}
-        for key, p in d["diurnal_profiles"].items():
-            if p["type"] == "trig":
-                prof[key] = TrigDiurnal(tuple(p["coeffs"]))
-            else:
-                prof[key] = EmpiricalDiurnal(tuple(p["hourly_mean"]), p["method"], p["window"])
-        c = d["coefficients"]
-        return cls(
-            spec=FeatureSpec.from_dict(d["spec"]),
-            coefficients=Coefficients(tuple(c["names"]), np.asarray(c["center"], dtype=float),
-                                      float(c["b0"]), float(c["b1"])),
-            window=(d["window"][0], d["window"][1]),
-            profiles=prof,
-            train_crps=float(d["train_crps"]),
-            n_rows=int(d["n_rows"]),
-            seed=int(d["seed"]),
-        )
 
 
-def save_bundle(model: TrainedModel, path, config_sha: str) -> None:
-    """Write the bundle as JSON, stamped with the digest of the run config."""
+BUNDLE_FORMAT_VERSION = 2
+
+
+def save_bundle(spec: FeatureSpec, path, config_sha: str) -> None:
+    """Write the selected spec as JSON, stamped with the digest of the run
+    config."""
+    bundle = {"format_version": BUNDLE_FORMAT_VERSION, "library_version": __version__,
+              "spec": spec.to_dict(), "config_sha": config_sha}
     with open(path, "w") as fh:
-        json.dump(dict(model.to_dict(), config_sha=config_sha), fh, indent=1, sort_keys=True)
+        json.dump(bundle, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
-def load_bundle(path, config_sha: str | None = None) -> TrainedModel:
-    """Read a bundle, refusing one trained under another config than
+def load_bundle(path, config_sha: str | None = None) -> FeatureSpec:
+    """Read a bundle's spec, refusing one selected under another config than
     ``config_sha``, or stamped with none, as stale. ``config_sha=None`` is an
     inspection read: it skips the check."""
     with open(path) as fh:
@@ -468,7 +422,9 @@ def load_bundle(path, config_sha: str | None = None) -> TrainedModel:
     if config_sha is not None and found != config_sha:
         raise LoadError(f"{path}: bundle trained under config {found or '(none recorded)'}, "
                         f"this run is config {config_sha}; re-run train")
-    return TrainedModel.from_dict(d)
+    if d.get("format_version") != BUNDLE_FORMAT_VERSION:
+        raise InvalidInputError(f"unsupported bundle version {d.get('format_version')}")
+    return FeatureSpec.from_dict(d["spec"])
 
 
 def bic_score(gram: np.ndarray, xty: np.ndarray, yty: float, n: int) -> float:
@@ -596,10 +552,7 @@ def select_lags_bic(
 
 
 def _initial_point(X, y_resid, vol):
-    """Least-squares warm start plus a moment-matched affine scale model.
-
-    Also returns the residual spread, which scales restart perturbations.
-    """
+    """Least-squares start plus a moment-matched affine scale model."""
     coeffs, _, _, _ = np.linalg.lstsq(X, y_resid, rcond=None)
     resid = y_resid - X @ coeffs
     s = float(resid.std())
@@ -614,22 +567,13 @@ def _initial_point(X, y_resid, vol):
     floor = max(0.05 * s, 1e-4)
     b0 = max(b0, floor)
     b1 = max(b1, floor / max(vbar, 1.0))
-    return np.concatenate([coeffs, [np.log(b0), np.log(b1)]]), s
-
-
-def _restart_steps(X, s):
-    """Perturbation scales for restarts: the coefficient standard errors
-    around the least-squares solution, and 0.1 for log b0 and log b1."""
-    se = np.sqrt(np.maximum(np.diag(np.linalg.pinv(X.T @ X)) * s * s, 1e-10))
-    return np.concatenate([np.maximum(se, 1e-3), [0.1, 0.1]])
+    return np.concatenate([coeffs, [np.log(b0), np.log(b1)]])
 
 
 def fit_crps(
     state: ResidualState,
     spec: FeatureSpec,
     window: tuple,
-    seed: int = 0,
-    restarts: int = 3,
     bundle: DesignBundle | None = None,
 ) -> TrainedModel:
     """Minimum-CRPS coefficient estimation over a sliding window.
@@ -638,10 +582,7 @@ def fit_crps(
     observed features, target, and volatility; rows with missing values are
     dropped. BFGS minimizes the mean CRPS from the least-squares start, on
     the analytic gradient chained through mu = offset + X beta and
-    sigma = max(exp(theta_b0) + exp(theta_b1) v, SIGMA_FLOOR); additional
-    seeded restarts perturb that start to guard against local minima. The
-    recorded ``crps_trace`` of the winning run is the running best
-    objective over its evaluations and is non-increasing by construction.
+    sigma = max(exp(theta_b0) + exp(theta_b1) v, SIGMA_FLOOR).
     """
     from scipy.optimize import minimize  # deferred: most stages never fit
 
@@ -660,7 +601,7 @@ def fit_crps(
     offset = bundle.offset[rows]
     vol = bundle.vol[rows]
 
-    def objective(theta, trace):
+    def objective(theta):
         mu = offset + X @ theta[:p_center]
         with np.errstate(over="ignore", invalid="ignore"):
             b0, b1 = np.exp(theta[p_center:])
@@ -672,24 +613,11 @@ def fit_crps(
             grad = np.concatenate([X.T @ d_mu, [d_sigma.sum() * b0, d_sigma @ vol * b1]]) / n
         if not (np.isfinite(val) and np.all(np.isfinite(grad))):
             val, grad = 1e12, np.zeros_like(theta)
-        trace.append(min(trace[-1], val) if trace else val)
         return val, grad
 
-    x0, s = _initial_point(X, y - offset, vol)
-    starts = [x0]
-    if restarts > 1:
-        steps = _restart_steps(X, s)
-        rng = np.random.default_rng(seed)
-        starts += [x0 + rng.normal(0.0, 1.0, x0.size) * steps for _ in range(restarts - 1)]
-    best = None
-    for start in starts:
-        trace = []
-        result = minimize(objective, start, args=(trace,), method="BFGS", jac=True,
-                          options={"gtol": BFGS_GTOL, "maxiter": BFGS_MAXITER})
-        if best is None or result.fun < best[0].fun:
-            best = (result, trace)
-
-    result, trace = best
+    x0 = _initial_point(X, y - offset, vol)
+    result = minimize(objective, x0, method="BFGS", jac=True,
+                      options={"gtol": BFGS_GTOL, "maxiter": BFGS_MAXITER})
     if not result.success:
         log.warning("CRPS fit over window [%d, %d] did not converge after %d "
                     "iterations: %s", window[0], window[1], result.nit, result.message)
@@ -703,12 +631,8 @@ def fit_crps(
     return TrainedModel(
         spec=spec,
         coefficients=coefficients,
-        window=(int(window[0]), int(window[1])),
-        profiles=dict(state.profiles),
         train_crps=float(result.fun),
         n_rows=n,
-        seed=seed,
-        crps_trace=tuple(trace),
     )
 
 

@@ -1,4 +1,4 @@
-"""Forecast verification: MAE/RMSE/CRPS, PIT histograms, sharpness, diagnostics.
+"""Forecast verification: MAE/RMSE/CRPS, PIT histograms and sharpness.
 
 Scores are reported per calendar month of the valid time and overall;
 overall values are the sample-weighted aggregates of the monthly cells
@@ -21,7 +21,6 @@ import numpy as np
 from .csvio import read_columns, write_columns
 from .errors import EmptyReportError, InvalidInputError
 from .forecast import ForecastColumns
-from .model import ModelData, _shift, _lead
 from .predictive import cdf_values, crps_values, quantile_values
 from .timeutil import format_month, month_index
 
@@ -178,67 +177,6 @@ def relative_reduction(report: CellScores, baseline: CellScores) -> dict:
         }
     out["monthly"] = monthly
     return out
-
-
-@dataclass
-class LagCorrelationTable:
-    """Pearson correlations of the k-step-ahead target speed against lagged
-    predictors; NaN where the overlap is below the required sample count."""
-
-    target: str
-    horizon: int
-    lags: tuple
-    rows: dict  # variable name -> np.ndarray over lags
-
-    def to_csv(self, path) -> None:
-        write_columns(path, ["variable"] + [f"lag{l}" for l in self.lags],
-                      [list(self.rows)] + [[float(v[j]) for v in self.rows.values()]
-                                           for j in range(len(self.lags))])
-
-
-def lag_correlations(
-    data: ModelData,
-    target: str,
-    horizon: int,
-    max_lag: int = 5,
-    min_overlap: int = 30,
-    bounds: tuple | None = None,
-) -> LagCorrelationTable:
-    """Correlation diagnostics between y[target, t+k] and lagged variables.
-
-    Variables: each station's speed and direction cosine/sine, plus the
-    geostrophic wind speed and its direction cosine/sine.
-    """
-    ti = data.station_index(target)
-    lead = _lead(data.speed[ti], horizon)
-    in_bounds = np.ones(data.n, dtype=bool)
-    if bounds is not None:
-        in_bounds = (data.times >= int(bounds[0])) & (data.times + horizon <= int(bounds[1]))
-
-    variables = []
-    for i, st in enumerate(data.stations):
-        variables.append((f"y[{st}]", data.speed[i]))
-        variables.append((f"cos_dir[{st}]", data.cos_dir[i]))
-        variables.append((f"sin_dir[{st}]", data.sin_dir[i]))
-    variables.append(("w_g", data.gw_speed))
-    variables.append(("cos_dir_g", data.gw_cos))
-    variables.append(("sin_dir_g", data.gw_sin))
-
-    lags = tuple(range(max_lag + 1))
-    rows = {}
-    for name, series in variables:
-        vals = np.full(len(lags), np.nan)
-        for j, lag in enumerate(lags):
-            x = _shift(series, lag)
-            keep = np.isfinite(lead) & np.isfinite(x) & in_bounds
-            if keep.sum() < min_overlap:
-                continue
-            a, b = lead[keep], x[keep]
-            sa, sb = a.std(), b.std()
-            if sa > 0 and sb > 0:
-                vals[j] = float(np.corrcoef(a, b)[0, 1])
-        rows[name] = vals
-    return LagCorrelationTable(target, horizon, lags, rows)
 
 
 SCORES_CSV_COLUMNS = (

@@ -79,6 +79,16 @@ class TestConfigValidation:
         assert cfg.stations == ["S01", "S02", "S03", "S04"]
         assert cfg.validate() == []
 
+    @pytest.mark.parametrize("restarts", [3, 0])
+    def test_restarts_other_than_one_refused(self, tmp_path, capsys, restarts):
+        path = _write_config(tmp_path, small_config(tmp_path / "out", restarts=restarts))
+        assert main(["forecast", "--config", str(path)]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ConfigError"
+        (violation,) = payload["violations"]
+        assert violation.startswith("restarts: random restarts were removed")
+        assert "fit study" in violation
+
 
 def csv_config(unit="m_s"):
     cfg = small_config("out")
@@ -92,7 +102,11 @@ def csv_config(unit="m_s"):
 
 class TestConfigDigest:
     def test_synth_digest_unchanged(self):
-        assert config_from_dict(small_config("out")).digest() == "63bf341efad4"
+        cfg = small_config("out")
+        assert cfg["restarts"] == 1
+        assert config_from_dict(cfg).digest() == "eab943a1d767"
+        del cfg["restarts"]  # 1 is the only accepted value, so it reads as absent
+        assert config_from_dict(cfg).digest() == "eab943a1d767"
 
     def test_csv_schema_changes_digest(self):
         assert (config_from_dict(csv_config("m_s")).digest()
@@ -164,13 +178,13 @@ class TestPipeline:
 
     def test_bundle_is_self_describing(self, run):
         out, _ = run
-        bundle = load_bundle(out / "models/TDDGW-MD/S01_k2.json")
-        assert bundle.spec.target_station == "S01"
-        assert bundle.spec.horizon == 2
-        assert bundle.spec.include_gw
+        spec = load_bundle(out / "models/TDDGW-MD/S01_k2.json")
+        assert spec.target_station == "S01"
+        assert spec.horizon == 2
+        assert spec.include_gw
         raw = json.loads((out / "models/TDDGW-MD/S01_k2.json").read_text())
-        assert raw["format_version"] == 1
-        assert "library_version" in raw and "seed" in raw
+        assert raw["format_version"] == 2
+        assert set(raw) == {"format_version", "library_version", "spec", "config_sha"}
 
     def test_forecast_counts(self, run):
         out, cfg = run
@@ -261,9 +275,9 @@ def test_pooled_io_stages_never_load_scipy_optimize(pipeline_run, tmp_path):
     path = _write_config(tmp_path, dict(cfg, out_dir=str(out)))
     code = ("import sys; from windcast.cli import main; "
             f"assert all(main([s, '--config', {str(path)!r}, '--jobs', '2']) == 0 "
-            "for s in ('synth', 'geowind'))")
+            "for s in ('synth', 'geowind', 'train'))")
     assert "scipy.optimize" not in _scipy_loaded_after(code)
-    assert (out / "geowind.csv").exists()
+    assert (out / "models/TDDGW-MD/S01_k2.json").exists()
 
 
 class TestJobs:
@@ -370,7 +384,7 @@ class TestBundleDigest:
         digest = load_config(out / "config.yaml").digest()
         raw = json.loads((out / "models/TDDGW-MD/S01_k2.json").read_text())
         assert raw["config_sha"] == digest
-        assert load_bundle(out / "models/TDDGW-MD/S01_k2.json", digest).spec.horizon == 2
+        assert load_bundle(out / "models/TDDGW-MD/S01_k2.json", digest).horizon == 2
 
     def test_mismatch_refused(self, pipeline_run, tmp_path, capsys):
         out, path, digest = self._copy(pipeline_run, tmp_path)
@@ -480,9 +494,11 @@ def _bundle_sha(path) -> str:
 
 
 class TestFrozenModelOutputs:
-    """sha256 of model outputs recorded before selection scored candidates from
-    a Gram matrix, trig profiles gathered rows from a table and the first refit
-    reused the selection state."""
+    """sha256 of model outputs. The forecasts were recorded before selection
+    scored candidates from a Gram matrix, trig profiles gathered rows from a
+    table and the first refit reused the selection state. The bundles were
+    re-recorded when they came to hold only the selected spec; each spec is
+    the one the earlier coefficient bundles carried."""
 
     FORECASTS = {
         "PSS.csv": "f01aa06b1fe896af780deaf9cbe95cce4974a16bd3d22d3b60712ef5ed8d6fcb",
@@ -490,14 +506,14 @@ class TestFrozenModelOutputs:
         "TDDGW-MD.csv": "0c0ab0d3fb9b3081a7642defd0f1b2efc2610e7ade65a886ef24e1bccbf4cbc4",
     }
     BUNDLES = {
-        "TDD/S01_k2.json": "a3c7176f3fb2ca48ac3f9ce3be74c61a55e6507243e71c101f746a000ab17362",
-        "TDD/S02_k2.json": "6b546884aa897b0dfc66e83ebfd2d7ec8f7dbc4b7c063c6f63e62c1f8a2d4499",
-        "TDD/S03_k2.json": "28247eb64c68cef47f8d0fc4001cf17f5e37f08f8ff47a4f7e8e11a66d969817",
-        "TDD/S04_k2.json": "56cc297d15dc41e342d869ea56005e7678489637daa9a45db9de5d06e4cfe073",
-        "TDDGW-MD/S01_k2.json": "d443e111e9b7930a89f457e7e8d9d2e78e9948fce6e9d9cc62f131d447edd3fb",
-        "TDDGW-MD/S02_k2.json": "00c7af77b9b6ed725fe132ce607c651210b76b2c9a20261127bfa8fe08c37570",
-        "TDDGW-MD/S03_k2.json": "f00880500fda1cb17e835f0db074e923920b68b1207c958b8482c2ef3d8bb957",
-        "TDDGW-MD/S04_k2.json": "d25d5120b7edfc192396cb52dabbefa52602b6718c6503ad973ef067bdc7d20e",
+        "TDD/S01_k2.json": "62014380b5d82f7edef7ef38ebfbb3678fd6264fe3d1eb3bbb5688ad631df1c0",
+        "TDD/S02_k2.json": "63e5201196d28c62e901847b25dc673a684e621e2c6241f3dd05bd4eb52ad8a9",
+        "TDD/S03_k2.json": "8c52b9e25d7a0676e4df68db0ebb2678331d994a1f6d8e0d0478661dd925c743",
+        "TDD/S04_k2.json": "3999dc4db2bca7f7fd971a73e0dfcca9d6127d1f48b4bfbf0ca4a18f057445ca",
+        "TDDGW-MD/S01_k2.json": "101cd98991577b97000bb1fe73b2fdf3397a91a5fa8f62455306899103bf6329",
+        "TDDGW-MD/S02_k2.json": "9a9bc2215766870e9e8db87f115fbf3a1652b2991c40cf888c110b7c8fa343eb",
+        "TDDGW-MD/S03_k2.json": "876cc192c13ea8fdfefacb6b8ddd735c4c591dcef620e75d8093f2f0ce5f3adb",
+        "TDDGW-MD/S04_k2.json": "00188e8192eb0b8494e883c1fc9dfe9921070acfcac75728b616685985575707",
     }
 
     @pytest.fixture(scope="class")

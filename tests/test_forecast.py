@@ -21,7 +21,7 @@ from windcast.errors import InvalidInputError, TrainingDataError
 
 from conftest import make_model_data
 
-ROLLING = RollingConfig(restarts=1)
+ROLLING = RollingConfig()
 
 
 @pytest.fixture(scope="module")
@@ -199,7 +199,7 @@ class TestRunRolling:
         (t0, t1), (ts, te) = _bounds(data, 100, 4)
         recs = [r for st in ("S01", "S02")
                 for r in run_rolling_station(data, "TDDGW-MD", st, [1, 2], (t0, t1),
-                                             (ts, te), ROLLING, seed=5)]
+                                             (ts, te), ROLLING)]
         assert len(recs) == 2 * 96 * 2
         keys = [(r.station, r.issue_time, r.horizon) for r in recs]
         assert keys == sorted(keys)
@@ -207,7 +207,7 @@ class TestRunRolling:
     def test_median_point_consistency(self, data):
         (t0, t1), (ts, te) = _bounds(data, 100, 2)
         recs = run_rolling_station(data, "TDD", "S01", [2], (t0, t1), (ts, te),
-                                   ROLLING, seed=5)
+                                   ROLLING)
         checked = 0
         for r in recs:
             if r.fallback:
@@ -221,10 +221,10 @@ class TestRunRolling:
         (t0, t1), (ts, _) = _bounds(data, 100, 4)
         cutoff = ts + 48
         full = run_rolling_station(data, "TDDGW-MD", "S01", [2], (t0, t1),
-                                   (ts, ts + 96), ROLLING, seed=5)
+                                   (ts, ts + 96), ROLLING)
         truncated_data = data.truncated_at(cutoff)
         part = run_rolling_station(truncated_data, "TDDGW-MD", "S01", [2], (t0, t1),
-                                   (ts, cutoff), ROLLING, seed=5)
+                                   (ts, cutoff), ROLLING)
         full_by_key = {(r.issue_time, r.horizon): r for r in full}
         assert len(part) == 48
         for r in part:
@@ -247,7 +247,7 @@ class TestRunRolling:
         i = holed.index_of_time(ts + 30)
         holed.speed[si, i] = np.nan  # cross-station feature hole
         recs = run_rolling_station(holed, "TDD", "S01", [2], (t0, t1), (ts, te),
-                                   ROLLING, seed=5)
+                                   ROLLING)
         flagged = [r for r in recs if r.fallback]
         clean = [r for r in recs if not r.fallback]
         # the hole can only matter if S02 was selected; persistence point
@@ -258,7 +258,7 @@ class TestRunRolling:
         (t0, t1), (ts, te) = _bounds(data, 100, 2)
         holed = _holed(data, "S01", data.index_of_time(ts + 30))  # the target's own lag
         recs = run_rolling_station(holed, "TDD", "S01", [2], (t0, t1), (ts, te),
-                                   ROLLING, seed=5)
+                                   ROLLING)
         pss = persistence(holed, "S01", (ts, te), [2], ROLLING.window_hours)
         fb = recs.fallback
         assert fb.any() and not fb.all()
@@ -295,7 +295,7 @@ class TestStateReuse:
 
         monkeypatch.setattr(ResidualState, "build", classmethod(spy_build))
         monkeypatch.setattr(forecast, "fit_crps", spy_fit)
-        run_rolling_station(data, variant, "S01", [2], (t0, t1), (ts, ts + 48), ROLLING, seed=5)
+        run_rolling_station(data, variant, "S01", [2], (t0, t1), (ts, ts + 48), ROLLING)
 
         assert [st.fit_time for st in built] == [t1] + [ts + 24 * day for day in rebuilt]
         assert (fitted[0] is built[0]) == (0 not in rebuilt)  # built[0] selected the lags

@@ -15,6 +15,7 @@ from windcast.model import (
     ModelData,
     ResidualState,
     TrainedModel,
+    _initial_point,
     bic_score,
     fit_crps,
     load_bundle,
@@ -380,27 +381,30 @@ def _recovery_setup(noise=0.05, n=24 * 70, seed=5):
 class TestFitCrps:
     def test_recovers_generating_coefficients(self):
         state, spec, bounds = _recovery_setup()
-        model = fit_crps(state, spec, bounds, seed=3, restarts=2)
+        model = fit_crps(state, spec, bounds)
         named = model.coefficients.named()
         assert named["speed_r[S2][0]"] == pytest.approx(0.7, rel=0.05)
         assert named["gw_r[0]"] == pytest.approx(0.5, rel=0.05)
 
-    def test_trace_monotone_and_beats_start(self):
+    def test_fit_beats_least_squares_start(self):
         state, spec, bounds = _recovery_setup(noise=0.5)
-        model = fit_crps(state, spec, bounds, seed=3, restarts=1)
-        trace = np.asarray(model.crps_trace)
-        assert np.all(np.diff(trace) <= 0.0)
-        assert model.train_crps <= trace[0]
+        model = fit_crps(state, spec, bounds)
+        bundle = DesignBundle.build(state, spec)
+        rows = bundle.valid_rows(*bounds)
+        X, y, offset, vol = (bundle.X[rows], bundle.target[rows], bundle.offset[rows],
+                             bundle.vol[rows])
+        theta = _initial_point(X, y - offset, vol)
+        sigma = np.exp(theta[-2]) + np.exp(theta[-1]) * vol
+        start_crps = crps_values(offset + X @ theta[:-2], sigma, y).mean()
+        assert model.train_crps <= start_crps
 
     def test_deterministic(self):
         state, spec, bounds = _recovery_setup(noise=0.3)
-        a = fit_crps(state, spec, bounds, seed=9, restarts=3)
-        b = fit_crps(state, spec, bounds, seed=9, restarts=3)
+        a = fit_crps(state, spec, bounds)
+        b = fit_crps(state, spec, bounds)
         assert np.array_equal(a.coefficients.center, b.coefficients.center)
         assert a.coefficients.b0 == b.coefficients.b0
         assert a.coefficients.b1 == b.coefficients.b1
-        c = fit_crps(state, spec, bounds, seed=10, restarts=3)
-        assert a.train_crps == pytest.approx(c.train_crps, abs=1e-4)
 
     def test_intercept_only_matches_grid_oracle(self):
         rng = np.random.default_rng(21)
@@ -410,7 +414,7 @@ class TestFitCrps:
         bounds = (int(data.times[0]), int(data.times[-1]) + 1)
         state = ResidualState.build(data, "TRIG", bounds[1], bounds)
         spec = FeatureSpec(target_station="S1", horizon=1, diurnal_method="TRIG")
-        model = fit_crps(state, spec, bounds, seed=1, restarts=2)
+        model = fit_crps(state, spec, bounds)
 
         bundle = DesignBundle.build(state, spec)
         rows = bundle.valid_rows(*bounds)
@@ -437,7 +441,7 @@ class TestFitCrps:
         bounds = (int(data.times[0]), int(data.times[-1]) + 1)
         state = ResidualState.build(data, "YMD", bounds[1], bounds)
         spec = FeatureSpec(target_station="S1", horizon=1, diurnal_method="YMD")
-        model = fit_crps(state, spec, bounds, seed=0, restarts=1)
+        model = fit_crps(state, spec, bounds)
         assert model.train_crps < 1e-4
         assert model.coefficients.b0 > 0 and model.coefficients.b1 > 0
 
@@ -445,7 +449,7 @@ class TestFitCrps:
         monkeypatch.setattr("windcast.model.BFGS_MAXITER", 1)
         state, spec, bounds = _recovery_setup(noise=0.3)
         with caplog.at_level(logging.WARNING, logger="windcast.model"):
-            fit_crps(state, spec, bounds, seed=0, restarts=2)
+            fit_crps(state, spec, bounds)
         (record,) = caplog.records
         text = record.getMessage()
         assert f"[{bounds[0]}, {bounds[1]}]" in text
@@ -454,20 +458,20 @@ class TestFitCrps:
     def test_converged_fit_logs_nothing(self, caplog):
         state, spec, bounds = _recovery_setup(noise=0.3)
         with caplog.at_level(logging.DEBUG, logger="windcast.model"):
-            fit_crps(state, spec, bounds, seed=0, restarts=2)
+            fit_crps(state, spec, bounds)
         assert caplog.records == []
 
     def test_too_small_window(self):
         state, spec, bounds = _recovery_setup()
         with pytest.raises(TrainingDataError):
-            fit_crps(state, spec, (bounds[0], bounds[0] + 4), seed=0)
+            fit_crps(state, spec, (bounds[0], bounds[0] + 4))
 
     def test_stationary_at_fitted_coefficients(self):
         # central differences of the window CRPS in the fitted parameters
         # (center, log b0, log b1) vanish at the fit; a wrong chain rule in
         # the fitter's gradient would stop it elsewhere
         state, spec, bounds = _recovery_setup(noise=0.3)
-        model = fit_crps(state, spec, bounds, seed=0, restarts=1)
+        model = fit_crps(state, spec, bounds)
         bundle = DesignBundle.build(state, spec)
         rows = bundle.valid_rows(*bounds)
         X, y, offset, vol = (bundle.X[rows], bundle.target[rows], bundle.offset[rows],
@@ -501,8 +505,7 @@ class TestPredictParams:
         model = TrainedModel(
             spec=spec,
             coefficients=Coefficients(("intercept",), np.array([0.25]), 0.5, 1e-300),
-            window=bounds, profiles=dict(state.profiles), train_crps=0.0,
-            n_rows=1, seed=0)
+            train_crps=0.0, n_rows=1)
         t = 30 * 24
         dist = predict_params(model, bundle, t)
         prof = state.profiles["speed/S1"]
@@ -517,49 +520,51 @@ class TestPredictParams:
         data.speed[1, 500] = np.nan
         state2 = ResidualState.build(data, "YMD", bounds[1], bounds)
         bundle = DesignBundle.build(state2, spec)
-        model = fit_crps(state2, spec, bounds, seed=0, restarts=1)
+        model = fit_crps(state2, spec, bounds)
         assert predict_params(model, bundle, 500) is None
         assert predict_params(model, bundle, 499) is not None
 
     def test_missing_rows_dropped_from_training(self):
         state, spec, bounds = _recovery_setup(noise=0.3, seed=6)
-        full = fit_crps(state, spec, bounds, seed=0, restarts=1)
+        full = fit_crps(state, spec, bounds)
         data = state.data
         data.speed[1, 400:420] = np.nan
         state2 = ResidualState.build(data, "YMD", bounds[1], bounds)
-        holey = fit_crps(state2, spec, bounds, seed=0, restarts=1)
+        holey = fit_crps(state2, spec, bounds)
         assert holey.n_rows < full.n_rows
 
 
+def _selected_spec():
+    state, _, bounds = _recovery_setup(noise=0.3)
+    return select_lags_bic(state, "S1", 2, parse_variant("TDDGW-YMD"), bounds, max_lag=3)
+
+
 def test_bundle_round_trip(tmp_path):
-    state, spec, bounds = _recovery_setup(noise=0.3)
-    model = fit_crps(state, spec, bounds, seed=2, restarts=1)
+    spec = _selected_spec()
     path = tmp_path / "bundle.json"
-    save_bundle(model, path, "aaaaaaaaaaaa")
-    back = load_bundle(path, "aaaaaaaaaaaa")
-    assert back.spec == model.spec
-    assert np.array_equal(back.coefficients.center, model.coefficients.center)
-    assert back.coefficients.b0 == model.coefficients.b0
-    assert back.window == model.window
-    assert set(back.profiles) == set(model.profiles)
-    prof_a = model.profiles["speed/S1"]
-    prof_b = back.profiles["speed/S1"]
-    h = np.arange(24)
-    np.testing.assert_allclose(prof_a.evaluate(h), prof_b.evaluate(h), rtol=1e-15)
+    save_bundle(spec, path, "aaaaaaaaaaaa")
+    assert load_bundle(path, "aaaaaaaaaaaa") == spec
+    raw = json.loads(path.read_text())
+    assert set(raw) == {"format_version", "library_version", "spec", "config_sha"}
+    assert raw["format_version"] == 2
+    raw["format_version"] = 1  # format 1 also carried coefficients, profiles and a seed
+    path.write_text(json.dumps(raw))
+    for sha in ("aaaaaaaaaaaa", None):
+        with pytest.raises(InvalidInputError, match="unsupported bundle version 1"):
+            load_bundle(path, sha)
 
 
 def test_bundle_config_digest(tmp_path):
-    state, spec, bounds = _recovery_setup(noise=0.3)
-    model = fit_crps(state, spec, bounds, seed=2, restarts=1)
+    spec = _selected_spec()
     path = tmp_path / "bundle.json"
-    save_bundle(model, path, config_sha="aaaaaaaaaaaa")
-    assert load_bundle(path, "aaaaaaaaaaaa").spec == model.spec
+    save_bundle(spec, path, config_sha="aaaaaaaaaaaa")
+    assert load_bundle(path, "aaaaaaaaaaaa") == spec
     with pytest.raises(LoadError, match="aaaaaaaaaaaa.*bbbbbbbbbbbb"):
         load_bundle(path, "bbbbbbbbbbbb")
     raw = json.loads(path.read_text())
     del raw["config_sha"]  # as written before bundles carried a digest
     path.write_text(json.dumps(raw))
-    assert load_bundle(path).spec == model.spec
+    assert load_bundle(path) == spec
     with pytest.raises(LoadError, match="none recorded"):
         load_bundle(path, "aaaaaaaaaaaa")
 

@@ -1,4 +1,4 @@
-"""Verification: score identities, PIT calibration, reductions, diagnostics."""
+"""Verification: score identities, PIT calibration, reductions."""
 
 import math
 
@@ -8,13 +8,11 @@ from scipy.stats import chi2
 
 from windcast.errors import EmptyReportError, InvalidInputError
 from windcast.forecast import ForecastRecord
-from windcast.model import ModelData
 from windcast.predictive import TruncatedNormal
 from windcast.timeutil import epoch_hour
 from windcast.verification import (
     CellScores,
     format_score_table,
-    lag_correlations,
     read_scores_csv,
     relative_reduction,
     score,
@@ -161,44 +159,6 @@ class TestRelativeReduction:
         b = score(_records(n=50, station="S02"), "PSS")
         with pytest.raises(InvalidInputError):
             relative_reduction(a, b)
-
-
-def _diag_data(n=2000, seed=3):
-    rng = np.random.default_rng(seed)
-    gw = np.abs(5.0 + np.cumsum(rng.normal(0, 0.3, n)))
-    speed = np.vstack([np.concatenate([[gw[0], gw[0]], gw[:-2]])])  # y[t+2]=w_g[t]
-    times = np.arange(T0, T0 + n, dtype=np.int64)
-    return ModelData(
-        times=times, stations=["S01"], speed=speed,
-        cos_dir=rng.uniform(-1, 1, (1, n)), sin_dir=rng.uniform(-1, 1, (1, n)),
-        temperature=np.full((1, n), 15.0), gw_speed=gw,
-        gw_cos=rng.uniform(-1, 1, n), gw_sin=rng.uniform(-1, 1, n))
-
-
-class TestLagCorrelations:
-    def test_self_correlation_lag0(self):
-        table = lag_correlations(_diag_data(), "S01", horizon=0, max_lag=2)
-        assert table.rows["y[S01]"][0] == pytest.approx(1.0, abs=1e-12)
-
-    def test_exact_geostrophic_driver(self):
-        table = lag_correlations(_diag_data(), "S01", horizon=2, max_lag=3)
-        assert table.rows["w_g"][0] == pytest.approx(1.0, abs=1e-9)
-        # neighboring lags of a smooth series stay strongly correlated
-        assert table.rows["w_g"][1] > 0.9
-
-    def test_insufficient_overlap_is_nan(self):
-        data = _diag_data(n=40)
-        data.speed[0, 5:] = np.nan
-        table = lag_correlations(data, "S01", horizon=2, min_overlap=30)
-        assert math.isnan(table.rows["y[S01]"][0])
-
-    def test_csv_export(self, tmp_path):
-        table = lag_correlations(_diag_data(), "S01", horizon=2)
-        path = tmp_path / "corr.csv"
-        table.to_csv(path)
-        text = path.read_text()
-        assert text.startswith("variable,lag0")
-        assert "w_g" in text
 
 
 def test_score_csv_and_table_outputs(tmp_path):
