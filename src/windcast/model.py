@@ -18,8 +18,9 @@ candidate scored from the normal equations of one Gram matrix; a saved
 bundle holds that selection only. Coefficients are then estimated on a
 sliding window by minimizing the mean CRPS of the resulting truncated
 normal forecasts (Gneiting et al. 2006; Thorarinsdottir & Gneiting 2010)
-with one BFGS run on the analytic gradient, started from least squares.
-Positivity of b0, b1 is enforced by optimizing their logarithms.
+with one trust-region Newton run on the analytic gradient and Hessian,
+started from least squares. The fit works in (log b0, r) with b1 = r^2,
+which keeps b0, b1 > 0 without the flat log b1 -> -inf of a logarithm.
 
 Selection and fits for distinct (station, horizon, variant) triples share
 only read-only inputs and can run in parallel.
@@ -51,8 +52,9 @@ from .timeutil import hours_of_day
 MAX_LAG = 10
 MAX_HORIZON = 6
 SIGMA_FLOOR = 1e-8
-BFGS_GTOL = 1e-8  # gradient max-norm at which a CRPS fit stops
-BFGS_MAXITER = 1000
+FIT_GTOL = 1e-8  # gradient 2-norm at which a CRPS fit stops
+FIT_MAXITER = 1000
+MIN_ROWS_PER_PARAM = 10  # selection rows needed per candidate column
 DIURNAL_METHODS = (TRIG,) + EMPIRICAL_METHODS
 
 log = logging.getLogger(__name__)
@@ -446,7 +448,6 @@ def select_lags_bic(
     variant: VariantSpec,
     window: tuple,
     max_lag: int = MAX_LAG,
-    min_rows_per_param: int = 10,
 ) -> FeatureSpec:
     """Greedy forward selection of contiguous lag bundles under BIC.
 
@@ -481,10 +482,10 @@ def select_lags_bic(
     rows = pool.valid_rows(window[0], window[1], need_vol=False)
     n = rows.size
     p_max = len(pool.names)
-    if n < min_rows_per_param * p_max:
+    if n < MIN_ROWS_PER_PARAM * p_max:
         raise TrainingDataError(
             f"selection window has {n} rows for {p_max} candidate parameters "
-            f"(need >= {min_rows_per_param} per parameter)"
+            f"(need >= {MIN_ROWS_PER_PARAM} per parameter)"
         )
     X = pool.X[rows]
     y = pool.target[rows] - pool.offset[rows]  # residual-scale target
@@ -580,9 +581,12 @@ def fit_crps(
 
     Rows are issue times in [window_start, window_end - horizon] with fully
     observed features, target, and volatility; rows with missing values are
-    dropped. BFGS minimizes the mean CRPS from the least-squares start, on
-    the analytic gradient chained through mu = offset + X beta and
-    sigma = max(exp(theta_b0) + exp(theta_b1) v, SIGMA_FLOOR).
+    dropped. Newton's method in a trust region (scipy ``trust-exact``)
+    minimizes the mean CRPS from the least-squares start, on the analytic
+    gradient and Hessian chained through mu = offset + X beta and
+    sigma = max(exp(log_b0) + r^2 v, SIGMA_FLOOR). With b1 = r^2 the window
+    CRPS stays curved in r where the optimum has b1 -> 0, which it is not
+    in log b1.
     """
     from scipy.optimize import minimize  # deferred: most stages never fit
 
@@ -601,23 +605,44 @@ def fit_crps(
     offset = bundle.offset[rows]
     vol = bundle.vol[rows]
 
-    def objective(theta):
+    def derivatives(theta):
+        """Window CRPS with its gradient and Hessian in theta."""
         mu = offset + X @ theta[:p_center]
+        r = theta[p_center + 1]
         with np.errstate(over="ignore", invalid="ignore"):
-            b0, b1 = np.exp(theta[p_center:])
-            raw = b0 + b1 * vol
+            b0 = np.exp(theta[p_center])
+            raw = b0 + r * r * vol
             sigma = np.maximum(raw, SIGMA_FLOOR)
-            crps, d_mu, d_sigma = _crps_grad(mu, sigma, y)
+            crps, d_mu, d_sigma, h_mm, h_ms, h_ss = _crps_grad(mu, sigma, y, hessian=True)
             val = float(np.mean(crps))
-            d_sigma = np.where(raw > SIGMA_FLOOR, d_sigma, 0.0)
-            grad = np.concatenate([X.T @ d_mu, [d_sigma.sum() * b0, d_sigma @ vol * b1]]) / n
-        if not (np.isfinite(val) and np.all(np.isfinite(grad))):
-            val, grad = 1e12, np.zeros_like(theta)
-        return val, grad
+            free = raw > SIGMA_FLOOR
+            d_sigma, h_ms, h_ss = (np.where(free, d, 0.0) for d in (d_sigma, h_ms, h_ss))
+            # d sigma / d (log b0, r) per row; its second derivatives are b0 and 2 v
+            j_scale = np.column_stack([np.full(n, b0), 2.0 * r * vol])
+            grad = np.concatenate([X.T @ d_mu, d_sigma @ j_scale]) / n
+            hess = np.empty((p_center + 2, p_center + 2))
+            hess[:p_center, :p_center] = X.T @ (h_mm[:, None] * X)
+            hess[:p_center, p_center:] = X.T @ (h_ms[:, None] * j_scale)
+            hess[p_center:, :p_center] = hess[:p_center, p_center:].T
+            hess[p_center:, p_center:] = j_scale.T @ (h_ss[:, None] * j_scale) + np.diag(
+                [b0 * d_sigma.sum(), 2.0 * (d_sigma @ vol)])
+            hess /= n
+        if not (np.isfinite(val) and np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
+            return 1e12, np.zeros_like(theta), np.zeros_like(hess)
+        return val, grad, hess
+
+    last = [None, None]  # trust-exact asks for the Hessian before the value
+
+    def at(theta):
+        if not np.array_equal(theta, last[0]):
+            last[:] = theta.copy(), derivatives(theta)
+        return last[1]
 
     x0 = _initial_point(X, y - offset, vol)
-    result = minimize(objective, x0, method="BFGS", jac=True,
-                      options={"gtol": BFGS_GTOL, "maxiter": BFGS_MAXITER})
+    x0[-1] = np.exp(0.5 * x0[-1])  # log b1 -> r
+    result = minimize(lambda theta: at(theta)[:2], x0, method="trust-exact", jac=True,
+                      hess=lambda theta: at(theta)[2],
+                      options={"gtol": FIT_GTOL, "maxiter": FIT_MAXITER})
     if not result.success:
         log.warning("CRPS fit over window [%d, %d] did not converge after %d "
                     "iterations: %s", window[0], window[1], result.nit, result.message)
@@ -626,7 +651,7 @@ def fit_crps(
         names=bundle.names,
         center=theta[:p_center].copy(),
         b0=float(np.exp(theta[p_center])),
-        b1=float(np.exp(theta[p_center + 1])),
+        b1=float(theta[p_center + 1] ** 2),
     )
     return TrainedModel(
         spec=spec,

@@ -17,8 +17,8 @@ forecasts) do not load it.
 ``crps`` is the closed-form continuous ranked probability score; its
 independent check ``crps_numeric`` integrates the defining integral by
 adaptive quadrature and is the authority whenever the two disagree.
-``_crps_grad`` adds the analytic derivatives in mu and sigma that the
-minimum-CRPS fit needs.
+``_crps_grad`` adds the analytic first and second derivatives in mu and
+sigma that the minimum-CRPS fit needs for its Newton steps.
 """
 
 from __future__ import annotations
@@ -33,6 +33,10 @@ from .errors import InvalidDistributionError, InvalidInputError
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 _SQRT2 = math.sqrt(2.0)
+#: mu/sigma below which the CRPS and its gradient come from the tail law
+TAIL_A = -1e6
+#: mu/sigma below which the second derivatives come from the tail law
+HESSIAN_TAIL_A = -30.0
 
 
 def _check_params(mu, sigma):
@@ -86,7 +90,7 @@ def quantile_values(mu, sigma, p):
 
 
 def _truncation_terms(a, w):
-    """Ratios shared by the CRPS and its gradient, with P = Phi(a):
+    """Ratios shared by the CRPS and its derivatives, with P = Phi(a):
 
         g = -2 (1 - Phi(w)) / P,   t2 = 2 phi(w) / P,
         t3 = Phi(sqrt(2) a) / (sqrt(pi) P^2),   m = phi(a) / P.
@@ -113,32 +117,44 @@ def _truncation_terms(a, w):
     return g, t2, t3, m
 
 
-def _exponential_tail(a, mu, sigma, y):
-    """Rows past mu/sigma ~ -1e6, where even the log-space ratios lose the
-    cancellation of their a^2 terms in float64: the law is an exponential
-    tail at 0 with rate lam = |mu|/sigma^2, whose CRPS
-    y + (2 exp(-lam y) - 1.5) / lam is exact to O(1/a^2).
+def _exponential_tail(mu, sigma, y, rows):
+    """The CRPS of ``rows`` as an exponential tail at 0 with rate
+    lam = |mu|/sigma^2, the limit of the law as mu/sigma -> -inf:
+    y + (2 exp(-lam y) - 1.5) / lam, exact to O(sigma^2/mu^2).
 
-    Returns (mask, crps, d crps/d lam, lam); None when no row is that far out.
+    Returns (crps, d crps/d lam, d2 crps/d lam2, lam); other rows get lam = 1.
     """
-    extreme = a < -1e6
-    if not np.any(extreme):
-        return None
-    lam = np.where(extreme, np.abs(mu) / sigma**2, 1.0)
+    lam = np.where(rows, np.abs(mu) / sigma**2, 1.0)
     decay = np.exp(-np.minimum(lam * y, 7.0e2))
-    crps = y + (2.0 * decay - 1.5) / lam
-    d_lam = -(2.0 * y * decay + (2.0 * decay - 1.5) / lam) / lam
-    return extreme, crps, d_lam, lam
+    spread = (2.0 * decay - 1.5) / lam
+    crps = y + spread
+    d_lam = -(2.0 * y * decay + spread) / lam
+    d2_lam = 2.0 * (y * y * decay + (2.0 * y * decay + spread) / lam) / lam
+    return crps, d_lam, d2_lam, lam
 
 
-def _crps_grad(mu, sigma, y):
-    """CRPS and its partial derivatives: (crps, d crps/d mu, d crps/d sigma).
+def _crps_grad(mu, sigma, y, hessian=False):
+    """CRPS and its partial derivatives: (crps, d crps/d mu, d crps/d sigma),
+    followed with ``hessian=True`` by the second derivatives
+    (d2/d mu2, d2/d mu d sigma, d2/d sigma2).
 
-    Three regimes: see ``_truncation_terms`` and ``_exponential_tail``. With
-    crps = sigma f(a, w), a = mu/sigma and w = (y - mu)/sigma,
+    With crps = sigma f(a, w), a = mu/sigma and w = (y - mu)/sigma,
 
         f_w = 1 + g,   f_a = m (2 t3 - w g - t2 - 2 m),
-        d/d mu = f_a - f_w,   d/d sigma = t2 - t3 - a f_a.
+        d/d mu = f_a - f_w,   d/d sigma = t2 - t3 - a f_a,
+
+        f_ww = t2,   f_aw = -m g,
+        f_aa = m (a (w g + t2 - 2 t3 + 4 m) + 2 m (w g + t2 - 3 t3 + 4 m)),
+        d2/d mu2 = (f_aa - 2 f_aw + f_ww) / sigma,
+        d2/d mu d sigma = -(a (f_aa - f_aw) + w (f_aw - f_ww)) / sigma,
+        d2/d sigma2 = (a^2 f_aa + 2 a w f_aw + w^2 f_ww) / sigma.
+
+    ``_truncation_terms`` gives (g, t2, t3, m) in its two regimes. Past
+    mu/sigma = TAIL_A even its log-space ratios lose the cancellation of
+    their a^2 terms, and the exponential tail law takes over. The second
+    derivatives cancel terms of size m^3 ~ |a|^3 and drift sooner (about
+    1e-3 relative at mu/sigma = -30), so they come from the tail law
+    already past HESSIAN_TAIL_A.
     """
     inv = 1.0 / sigma
     a = mu * inv
@@ -150,13 +166,31 @@ def _crps_grad(mu, sigma, y):
         crps = sigma * (w * f_w + t2 - t3)
         d_mu = f_a - f_w
         d_sigma = t2 - t3 - a * f_a
-    tail = _exponential_tail(a, mu, sigma, y)
-    if tail is not None:
-        extreme, tail_crps, d_lam, lam = tail
-        # lam = -mu / sigma^2 on these rows (mu < 0)
+        if hessian:
+            f_aw = -m * g
+            wgt = w * g + t2
+            f_aa = m * (a * (wgt - 2.0 * t3 + 4.0 * m) + 2.0 * m * (wgt - 3.0 * t3 + 4.0 * m))
+            d_mumu = (f_aa - 2.0 * f_aw + t2) * inv
+            d_musigma = -(a * (f_aa - f_aw) + w * (f_aw - t2)) * inv
+            d_sigmasigma = (a * a * f_aa + 2.0 * a * w * f_aw + w * w * t2) * inv
+    tail_rows = a < (HESSIAN_TAIL_A if hessian else TAIL_A)
+    if np.any(tail_rows):
+        tail_crps, d_lam, d2_lam, lam = _exponential_tail(mu, sigma, y, tail_rows)
+        # lam = -mu / sigma^2 on these rows (mu < 0): d lam/d mu = -1/sigma^2,
+        # d lam/d sigma = -2 lam/sigma
+        extreme = a < TAIL_A
         crps = np.where(extreme, tail_crps, crps)
         d_mu = np.where(extreme, -d_lam * inv * inv, d_mu)
         d_sigma = np.where(extreme, -2.0 * d_lam * lam * inv, d_sigma)
+        if hessian:
+            inv2 = inv * inv
+            d_mumu = np.where(tail_rows, d2_lam * inv2 * inv2, d_mumu)
+            d_musigma = np.where(tail_rows, 2.0 * (d2_lam * lam + d_lam) * inv2 * inv,
+                                 d_musigma)
+            d_sigmasigma = np.where(tail_rows, (4.0 * d2_lam * lam + 6.0 * d_lam) * lam * inv2,
+                                    d_sigmasigma)
+    if hessian:
+        return crps, d_mu, d_sigma, d_mumu, d_musigma, d_sigmasigma
     return crps, d_mu, d_sigma
 
 

@@ -25,7 +25,7 @@ from windcast.model import (
     select_lags_bic,
     volatility,
 )
-from windcast.predictive import crps_values
+from windcast.predictive import _crps_grad, crps_values
 from windcast.timeutil import epoch_hour
 
 from conftest import make_model_data
@@ -378,6 +378,53 @@ def _recovery_setup(noise=0.05, n=24 * 70, seed=5):
     return state, spec, bounds
 
 
+def oracle_fit_crps(state, spec, window):
+    """The fit as it was before Newton steps: one BFGS run in (center,
+    log b0, log b1) on the analytic gradient, from ``_initial_point``.
+    Returns scipy's result; ``fun`` is the window CRPS."""
+    from scipy.optimize import minimize
+
+    bundle = DesignBundle.build(state, spec)
+    rows = bundle.valid_rows(*window)
+    X, y, offset, vol = (bundle.X[rows], bundle.target[rows], bundle.offset[rows],
+                         bundle.vol[rows])
+    n, p = X.shape
+
+    def objective(theta):
+        mu = offset + X @ theta[:p]
+        with np.errstate(over="ignore", invalid="ignore"):
+            b0, b1 = np.exp(theta[p:])
+            raw = b0 + b1 * vol
+            crps, d_mu, d_sigma = _crps_grad(mu, np.maximum(raw, 1e-8), y)
+            val = float(np.mean(crps))
+            d_sigma = np.where(raw > 1e-8, d_sigma, 0.0)
+            grad = np.concatenate([X.T @ d_mu, [d_sigma.sum() * b0, d_sigma @ vol * b1]]) / n
+        if not (np.isfinite(val) and np.all(np.isfinite(grad))):
+            val, grad = 1e12, np.zeros_like(theta)
+        return val, grad
+
+    return minimize(objective, _initial_point(X, y - offset, vol), method="BFGS", jac=True,
+                    options={"gtol": 1e-8, "maxiter": 1000})
+
+
+@pytest.fixture(scope="module")
+def oracle_windows():
+    """Three daily 45-day windows after a selection year, per variant."""
+    data, _ = make_model_data(seed=41, days=420)
+    train = (int(data.times[0]), int(data.times[0]) + 365 * 24)
+    cases = []
+    for variant in ("TDD", "TDDGW-MD", "TDDGWDT-SMD"):
+        vspec = parse_variant(variant)
+        state = ResidualState.build(data, vspec.diurnal_method, train[1], train)
+        for station in ("S01", "S03"):
+            spec = select_lags_bic(state, station, 2, vspec, train)
+            for day in range(3):
+                end = train[1] + 24 * day
+                refit = ResidualState.build(data, vspec.diurnal_method, end, train)
+                cases.append((variant, station, refit, spec, (end - 45 * 24, end)))
+    return cases
+
+
 class TestFitCrps:
     def test_recovers_generating_coefficients(self):
         state, spec, bounds = _recovery_setup()
@@ -446,7 +493,7 @@ class TestFitCrps:
         assert model.coefficients.b0 > 0 and model.coefficients.b1 > 0
 
     def test_unconverged_fit_logs_one_warning(self, caplog, monkeypatch):
-        monkeypatch.setattr("windcast.model.BFGS_MAXITER", 1)
+        monkeypatch.setattr("windcast.model.FIT_MAXITER", 1)
         state, spec, bounds = _recovery_setup(noise=0.3)
         with caplog.at_level(logging.WARNING, logger="windcast.model"):
             fit_crps(state, spec, bounds)
@@ -460,6 +507,56 @@ class TestFitCrps:
         with caplog.at_level(logging.DEBUG, logger="windcast.model"):
             fit_crps(state, spec, bounds)
         assert caplog.records == []
+
+    def test_never_worse_than_bfgs_oracle(self, oracle_windows, caplog):
+        with caplog.at_level(logging.WARNING, logger="windcast.model"):
+            for variant, station, state, spec, window in oracle_windows:
+                model = fit_crps(state, spec, window)
+                oracle = oracle_fit_crps(state, spec, window)
+                assert model.train_crps <= oracle.fun + 1e-9, (variant, station, window)
+        assert caplog.records == []
+
+    def test_volatility_free_noise_drives_b1_to_zero(self, caplog, monkeypatch):
+        # the target's noise has one spread whatever the network volatility, so
+        # the optimum has b1 -> 0; a fit in log b1 crawls down that slope
+        state, spec, bounds = _recovery_setup(noise=0.3, seed=5)
+        oracle = oracle_fit_crps(state, spec, bounds)
+        calls = []  # one call into the CRPS kernel per objective evaluation
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return _crps_grad(*args, **kwargs)
+
+        monkeypatch.setattr("windcast.model._crps_grad", counted)
+        with caplog.at_level(logging.WARNING, logger="windcast.model"):
+            model = fit_crps(state, spec, bounds)
+        assert caplog.records == []
+        assert model.coefficients.b1 > 0
+        assert model.coefficients.b1 < 1e-6 * model.coefficients.b0
+        assert len(calls) <= 15
+        assert model.train_crps <= oracle.fun + 1e-9
+
+    def test_hessian_is_the_derivative_of_the_gradient(self, monkeypatch):
+        # the callables fit_crps hands to scipy, checked by central differences
+        # at the least-squares start and at a point with a larger b1
+        import scipy.optimize
+
+        seen = {}
+        minimize = scipy.optimize.minimize
+
+        def spy(fun, x0, **kwargs):
+            seen.update(fun=fun, hess=kwargs["hess"], x0=x0.copy())
+            return minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", spy)
+        state, spec, bounds = _recovery_setup(noise=0.3)
+        fit_crps(state, spec, bounds)
+        fun, hess = seen["fun"], seen["hess"]
+        for theta in (seen["x0"], seen["x0"] + np.r_[0.05, -0.1, 0.1, -0.3, 0.4]):
+            h = 1e-5 * np.maximum(np.abs(theta), 1.0)
+            fd = np.array([(fun(theta + h[i] * e)[1] - fun(theta - h[i] * e)[1]) / (2 * h[i])
+                           for i, e in enumerate(np.eye(theta.size))])
+            np.testing.assert_allclose(hess(theta), fd, rtol=1e-5, atol=1e-7)
 
     def test_too_small_window(self):
         state, spec, bounds = _recovery_setup()

@@ -164,6 +164,61 @@ class TestCrpsGradient:
         np.testing.assert_allclose(d_sigma, 2 * phi - 1 / np.sqrt(np.pi), atol=1e-12)
 
 
+class TestCrpsHessian:
+    """Second derivatives from ``_crps_grad(..., hessian=True)`` against
+    central differences of its gradient, Richardson-extrapolated over two
+    steps. Each regime is held to the accuracy its algebra reaches."""
+
+    @staticmethod
+    def _differences(mu, sigma, y, rel_step):
+        def central(h_mu, h_sigma):
+            _, mu_hi, sig_hi = _crps_grad(mu + h_mu, sigma, y)
+            _, mu_lo, sig_lo = _crps_grad(mu - h_mu, sigma, y)
+            _, mu_up, sig_up = _crps_grad(mu, sigma + h_sigma, y)
+            _, mu_dn, sig_dn = _crps_grad(mu, sigma - h_sigma, y)
+            return np.array([(mu_hi - mu_lo) / (2 * h_mu), (sig_hi - sig_lo) / (2 * h_mu),
+                             (mu_up - mu_dn) / (2 * h_sigma),
+                             (sig_up - sig_dn) / (2 * h_sigma)])
+
+        h_mu = rel_step * np.maximum(np.abs(mu), sigma)
+        h_sigma = rel_step * sigma
+        return (4 * central(h_mu / 2, h_sigma / 2) - central(h_mu, h_sigma)) / 3
+
+    @pytest.mark.parametrize("a_values,rel_step,rtol,floor", [
+        ([-3.0, -2.0, -0.8, 0.0, 1.5, 4.0, 8.0], 3e-3, 1e-6, 1e-6),  # direct
+        ([-4.5], 1e-2, 3e-5, 1e-6),  # direct, near the regime edge
+        ([-5.5, -8.0], 3e-3, 1e-6, 1e-6),  # log-space
+        ([-15.0, -25.0], 3e-3, 2e-3, 1e-6),  # log-space, m^3 terms cancelling
+        ([-31.0, -40.0, -60.0], 3e-3, 2e-2, 1e-6),  # tail law, O(sigma^2/mu^2) off
+        ([-2e6, -1e7, -1e9], 1e-3, 1e-9, 0.0),  # tail law, as the gradient
+    ])
+    def test_matches_central_differences(self, a_values, rel_step, rtol, floor):
+        mu, sigma, y = TestCrpsGradient._grid(a_values)
+        _, _, _, d_mumu, d_musigma, d_sigmasigma = _crps_grad(mu, sigma, y, hessian=True)
+        analytic = np.array([d_mumu, d_musigma, d_musigma, d_sigmasigma])
+        fd = self._differences(mu, sigma, y, rel_step)
+        # second derivatives are of order 1/sigma in the bulk of the law
+        np.testing.assert_array_less(np.abs(analytic - fd), rtol * (np.abs(fd) + floor / sigma))
+
+    def test_untruncated_limit(self):
+        # the CRPS of N(mu, sigma) has d2/dmu2 = 2 phi(w)/sigma,
+        # d2/dmu dsigma = 2 w phi(w)/sigma and d2/dsigma2 = 2 w^2 phi(w)/sigma
+        w = np.array([-1.5, 0.0, 0.7])
+        for sigma in (1.0, 2.0):
+            out = _crps_grad(np.full(3, 40.0 * sigma), np.full(3, sigma), (40.0 + w) * sigma,
+                             hessian=True)
+            phi = np.exp(-0.5 * w * w) / np.sqrt(2 * np.pi)
+            np.testing.assert_allclose(out[3], 2 * phi / sigma, rtol=1e-12)
+            np.testing.assert_allclose(out[4], 2 * w * phi / sigma, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(out[5], 2 * w * w * phi / sigma, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("a_values", [[-4.5, 0.0, 4.0], [-2e6, -100.0, -15.0]])
+    def test_value_and_gradient_unchanged(self, a_values):
+        mu, sigma, y = TestCrpsGradient._grid(a_values)
+        for first, second in zip(_crps_grad(mu, sigma, y), _crps_grad(mu, sigma, y, hessian=True)):
+            assert np.array_equal(first, second)
+
+
 class TestDensityAndInterval:
     @pytest.mark.parametrize("mu,sigma", PARAM_GRID)
     def test_density_integrates_to_one(self, mu, sigma):
