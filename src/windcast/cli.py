@@ -85,12 +85,12 @@ def _atomic(path, write_fn):
 
 def _stage_pool(jobs: int, variants=()):
     """The one worker pool of a stage, or a null context for one job. A stage
-    that fits model ``variants`` imports scipy.optimize first, so that the
-    forked workers share it."""
+    that fits model ``variants`` imports scipy.special first, which the CRPS
+    fits and the forecast medians use, so that the forked workers share it."""
     if jobs <= 1:
         return contextlib.nullcontext()
     if set(variants) - {PERSISTENCE}:
-        import scipy.optimize  # noqa: F401
+        import scipy.special  # noqa: F401
     return ProcessPoolExecutor(max_workers=jobs)
 
 

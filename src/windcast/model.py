@@ -18,9 +18,11 @@ candidate scored from the normal equations of one Gram matrix; a saved
 bundle holds that selection only. Coefficients are then estimated on a
 sliding window by minimizing the mean CRPS of the resulting truncated
 normal forecasts (Gneiting et al. 2006; Thorarinsdottir & Gneiting 2010)
-with one trust-region Newton run on the analytic gradient and Hessian,
-started from least squares. The fit works in (log b0, r) with b1 = r^2,
-which keeps b0, b1 > 0 without the flat log b1 -> -inf of a logarithm.
+with Levenberg-Marquardt-damped Newton steps on the analytic gradient and
+Hessian, started from least squares; numpy.linalg factors each step, so a
+fit loads nothing from scipy.optimize. The fit works in (log b0, r) with
+b1 = r^2, which keeps b0, b1 > 0 without the flat log b1 -> -inf of a
+logarithm.
 
 Selection and fits for distinct (station, horizon, variant) triples share
 only read-only inputs and can run in parallel.
@@ -147,9 +149,6 @@ class Coefficients:
             raise InvalidInputError("scale coefficients b0, b1 must be finite and positive")
         if len(self.names) != np.asarray(self.center).size:
             raise InvalidInputError("coefficient names and values disagree in length")
-
-    def named(self) -> dict:
-        return dict(zip(self.names, (float(c) for c in self.center)))
 
 
 @dataclass
@@ -571,6 +570,76 @@ def _initial_point(X, y_resid, vol):
     return np.concatenate([coeffs, [np.log(b0), np.log(b1)]])
 
 
+def _crps_derivatives(theta, X, y, offset, vol):
+    """Window CRPS at theta = (center, log b0, r) with its gradient and
+    Hessian, chained through mu = offset + X center and
+    sigma = max(b0 + r^2 vol, SIGMA_FLOOR); the scale terms are zero on rows
+    where the floor binds. A point where any of the three is not finite gets
+    (1e12, 0, 0)."""
+    n, p_center = X.shape
+    mu = offset + X @ theta[:p_center]
+    r = theta[p_center + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        b0 = np.exp(theta[p_center])
+        raw = b0 + r * r * vol
+        sigma = np.maximum(raw, SIGMA_FLOOR)
+        crps, d_mu, d_sigma, h_mm, h_ms, h_ss = _crps_grad(mu, sigma, y, hessian=True)
+        val = float(np.mean(crps))
+        free = raw > SIGMA_FLOOR
+        d_sigma, h_ms, h_ss = (np.where(free, d, 0.0) for d in (d_sigma, h_ms, h_ss))
+        # d sigma / d (log b0, r) per row; its second derivatives are b0 and 2 v
+        j_scale = np.column_stack([np.full(n, b0), 2.0 * r * vol])
+        grad = np.concatenate([X.T @ d_mu, d_sigma @ j_scale]) / n
+        hess = np.empty((p_center + 2, p_center + 2))
+        hess[:p_center, :p_center] = X.T @ (h_mm[:, None] * X)
+        hess[:p_center, p_center:] = X.T @ (h_ms[:, None] * j_scale)
+        hess[p_center:, :p_center] = hess[:p_center, p_center:].T
+        hess[p_center:, p_center:] = j_scale.T @ (h_ss[:, None] * j_scale) + np.diag(
+            [b0 * d_sigma.sum(), 2.0 * (d_sigma @ vol)])
+        hess /= n
+    if not (np.isfinite(val) and np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
+        return 1e12, np.zeros_like(theta), np.zeros_like(hess)
+    return val, grad, hess
+
+
+def _newton(derivatives, theta):
+    """Minimize from theta by Newton steps with Levenberg-Marquardt damping.
+
+    ``derivatives(theta)`` gives (value, gradient, Hessian). Each step solves
+    (H + lam I) s = -g through a Cholesky factor. lam stays 0 while H is
+    positive definite and steps pay off; it rises, from 1e-3 max|diag H|,
+    when the factorisation fails or a step gains at most 1e-4 of the decrease
+    its quadratic model predicts (such a step is not taken), and returns to
+    0 after a step that gains more than 3/4 of it. Stops once the gradient's
+    2-norm is at most FIT_GTOL, or after FIT_MAXITER iterations, each one
+    factorisation attempt. Returns (theta, value, iterations, gradient norm).
+    """
+    val, grad, hess = derivatives(theta)
+    eye = np.eye(theta.size)
+    lam = 0.0
+    for it in range(FIT_MAXITER):
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm <= FIT_GTOL:
+            return theta, val, it, gnorm
+        try:
+            chol = np.linalg.cholesky(hess + lam * eye)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            step = np.linalg.solve(chol.T, np.linalg.solve(chol, -grad))
+            trial = derivatives(theta + step)
+            predicted = -(grad @ step + 0.5 * step @ hess @ step)
+            ratio = (val - trial[0]) / predicted if predicted > 0 else -np.inf
+            if ratio > 1e-4:
+                theta = theta + step
+                val, grad, hess = trial
+                if ratio > 0.75:
+                    lam = 0.0
+                continue
+        lam = max(4.0 * lam, 1e-3 * float(np.max(np.abs(np.diag(hess)))))
+    return theta, val, FIT_MAXITER, float(np.linalg.norm(grad))
+
+
 def fit_crps(
     state: ResidualState,
     spec: FeatureSpec,
@@ -581,15 +650,13 @@ def fit_crps(
 
     Rows are issue times in [window_start, window_end - horizon] with fully
     observed features, target, and volatility; rows with missing values are
-    dropped. Newton's method in a trust region (scipy ``trust-exact``)
-    minimizes the mean CRPS from the least-squares start, on the analytic
-    gradient and Hessian chained through mu = offset + X beta and
-    sigma = max(exp(log_b0) + r^2 v, SIGMA_FLOOR). With b1 = r^2 the window
-    CRPS stays curved in r where the optimum has b1 -> 0, which it is not
-    in log b1.
+    dropped. Damped Newton steps (``_newton``) minimize the mean CRPS from
+    the least-squares start, on the analytic gradient and Hessian of
+    ``_crps_derivatives`` in (center, log b0, r) with b1 = r^2; numpy.linalg
+    factors the steps. The window CRPS stays curved in r where the optimum
+    has b1 -> 0, which it is not in log b1. A fit that stops short of
+    FIT_GTOL logs one warning.
     """
-    from scipy.optimize import minimize  # deferred: most stages never fit
-
     if bundle is None or bundle.spec != spec:
         bundle = DesignBundle.build(state, spec)
     rows = bundle.valid_rows(window[0], window[1])
@@ -605,48 +672,14 @@ def fit_crps(
     offset = bundle.offset[rows]
     vol = bundle.vol[rows]
 
-    def derivatives(theta):
-        """Window CRPS with its gradient and Hessian in theta."""
-        mu = offset + X @ theta[:p_center]
-        r = theta[p_center + 1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            b0 = np.exp(theta[p_center])
-            raw = b0 + r * r * vol
-            sigma = np.maximum(raw, SIGMA_FLOOR)
-            crps, d_mu, d_sigma, h_mm, h_ms, h_ss = _crps_grad(mu, sigma, y, hessian=True)
-            val = float(np.mean(crps))
-            free = raw > SIGMA_FLOOR
-            d_sigma, h_ms, h_ss = (np.where(free, d, 0.0) for d in (d_sigma, h_ms, h_ss))
-            # d sigma / d (log b0, r) per row; its second derivatives are b0 and 2 v
-            j_scale = np.column_stack([np.full(n, b0), 2.0 * r * vol])
-            grad = np.concatenate([X.T @ d_mu, d_sigma @ j_scale]) / n
-            hess = np.empty((p_center + 2, p_center + 2))
-            hess[:p_center, :p_center] = X.T @ (h_mm[:, None] * X)
-            hess[:p_center, p_center:] = X.T @ (h_ms[:, None] * j_scale)
-            hess[p_center:, :p_center] = hess[:p_center, p_center:].T
-            hess[p_center:, p_center:] = j_scale.T @ (h_ss[:, None] * j_scale) + np.diag(
-                [b0 * d_sigma.sum(), 2.0 * (d_sigma @ vol)])
-            hess /= n
-        if not (np.isfinite(val) and np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
-            return 1e12, np.zeros_like(theta), np.zeros_like(hess)
-        return val, grad, hess
-
-    last = [None, None]  # trust-exact asks for the Hessian before the value
-
-    def at(theta):
-        if not np.array_equal(theta, last[0]):
-            last[:] = theta.copy(), derivatives(theta)
-        return last[1]
-
     x0 = _initial_point(X, y - offset, vol)
     x0[-1] = np.exp(0.5 * x0[-1])  # log b1 -> r
-    result = minimize(lambda theta: at(theta)[:2], x0, method="trust-exact", jac=True,
-                      hess=lambda theta: at(theta)[2],
-                      options={"gtol": FIT_GTOL, "maxiter": FIT_MAXITER})
-    if not result.success:
+    theta, crps, iterations, gnorm = _newton(
+        lambda t: _crps_derivatives(t, X, y, offset, vol), x0)
+    if gnorm > FIT_GTOL:
         log.warning("CRPS fit over window [%d, %d] did not converge after %d "
-                    "iterations: %s", window[0], window[1], result.nit, result.message)
-    theta = result.x
+                    "iterations: gradient norm %.3g > %g", window[0], window[1],
+                    iterations, gnorm, FIT_GTOL)
     coefficients = Coefficients(
         names=bundle.names,
         center=theta[:p_center].copy(),
@@ -656,7 +689,7 @@ def fit_crps(
     return TrainedModel(
         spec=spec,
         coefficients=coefficients,
-        train_crps=float(result.fun),
+        train_crps=crps,
         n_rows=n,
     )
 

@@ -34,7 +34,7 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 _SQRT2 = math.sqrt(2.0)
 #: mu/sigma below which the CRPS and its gradient come from the tail law
-TAIL_A = -1e6
+TAIL_A = -100.0
 #: mu/sigma below which the second derivatives come from the tail law
 HESSIAN_TAIL_A = -30.0
 
@@ -149,12 +149,14 @@ def _crps_grad(mu, sigma, y, hessian=False):
         d2/d mu d sigma = -(a (f_aa - f_aw) + w (f_aw - f_ww)) / sigma,
         d2/d sigma2 = (a^2 f_aa + 2 a w f_aw + w^2 f_ww) / sigma.
 
-    ``_truncation_terms`` gives (g, t2, t3, m) in its two regimes. Past
-    mu/sigma = TAIL_A even its log-space ratios lose the cancellation of
-    their a^2 terms, and the exponential tail law takes over. The second
-    derivatives cancel terms of size m^3 ~ |a|^3 and drift sooner (about
-    1e-3 relative at mu/sigma = -30), so they come from the tail law
-    already past HESSIAN_TAIL_A.
+    ``_truncation_terms`` gives (g, t2, t3, m) in its two regimes. Even its
+    log-space ratios lose the cancellation of their a^2 terms as mu/sigma
+    falls: d/d mu drifts from the CRPS by 1e-3 to 3e-3 relative at -100 and
+    by about 1 at -300, where the exponential tail law, good to about
+    13 sigma^2/mu^2, is closer. Past mu/sigma = TAIL_A the value and gradient
+    come from the tail law. The second derivatives cancel terms of size
+    m^3 ~ |a|^3 and drift sooner (about 1e-3 relative at mu/sigma = -30), so
+    they come from the tail law already past HESSIAN_TAIL_A.
     """
     inv = 1.0 / sigma
     a = mu * inv

@@ -280,6 +280,18 @@ def test_pooled_io_stages_never_load_scipy_optimize(pipeline_run, tmp_path):
     assert (out / "models/TDDGW-MD/S01_k2.json").exists()
 
 
+def test_fitted_forecast_never_loads_scipy_optimize(pipeline_run, tmp_path):
+    src, cfg = pipeline_run
+    out = tmp_path / "out"
+    shutil.copytree(src / "data", out / "data")
+    shutil.copy(src / "geowind.csv", out / "geowind.csv")
+    path = _write_config(tmp_path, dict(cfg, out_dir=str(out), variants=["PSS", "TDD"]))
+    code = ("import sys; from windcast.cli import main; "
+            f"assert main(['forecast', '--config', {str(path)!r}, '--jobs', '2']) == 0")
+    assert "scipy.optimize" not in _scipy_loaded_after(code)
+    assert (out / "forecasts/TDD.csv").exists()
+
+
 class TestJobs:
     """One worker and two give the same bytes, and a stage opens at most one
     pool, which also does its station file I/O. On the mixed forecast path PSS
@@ -501,15 +513,19 @@ class TestFrozenModelOutputs:
     steps in r = sqrt(b1): both stop at a gradient of 1e-8, so the fitted
     coefficients, and the printed mu and sigma, moved by at most 2e-7
     relative, with a window CRPS never above the BFGS oracle's in
-    tests/test_model.py. PSS and the bundles come from no fit and did not
+    tests/test_model.py. They were re-recorded again when scipy's
+    trust-exact gave way to the damped Newton loop in windcast.model, which
+    takes other steps to the same optimum: mu, sigma and the point forecast
+    moved by at most 2.8e-8 relative, with a window CRPS never above
+    trust-exact's. PSS and the bundles come from no fit and did not
     change. The bundles were re-recorded when they came to hold only the
     selected spec; each spec is the one the earlier coefficient bundles
     carried."""
 
     FORECASTS = {
         "PSS.csv": "f01aa06b1fe896af780deaf9cbe95cce4974a16bd3d22d3b60712ef5ed8d6fcb",
-        "TDD.csv": "ff7af86ae6a2aff28ac676e7ed336d1e6d3c598096d99ffccebf4a486901e530",
-        "TDDGW-MD.csv": "7100b9d801a9bfadc275c406a59adc3d2649cdfb98e484243171b70084b37c18",
+        "TDD.csv": "0969b3901bd145c3c24838df619c6f96cfffcb40dc47d62015929b13962fe550",
+        "TDDGW-MD.csv": "3ee0642e6448bf8cacffc10f4bb54562f48ed4080d9c6dfb370450ce31f4c0ac",
     }
     BUNDLES = {
         "TDD/S01_k2.json": "62014380b5d82f7edef7ef38ebfbb3678fd6264fe3d1eb3bbb5688ad631df1c0",

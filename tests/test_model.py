@@ -15,6 +15,7 @@ from windcast.model import (
     ModelData,
     ResidualState,
     TrainedModel,
+    _crps_derivatives,
     _initial_point,
     bic_score,
     fit_crps,
@@ -378,6 +379,41 @@ def _recovery_setup(noise=0.05, n=24 * 70, seed=5):
     return state, spec, bounds
 
 
+def _window_arrays(state, spec, window):
+    """A fit window's rows as fit_crps reads them: (X, y, offset, vol)."""
+    bundle = DesignBundle.build(state, spec)
+    rows = bundle.valid_rows(*window)
+    return bundle.X[rows], bundle.target[rows], bundle.offset[rows], bundle.vol[rows]
+
+
+def _newton_start(X, y, offset, vol):
+    """fit_crps's start in (center, log b0, r)."""
+    x0 = _initial_point(X, y - offset, vol)
+    x0[-1] = np.exp(0.5 * x0[-1])
+    return x0
+
+
+def trust_exact_fit_crps(state, spec, window):
+    """The fit before its Newton loop was written out: scipy ``trust-exact``
+    on ``_crps_derivatives`` from fit_crps's start. Returns scipy's result,
+    whose ``fun`` is the window CRPS, and the number of points at which the
+    derivatives were evaluated."""
+    from scipy.optimize import minimize
+
+    X, y, offset, vol = _window_arrays(state, spec, window)
+    seen = []  # (theta, derivatives); trust-exact asks for the Hessian first
+
+    def at(theta):
+        if not seen or not np.array_equal(theta, seen[-1][0]):
+            seen.append((theta.copy(), _crps_derivatives(theta, X, y, offset, vol)))
+        return seen[-1][1]
+
+    result = minimize(lambda theta: at(theta)[:2], _newton_start(X, y, offset, vol),
+                      method="trust-exact", jac=True, hess=lambda theta: at(theta)[2],
+                      options={"gtol": 1e-8, "maxiter": 1000})
+    return result, len(seen)
+
+
 def oracle_fit_crps(state, spec, window):
     """The fit as it was before Newton steps: one BFGS run in (center,
     log b0, log b1) on the analytic gradient, from ``_initial_point``.
@@ -429,7 +465,8 @@ class TestFitCrps:
     def test_recovers_generating_coefficients(self):
         state, spec, bounds = _recovery_setup()
         model = fit_crps(state, spec, bounds)
-        named = model.coefficients.named()
+        c = model.coefficients
+        named = dict(zip(c.names, c.center))
         assert named["speed_r[S2][0]"] == pytest.approx(0.7, rel=0.05)
         assert named["gw_r[0]"] == pytest.approx(0.5, rel=0.05)
 
@@ -479,7 +516,8 @@ class TestFitCrps:
         # the trained model may exploit hour-varying offset and volatility,
         # so it can only be as good or better than the constant oracle
         assert model.train_crps <= best[0] + 1e-3
-        mu_fit = offset.mean() + model.coefficients.named()["intercept"]
+        c = model.coefficients
+        mu_fit = offset.mean() + dict(zip(c.names, c.center))["intercept"]
         assert mu_fit == pytest.approx(best[1], abs=0.1)
 
     def test_degenerate_window_hits_sigma_floor(self):
@@ -500,7 +538,7 @@ class TestFitCrps:
         (record,) = caplog.records
         text = record.getMessage()
         assert f"[{bounds[0]}, {bounds[1]}]" in text
-        assert "after 1 iterations" in text and "Maximum number of iterations" in text
+        assert "after 1 iterations" in text and "gradient norm" in text
 
     def test_converged_fit_logs_nothing(self, caplog):
         state, spec, bounds = _recovery_setup(noise=0.3)
@@ -515,6 +553,62 @@ class TestFitCrps:
                 oracle = oracle_fit_crps(state, spec, window)
                 assert model.train_crps <= oracle.fun + 1e-9, (variant, station, window)
         assert caplog.records == []
+
+    def test_never_worse_than_trust_exact(self, oracle_windows, caplog, monkeypatch):
+        calls = []  # one call into the CRPS kernel per objective evaluation
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return _crps_grad(*args, **kwargs)
+
+        reference_evaluations = 0
+        with caplog.at_level(logging.WARNING, logger="windcast.model"):
+            for variant, station, state, spec, window in oracle_windows:
+                reference, evals = trust_exact_fit_crps(state, spec, window)
+                assert reference.success
+                reference_evaluations += evals
+                with monkeypatch.context() as patch:
+                    patch.setattr("windcast.model._crps_grad", counted)
+                    model = fit_crps(state, spec, window)
+                assert model.train_crps <= reference.fun + 1e-9, (variant, station, window)
+        assert caplog.records == []
+        assert len(calls) <= reference_evaluations
+
+    def test_indefinite_start_is_damped(self, caplog, monkeypatch):
+        # with b0 well below its optimum and b1 near 0, a larger b1 lowers the
+        # CRPS: the r-r curvature 2 mean(d crps/d sigma * v) is negative, the
+        # first Cholesky factorisation fails, and damping has to take over
+        state, spec, bounds = _recovery_setup(noise=0.3)
+        X, y, offset, vol = _window_arrays(state, spec, bounds)
+        start = _initial_point(X, y - offset, vol) + np.r_[np.zeros(X.shape[1]), -2.0, -12.0]
+        x0 = np.r_[start[:-1], np.exp(0.5 * start[-1])]
+        assert np.linalg.eigvalsh(_crps_derivatives(x0, X, y, offset, vol)[2])[0] < 0
+        reference, _ = trust_exact_fit_crps(state, spec, bounds)
+        monkeypatch.setattr("windcast.model._initial_point", lambda *args: start.copy())
+        with caplog.at_level(logging.WARNING, logger="windcast.model"):
+            model = fit_crps(state, spec, bounds)
+        assert caplog.records == []
+        assert model.train_crps <= reference.fun + 1e-9
+
+    def test_non_finite_trial_point_is_rejected(self, caplog, monkeypatch):
+        # the CRPS kernel turns NaN at the first trial point, as it does where
+        # sigma overflows; _crps_derivatives answers with its 1e12 sentinel,
+        # and the fit must refuse that step rather than stop there
+        state, spec, bounds = _recovery_setup(noise=0.3)
+        reference, _ = trust_exact_fit_crps(state, spec, bounds)
+        calls = []
+
+        def poisoned(*args, **kwargs):
+            calls.append(1)
+            out = _crps_grad(*args, **kwargs)
+            return tuple(np.full_like(v, np.nan) for v in out) if len(calls) == 2 else out
+
+        monkeypatch.setattr("windcast.model._crps_grad", poisoned)
+        with caplog.at_level(logging.WARNING, logger="windcast.model"):
+            model = fit_crps(state, spec, bounds)
+        assert caplog.records == []
+        assert len(calls) > 2
+        assert model.train_crps <= reference.fun + 1e-9
 
     def test_volatility_free_noise_drives_b1_to_zero(self, caplog, monkeypatch):
         # the target's noise has one spread whatever the network volatility, so
@@ -536,27 +630,22 @@ class TestFitCrps:
         assert len(calls) <= 15
         assert model.train_crps <= oracle.fun + 1e-9
 
-    def test_hessian_is_the_derivative_of_the_gradient(self, monkeypatch):
-        # the callables fit_crps hands to scipy, checked by central differences
-        # at the least-squares start and at a point with a larger b1
-        import scipy.optimize
-
-        seen = {}
-        minimize = scipy.optimize.minimize
-
-        def spy(fun, x0, **kwargs):
-            seen.update(fun=fun, hess=kwargs["hess"], x0=x0.copy())
-            return minimize(fun, x0, **kwargs)
-
-        monkeypatch.setattr(scipy.optimize, "minimize", spy)
+    def test_hessian_is_the_derivative_of_the_gradient(self):
+        # _crps_derivatives checked by central differences of its gradient at
+        # the least-squares start and at a point with a larger b1
         state, spec, bounds = _recovery_setup(noise=0.3)
-        fit_crps(state, spec, bounds)
-        fun, hess = seen["fun"], seen["hess"]
-        for theta in (seen["x0"], seen["x0"] + np.r_[0.05, -0.1, 0.1, -0.3, 0.4]):
+        X, y, offset, vol = _window_arrays(state, spec, bounds)
+        x0 = _newton_start(X, y, offset, vol)
+
+        def grad(theta):
+            return _crps_derivatives(theta, X, y, offset, vol)[1]
+
+        for theta in (x0, x0 + np.r_[0.05, -0.1, 0.1, -0.3, 0.4]):
             h = 1e-5 * np.maximum(np.abs(theta), 1.0)
-            fd = np.array([(fun(theta + h[i] * e)[1] - fun(theta - h[i] * e)[1]) / (2 * h[i])
+            fd = np.array([(grad(theta + h[i] * e) - grad(theta - h[i] * e)) / (2 * h[i])
                            for i, e in enumerate(np.eye(theta.size))])
-            np.testing.assert_allclose(hess(theta), fd, rtol=1e-5, atol=1e-7)
+            np.testing.assert_allclose(_crps_derivatives(theta, X, y, offset, vol)[2], fd,
+                                       rtol=1e-5, atol=1e-7)
 
     def test_too_small_window(self):
         state, spec, bounds = _recovery_setup()

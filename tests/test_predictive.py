@@ -12,6 +12,7 @@ from windcast.predictive import (
     TruncatedNormal,
     _crps_core,
     _crps_grad,
+    _exponential_tail,
     cdf_values,
     crps_values,
     pdf_values,
@@ -139,8 +140,8 @@ class TestCrpsGradient:
 
     @pytest.mark.parametrize("a_values,rel_step", [
         ([-4.5, -2.0, -0.8, 0.0, 1.5, 4.0, 8.0], 1e-4),  # direct, mu/sigma > -5
-        ([-5.5, -8.0, -15.0, -30.0], 1e-4),  # log-space, -1e6 < mu/sigma <= -5
-        ([-2e6, -1e7, -1e9], 1e-2),  # exponential tail, mu/sigma < -1e6
+        ([-5.5, -8.0, -15.0, -30.0], 1e-4),  # log-space, -100 <= mu/sigma <= -5
+        ([-2e6, -1e7, -1e9], 1e-2),  # exponential tail, mu/sigma < -100
     ])
     def test_matches_central_differences(self, a_values, rel_step):
         mu, sigma, y = self._grid(a_values)
@@ -162,6 +163,20 @@ class TestCrpsGradient:
                                    atol=1e-12)
         phi = np.exp(-0.5 * w * w) / np.sqrt(2 * np.pi)
         np.testing.assert_allclose(d_sigma, 2 * phi - 1 / np.sqrt(np.pi), atol=1e-12)
+
+
+    @pytest.mark.parametrize("a", [-300.0, -1e3, -1e4])
+    def test_heavy_truncation_follows_the_tail_law(self, a):
+        # the exponential-tail law is within about 13 sigma^2/mu^2 of the CRPS
+        # here; the log-space ratios are not (d/dmu is off by about 1 at -300)
+        sigma, y_lam = np.meshgrid([0.3, 1.0, 2.5], [0.0, 0.5, 2.0], indexing="ij")
+        sigma, y_lam = sigma.ravel(), y_lam.ravel()
+        mu = a * sigma
+        y = y_lam * sigma / abs(a)  # y lam with the tail's rate lam = |mu|/sigma^2
+        crps, d_mu, _ = _crps_grad(mu, sigma, y)
+        tail_crps, d_lam, _, _ = _exponential_tail(mu, sigma, y, np.ones(mu.size, bool))
+        np.testing.assert_allclose(crps, tail_crps, rtol=20 / a**2, atol=0)
+        np.testing.assert_allclose(d_mu, -d_lam / sigma**2, rtol=20 / a**2, atol=0)
 
 
 class TestCrpsHessian:
