@@ -12,7 +12,12 @@ Subcommands chain through files under the run's output directory:
 With more than one job, synth, geowind, train and forecast each open one
 pool of worker processes, which writes or reads the station CSVs one task
 per station and then runs the lag selection (train) or the rolling fits
-(forecast). train fits no coefficients: a bundle holds the selected lags.
+(forecast). Those run one task per (fitted variant, station group): each
+variant's targets are split, in config order, into ceil(jobs / fitted
+variants) contiguous groups, whose stations share the variant's residual
+states and candidate pools. train fits no coefficients: a bundle holds the
+selected lags, and forecast refuses one that another config selected, or
+whose spec is not for the (variant, station, horizon) its path names.
 
 Every command validates the config first and fails with a machine-readable
 JSON error on stderr and a nonzero exit code. Outputs are written
@@ -37,7 +42,8 @@ from .forecast import (
     ForecastColumns,
     RollingConfig,
     read_records_csv,
-    run_rolling_station,
+    run_rolling,
+    select_group,
     write_records_csv,
 )
 from .geostrophy import GeoWindSeries, estimate_series
@@ -45,11 +51,9 @@ from .ingest import load_network_dir
 from .model import (
     ModelData,
     PERSISTENCE,
-    ResidualState,
     load_bundle,
     parse_variant,
     save_bundle,
-    select_lags_bic,
 )
 from .series import Network
 from .synth import write_dataset
@@ -158,37 +162,66 @@ def cmd_geowind(cfg: RunConfig, jobs: int) -> None:
     print(f"estimated geostrophic wind for {n_ok}/{series.n} hours -> {path}")
 
 
-def _train_job(state, vspec, station, horizons, train, max_lag):
-    return [select_lags_bic(state, station, k, vspec, train, max_lag=max_lag)
-            for k in horizons]
+def _station_groups(cfg: RunConfig, jobs: int) -> list:
+    """The target stations, in config order, split into ceil(jobs / fitted
+    variants) contiguous groups (at most one per station) whose sizes differ
+    by at most one: one pool task per (fitted variant, group)."""
+    fitted = sum(v != PERSISTENCE for v in cfg.variants)
+    n = max(1, min(len(cfg.stations), -(-jobs // fitted)))
+    size, extra = divmod(len(cfg.stations), n)
+    bounds = [i * size + min(i, extra) for i in range(n + 1)]
+    return [cfg.stations[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def cmd_train(cfg: RunConfig, jobs: int) -> None:
     train = (cfg.train_start, cfg.train_end)
+    rolling = _rolling_config(cfg)
     keys, tasks = [], []
     with _stage_pool(jobs) as pool:
         data = _load_model_data(cfg, pool)
         for variant in cfg.variants:
             if variant == PERSISTENCE:
                 continue
-            vspec = parse_variant(variant)
-            state = ResidualState.build(data, vspec.diurnal_method, cfg.train_end,
-                                        train, cfg.window_days)
-            for station in cfg.stations:
-                keys.append((variant, station))
-                tasks.append((state, vspec, station, list(cfg.horizons), train, cfg.max_lag))
-        selected = _map(pool, _train_job, tasks)
+            for group in _station_groups(cfg, jobs):
+                keys.append((variant, group))
+                tasks.append((data, variant, group, list(cfg.horizons), train, rolling))
+        selected = _map(pool, select_group, tasks)
 
-    for (variant, station), specs in zip(keys, selected):
-        for k, spec in zip(cfg.horizons, specs):
-            path = _bundle_path(cfg, variant, station, k)
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            _atomic(path, lambda p, s=spec: save_bundle(s, p, cfg.digest()))
-            print(f"selected lags for {variant} {station} k={k} -> {path}")
+    for (variant, group), group_specs in zip(keys, selected):
+        for station, specs in zip(group, group_specs):
+            for k, spec in zip(cfg.horizons, specs):
+                path = _bundle_path(cfg, variant, station, k)
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                _atomic(path, lambda p, s=spec: save_bundle(s, p, cfg.digest()))
+                print(f"selected lags for {variant} {station} k={k} -> {path}")
+
+
+def _saved_specs(cfg: RunConfig, variant: str, station: str) -> dict:
+    """{horizon: spec} of the trained bundles on disk for (variant, station).
+    A bundle is refused unless it was selected under this config for the
+    station, horizon, variant flags and diurnal method its path names."""
+    vspec = parse_variant(variant)
+    specs = {}
+    for k in cfg.horizons:
+        path = _bundle_path(cfg, variant, station, k)
+        if not os.path.exists(path):
+            continue
+        spec = load_bundle(path, cfg.digest())
+        found = (spec.target_station, spec.horizon, spec.include_gw,
+                 spec.include_gw_direction, spec.include_temp_diff, spec.diurnal_method)
+        wanted = (station, k, vspec.include_gw, vspec.include_gw_direction,
+                  vspec.include_temp_diff, vspec.diurnal_method)
+        if found != wanted:
+            raise LoadError(f"{path}: bundle holds a spec for {found}, this path names "
+                            f"{wanted} (station, horizon, gw, gw direction, temp diff, "
+                            f"diurnal method); re-run train")
+        specs[k] = spec
+    return specs
 
 
 def cmd_forecast(cfg: RunConfig, jobs: int) -> None:
-    """PSS is computed here; only the variants that fit models go to the pool."""
+    """PSS is computed here; only the variants that fit models go to the pool,
+    one task per (variant, station group)."""
     train = (cfg.train_start, cfg.train_end)
     test = (cfg.test_start, cfg.test_end)
     rolling = _rolling_config(cfg)
@@ -198,20 +231,18 @@ def cmd_forecast(cfg: RunConfig, jobs: int) -> None:
     with _stage_pool(jobs, cfg.variants) as pool:
         data = _load_model_data(cfg, pool)
         for variant in cfg.variants:
-            for station in cfg.stations:
-                if variant == PERSISTENCE:
-                    results[(variant, station)] = run_rolling_station(
-                        data, variant, station, cfg.horizons, train, test, rolling)
-                    continue
-                specs = {}
-                for k in cfg.horizons:
-                    path = _bundle_path(cfg, variant, station, k)
-                    if os.path.exists(path):
-                        specs[k] = load_bundle(path, cfg.digest())
-                fit_keys.append((variant, station))
-                fit_tasks.append((data, variant, station, list(cfg.horizons), train, test,
-                                  rolling, specs or None))
-        results.update(zip(fit_keys, _map(pool, run_rolling_station, fit_tasks)))
+            if variant == PERSISTENCE:
+                columns = run_rolling(data, variant, cfg.stations, cfg.horizons, train, test,
+                                      rolling)
+                results.update(((variant, st), c) for st, c in zip(cfg.stations, columns))
+                continue
+            for group in _station_groups(cfg, jobs):
+                selected = {st: _saved_specs(cfg, variant, st) for st in group}
+                fit_keys.append((variant, group))
+                fit_tasks.append((data, variant, group, list(cfg.horizons), train, test,
+                                  rolling, selected))
+        for (variant, group), columns in zip(fit_keys, _map(pool, run_rolling, fit_tasks)):
+            results.update(((variant, st), c) for st, c in zip(group, columns))
 
     os.makedirs(os.path.join(cfg.out_dir, "forecasts"), exist_ok=True)
     for variant in cfg.variants:

@@ -52,7 +52,10 @@ class TrigDiurnal:
             raise InvalidInputError("trig profile needs 5 finite coefficients")
 
     def evaluate(self, hours_of_day):
-        return _trig_design(hours_of_day) @ np.asarray(self.coeffs)
+        # a gather from the 24 hourly values, so any subset of hours gets the
+        # same bits as the whole axis
+        hourly = _TRIG_TABLE @ np.asarray(self.coeffs)
+        return hourly[np.mod(np.asarray(hours_of_day, dtype=np.int64), 24)]
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,17 @@ When a model cannot produce a distribution (missing features), the engine
 falls back to persistence and flags the record; when even persistence has
 no usable observation within one window length, the record is flagged
 unavailable (NaN point).
+
+One ``run_rolling`` call serves one variant at a group of target stations:
+they share the lag-selection state, one candidate pool per horizon and
+every refit state, and each refit design covers only the rows its refits
+read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from itertools import groupby
 from operator import attrgetter
 from typing import Sequence
 
@@ -24,12 +30,12 @@ import numpy as np
 from .csvio import read_columns, write_columns
 from .errors import InvalidInputError, TrainingDataError
 from .model import (
+    CandidatePool,
     DesignBundle,
     ModelData,
     PERSISTENCE,
     ResidualState,
-    TrainedModel,
-    FeatureSpec,
+    VariantSpec,
     fit_crps,
     parse_variant,
     predict_params,
@@ -150,23 +156,57 @@ def _state_cache_key(method: str, fit_time: int):
     return (method,)
 
 
-def run_rolling_station(
+def _selection(data: ModelData, vspec: VariantSpec, stations: Sequence[str],
+               horizons: Sequence[int], train: tuple, config: RollingConfig,
+               selected: dict | None) -> tuple:
+    """The residual state at the training end, and {station: {horizon:
+    FeatureSpec}}: the specs in ``selected`` (same layout), and BIC selection
+    on the training period for the rest. One candidate pool per horizon
+    serves every station selected at it."""
+    state = ResidualState.build(data, vspec.diurnal_method, train[1], train,
+                                config.window_days)
+    specs = {st: dict((selected or {}).get(st, {})) for st in stations}
+    for k in horizons:
+        todo = [st for st in stations if k not in specs[st]]
+        if todo:
+            pool = CandidatePool.build(state, vspec, k, train, config.max_lag)
+            for st in todo:
+                specs[st][k] = select_lags_bic(pool, st)
+            del pool  # before the next horizon's pool is built
+    return state, specs
+
+
+def select_group(data: ModelData, variant: str, stations: Sequence[str],
+                 horizons: Sequence[int], train: tuple,
+                 config: RollingConfig = RollingConfig()) -> list:
+    """BIC-selected FeatureSpecs for one variant: per station, in the order
+    given, one per horizon, in the order given."""
+    train = (int(train[0]), int(train[1]))
+    _, specs = _selection(data, parse_variant(variant), stations, horizons, train, config,
+                          None)
+    return [[specs[st][int(k)] for k in horizons] for st in stations]
+
+
+def run_rolling(
     data: ModelData,
     variant: str,
-    station: str,
+    stations: Sequence[str],
     horizons: Sequence[int],
     train: tuple,
     test: tuple,
     config: RollingConfig = RollingConfig(),
     selected: dict | None = None,
-) -> ForecastColumns:
-    """All forecasts for one (variant, target station) over the test period,
-    ordered by issue hour, then horizon.
+) -> list:
+    """All forecasts for one variant over the test period: one
+    ForecastColumns per target station, in the order given, each ordered by
+    issue hour, then horizon.
 
-    ``selected`` may carry pre-selected FeatureSpecs keyed by horizon (from
-    a saved training run); otherwise BIC selection runs on the training
-    period first. The residual state built for selection also serves the
-    refits while its cache key holds.
+    ``selected`` may carry pre-selected FeatureSpecs as {station: {horizon:
+    spec}} (from a saved training run); otherwise BIC selection runs on the
+    training period first. The stations share every residual state: the one
+    built for selection serves the refits while its cache key holds, and each
+    later key is built once, in refit order. Under each state, a (station,
+    horizon) design covers only the rows its refits and forecasts read.
     """
     train_start, train_end = int(train[0]), int(train[1])
     test_start, test_end = int(test[0]), int(test[1])
@@ -178,57 +218,51 @@ def run_rolling_station(
             f"the {config.window_hours} h sliding window"
         )
     horizons = sorted(set(int(k) for k in horizons))
-    pss = persistence(data, station, (test_start, test_end), horizons, config.window_hours)
+    pss = [persistence(data, st, (test_start, test_end), horizons, config.window_hours)
+           for st in stations]
     if variant == PERSISTENCE:
         return pss
 
     vspec = parse_variant(variant)
+    method = vspec.diurnal_method
+    state, specs = _selection(data, vspec, stations, horizons, (train_start, train_end),
+                              config, selected)
+    state_key = _state_cache_key(method, train_end)
+    mu = [np.full(len(p), np.nan) for p in pss]
+    sigma = [np.full(len(p), np.nan) for p in pss]
+    t0 = int(data.times[0])
 
-    # lag selection on the training record
-    sel_state = ResidualState.build(data, vspec.diurnal_method, train_end,
-                                    (train_start, train_end), config.window_days)
-    specs: dict[int, FeatureSpec] = {}
-    for k in horizons:
-        if selected and k in selected:
-            specs[k] = selected[k]
-        else:
-            specs[k] = select_lags_bic(sel_state, station, k, vspec,
-                                       (train_start, train_end),
-                                       max_lag=config.max_lag)
-
-    mu = np.full(len(pss), np.nan)
-    sigma = np.full(len(pss), np.nan)
-    state, state_key = sel_state, _state_cache_key(vspec.diurnal_method, train_end)
-    models: dict[int, TrainedModel] = {}
-    bundles: dict[int, DesignBundle] | None = None
-
-    for refit_at in range(test_start, test_end, config.refit_hours):
-        key = _state_cache_key(vspec.diurnal_method, refit_at)
+    refits = range(test_start, test_end, config.refit_hours)
+    for key, group in groupby(refits, lambda at: _state_cache_key(method, at)):
+        group = list(group)
         if key != state_key:
-            state = ResidualState.build(data, vspec.diurnal_method, refit_at,
-                                        (train_start, train_end), config.window_days)
-            state_key, bundles = key, None
-        if bundles is None:
-            bundles = {k: DesignBundle.build(state, specs[k]) for k in horizons}
-        for k in horizons:
-            models[k] = fit_crps(
-                state, specs[k], (refit_at - config.window_hours, refit_at),
-                bundle=bundles[k],
-            )
-
-        for t in range(refit_at, min(refit_at + config.refit_hours, test_end)):
-            ti = data.index_of_time(t)
-            row = (t - test_start) * len(horizons)
+            state = ResidualState.build(data, method, group[0], (train_start, train_end),
+                                        config.window_days)
+            state_key = key
+        # from the first fit window's start to the last issue hour under this state
+        span = (max(group[0] - config.window_hours - t0, 0),
+                min(group[-1] + config.refit_hours, test_end) - t0)
+        for s, station in enumerate(stations):
             for j, k in enumerate(horizons):
-                dist = predict_params(models[k], bundles[k], ti)
-                if dist is not None:
-                    mu[row + j], sigma[row + j] = dist.mu, dist.sigma
+                spec = specs[station][k]
+                bundle = DesignBundle.build(state, spec, span)
+                for refit_at in group:
+                    model = fit_crps(state, spec, (refit_at - config.window_hours, refit_at),
+                                     bundle=bundle)
+                    for t in range(refit_at, min(refit_at + config.refit_hours, test_end)):
+                        dist = predict_params(model, bundle, t - t0 - span[0])
+                        if dist is not None:
+                            row = (t - test_start) * len(horizons) + j
+                            mu[s][row], sigma[s][row] = dist.mu, dist.sigma
 
-    # a distribution has finite mu; every other record falls back to persistence
-    have = np.isfinite(mu)
-    point = pss.point.copy()
-    point[have] = quantile_values(mu[have], sigma[have], 0.5)  # vectorized medians
-    return replace(pss, mu=mu, sigma=sigma, point=point, fallback=~have)
+    out = []
+    for p, m, sg in zip(pss, mu, sigma):
+        # a distribution has finite mu; every other record falls back to persistence
+        have = np.isfinite(m)
+        point = p.point.copy()
+        point[have] = quantile_values(m[have], sg[have], 0.5)  # vectorized medians
+        out.append(replace(p, mu=m, sigma=sg, point=point, fallback=~have))
+    return out
 
 
 def write_records_csv(records: ForecastColumns | Sequence[ForecastRecord], path,

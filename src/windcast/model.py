@@ -24,8 +24,11 @@ fit loads nothing from scipy.optimize. The fit works in (log b0, r) with
 b1 = r^2, which keeps b0, b1 > 0 without the flat log b1 -> -inf of a
 logarithm.
 
-Selection and fits for distinct (station, horizon, variant) triples share
-only read-only inputs and can run in parallel.
+The target stations of one variant share its residual states and, in
+selection, one candidate pool per horizon (``CandidatePool``); a refit's
+design covers only the rows that refit reads (``DesignBundle.build`` over a
+row span). Distinct variants, and disjoint station groups of one variant,
+share only read-only inputs and can run in parallel.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import dataclasses
 import json
 import logging
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -244,19 +248,16 @@ def volatility(speed_residuals: np.ndarray) -> np.ndarray:
     return v
 
 
-def _shift(series: np.ndarray, lag: int) -> np.ndarray:
-    if lag == 0:
-        return series
-    out = np.full_like(series, np.nan)
-    out[lag:] = series[:-lag]
-    return out
-
-
-def _lead(series: np.ndarray, k: int) -> np.ndarray:
-    if k == 0:
-        return series.copy()
-    out = np.full_like(series, np.nan)
-    out[:-k] = series[k:]
+def _at(series: np.ndarray, lo: int, hi: int, shift: int = 0) -> np.ndarray:
+    """``series[t + shift]`` for the axis rows t in [lo, hi), NaN where
+    t + shift falls off the axis."""
+    a, b = lo + shift, hi + shift
+    if 0 <= a and b <= series.size:
+        return series[a:b]
+    out = np.full(hi - lo, np.nan)
+    ca, cb = max(a, 0), min(b, series.size)
+    if ca < cb:
+        out[ca - a:cb - a] = series[ca:cb]
     return out
 
 
@@ -313,71 +314,112 @@ class ResidualState:
                    vol=volatility(speed_r))
 
 
+def _regressors(state: ResidualState, speed_lags: Mapping[str, int],
+                direction_lags: Mapping[str, int], gw_lags: int,
+                gw_direction: bool) -> tuple[list, list]:
+    """Names of the regressors after the intercept, in design order, and the
+    (whole-axis series, lag) each one reads: residual speed and direction
+    lags 0..q of each station in the lag maps, residual geostrophic lags
+    0..``gw_lags`` and, with ``gw_direction``, the geostrophic direction
+    pair."""
+    data = state.data
+    names: list[str] = []
+    sources: list[tuple] = []
+    for st in data.stations:
+        q = speed_lags.get(st)
+        if q is None:
+            continue
+        i = data.station_index(st)
+        for j in range(q + 1):
+            names.append(f"speed_r[{st}][{j}]")
+            sources.append((state.speed_r[i], j))
+    for st in data.stations:
+        q = direction_lags.get(st)
+        if q is None:
+            continue
+        i = data.station_index(st)
+        for j in range(q + 1):
+            names += [f"cos_r[{st}][{j}]", f"sin_r[{st}][{j}]"]
+            sources += [(state.cos_r[i], j), (state.sin_r[i], j)]
+    for j in range(gw_lags + 1):
+        names.append(f"gw_r[{j}]")
+        sources.append((state.gw_r, j))
+    if gw_direction:
+        names += ["gw_cos[0]", "gw_sin[0]"]
+        sources += [(data.gw_cos, 0), (data.gw_sin, 0)]
+    return names, sources
+
+
+def _design(sources: list, lo: int, hi: int, extra: Sequence = (),
+            keep: np.ndarray | None = None) -> np.ndarray:
+    """Design rows for the axis rows [lo, hi), or for those of them that
+    ``keep`` selects: the intercept, each (series, lag) source, then the
+    ``extra`` columns given on [lo, hi). The matrix is filled one column at
+    a time, so no more than one column exists outside it. Lagged values are
+    read from the whole-axis series, so the span needs no history before lo.
+    """
+    n = hi - lo if keep is None else int(np.count_nonzero(keep))
+    X = np.empty((n, 1 + len(sources) + len(extra)))
+    X[:, 0] = 1.0
+    columns = chain((_at(series, lo, hi, -lag) for series, lag in sources), extra)
+    for c, col in enumerate(columns, 1):
+        X[:, c] = col if keep is None else col[keep]
+    return X
+
+
+def _temp_diff(data: ModelData, station: str, lo: int, hi: int) -> np.ndarray:
+    """The station's 24-hour temperature difference on the axis rows [lo, hi)."""
+    temp = data.temperature[data.station_index(station)]
+    return _at(temp, lo, hi) - _at(temp, lo, hi, -24)
+
+
+def _target_offset(state: ResidualState, station: str, k: int, lo: int, hi: int):
+    """Observed speed at the valid time t+k of each issue row t in [lo, hi),
+    and the station's diurnal component there. The component is clock
+    arithmetic, defined for every issue hour whether or not the valid time
+    has data yet."""
+    data = state.data
+    target = _at(data.speed[data.station_index(station)], lo, hi, k).copy()
+    offset = state.profiles[f"speed/{station}"].evaluate((data.hod[lo:hi] + k) % 24)
+    return target, offset
+
+
 @dataclass
 class DesignBundle:
-    """Design matrix over the whole axis for one FeatureSpec.
+    """Design matrix for one FeatureSpec on a span of the axis.
 
     Row t carries the regressors observed at issue time t; ``target``/
     ``offset`` refer to the valid time t+k (raw observed speed and the
     target station's diurnal component there). NaN rows signal missing
-    features.
+    features. Every value depends on its row alone, so the rows of a span
+    equal the same rows of the whole-axis design bit for bit.
     """
 
     spec: FeatureSpec
     names: tuple
-    X: np.ndarray  # (n, p) including leading intercept column
-    target: np.ndarray  # (n,)
-    offset: np.ndarray  # (n,)
-    vol: np.ndarray  # (n,)
-    times: np.ndarray
+    X: np.ndarray  # (rows, p) including leading intercept column
+    target: np.ndarray  # (rows,)
+    offset: np.ndarray  # (rows,)
+    vol: np.ndarray  # (rows,)
+    times: np.ndarray  # (rows,) issue times, contiguous
 
     @classmethod
-    def build(cls, state: ResidualState, spec: FeatureSpec) -> "DesignBundle":
-        data = state.data
-        n = data.n
-        names: list[str] = ["intercept"]
-        cols: list[np.ndarray] = [np.ones(n)]
-        for st in data.stations:
-            q = spec.speed_lags.get(st)
-            if q is None:
-                continue
-            i = data.station_index(st)
-            for j in range(q + 1):
-                names.append(f"speed_r[{st}][{j}]")
-                cols.append(_shift(state.speed_r[i], j))
-        for st in data.stations:
-            q = spec.direction_lags.get(st)
-            if q is None:
-                continue
-            i = data.station_index(st)
-            for j in range(q + 1):
-                names.append(f"cos_r[{st}][{j}]")
-                cols.append(_shift(state.cos_r[i], j))
-                names.append(f"sin_r[{st}][{j}]")
-                cols.append(_shift(state.sin_r[i], j))
-        if spec.include_gw and spec.gw_lags >= 0:
-            for j in range(spec.gw_lags + 1):
-                names.append(f"gw_r[{j}]")
-                cols.append(_shift(state.gw_r, j))
-        if spec.include_gw_direction:
-            names.append("gw_cos[0]")
-            cols.append(data.gw_cos)
-            names.append("gw_sin[0]")
-            cols.append(data.gw_sin)
+    def build(cls, state: ResidualState, spec: FeatureSpec,
+              span: tuple | None = None) -> "DesignBundle":
+        """The design on the axis rows ``span`` = [lo, hi), the whole axis by
+        default."""
+        lo, hi = (0, state.data.n) if span is None else (int(span[0]), int(span[1]))
+        names, sources = _regressors(state, spec.speed_lags, spec.direction_lags,
+                                     spec.gw_lags if spec.include_gw else -1,
+                                     spec.include_gw_direction)
+        extra = []
         if spec.include_temp_diff:
-            temp = data.temperature[data.station_index(spec.target_station)]
             names.append("temp_diff_24h")
-            cols.append(temp - _shift(temp, 24))
-
-        k = spec.horizon
-        ti = data.station_index(spec.target_station)
-        target = _lead(data.speed[ti], k)
-        prof = state.profiles[f"speed/{spec.target_station}"]
-        # the valid-time diurnal component is clock arithmetic, defined for
-        # every issue hour whether or not the valid time has data yet
-        offset = prof.evaluate((data.hod + k) % 24)
-        return cls(spec=spec, names=tuple(names), X=np.column_stack(cols),
-                   target=target, offset=offset, vol=state.vol, times=data.times)
+            extra.append(_temp_diff(state.data, spec.target_station, lo, hi))
+        target, offset = _target_offset(state, spec.target_station, spec.horizon, lo, hi)
+        return cls(spec=spec, names=("intercept", *names), X=_design(sources, lo, hi, extra),
+                   target=target, offset=offset, vol=state.vol[lo:hi],
+                   times=state.data.times[lo:hi])
 
     def valid_rows(self, start_eh: int, end_eh: int, need_vol: bool = True) -> np.ndarray:
         """Indices of fully observed rows with issue in [start, end-k]."""
@@ -392,11 +434,11 @@ class DesignBundle:
 
 @dataclass(frozen=True)
 class TrainedModel:
-    """Selected predictors plus coefficients fitted on one window."""
+    """Selected predictors plus coefficients fitted on ``n_rows`` rows of one
+    window."""
 
     spec: FeatureSpec
     coefficients: Coefficients
-    train_crps: float
     n_rows: int
 
 
@@ -440,14 +482,74 @@ def bic_score(gram: np.ndarray, xty: np.ndarray, yty: float, n: int) -> float:
     return n * np.log(sse / n) + p * np.log(n)
 
 
-def select_lags_bic(
-    state: ResidualState,
-    target_station: str,
-    horizon: int,
-    variant: VariantSpec,
-    window: tuple,
-    max_lag: int = MAX_LAG,
-) -> FeatureSpec:
+@dataclass
+class CandidatePool:
+    """The BIC candidate columns of one variant and horizon on the selection
+    rows, shared by every target station.
+
+    ``X`` holds the intercept, every lag bundle up to ``max_lag`` and the
+    geostrophic direction pair when the variant has it, on the rows whose
+    issue and valid times fall inside the selection window and whose columns
+    are all finite. A target station adds only its target, offset and, when
+    the variant has it, its ``temp_diff_24h`` column (see
+    ``normal_equations``).
+    """
+
+    state: ResidualState
+    variant: VariantSpec
+    horizon: int
+    max_lag: int
+    names: tuple
+    span: tuple  # axis rows [lo, hi) with issue and valid time in the window
+    finite: np.ndarray  # (hi - lo,) rows where every pool column is finite
+    X: np.ndarray  # (finite rows, p)
+    _gram: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    @classmethod
+    def build(cls, state: ResidualState, variant: VariantSpec, horizon: int,
+              window: tuple, max_lag: int = MAX_LAG) -> "CandidatePool":
+        """The pool for selection on ``window`` = (start, end) epoch hours."""
+        data = state.data
+        t0 = int(data.times[0])
+        lo = min(max(int(window[0]) - t0, 0), data.n)
+        hi = min(max(int(window[1]) - horizon + 1 - t0, lo), data.n)
+        every = {st: max_lag for st in data.stations}
+        names, sources = _regressors(state, every, every, max_lag if variant.include_gw else -1,
+                                     variant.include_gw_direction)
+        finite = np.ones(hi - lo, dtype=bool)
+        for series, lag in sources:
+            finite &= np.isfinite(_at(series, lo, hi, -lag))
+        return cls(state=state, variant=variant, horizon=horizon, max_lag=max_lag,
+                   names=("intercept", *names), span=(lo, hi), finite=finite,
+                   X=_design(sources, lo, hi, keep=finite))
+
+    def normal_equations(self, station: str) -> tuple:
+        """(names, XᵀX, Xᵀy, yᵀy, n) over the station's selection rows: the
+        pool rows where its target, offset and temperature difference are
+        finite too, with y the target less the offset."""
+        lo, hi = self.span
+        target, offset = _target_offset(self.state, station, self.horizon, lo, hi)
+        keep = self.finite & np.isfinite(target) & np.isfinite(offset)
+        if self.variant.include_temp_diff:
+            temp = _temp_diff(self.state.data, station, lo, hi)
+            keep &= np.isfinite(temp)
+        names, X = self.names, self.X
+        own = keep[self.finite]
+        if not own.all():
+            X = X[own]
+        if self.variant.include_temp_diff:
+            names, X = names + ("temp_diff_24h",), np.column_stack([X, temp[keep]])
+        if X is self.X:  # every pool row and no added column: one XᵀX for all such stations
+            if self._gram is None:
+                self._gram = X.T @ X
+            gram = self._gram
+        else:
+            gram = X.T @ X
+        y = target[keep] - offset[keep]
+        return names, gram, X.T @ y, float(y @ y), y.size
+
+
+def select_lags_bic(pool: CandidatePool, target_station: str) -> FeatureSpec:
     """Greedy forward selection of contiguous lag bundles under BIC.
 
     Candidate families are residual speed and direction per station plus
@@ -457,39 +559,25 @@ def select_lags_bic(
     Geostrophic-direction and temperature-difference columns are fixed by
     the variant, not selected. Deterministic given the data.
 
-    The Gram matrix of the full candidate pool over the selection rows is
-    formed once; each candidate is scored from its sub-block.
+    The Gram matrix of the pool over the station's selection rows is formed
+    once (and shared with the pool's other stations where it can be); each
+    candidate is scored from its sub-block.
     """
-    data = state.data
+    data = pool.state.data
+    variant, horizon, max_lag = pool.variant, pool.horizon, pool.max_lag
     families: list[tuple] = [("speed", st) for st in data.stations]
     families += [("dir", st) for st in data.stations]
     if variant.include_gw:
         families.append(("gw",))
 
-    full = FeatureSpec(
-        target_station=target_station,
-        horizon=horizon,
-        speed_lags={st: max_lag for st in data.stations},
-        direction_lags={st: max_lag for st in data.stations},
-        include_gw=variant.include_gw,
-        gw_lags=max_lag if variant.include_gw else -1,
-        include_gw_direction=variant.include_gw_direction,
-        include_temp_diff=variant.include_temp_diff,
-        diurnal_method=variant.diurnal_method,
-    )
-    pool = DesignBundle.build(state, full)
-    rows = pool.valid_rows(window[0], window[1], need_vol=False)
-    n = rows.size
-    p_max = len(pool.names)
+    names, gram, xty, yty, n = pool.normal_equations(target_station)
+    p_max = len(names)
     if n < MIN_ROWS_PER_PARAM * p_max:
         raise TrainingDataError(
             f"selection window has {n} rows for {p_max} candidate parameters "
             f"(need >= {MIN_ROWS_PER_PARAM} per parameter)"
         )
-    X = pool.X[rows]
-    y = pool.target[rows] - pool.offset[rows]  # residual-scale target
-    gram, xty, yty = X.T @ X, X.T @ y, float(y @ y)
-    name_to_col = {nm: i for i, nm in enumerate(pool.names)}
+    name_to_col = {nm: i for i, nm in enumerate(names)}
 
     forced = ["intercept"]
     if variant.include_gw_direction:
@@ -674,7 +762,7 @@ def fit_crps(
 
     x0 = _initial_point(X, y - offset, vol)
     x0[-1] = np.exp(0.5 * x0[-1])  # log b1 -> r
-    theta, crps, iterations, gnorm = _newton(
+    theta, _, iterations, gnorm = _newton(
         lambda t: _crps_derivatives(t, X, y, offset, vol), x0)
     if gnorm > FIT_GTOL:
         log.warning("CRPS fit over window [%d, %d] did not converge after %d "
@@ -686,17 +774,13 @@ def fit_crps(
         b0=float(np.exp(theta[p_center])),
         b1=float(theta[p_center + 1] ** 2),
     )
-    return TrainedModel(
-        spec=spec,
-        coefficients=coefficients,
-        train_crps=crps,
-        n_rows=n,
-    )
+    return TrainedModel(spec=spec, coefficients=coefficients, n_rows=n)
 
 
 def predict_params(model: TrainedModel, bundle: DesignBundle, t_index: int) -> TruncatedNormal | None:
-    """Predictive distribution for the valid time t+k, or None when any
-    referenced feature is missing (caller falls back to persistence)."""
+    """Predictive distribution for the valid time of the bundle's row
+    ``t_index``, or None when any referenced feature is missing (caller falls
+    back to persistence)."""
     row = bundle.X[t_index]
     v = bundle.vol[t_index]
     offset = bundle.offset[t_index]

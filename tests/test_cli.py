@@ -1,5 +1,6 @@
 """CLI pipeline: config validation, chained stages, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -19,7 +20,7 @@ from windcast.errors import ConfigError
 from windcast.forecast import read_records_csv
 from windcast.geostrophy import GeoWindSeries
 from windcast.ingest import CANONICAL_SCHEMA
-from windcast.model import load_bundle
+from windcast.model import CandidatePool, ResidualState, load_bundle, save_bundle
 
 from conftest import benchmark_config_dict, run_pipeline
 
@@ -300,7 +301,12 @@ class TestJobs:
     OUTPUTS = {"synth": "data", "geowind": "geowind.csv", "train": "models",
                "forecast": "forecasts"}
 
-    def _rerun(self, pipeline_run, tmp_path, command, jobs, monkeypatch):
+    #: the station group of each fitted pool task, by job count, for one
+    #: fitted variant and four targets
+    GROUPS = {1: [["S01", "S02", "S03", "S04"]], 2: [["S01", "S02"], ["S03", "S04"]],
+              3: [["S01", "S02"], ["S03"], ["S04"]]}
+
+    def _rerun(self, pipeline_run, tmp_path, command, jobs, monkeypatch, groups=None):
         pools = []
 
         class Pool(cli.ProcessPoolExecutor):
@@ -315,6 +321,11 @@ class TestJobs:
                 io_pooled.append(args[-1] is not None)
                 return _fn(*args)
             monkeypatch.setattr(cli, name, spy)
+        if groups is not None:
+            def spy_map(pool, fn, tasks, _map=cli._map):
+                groups.append([task[2] for task in tasks])
+                return _map(pool, fn, tasks)
+            monkeypatch.setattr(cli, "_map", spy_map)
         src, cfg = pipeline_run
         out = tmp_path / f"{command}-{jobs}"
         shutil.copytree(src, out)
@@ -336,15 +347,38 @@ class TestJobs:
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    def _grouped_reruns(self, pipeline_run, tmp_path, command, monkeypatch):
+        outs = []
+        for jobs in (1, 2, 3):
+            groups = []
+            outs.append(self._rerun(pipeline_run, tmp_path, command, jobs, monkeypatch,
+                                    groups))
+            assert groups == [self.GROUPS[jobs]]
+        return outs
+
     def test_forecasts_identical(self, pipeline_run, tmp_path, monkeypatch):
-        one, two = (self._rerun(pipeline_run, tmp_path, "forecast", j, monkeypatch)
-                    for j in (1, 2))
-        self._same_files(one, two, "forecasts/*.csv")
+        one, *more = self._grouped_reruns(pipeline_run, tmp_path, "forecast", monkeypatch)
+        for other in more:
+            self._same_files(one, other, "forecasts/*.csv")
 
     def test_train_bundles_identical(self, pipeline_run, tmp_path, monkeypatch):
-        one, two = (self._rerun(pipeline_run, tmp_path, "train", j, monkeypatch)
-                    for j in (1, 2))
-        self._same_files(one, two, "models/*/*.json")
+        one, *more = self._grouped_reruns(pipeline_run, tmp_path, "train", monkeypatch)
+        for other in more:
+            self._same_files(one, other, "models/*/*.json")
+
+    @pytest.mark.parametrize("jobs, variants, sizes", [
+        (1, ["PSS", "TDD", "TDDGW-MD"], [4]),
+        (2, ["PSS", "TDD", "TDDGW-MD"], [4]),
+        (3, ["PSS", "TDD", "TDDGW-MD"], [2, 2]),
+        (2, ["TDD"], [2, 2]),
+        (3, ["TDD"], [2, 1, 1]),
+        (8, ["PSS", "TDD"], [1, 1, 1, 1]),
+    ])
+    def test_station_groups(self, tmp_path, jobs, variants, sizes):
+        cfg = config_from_dict(small_config(tmp_path, variants=variants))
+        groups = cli._station_groups(cfg, jobs)
+        assert [len(g) for g in groups] == sizes
+        assert sum(groups, []) == cfg.stations
 
     def test_synth_data_identical(self, pipeline_run, tmp_path, monkeypatch):
         one, two = (self._rerun(pipeline_run, tmp_path, "synth", j, monkeypatch)
@@ -355,6 +389,50 @@ class TestJobs:
         one, two = (self._rerun(pipeline_run, tmp_path, "geowind", j, monkeypatch)
                     for j in (1, 2))
         self._same_files(one, two, "geowind.csv")
+
+
+class TestSharedWork:
+    """Under one job, the target stations of a variant share its selection
+    state and one candidate pool per horizon, however many they are."""
+
+    def test_one_selection_state_and_one_pool_per_horizon(self, pipeline_run, tmp_path,
+                                                          monkeypatch):
+        src, cfg = pipeline_run
+        states, pools = [], []
+        build_state, build_pool = ResidualState.build.__func__, CandidatePool.build.__func__
+
+        def spy_state(cls, data, method, fit_time, *args, **kwargs):
+            states.append((method, fit_time))
+            return build_state(cls, data, method, fit_time, *args, **kwargs)
+
+        def spy_pool(cls, state, variant, horizon, *args, **kwargs):
+            pools.append((variant.name, horizon))
+            return build_pool(cls, state, variant, horizon, *args, **kwargs)
+
+        monkeypatch.setattr(ResidualState, "build", classmethod(spy_state))
+        monkeypatch.setattr(CandidatePool, "build", classmethod(spy_pool))
+        out = tmp_path / "out"
+        shutil.copytree(src / "data", out / "data")
+        shutil.copy(src / "geowind.csv", out / "geowind.csv")
+        run = dict(cfg, out_dir=str(out), variants=["PSS", "TDD", "TDDGW-MD"], horizons=[1, 2])
+        path = _write_config(tmp_path, run)
+        loaded = load_config(path)
+        train_end, test_start = loaded.train_end, loaded.test_start
+        assert len(loaded.stations) == 4
+        per_horizon = [("TDD", 1), ("TDD", 2), ("TDDGW-MD", 1), ("TDDGW-MD", 2)]
+
+        assert main(["train", "--config", str(path), "--jobs", "1"]) == 0
+        assert states == [("TRIG", train_end), ("MD", train_end)]
+        assert pools == per_horizon
+
+        states.clear()
+        pools.clear()
+        shutil.rmtree(out / "models")
+        assert main(["forecast", "--config", str(path), "--jobs", "1"]) == 0
+        # MD refits on each of the 5 test days; the first reuses the selection state
+        assert states == [("TRIG", train_end), ("MD", train_end)] + [
+            ("MD", test_start + 24 * day) for day in range(1, 5)]
+        assert pools == per_horizon
 
 
 class TestWorkerFaults:
@@ -409,6 +487,27 @@ class TestBundleDigest:
         assert payload["error"] == "LoadError"
         assert "0123456789ab" in payload["message"] and digest in payload["message"]
         assert not (out / "forecasts" / "TDDGW-MD.csv").exists()
+
+    def _refused(self, path, out, capsys, bundle):
+        assert main(["forecast", "--config", str(path)]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "LoadError"
+        assert bundle in payload["message"] and "re-run train" in payload["message"]
+        assert not (out / "forecasts" / "TDDGW-MD.csv").exists()
+
+    def test_bundle_of_another_station_refused(self, pipeline_run, tmp_path, capsys):
+        out, path, _ = self._copy(pipeline_run, tmp_path)
+        models = out / "models/TDDGW-MD"
+        shutil.copy(models / "S01_k2.json", models / "S02_k2.json")  # same config digest
+        self._refused(path, out, capsys, "S02_k2.json")
+
+    def test_bundle_of_another_variant_refused(self, pipeline_run, tmp_path, capsys):
+        out, path, digest = self._copy(pipeline_run, tmp_path)
+        bundle = out / "models/TDDGW-MD/S01_k2.json"
+        spec = load_bundle(bundle, digest)
+        tdd = dataclasses.replace(spec, include_gw=False, gw_lags=-1, diurnal_method="TRIG")
+        save_bundle(tdd, bundle, digest)
+        self._refused(path, out, capsys, "S01_k2.json")
 
     def test_job_count_is_not_in_the_digest(self, pipeline_run, tmp_path):
         out, path, digest = self._copy(pipeline_run, tmp_path)

@@ -12,7 +12,7 @@ from windcast.forecast import (
     RollingConfig,
     persistence,
     read_records_csv,
-    run_rolling_station,
+    run_rolling,
     write_records_csv,
 )
 from windcast.model import ResidualState
@@ -90,7 +90,7 @@ class TestPersistence:
 
     def test_mae_matches_brute_force(self, data):
         (t0, t1), (ts, te) = _bounds(data, 90, 20)
-        recs = run_rolling_station(data, "PSS", "S02", [3], (t0, t1), (ts, te), ROLLING)
+        (recs,) = run_rolling(data, "PSS", ["S02"], [3], (t0, t1), (ts, te), ROLLING)
         scored = [(r.point, r.observed) for r in recs
                   if math.isfinite(r.point) and math.isfinite(r.observed)]
         mae = np.mean([abs(o - p) for p, o in scored])
@@ -179,14 +179,13 @@ class TestPersistenceFaults:
         (t0, t1), _ = _bounds(data, 100, 1)
         end = int(data.times[-1]) + 3
         with pytest.raises(InvalidInputError):
-            run_rolling_station(data, "PSS", "S01", [1], (t0, t1), (end - 24, end), ROLLING)
+            run_rolling(data, "PSS", ["S01"], [1], (t0, t1), (end - 24, end), ROLLING)
 
 
 class TestRunRolling:
     def test_pss_records_match_persistence_op(self, data):
         (t0, t1), (ts, te) = _bounds(data, 100, 3)
-        recs = run_rolling_station(data, "PSS", "S01", [1, 4], (t0, t1), (ts, te),
-                                   ROLLING)
+        (recs,) = run_rolling(data, "PSS", ["S01"], [1, 4], (t0, t1), (ts, te), ROLLING)
         assert len(recs) == 72 * 2
         for rec in list(recs)[:40]:
             direct = _one(data, "S01", rec.issue_time, rec.horizon,
@@ -197,17 +196,16 @@ class TestRunRolling:
 
     def test_record_count_and_order(self, data):
         (t0, t1), (ts, te) = _bounds(data, 100, 4)
-        recs = [r for st in ("S01", "S02")
-                for r in run_rolling_station(data, "TDDGW-MD", st, [1, 2], (t0, t1),
-                                             (ts, te), ROLLING)]
+        recs = [r for cols in run_rolling(data, "TDDGW-MD", ["S01", "S02"], [1, 2],
+                                          (t0, t1), (ts, te), ROLLING)
+                for r in cols]
         assert len(recs) == 2 * 96 * 2
         keys = [(r.station, r.issue_time, r.horizon) for r in recs]
         assert keys == sorted(keys)
 
     def test_median_point_consistency(self, data):
         (t0, t1), (ts, te) = _bounds(data, 100, 2)
-        recs = run_rolling_station(data, "TDD", "S01", [2], (t0, t1), (ts, te),
-                                   ROLLING)
+        (recs,) = run_rolling(data, "TDD", ["S01"], [2], (t0, t1), (ts, te), ROLLING)
         checked = 0
         for r in recs:
             if r.fallback:
@@ -220,11 +218,11 @@ class TestRunRolling:
     def test_causality_audit(self, data):
         (t0, t1), (ts, _) = _bounds(data, 100, 4)
         cutoff = ts + 48
-        full = run_rolling_station(data, "TDDGW-MD", "S01", [2], (t0, t1),
-                                   (ts, ts + 96), ROLLING)
+        (full,) = run_rolling(data, "TDDGW-MD", ["S01"], [2], (t0, t1), (ts, ts + 96),
+                              ROLLING)
         truncated_data = data.truncated_at(cutoff)
-        part = run_rolling_station(truncated_data, "TDDGW-MD", "S01", [2], (t0, t1),
-                                   (ts, cutoff), ROLLING)
+        (part,) = run_rolling(truncated_data, "TDDGW-MD", ["S01"], [2], (t0, t1),
+                              (ts, cutoff), ROLLING)
         full_by_key = {(r.issue_time, r.horizon): r for r in full}
         assert len(part) == 48
         for r in part:
@@ -237,8 +235,8 @@ class TestRunRolling:
     def test_train_history_shorter_than_window_rejected(self, data):
         t0 = int(data.times[0])
         with pytest.raises(TrainingDataError):
-            run_rolling_station(data, "PSS", "S01", [1], (t0, t0 + 24 * 10),
-                                (t0 + 24 * 10, t0 + 24 * 12), ROLLING)
+            run_rolling(data, "PSS", ["S01"], [1], (t0, t0 + 24 * 10),
+                        (t0 + 24 * 10, t0 + 24 * 12), ROLLING)
 
     def test_fallback_on_missing_features(self, data):
         (t0, t1), (ts, te) = _bounds(data, 100, 2)
@@ -246,8 +244,7 @@ class TestRunRolling:
         si = holed.station_index("S02")
         i = holed.index_of_time(ts + 30)
         holed.speed[si, i] = np.nan  # cross-station feature hole
-        recs = run_rolling_station(holed, "TDD", "S01", [2], (t0, t1), (ts, te),
-                                   ROLLING)
+        (recs,) = run_rolling(holed, "TDD", ["S01"], [2], (t0, t1), (ts, te), ROLLING)
         flagged = [r for r in recs if r.fallback]
         clean = [r for r in recs if not r.fallback]
         # the hole can only matter if S02 was selected; persistence point
@@ -257,8 +254,7 @@ class TestRunRolling:
     def test_fallbacks_read_the_persistence_columns(self, data):
         (t0, t1), (ts, te) = _bounds(data, 100, 2)
         holed = _holed(data, "S01", data.index_of_time(ts + 30))  # the target's own lag
-        recs = run_rolling_station(holed, "TDD", "S01", [2], (t0, t1), (ts, te),
-                                   ROLLING)
+        (recs,) = run_rolling(holed, "TDD", ["S01"], [2], (t0, t1), (ts, te), ROLLING)
         pss = persistence(holed, "S01", (ts, te), [2], ROLLING.window_hours)
         fb = recs.fallback
         assert fb.any() and not fb.all()
@@ -295,7 +291,7 @@ class TestStateReuse:
 
         monkeypatch.setattr(ResidualState, "build", classmethod(spy_build))
         monkeypatch.setattr(forecast, "fit_crps", spy_fit)
-        run_rolling_station(data, variant, "S01", [2], (t0, t1), (ts, ts + 48), ROLLING)
+        run_rolling(data, variant, ["S01"], [2], (t0, t1), (ts, ts + 48), ROLLING)
 
         assert [st.fit_time for st in built] == [t1] + [ts + 24 * day for day in rebuilt]
         assert (fitted[0] is built[0]) == (0 not in rebuilt)  # built[0] selected the lags

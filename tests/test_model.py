@@ -9,11 +9,13 @@ import pytest
 
 from windcast.errors import InvalidInputError, LoadError, TrainingDataError
 from windcast.model import (
+    CandidatePool,
     Coefficients,
     DesignBundle,
     FeatureSpec,
     ModelData,
     ResidualState,
+    SIGMA_FLOOR,
     TrainedModel,
     _crps_derivatives,
     _initial_point,
@@ -148,6 +150,69 @@ class TestDesignBundle:
                                                      include_gw_direction=True,
                                                      include_temp_diff=True))
         assert list(gwdt.names) == list(gwd.names) + ["temp_diff_24h"]
+
+
+@pytest.fixture(scope="module")
+def span_case():
+    """Residual states on a 60-day axis and a spec with every kind of column."""
+    data, _ = make_model_data(seed=13, days=60)
+    bounds = (int(data.times[0]), int(data.times[0]) + 40 * 24)
+    spec = dict(target_station="S02", horizon=3, speed_lags={"S01": 10, "S02": 2},
+                direction_lags={"S03": 1}, include_gw=True, gw_lags=4,
+                include_gw_direction=True, include_temp_diff=True)
+    return data, bounds, spec
+
+
+class TestDesignSpan:
+    """A design over a row span equals the same rows of the whole-axis one."""
+
+    @pytest.mark.parametrize("method", ["TRIG", "MD"])
+    @pytest.mark.parametrize("where", ["start", "end", "inside"])
+    def test_rows_equal_the_whole_axis(self, span_case, method, where):
+        data, bounds, kw = span_case
+        state = ResidualState.build(data, method, bounds[1], bounds)
+        spec = FeatureSpec(**kw, diurnal_method=method)
+        n = data.n
+        # "start": lags and temp_diff_24h reach before the axis for its first
+        # max_lag + 24 rows; "end": the last valid times fall off the axis
+        lo, hi = {"start": (2, 30), "end": (n - 40, n - 1), "inside": (700, 900)}[where]
+        full = DesignBundle.build(state, spec)
+        part = DesignBundle.build(state, spec, (lo, hi))
+        assert part.names == full.names
+        for name in ("X", "target", "offset", "vol", "times"):
+            a, b = getattr(part, name), getattr(full, name)[lo:hi]
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+        # against the definitions, with the axis padded by NaN at both ends
+        pad = np.full(10, np.nan)
+        lag10 = np.concatenate([pad, state.speed_r[data.station_index("S01")]])[lo:hi]
+        lead3 = np.concatenate([data.speed[data.station_index("S02")], pad])[lo + 3:hi + 3]
+        assert part.X[:, part.names.index("speed_r[S01][10]")].tobytes() == lag10.tobytes()
+        assert part.target.tobytes() == lead3.tobytes()
+        assert np.isnan(part.target[-1]) == (where == "end")
+
+    @pytest.mark.parametrize("where", ["start", "end"])
+    def test_fit_and_forecasts_equal_the_whole_axis(self, span_case, where):
+        data, bounds, kw = span_case
+        state = ResidualState.build(data, "MD", bounds[1], bounds)
+        spec = FeatureSpec(**kw, diurnal_method="MD")
+        lo, hi = (0, 500) if where == "start" else (data.n - 500, data.n)
+        window = (int(data.times[lo]), int(data.times[hi - 100]))
+        full = DesignBundle.build(state, spec)
+        part = DesignBundle.build(state, spec, (lo, hi))
+        a = fit_crps(state, spec, window, bundle=full)
+        b = fit_crps(state, spec, window, bundle=part)
+        assert a.n_rows == b.n_rows
+        assert a.coefficients.center.tobytes() == b.coefficients.center.tobytes()
+        assert (a.coefficients.b0, a.coefficients.b1) == (b.coefficients.b0, b.coefficients.b1)
+        forecasts = 0
+        for t in range(hi - 100, hi):
+            whole, spanned = predict_params(a, full, t), predict_params(b, part, t - lo)
+            assert (whole is None) == (spanned is None)
+            if whole is not None:
+                assert (whole.mu, whole.sigma) == (spanned.mu, spanned.sigma)
+                forecasts += 1
+        assert forecasts >= 90
 
 
 class TestSpecValidation:
@@ -293,9 +358,30 @@ class TestBicSelection:
         vspec = parse_variant(variant)
         bounds = (int(data.times[0]), int(data.times[-1]) + 1)
         state = ResidualState.build(data, vspec.diurnal_method, bounds[1], bounds)
-        for station, k in (("S01", 1), ("S03", 3)):
-            spec = select_lags_bic(state, station, k, vspec, bounds)
-            assert spec == oracle_select_lags_bic(state, station, k, vspec, bounds)
+        for k in (1, 3):
+            pool = CandidatePool.build(state, vspec, k, bounds)  # shared by both stations
+            for station in ("S01", "S03"):
+                spec = select_lags_bic(pool, station)
+                assert spec == oracle_select_lags_bic(state, station, k, vspec, bounds)
+
+    @pytest.mark.parametrize("variant", ["TDD", "TDDGWDT-SMD"])
+    def test_stations_with_their_own_rows_match_oracle(self, variant):
+        # S01's speed gap drops its target rows from its own selection only,
+        # and S02's temperature gap its temp_diff_24h rows; one pool serves all
+        data, _ = make_model_data(seed=24, days=100)
+        data = data.truncated_at(int(data.times[-1]))  # private copy
+        data.speed[data.station_index("S01"), 900:905] = np.nan
+        data.temperature[data.station_index("S02"), 1500:1510] = np.nan
+        vspec = parse_variant(variant)
+        bounds = (int(data.times[0]), int(data.times[-1]) + 1)
+        state = ResidualState.build(data, vspec.diurnal_method, bounds[1], bounds)
+        pool = CandidatePool.build(state, vspec, 2, bounds)
+        rows = {st: pool.normal_equations(st)[4] for st in ("S01", "S02", "S03")}
+        assert rows["S01"] < rows["S03"]
+        assert (rows["S02"] < rows["S03"]) == vspec.include_temp_diff
+        for station in ("S01", "S02", "S03"):
+            spec = select_lags_bic(pool, station)
+            assert spec == oracle_select_lags_bic(state, station, 2, vspec, bounds)
 
     @pytest.mark.parametrize("noise", [0.0, 1e-6])
     def test_duplicate_and_near_collinear_stations_match_oracle(self, noise):
@@ -314,7 +400,7 @@ class TestBicSelection:
             vspec = parse_variant(variant)
             state = ResidualState.build(data, vspec.diurnal_method, bounds[1], bounds)
             for station, k in (("S3", 2), ("S1", 1)):
-                spec = select_lags_bic(state, station, k, vspec, bounds, max_lag=4)
+                spec = select_lags_bic(CandidatePool.build(state, vspec, k, bounds, 4), station)
                 assert spec == oracle_select_lags_bic(state, station, k, vspec, bounds,
                                                       max_lag=4)
 
@@ -326,7 +412,8 @@ class TestBicSelection:
             data = _make_data(speed)
             bounds = (int(data.times[0]), int(data.times[-1]) + 1)
             state = ResidualState.build(data, "YMD", bounds[1], bounds)
-            spec = select_lags_bic(state, "S1", 2, parse_variant("TDD"), bounds)
+            spec = select_lags_bic(CandidatePool.build(state, parse_variant("TDD"), 2, bounds),
+                                   "S1")
             assert spec.speed_lags == {}
             assert spec.direction_lags == {}
 
@@ -337,7 +424,7 @@ class TestBicSelection:
         data = _make_data(speed)
         bounds = (int(data.times[0]), int(data.times[-1]) + 1)
         state = ResidualState.build(data, "YMD", bounds[1], bounds)
-        spec = select_lags_bic(state, "S1", 1, parse_variant("TDD"), bounds)
+        spec = select_lags_bic(CandidatePool.build(state, parse_variant("TDD"), 1, bounds), "S1")
         assert spec.speed_lags == {"S1": 0}
 
     def test_gw_driver_selected_for_tddgw(self):
@@ -350,14 +437,15 @@ class TestBicSelection:
         data = _make_data(speed, gw=gw)
         bounds = (int(data.times[0]), int(data.times[-1]) + 1)
         state = ResidualState.build(data, "MD", bounds[1], bounds)
-        spec = select_lags_bic(state, "S1", 2, parse_variant("TDDGW-MD"), bounds)
+        pool = CandidatePool.build(state, parse_variant("TDDGW-MD"), 2, bounds)
+        spec = select_lags_bic(pool, "S1")
         assert spec.include_gw and spec.gw_lags >= 0
 
     def test_insufficient_rows(self, plain_state):
         state, train = plain_state
         with pytest.raises(TrainingDataError):
-            select_lags_bic(state, "S1", 2, parse_variant("TDD"),
-                            (train[0], train[0] + 200))
+            select_lags_bic(CandidatePool.build(state, parse_variant("TDD"), 2,
+                                                (train[0], train[0] + 200)), "S1")
 
 
 def _recovery_setup(noise=0.05, n=24 * 70, seed=5):
@@ -384,6 +472,14 @@ def _window_arrays(state, spec, window):
     bundle = DesignBundle.build(state, spec)
     rows = bundle.valid_rows(*window)
     return bundle.X[rows], bundle.target[rows], bundle.offset[rows], bundle.vol[rows]
+
+
+def fitted_crps(state, spec, window, model):
+    """The mean CRPS over a fit window at the model's fitted coefficients."""
+    X, y, offset, vol = _window_arrays(state, spec, window)
+    c = model.coefficients
+    sigma = np.maximum(c.b0 + c.b1 * vol, SIGMA_FLOOR)
+    return float(crps_values(offset + X @ c.center, sigma, y).mean())
 
 
 def _newton_start(X, y, offset, vol):
@@ -453,7 +549,7 @@ def oracle_windows():
         vspec = parse_variant(variant)
         state = ResidualState.build(data, vspec.diurnal_method, train[1], train)
         for station in ("S01", "S03"):
-            spec = select_lags_bic(state, station, 2, vspec, train)
+            spec = select_lags_bic(CandidatePool.build(state, vspec, 2, train), station)
             for day in range(3):
                 end = train[1] + 24 * day
                 refit = ResidualState.build(data, vspec.diurnal_method, end, train)
@@ -480,7 +576,7 @@ class TestFitCrps:
         theta = _initial_point(X, y - offset, vol)
         sigma = np.exp(theta[-2]) + np.exp(theta[-1]) * vol
         start_crps = crps_values(offset + X @ theta[:-2], sigma, y).mean()
-        assert model.train_crps <= start_crps
+        assert fitted_crps(state, spec, bounds, model) <= start_crps
 
     def test_deterministic(self):
         state, spec, bounds = _recovery_setup(noise=0.3)
@@ -515,7 +611,7 @@ class TestFitCrps:
                     best = (val, m, s)
         # the trained model may exploit hour-varying offset and volatility,
         # so it can only be as good or better than the constant oracle
-        assert model.train_crps <= best[0] + 1e-3
+        assert fitted_crps(state, spec, bounds, model) <= best[0] + 1e-3
         c = model.coefficients
         mu_fit = offset.mean() + dict(zip(c.names, c.center))["intercept"]
         assert mu_fit == pytest.approx(best[1], abs=0.1)
@@ -527,7 +623,7 @@ class TestFitCrps:
         state = ResidualState.build(data, "YMD", bounds[1], bounds)
         spec = FeatureSpec(target_station="S1", horizon=1, diurnal_method="YMD")
         model = fit_crps(state, spec, bounds)
-        assert model.train_crps < 1e-4
+        assert fitted_crps(state, spec, bounds, model) < 1e-4
         assert model.coefficients.b0 > 0 and model.coefficients.b1 > 0
 
     def test_unconverged_fit_logs_one_warning(self, caplog, monkeypatch):
@@ -551,7 +647,8 @@ class TestFitCrps:
             for variant, station, state, spec, window in oracle_windows:
                 model = fit_crps(state, spec, window)
                 oracle = oracle_fit_crps(state, spec, window)
-                assert model.train_crps <= oracle.fun + 1e-9, (variant, station, window)
+                assert fitted_crps(state, spec, window, model) <= oracle.fun + 1e-9, \
+                    (variant, station, window)
         assert caplog.records == []
 
     def test_never_worse_than_trust_exact(self, oracle_windows, caplog, monkeypatch):
@@ -570,7 +667,8 @@ class TestFitCrps:
                 with monkeypatch.context() as patch:
                     patch.setattr("windcast.model._crps_grad", counted)
                     model = fit_crps(state, spec, window)
-                assert model.train_crps <= reference.fun + 1e-9, (variant, station, window)
+                assert fitted_crps(state, spec, window, model) <= reference.fun + 1e-9, \
+                    (variant, station, window)
         assert caplog.records == []
         assert len(calls) <= reference_evaluations
 
@@ -588,7 +686,7 @@ class TestFitCrps:
         with caplog.at_level(logging.WARNING, logger="windcast.model"):
             model = fit_crps(state, spec, bounds)
         assert caplog.records == []
-        assert model.train_crps <= reference.fun + 1e-9
+        assert fitted_crps(state, spec, bounds, model) <= reference.fun + 1e-9
 
     def test_non_finite_trial_point_is_rejected(self, caplog, monkeypatch):
         # the CRPS kernel turns NaN at the first trial point, as it does where
@@ -608,7 +706,7 @@ class TestFitCrps:
             model = fit_crps(state, spec, bounds)
         assert caplog.records == []
         assert len(calls) > 2
-        assert model.train_crps <= reference.fun + 1e-9
+        assert fitted_crps(state, spec, bounds, model) <= reference.fun + 1e-9
 
     def test_volatility_free_noise_drives_b1_to_zero(self, caplog, monkeypatch):
         # the target's noise has one spread whatever the network volatility, so
@@ -628,7 +726,7 @@ class TestFitCrps:
         assert model.coefficients.b1 > 0
         assert model.coefficients.b1 < 1e-6 * model.coefficients.b0
         assert len(calls) <= 15
-        assert model.train_crps <= oracle.fun + 1e-9
+        assert fitted_crps(state, spec, bounds, model) <= oracle.fun + 1e-9
 
     def test_hessian_is_the_derivative_of_the_gradient(self):
         # _crps_derivatives checked by central differences of its gradient at
@@ -670,7 +768,8 @@ class TestFitCrps:
 
         c = model.coefficients
         theta = np.concatenate([c.center, [math.log(c.b0), math.log(c.b1)]])
-        assert window_crps(theta) == pytest.approx(model.train_crps, rel=1e-12)
+        assert window_crps(theta) == pytest.approx(fitted_crps(state, spec, bounds, model),
+                                                   rel=1e-12)
         h = 1e-6
         grad = np.array([(window_crps(theta + h * e) - window_crps(theta - h * e)) / (2 * h)
                          for e in np.eye(theta.size)])
@@ -691,7 +790,7 @@ class TestPredictParams:
         model = TrainedModel(
             spec=spec,
             coefficients=Coefficients(("intercept",), np.array([0.25]), 0.5, 1e-300),
-            train_crps=0.0, n_rows=1)
+            n_rows=1)
         t = 30 * 24
         dist = predict_params(model, bundle, t)
         prof = state.profiles["speed/S1"]
@@ -722,7 +821,8 @@ class TestPredictParams:
 
 def _selected_spec():
     state, _, bounds = _recovery_setup(noise=0.3)
-    return select_lags_bic(state, "S1", 2, parse_variant("TDDGW-YMD"), bounds, max_lag=3)
+    return select_lags_bic(CandidatePool.build(state, parse_variant("TDDGW-YMD"), 2, bounds, 3),
+                           "S1")
 
 
 def test_bundle_round_trip(tmp_path):
