@@ -9,6 +9,12 @@ blank cell is NaN), ``"int"``, ``"str"`` (text unchanged) and ``"time"``
 it). An unparseable cell is a LoadError naming its physical line, except a
 float cell in a lenient read, which reads NaN and flags its row as malformed.
 
+A file with no blank cell and no ``#`` line after its header (nor a quote,
+if it has CR line ends) is read by one typed ``numpy.loadtxt`` pass (numpy's
+C tokenizer). A cell that pass might read otherwise (unparseable, short, too
+wide, or any warning) sends the file to ``csv.reader``, which reads all other
+files and defines the semantics: the arrays are the same either way.
+
 Writing puts floats as ``repr`` (shortest round-trip text, so reading back
 is bit-exact) and non-finite floats as ``""`` unless asked otherwise.
 """
@@ -18,6 +24,8 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import re
+import warnings
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -27,6 +35,11 @@ from .timeutil import epoch_minutes, iso_text
 
 #: Rows parsed, converted or formatted at a time; bounds peak memory.
 CHUNK_ROWS = 8192
+#: Width of a str or time field on the loadtxt path; a cell this long or
+#: longer could have been cut, so its file takes the csv.reader path.
+TEXT_WIDTH = 24
+_DTYPE = {"float": "f8", "int": "i8", "str": f"U{TEXT_WIDTH}", "time": f"U{TEXT_WIDTH}"}
+_PREAMBLE = re.compile(rb"(?:(?:#[^\r\n]*)?(?:\r\n?|\n))*")  # '#' and blank lines
 
 
 class Columns(dict):
@@ -104,6 +117,56 @@ def _field_chunks(reader, width: int):
             yield list(zip(*rows))
 
 
+def _plain(data: bytes) -> bool:
+    """Whether the bytes from the header on hold no blank cell, no '#' line,
+    and no quote if there is a CR (loadtxt would read a quoted CRLF as LF)."""
+    start = _PREAMBLE.match(data).end()
+    if data.endswith(b",") or (b"\r" in data and data.find(b'"', start) >= 0):
+        return False
+    for lo in range(start, len(data), 1 << 16):  # cache-sized pieces
+        b = np.frombuffer(data, np.uint8, min(len(data) - lo, (1 << 16) + 1), lo)
+        sep, end = b == ord(","), (b == ord("\n")) | (b == ord("\r"))
+        if (sep[:-1] & (sep[1:] | end[1:]) | end[:-1] & (sep[1:] | (b[1:] == ord("#")))).any():
+            return False
+    return True
+
+
+def _column(field: np.ndarray, kind: str) -> np.ndarray:
+    """One loadtxt field as the csv.reader path returns it; ValueError if a
+    cell may have been cut to the field width or a time reads NaT."""
+    if kind in ("float", "int"):
+        return np.ascontiguousarray(field)
+    width = int(np.char.str_len(field).max(initial=0))
+    if width >= TEXT_WIDTH:
+        raise ValueError(f"a cell of {width} characters")
+    if kind == "str":
+        return field.astype(f"U{max(1, width)}")  # as np.array(cells, dtype=str)
+    return _convert(field.tolist(), kind, False)[0]  # a NaT raises _BadCell
+
+
+def _typed(path, kinds: Mapping[str, str], index: dict, keep, skip: int) -> Columns | None:
+    """read_columns in one typed numpy.loadtxt pass, or None where that pass
+    could read otherwise than csv.reader."""
+    if keep and (kinds[keep[0]] not in ("str", "time") or len(keep[1]) >= TEXT_WIDTH):
+        return None  # a cell cut to the field width would not match a wide value
+    with open(path, "rb") as fh:
+        if not _plain(fh.read()):
+            return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. numpy < 2 reading '1.0' as an int
+            table = np.loadtxt(path, [(name, _DTYPE[kind]) for name, kind in kinds.items()],
+                               comments=None, delimiter=",", skiprows=skip, ndmin=1,
+                               usecols=list(index.values()), encoding=None, quotechar='"')
+            if keep is not None and not (rows := table[keep[0]] == keep[1]).all():
+                table = table[rows]
+            out = Columns((name, _column(table[name], kind)) for name, kind in kinds.items())
+    except (ValueError, Warning):
+        return None
+    out.malformed = np.zeros(len(table), dtype=bool)
+    return out
+
+
 def read_columns(path, kinds: Mapping[str, str], keep: tuple | None = None,
                  lenient: bool = False) -> Columns:
     """Read the columns named in ``kinds`` (name -> kind); other columns are
@@ -120,6 +183,9 @@ def read_columns(path, kinds: Mapping[str, str], keep: tuple | None = None,
         if missing:
             raise LoadError(f"{path}: columns {missing} not found in header {header}")
         index = {name: header.index(name) for name in kinds}
+        typed = _typed(path, kinds, index, keep, reader.line_num)
+        if typed is not None:
+            return typed
         keep = None if keep is None else (index[keep[0]], keep[1])
         for fields in _field_chunks(reader, len(header)):
             if keep is not None:

@@ -699,8 +699,9 @@ def _newton(derivatives, theta):
     when the factorisation fails or a step gains at most 1e-4 of the decrease
     its quadratic model predicts (such a step is not taken), and returns to
     0 after a step that gains more than 3/4 of it. Stops once the gradient's
-    2-norm is at most FIT_GTOL, or after FIT_MAXITER iterations, each one
-    factorisation attempt. Returns (theta, value, iterations, gradient norm).
+    2-norm is at most FIT_GTOL, once 4 lam would overflow (no step can pay
+    off any more), or after FIT_MAXITER iterations, each one factorisation
+    attempt. Returns (theta, value, iterations, gradient norm).
     """
     val, grad, hess = derivatives(theta)
     eye = np.eye(theta.size)
@@ -725,6 +726,8 @@ def _newton(derivatives, theta):
                     lam = 0.0
                 continue
         lam = max(4.0 * lam, 1e-3 * float(np.max(np.abs(np.diag(hess)))))
+        if not np.isfinite(4.0 * lam):
+            return theta, val, it + 1, gnorm
     return theta, val, FIT_MAXITER, float(np.linalg.norm(grad))
 
 

@@ -16,7 +16,7 @@ from windcast.ingest import (
     write_station_csv,
 )
 from windcast.series import StationMeta, StationSeries
-from windcast.timeutil import epoch_hour
+from windcast.timeutil import epoch_hour, iso_hours
 
 T0 = epoch_hour("2008-01-01T00:00")
 KINDS = {"time": "time", "station": "str", "speed": "float"}
@@ -234,3 +234,179 @@ class TestFrozenBytes:
                 x, y = getattr(a, name), getattr(b, name)
                 assert (math.isnan(x) and math.isnan(y)) or \
                     np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+def _typed_and_reference(monkeypatch, path, kinds, keep=None, lenient=False):
+    """read_columns as it reads ``path``, whether its typed loadtxt pass took
+    the file, and the csv.reader path's reading of the same file."""
+    import windcast.csvio
+
+    typed = windcast.csvio._typed
+    taken = []
+
+    def spy(*args):
+        out = typed(*args)
+        taken.append(out is not None)
+        return out
+
+    monkeypatch.setattr(windcast.csvio, "_typed", spy)
+    result = read_columns(path, kinds, keep=keep, lenient=lenient)
+    monkeypatch.setattr(windcast.csvio, "_typed", lambda *args: None)
+    reference = read_columns(path, kinds, keep=keep, lenient=lenient)
+    monkeypatch.setattr(windcast.csvio, "_typed", typed)
+    return result, taken == [True], reference
+
+
+def _assert_same(result, reference):
+    assert list(result) == list(reference)
+    for name in reference:
+        assert result[name].dtype == reference[name].dtype, name
+        assert result[name].tobytes() == reference[name].tobytes(), name
+    assert result.malformed.tobytes() == reference.malformed.tobytes()
+
+
+ROWS = "2008-01-01T00:00Z,S1,1.5\n2008-01-01T01:00Z,S2,2.5\n"
+# name -> (file bytes, kinds, keep, whether the typed pass reads it)
+CORPUS = {
+    "plain LF": (b"time,station,speed\n" + ROWS.encode(), KINDS, None, True),
+    "CRLF": (b"time,station,speed\r\n" + ROWS.replace("\n", "\r\n").encode(), KINDS, None, True),
+    "provenance and blank lines first": (
+        b'# a "quoted, comment\n\n# more\r\n\ntime,station,speed\n' + ROWS.encode(),
+        KINDS, None, True),
+    "quoted commas, doubled quotes and line breaks": (
+        b'time,"station",speed\n"2008-01-01T00:00Z","S,1","1.5"\n'
+        b'2008-01-01T01:00Z,"S""2",2\n2008-01-01T02:00Z,"S\n3",3\n', KINDS, None, True),
+    "quotes in a CRLF file": (
+        b'time,station,speed\r\n2008-01-01T00:00Z,"S\r\n1",1.5\r\n', KINDS, None, False),
+    "padded cells": (
+        b"time,station,speed\n  2008-01-01T00:00Z , S1 , 1.5 \n"
+        b"2008-01-01 01:00,S2,\t2.5\n2008-01-01T02:00:59Z,S3,3\n", KINDS, None, True),
+    "blank lines between rows and extra fields": (
+        b"time,station,speed\n\n2008-01-01T00:00Z,S1,1.5,x\n\r\n2008-01-01T01:00Z,S2,2.5\n",
+        KINDS, None, True),
+    "columns in another order": (
+        b"speed,x,station,time\n1.5,0,S1,2008-01-01T00:00Z\n2.5,0,S2,2008-01-01T01:00Z\n",
+        KINDS, None, True),
+    "keep drops rows": (
+        b"time,station,speed\n" + (ROWS * 3).encode(), KINDS, ("station", "S2"), True),
+    "keep drops every row": (
+        b"time,station,speed\n" + ROWS.encode(), KINDS, ("station", "S9"), True),
+    "keep on a float column": (
+        b"time,station,speed\n" + ROWS.encode(), KINDS, ("speed", "2.5"), False),
+    "no data rows": (b"# x\ntime,station,speed\n", KINDS, None, False),
+    "one data row, no final newline": (
+        b"time,station,speed\n2008-01-01T00:00Z,S1,1", KINDS, None, True),
+    "ints and non-ASCII text": (
+        "n,name\n-0,Zürich\n+5,São Paulo\n 7 ,x\n".encode(), {"n": "int", "name": "str"},
+        None, True),
+    "blank cells": (b"time,station,speed\n2008-01-01T00:00Z,S1,\n2008-01-01T01:00Z,,2\n",
+                    KINDS, None, False),
+    "short row": (b"time,station,speed\n2008-01-01T00:00Z,S1\n", KINDS, None, False),
+    "late comment": (b"time,station,speed\n" + ROWS.encode() + b"# x,y,z\n", KINDS, None, False),
+    "malformed float": (b"time,station,speed\n2008-01-01T00:00Z,S1,oops\n", KINDS, None, False),
+}
+
+
+class TestTypedPath:
+    """The typed loadtxt pass reads exactly what the csv.reader path reads."""
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_corpus(self, tmp_path, monkeypatch, name):
+        data, kinds, keep, typed = CORPUS[name]
+        path = tmp_path / "f.csv"
+        path.write_bytes(data)
+        result, taken, reference = _typed_and_reference(
+            monkeypatch, path, kinds, keep, lenient=True)
+        _assert_same(result, reference)
+        assert taken == typed
+
+    @pytest.mark.parametrize("nonfinite", ["", None])
+    def test_edge_floats(self, tmp_path, monkeypatch, nonfinite):
+        path = tmp_path / "f.csv"
+        values = np.array(EDGE_FLOATS + [-np.inf])
+        rows = np.arange(values.size)
+        write_columns(path, ["t", "x", "n", "s"],
+                      [iso_hours(T0 + rows), values, rows - 3, [f"s{i}" for i in rows]],
+                      ["provenance"], nonfinite=nonfinite)
+        kinds = {"s": "str", "x": "float", "t": "time", "n": "int"}
+        result, taken, reference = _typed_and_reference(monkeypatch, path, kinds)
+        _assert_same(result, reference)
+        assert taken == (nonfinite is None)  # blank non-finite cells go to csv.reader
+        if taken:
+            assert result["x"].tobytes() == values.tobytes()
+
+    def test_late_comment_with_the_header_width(self, tmp_path, monkeypatch):
+        path = tmp_path / "f.csv"
+        path.write_text("a,b,c\nx,y,z\n# a,b,c\nu,v,w\n")
+        kinds = {"a": "str", "b": "str", "c": "str"}
+        result, _, reference = _typed_and_reference(monkeypatch, path, kinds)
+        _assert_same(result, reference)
+        assert result["a"].tolist() == ["x", "u"]
+
+    @pytest.mark.parametrize("extra", [0, 9])
+    @pytest.mark.parametrize("kept", ["cut", "wide"])
+    def test_wide_text_is_not_cut(self, tmp_path, monkeypatch, extra, kept):
+        from windcast.csvio import TEXT_WIDTH
+
+        wide = "W" * (TEXT_WIDTH + extra)
+        path = tmp_path / "f.csv"
+        path.write_text(f"time,station,speed\n2008-01-01T00:00Z,{wide},1\n"
+                        f"2008-01-01T01:00Z,S2,2\n")
+        # a cut cell would match the first value, and not match the second
+        keep = "W" * TEXT_WIDTH if kept == "cut" else wide
+        result, taken, reference = _typed_and_reference(
+            monkeypatch, path, KINDS, keep=("station", keep))
+        _assert_same(result, reference)
+        assert not taken and result["station"].tolist() == ([wide] if keep == wide else [])
+        assert read_columns(path, KINDS)["station"].tolist() == [wide, "S2"]
+
+    def test_int_with_a_fraction_is_refused(self, tmp_path):
+        # numpy 1.24-1.26 loadtxt reads '1.0' as an int, with a DeprecationWarning
+        path = tmp_path / "f.csv"
+        path.write_text("n\n1\n1.0\n")
+        with pytest.raises(LoadError, match=r":3: unparseable int '1.0'"):
+            read_columns(path, {"n": "int"})
+
+    def test_nat_text_is_an_error(self, tmp_path):
+        # numpy reads the text 'NaT' as a time; parse_timestamp refuses it
+        path = tmp_path / "f.csv"
+        path.write_text("time,station,speed\n2008-01-01T00:00Z,S1,1\nNaT,S1,2\n")
+        with pytest.raises(LoadError, match=r":3: unparseable time 'NaT'"):
+            read_columns(path, KINDS)
+
+    def test_python_only_number_syntax(self, tmp_path, monkeypatch):
+        # float() and int() read underscores and non-ASCII digits; loadtxt does not
+        path = tmp_path / "f.csv"
+        path.write_text("x,n\n1_0,2_0\n١٢,٣\n", encoding="utf-8")
+        result, taken, reference = _typed_and_reference(
+            monkeypatch, path, {"x": "float", "n": "int"})
+        _assert_same(result, reference)
+        assert result["x"].tolist() == [10.0, 12.0] and result["n"].tolist() == [20, 3]
+
+    @pytest.mark.parametrize("body, plain", [
+        (b"a,b\n1,2\r\n3,4", True),
+        (b"# x,,y\n#\n\na,b\n1,2\n", True),
+        (b"a,b\n1,,2\n", False),
+        (b"a,b\n1,\n", False),
+        (b"a,b\r\n1,\r\n", False),
+        (b"a,b\n,2\n", False),
+        (b"a,b\n1,2\n#\n", False),
+        (b"a,b\n1,", False),
+        (b'a,b\n"1",2\n', True),
+        (b'a,b\r\n"1",2\r\n', False),
+    ])
+    def test_prescan(self, body, plain):
+        from windcast.csvio import _plain
+
+        assert _plain(body) is plain
+
+    def test_refused_file_skips_loadtxt(self, tmp_path, monkeypatch):
+        path = tmp_path / "f.csv"
+        path.write_text("time,station,speed\n" + ROWS * 50 + "2008-01-02T00:00Z,S1,\n")
+
+        def fail(*args, **kwargs):
+            raise AssertionError("loadtxt called on a file with a blank cell")
+
+        monkeypatch.setattr(np, "loadtxt", fail)
+        back = read_columns(path, KINDS)
+        assert back["speed"].size == 101 and np.isnan(back["speed"][-1])

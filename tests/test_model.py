@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from windcast.model import (
     CandidatePool,
     Coefficients,
     DesignBundle,
+    FIT_MAXITER,
     FeatureSpec,
     ModelData,
     ResidualState,
@@ -19,6 +21,7 @@ from windcast.model import (
     TrainedModel,
     _crps_derivatives,
     _initial_point,
+    _newton,
     bic_score,
     fit_crps,
     load_bundle,
@@ -635,6 +638,24 @@ class TestFitCrps:
         text = record.getMessage()
         assert f"[{bounds[0]}, {bounds[1]}]" in text
         assert "after 1 iterations" in text and "gradient norm" in text
+
+    def test_newton_stops_when_damping_would_overflow(self):
+        # a flat objective with a nonzero gradient: no step ever pays off, so
+        # lam grows 4x per iteration; the loop must stop before lam is inf
+        hess = np.array([[2.0, 0.5], [0.5, 1.0]])
+        calls = []
+
+        def derivatives(theta):
+            calls.append(1)
+            return 1.0, np.array([1.0, -2.0]), hess
+
+        start = np.array([0.3, -0.7])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # inf * eye would warn
+            theta, value, iterations, gnorm = _newton(derivatives, start.copy())
+        assert theta.tobytes() == start.tobytes() and value == 1.0
+        assert iterations < FIT_MAXITER and len(calls) == iterations + 1
+        assert gnorm == pytest.approx(math.sqrt(5.0))
 
     def test_converged_fit_logs_nothing(self, caplog):
         state, spec, bounds = _recovery_setup(noise=0.3)
