@@ -319,6 +319,24 @@ COMMANDS = {
 POOLED = ("synth", "geowind", "train", "forecast")  # the commands that take a job count
 
 
+def _job_count(flag: int | None, cfg: RunConfig) -> int:
+    """--jobs, else $WINDCAST_JOBS, else the config's jobs; like the config's,
+    an integer >= 1."""
+    if flag is not None:
+        name, raw = "--jobs", flag
+    elif os.environ.get(JOBS_ENV):
+        name, raw = f"${JOBS_ENV}", os.environ[JOBS_ENV]
+    else:
+        return cfg.jobs
+    try:
+        jobs = int(raw)
+    except ValueError:
+        raise ConfigError([f"{name} must be an integer, got {raw!r}"]) from None
+    if jobs < 1:
+        raise ConfigError([f"{name} must be >= 1, got {jobs}"])
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="windcast",
@@ -348,9 +366,7 @@ def main(argv=None) -> int:
                 cfg.synth = dataclasses.replace(cfg.synth, seed=args.seed)
         if args.out is not None:
             cfg.out_dir = args.out
-        jobs = args.jobs
-        if jobs is None:
-            jobs = int(os.environ[JOBS_ENV]) if os.environ.get(JOBS_ENV) else cfg.jobs
+        jobs = _job_count(args.jobs, cfg)
 
         os.makedirs(cfg.out_dir, exist_ok=True)
         _atomic(os.path.join(cfg.out_dir, "config.yaml"),

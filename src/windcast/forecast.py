@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from itertools import groupby
-from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -61,23 +60,10 @@ class RollingConfig:
 
 
 @dataclass
-class ForecastRecord:
-    """One issued forecast; mu/sigma are NaN when no distribution exists
-    (persistence or fallback), observed is NaN until the valid time has data."""
-
-    station: str
-    issue_time: int
-    horizon: int
-    mu: float
-    sigma: float
-    point: float
-    fallback: bool
-    observed: float
-
-
-@dataclass
 class ForecastColumns:
-    """Forecast records as columns: one array per ForecastRecord field."""
+    """Issued forecasts as columns, one record per row. mu/sigma are NaN when
+    no distribution exists (persistence or fallback); observed is NaN until
+    the valid time has data."""
 
     station: np.ndarray  # str
     issue_time: np.ndarray  # int64 epoch hours
@@ -88,18 +74,8 @@ class ForecastColumns:
     fallback: np.ndarray  # bool
     observed: np.ndarray
 
-    @classmethod
-    def from_records(cls, records) -> "ForecastColumns":
-        if isinstance(records, cls):
-            return records
-        return cls(*(np.array(list(map(attrgetter(f.name), records))) for f in fields(cls)))
-
     def __len__(self) -> int:
         return self.horizon.size
-
-    def __iter__(self):
-        for row in zip(*(getattr(self, f.name).tolist() for f in fields(self))):
-            yield ForecastRecord(*row)
 
     @classmethod
     def concat(cls, parts: Sequence["ForecastColumns"]) -> "ForecastColumns":
@@ -231,6 +207,7 @@ def run_rolling(
     mu = [np.full(len(p), np.nan) for p in pss]
     sigma = [np.full(len(p), np.nan) for p in pss]
     t0 = int(data.times[0])
+    n_k = len(horizons)
 
     refits = range(test_start, test_end, config.refit_hours)
     for key, group in groupby(refits, lambda at: _state_cache_key(method, at)):
@@ -249,11 +226,11 @@ def run_rolling(
                 for refit_at in group:
                     model = fit_crps(state, spec, (refit_at - config.window_hours, refit_at),
                                      bundle=bundle)
-                    for t in range(refit_at, min(refit_at + config.refit_hours, test_end)):
-                        dist = predict_params(model, bundle, t - t0 - span[0])
-                        if dist is not None:
-                            row = (t - test_start) * len(horizons) + j
-                            mu[s][row], sigma[s][row] = dist.mu, dist.sigma
+                    end = min(refit_at + config.refit_hours, test_end)
+                    # issue hours [refit_at, end) at horizon j, and their bundle rows
+                    rows = slice((refit_at - test_start) * n_k + j, (end - test_start) * n_k, n_k)
+                    mu[s][rows], sigma[s][rows] = predict_params(
+                        model, bundle, slice(refit_at - t0 - span[0], end - t0 - span[0]))
 
     out = []
     for p, m, sg in zip(pss, mu, sigma):
@@ -265,9 +242,7 @@ def run_rolling(
     return out
 
 
-def write_records_csv(records: ForecastColumns | Sequence[ForecastRecord], path,
-                      header_lines: Sequence[str] = ()) -> None:
-    cols = ForecastColumns.from_records(records)
+def write_records_csv(cols: ForecastColumns, path, header_lines: Sequence[str] = ()) -> None:
     write_columns(path, FORECAST_CSV_COLUMNS,
                   [cols.station, iso_hours(cols.issue_time), cols.horizon, cols.mu,
                    cols.sigma, cols.point, cols.fallback, cols.observed], header_lines)

@@ -51,7 +51,7 @@ from .diurnal import (
 )
 from .errors import InvalidInputError, LoadError, TrainingDataError
 from .geostrophy import GeoWindSeries
-from .predictive import TruncatedNormal, _crps_grad
+from .predictive import _crps_grad
 from .series import Network
 from .timeutil import hours_of_day
 
@@ -458,16 +458,24 @@ def save_bundle(spec: FeatureSpec, path, config_sha: str) -> None:
 def load_bundle(path, config_sha: str | None = None) -> FeatureSpec:
     """Read a bundle's spec, refusing one selected under another config than
     ``config_sha``, or stamped with none, as stale. ``config_sha=None`` is an
-    inspection read: it skips the check."""
+    inspection read: it skips the check. A bundle that is not JSON, or whose
+    spec is missing or has fields FeatureSpec does not know, is a LoadError."""
     with open(path) as fh:
-        d = json.load(fh)
+        try:
+            d = json.load(fh)
+        except ValueError as exc:
+            raise LoadError(f"{path}: damaged bundle, not JSON ({exc}); re-run train") from None
     found = d.get("config_sha")
     if config_sha is not None and found != config_sha:
         raise LoadError(f"{path}: bundle trained under config {found or '(none recorded)'}, "
                         f"this run is config {config_sha}; re-run train")
     if d.get("format_version") != BUNDLE_FORMAT_VERSION:
         raise InvalidInputError(f"unsupported bundle version {d.get('format_version')}")
-    return FeatureSpec.from_dict(d["spec"])
+    try:
+        return FeatureSpec.from_dict(d["spec"])
+    except (KeyError, TypeError) as exc:
+        raise LoadError(f"{path}: damaged bundle spec ({type(exc).__name__}: {exc}); "
+                        f"re-run train") from None
 
 
 def bic_score(gram: np.ndarray, xty: np.ndarray, yty: float, n: int) -> float:
@@ -780,15 +788,17 @@ def fit_crps(
     return TrainedModel(spec=spec, coefficients=coefficients, n_rows=n)
 
 
-def predict_params(model: TrainedModel, bundle: DesignBundle, t_index: int) -> TruncatedNormal | None:
-    """Predictive distribution for the valid time of the bundle's row
-    ``t_index``, or None when any referenced feature is missing (caller falls
-    back to persistence)."""
-    row = bundle.X[t_index]
-    v = bundle.vol[t_index]
-    offset = bundle.offset[t_index]
-    if not (np.all(np.isfinite(row)) and np.isfinite(v) and np.isfinite(offset)):
-        return None
-    mu = float(offset + row @ model.coefficients.center)
-    sigma = float(max(model.coefficients.b0 + model.coefficients.b1 * v, SIGMA_FLOOR))
-    return TruncatedNormal(mu, sigma)
+def predict_params(model: TrainedModel, bundle: DesignBundle, rows) -> tuple:
+    """(mu, sigma) arrays of the predictive distributions for the valid times
+    of the bundle's ``rows`` (a slice or index array), NaN on rows whose
+    features, volatility or offset are missing (the caller falls back to
+    persistence there)."""
+    X, vol, offset = bundle.X[rows], bundle.vol[rows], bundle.offset[rows]
+    c = model.coefficients
+    have = np.isfinite(X).all(axis=1) & np.isfinite(vol) & np.isfinite(offset)
+    mu = np.full(vol.size, np.nan)
+    sigma = np.full(vol.size, np.nan)
+    # one dot per row: X @ center on the block rounds differently on some rows
+    mu[have] = offset[have] + np.array([x @ c.center for x in X[have]])
+    sigma[have] = np.maximum(c.b0 + c.b1 * vol[have], SIGMA_FLOOR)
+    return mu, sigma

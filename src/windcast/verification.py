@@ -5,8 +5,9 @@ overall values are the sample-weighted aggregates of the monthly cells
 (pooled squared errors for RMSE), so the two views are consistent by
 construction. Probabilistic scores (CRPS, PIT, interval width) cover the
 records that carry a distribution; point scores cover every record with a
-usable point forecast and observation. By default fallback records are
-scored too, which matches the headline treatment of full test samples.
+usable point forecast and observation. Fallback records are scored too,
+which matches the headline treatment of full test samples; to leave them
+out, score ``cols.take(~cols.fallback)``.
 """
 
 from __future__ import annotations
@@ -57,21 +58,16 @@ class ScoreReport(CellScores):
 
 
 def score(
-    records,
+    records: ForecastColumns,
     variant: str,
     pit_bins: int = 10,
     interval_level: float = 0.90,
-    include_fallbacks: bool = True,
 ) -> ScoreReport:
-    """Score a homogeneous set of records (one station and horizon), given as
-    ForecastColumns or a sequence of ForecastRecord."""
-    records = ForecastColumns.from_records(records)
+    """Score a homogeneous set of records (one station and horizon)."""
     if not len(records):
         raise EmptyReportError("no forecast records to score")
     if np.unique(records.station).size > 1 or np.unique(records.horizon).size > 1:
         raise InvalidInputError("score() expects records for one station and horizon")
-    if not include_fallbacks:
-        records = records.take(~records.fallback)
 
     usable = records.take(np.isfinite(records.observed) & np.isfinite(records.point))
     if not len(usable):
@@ -138,9 +134,8 @@ def score(
     )
 
 
-def score_groups(records, variant: str, **kwargs) -> dict:
+def score_groups(records: ForecastColumns, variant: str, **kwargs) -> dict:
     """Score per (station, horizon); keys are those tuples."""
-    records = ForecastColumns.from_records(records)
     keys = sorted(set(zip(records.station.tolist(), records.horizon.tolist())))
     return {(station, horizon): score(records.take((records.station == station)
                                                    & (records.horizon == horizon)),

@@ -91,6 +91,27 @@ class TestConfigValidation:
         assert "fit study" in violation
 
 
+@pytest.mark.parametrize("flag, env, violation", [
+    ("0", None, "--jobs must be >= 1, got 0"),
+    ("-4", None, "--jobs must be >= 1, got -4"),
+    (None, "two", "$WINDCAST_JOBS must be an integer, got 'two'"),
+    (None, "0", "$WINDCAST_JOBS must be >= 1, got 0"),
+], ids=["flag-0", "flag-negative", "env-text", "env-0"])
+def test_bad_job_count_refused(tmp_path, capsys, monkeypatch, flag, env, violation):
+    """Like a config's jobs, the flag and the environment take integers >= 1."""
+    out = tmp_path / "out"
+    path = _write_config(tmp_path, small_config(str(out)))
+    if env is None:
+        monkeypatch.delenv(cli.JOBS_ENV, raising=False)
+    else:
+        monkeypatch.setenv(cli.JOBS_ENV, env)
+    assert main(["forecast", "--config", str(path)] + (["--jobs", flag] if flag else [])) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ConfigError"
+    assert payload["violations"] == [violation]
+    assert not out.exists()
+
+
 def csv_config(unit="m_s"):
     cfg = small_config("out")
     cfg["data"] = {"source": "csv", "csv": {"dir": "archive", "schema": {
@@ -508,6 +529,23 @@ class TestBundleDigest:
         tdd = dataclasses.replace(spec, include_gw=False, gw_lags=-1, diurnal_method="TRIG")
         save_bundle(tdd, bundle, digest)
         self._refused(path, out, capsys, "S01_k2.json")
+
+    @pytest.mark.parametrize("damage", ["truncated", "no spec", "unknown spec field"])
+    def test_damaged_bundle_refused(self, pipeline_run, tmp_path, capsys, damage):
+        out, path, _ = self._copy(pipeline_run, tmp_path)
+        bundle = out / "models/TDDGW-MD/S02_k2.json"
+        text = bundle.read_text()
+        raw = json.loads(text)
+        if damage == "truncated":
+            text = text[:len(text) // 2]
+        elif damage == "no spec":
+            del raw["spec"]
+            text = json.dumps(raw)
+        else:
+            raw["spec"]["lags"] = {"S01": 1}
+            text = json.dumps(raw)
+        bundle.write_text(text)
+        self._refused(path, out, capsys, "S02_k2.json")
 
     def test_job_count_is_not_in_the_digest(self, pipeline_run, tmp_path):
         out, path, digest = self._copy(pipeline_run, tmp_path)

@@ -8,7 +8,7 @@ import pytest
 
 from windcast.csvio import read_columns, write_columns
 from windcast.errors import LoadError
-from windcast.forecast import ForecastRecord, read_records_csv, write_records_csv
+from windcast.forecast import ForecastColumns, read_records_csv, write_records_csv
 from windcast.ingest import (
     CANONICAL_SCHEMA,
     SchemaConfig,
@@ -199,15 +199,14 @@ def _station_series():
 
 
 def _forecast_records():
-    out = []
-    for j in range(20):
-        prob = j % 3 != 0
-        mu = 4.0 + j / 7.0 if prob else math.nan
-        out.append(ForecastRecord("S0%d" % (1 + j % 2), T0 + j, 1 + j % 6,
-                                  mu, 0.5 + j / 11.0 if prob else math.nan,
-                                  -0.0 if j == 5 else 4.0 + j / 9.0, j % 4 == 0,
-                                  math.nan if j == 8 else 3.0 + j / 13.0))
-    return out
+    j = np.arange(20)
+    prob = j % 3 != 0
+    return ForecastColumns(
+        station=np.array(["S0%d" % (1 + i % 2) for i in range(20)]), issue_time=T0 + j,
+        horizon=1 + j % 6, mu=np.where(prob, 4.0 + j / 7.0, math.nan),
+        sigma=np.where(prob, 0.5 + j / 11.0, math.nan),
+        point=np.where(j == 5, -0.0, 4.0 + j / 9.0), fallback=j % 4 == 0,
+        observed=np.where(j == 8, math.nan, 3.0 + j / 13.0))
 
 
 class TestFrozenBytes:
@@ -227,13 +226,12 @@ class TestFrozenBytes:
         assert _sha(path) == "91087b260246eda1b07ea37b91396f269ea36307bc9e8f210c6d78fd173302ac"
         back = read_records_csv(path)
         assert len(back) == len(records)
-        for a, b in zip(back, records):
-            assert (a.station, a.issue_time, a.horizon, a.fallback) == \
-                (b.station, b.issue_time, b.horizon, b.fallback)
-            for name in ("mu", "sigma", "point", "observed"):
-                x, y = getattr(a, name), getattr(b, name)
-                assert (math.isnan(x) and math.isnan(y)) or \
-                    np.float64(x).tobytes() == np.float64(y).tobytes()
+        for name in ("station", "issue_time", "horizon", "fallback"):
+            assert getattr(back, name).tolist() == getattr(records, name).tolist(), name
+        for name in ("mu", "sigma", "point", "observed"):
+            x, y = getattr(back, name), getattr(records, name)
+            same = (np.isnan(x) & np.isnan(y)) | (x.view(np.int64) == y.view(np.int64))
+            assert same.all(), name
 
 
 def _typed_and_reference(monkeypatch, path, kinds, keep=None, lenient=False):

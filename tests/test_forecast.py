@@ -8,7 +8,6 @@ import pytest
 from windcast import forecast
 from windcast.forecast import (
     ForecastColumns,
-    ForecastRecord,
     RollingConfig,
     persistence,
     read_records_csv,
@@ -16,7 +15,7 @@ from windcast.forecast import (
     write_records_csv,
 )
 from windcast.model import ResidualState
-from windcast.predictive import TruncatedNormal
+from windcast.predictive import cdf_values
 from windcast.errors import InvalidInputError, TrainingDataError
 
 from conftest import make_model_data
@@ -37,14 +36,16 @@ def _bounds(data, train_days, test_days):
 
 
 def _one(data, station, t_eh, horizon, max_back_hours=45 * 24):
-    """The persistence record for one issue hour and horizon."""
-    (rec,) = persistence(data, station, (t_eh, t_eh + 1), [horizon], max_back_hours)
+    """The persistence record for one issue hour and horizon, as one row."""
+    rec = persistence(data, station, (t_eh, t_eh + 1), [horizon], max_back_hours)
+    assert len(rec) == 1
     return rec
 
 
 def oracle_persistence(data, station, t_eh, horizon, max_back_hours):
     """Per-record persistence: a scan back from the issue hour over the
-    lookback for the latest finite speed."""
+    lookback for the latest finite speed. The record is a tuple in
+    ForecastColumns field order."""
     si = data.station_index(station)
     ti = data.index_of_time(t_eh)
     lo = max(0, ti - max_back_hours)
@@ -56,8 +57,8 @@ def oracle_persistence(data, station, t_eh, horizon, max_back_hours):
         value, fallback = float(data.speed[si, at]), at != ti
     vi = ti + horizon
     observed = float(data.speed[si, vi]) if vi < data.n else math.nan
-    return ForecastRecord(station, int(t_eh), horizon, math.nan, math.nan,
-                          value, bool(fallback), observed)
+    return (station, int(t_eh), horizon, math.nan, math.nan, value, bool(fallback),
+            observed)
 
 
 class TestPersistence:
@@ -67,9 +68,9 @@ class TestPersistence:
         current = float(data.speed[si, 1000])
         for k in (1, 2, 6):
             rec = _one(data, "S01", t, k)
-            assert rec.point == current
-            assert not rec.fallback
-            assert math.isnan(rec.mu) and math.isnan(rec.sigma)
+            assert rec.point[0] == current
+            assert not rec.fallback[0]
+            assert math.isnan(rec.mu[0]) and math.isnan(rec.sigma[0])
 
     def test_constant_series_zero_error(self):
         d, _ = make_model_data(seed=3, days=30, noise_sigma=0.0,
@@ -78,22 +79,21 @@ class TestPersistence:
         si = d.station_index("S01")
         t = int(d.times[200])
         rec = _one(d, "S01", t, 2)
-        assert rec.observed == pytest.approx(rec.point, abs=1e-9)
+        assert rec.observed[0] == pytest.approx(rec.point[0], abs=1e-9)
 
     def test_missing_current_uses_latest_and_flags(self, data):
         d = data.truncated_at(int(data.times[-1]))  # private copy
         si = d.station_index("S01")
         d.speed[si, 1000] = np.nan
         rec = _one(d, "S01", int(d.times[1000]), 2)
-        assert rec.fallback
-        assert rec.point == float(d.speed[si, 999])
+        assert rec.fallback[0]
+        assert rec.point[0] == float(d.speed[si, 999])
 
     def test_mae_matches_brute_force(self, data):
         (t0, t1), (ts, te) = _bounds(data, 90, 20)
         (recs,) = run_rolling(data, "PSS", ["S02"], [3], (t0, t1), (ts, te), ROLLING)
-        scored = [(r.point, r.observed) for r in recs
-                  if math.isfinite(r.point) and math.isfinite(r.observed)]
-        mae = np.mean([abs(o - p) for p, o in scored])
+        scored = np.isfinite(recs.point) & np.isfinite(recs.observed)
+        mae = np.mean(np.abs(recs.observed[scored] - recs.point[scored]))
         si = data.station_index("S02")
         i0 = data.index_of_time(ts)
         i1 = data.index_of_time(te - 1) + 1
@@ -121,9 +121,9 @@ class TestPersistenceFaults:
         t0 = int(d.times[first])
         t1 = int(d.times[last]) + 1
         got = persistence(d, "S01", (t0, t1), list(horizons), max_back)
-        want = ForecastColumns.from_records(
-            [oracle_persistence(d, "S01", t, k, max_back)
-             for t in range(t0, t1) for k in horizons])
+        rows = [oracle_persistence(d, "S01", t, k, max_back)
+                for t in range(t0, t1) for k in horizons]
+        want = ForecastColumns(*map(np.array, zip(*rows)))
         for name in ("station", "issue_time", "horizon", "mu", "sigma", "point",
                      "fallback", "observed"):
             a, b = getattr(got, name), getattr(want, name)
@@ -187,33 +187,28 @@ class TestRunRolling:
         (t0, t1), (ts, te) = _bounds(data, 100, 3)
         (recs,) = run_rolling(data, "PSS", ["S01"], [1, 4], (t0, t1), (ts, te), ROLLING)
         assert len(recs) == 72 * 2
-        for rec in list(recs)[:40]:
-            direct = _one(data, "S01", rec.issue_time, rec.horizon,
+        for i in range(40):
+            direct = _one(data, "S01", int(recs.issue_time[i]), int(recs.horizon[i]),
                           ROLLING.window_hours)
-            assert rec.point == direct.point
-            assert rec.observed == direct.observed or (
-                math.isnan(rec.observed) and math.isnan(direct.observed))
+            assert recs.point[i] == direct.point[0]
+            assert recs.observed[i] == direct.observed[0] or (
+                math.isnan(recs.observed[i]) and math.isnan(direct.observed[0]))
 
     def test_record_count_and_order(self, data):
         (t0, t1), (ts, te) = _bounds(data, 100, 4)
-        recs = [r for cols in run_rolling(data, "TDDGW-MD", ["S01", "S02"], [1, 2],
-                                          (t0, t1), (ts, te), ROLLING)
-                for r in cols]
+        recs = ForecastColumns.concat(run_rolling(data, "TDDGW-MD", ["S01", "S02"], [1, 2],
+                                                  (t0, t1), (ts, te), ROLLING))
         assert len(recs) == 2 * 96 * 2
-        keys = [(r.station, r.issue_time, r.horizon) for r in recs]
+        keys = list(zip(recs.station.tolist(), recs.issue_time.tolist(),
+                        recs.horizon.tolist()))
         assert keys == sorted(keys)
 
     def test_median_point_consistency(self, data):
         (t0, t1), (ts, te) = _bounds(data, 100, 2)
         (recs,) = run_rolling(data, "TDD", ["S01"], [2], (t0, t1), (ts, te), ROLLING)
-        checked = 0
-        for r in recs:
-            if r.fallback:
-                continue
-            d = TruncatedNormal(r.mu, r.sigma)
-            assert abs(d.cdf(r.point) - 0.5) < 1e-9
-            checked += 1
-        assert checked > 40
+        ok = recs.take(~recs.fallback)
+        assert np.all(np.abs(cdf_values(ok.mu, ok.sigma, ok.point) - 0.5) < 1e-9)
+        assert len(ok) > 40
 
     def test_causality_audit(self, data):
         (t0, t1), (ts, _) = _bounds(data, 100, 4)
@@ -223,14 +218,15 @@ class TestRunRolling:
         truncated_data = data.truncated_at(cutoff)
         (part,) = run_rolling(truncated_data, "TDDGW-MD", ["S01"], [2], (t0, t1),
                               (ts, cutoff), ROLLING)
-        full_by_key = {(r.issue_time, r.horizon): r for r in full}
         assert len(part) == 48
-        for r in part:
-            mate = full_by_key[(r.issue_time, r.horizon)]
-            assert r.fallback == mate.fallback
-            assert r.point == mate.point
-            if math.isfinite(r.mu) or math.isfinite(mate.mu):
-                assert r.mu == mate.mu and r.sigma == mate.sigma
+        mate = full.take(slice(0, 48))  # ordered by issue hour, one horizon
+        assert part.issue_time.tolist() == mate.issue_time.tolist()
+        assert part.horizon.tolist() == mate.horizon.tolist()
+        assert part.fallback.tolist() == mate.fallback.tolist()
+        assert part.point.tolist() == mate.point.tolist()
+        # a distribution on either side is one on both, with equal parameters
+        assert np.array_equal(part.mu, mate.mu, equal_nan=True)
+        assert np.array_equal(part.sigma, mate.sigma, equal_nan=True)
 
     def test_train_history_shorter_than_window_rejected(self, data):
         t0 = int(data.times[0])
@@ -245,11 +241,9 @@ class TestRunRolling:
         i = holed.index_of_time(ts + 30)
         holed.speed[si, i] = np.nan  # cross-station feature hole
         (recs,) = run_rolling(holed, "TDD", ["S01"], [2], (t0, t1), (ts, te), ROLLING)
-        flagged = [r for r in recs if r.fallback]
-        clean = [r for r in recs if not r.fallback]
         # the hole can only matter if S02 was selected; persistence point
         # forecasts must exist either way
-        assert all(math.isfinite(r.point) for r in flagged + clean)
+        assert np.isfinite(recs.point).all()
 
     def test_fallbacks_read_the_persistence_columns(self, data):
         (t0, t1), (ts, te) = _bounds(data, 100, 2)
@@ -301,19 +295,16 @@ class TestStateReuse:
 
 
 def test_records_csv_round_trip(tmp_path):
-    records = [
-        ForecastRecord("S01", 350000, 2, 5.5, 1.25, 5.497, False, 6.1),
-        ForecastRecord("S01", 350001, 2, math.nan, math.nan, 4.2, True, math.nan),
-    ]
+    records = ForecastColumns(
+        station=np.array(["S01", "S01"]), issue_time=np.array([350000, 350001]),
+        horizon=np.array([2, 2]), mu=np.array([5.5, math.nan]),
+        sigma=np.array([1.25, math.nan]), point=np.array([5.497, 4.2]),
+        fallback=np.array([False, True]), observed=np.array([6.1, math.nan]))
     path = tmp_path / "f.csv"
     write_records_csv(records, path, header_lines=["unit test"])
     back = read_records_csv(path)
     assert len(back) == 2
-    for a, b in zip(back, records):
-        assert a.station == b.station
-        assert a.issue_time == b.issue_time
-        assert a.horizon == b.horizon
-        assert a.fallback == b.fallback
-        for field in ("mu", "sigma", "point", "observed"):
-            x, y = getattr(a, field), getattr(b, field)
-            assert (x == y) or (math.isnan(x) and math.isnan(y))
+    for name in ("station", "issue_time", "horizon", "fallback"):
+        assert getattr(back, name).tolist() == getattr(records, name).tolist(), name
+    for name in ("mu", "sigma", "point", "observed"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(records, name), name)

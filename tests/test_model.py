@@ -1,5 +1,6 @@
 """Regression machinery: features, volatility, BIC selection, CRPS training."""
 
+import dataclasses
 import json
 import logging
 import math
@@ -208,14 +209,11 @@ class TestDesignSpan:
         assert a.n_rows == b.n_rows
         assert a.coefficients.center.tobytes() == b.coefficients.center.tobytes()
         assert (a.coefficients.b0, a.coefficients.b1) == (b.coefficients.b0, b.coefficients.b1)
-        forecasts = 0
-        for t in range(hi - 100, hi):
-            whole, spanned = predict_params(a, full, t), predict_params(b, part, t - lo)
-            assert (whole is None) == (spanned is None)
-            if whole is not None:
-                assert (whole.mu, whole.sigma) == (spanned.mu, spanned.sigma)
-                forecasts += 1
-        assert forecasts >= 90
+        whole = predict_params(a, full, slice(hi - 100, hi))
+        spanned = predict_params(b, part, slice(hi - 100 - lo, hi - lo))
+        for x, y in zip(whole, spanned):  # mu, then sigma
+            assert x.tobytes() == y.tobytes()
+        assert np.isfinite(whole[0]).sum() >= 90
 
 
 class TestSpecValidation:
@@ -813,22 +811,51 @@ class TestPredictParams:
             coefficients=Coefficients(("intercept",), np.array([0.25]), 0.5, 1e-300),
             n_rows=1)
         t = 30 * 24
-        dist = predict_params(model, bundle, t)
+        (mu,), (sigma,) = predict_params(model, bundle, [t])
         prof = state.profiles["speed/S1"]
         expected_mu = float(prof.evaluate(np.array([(t + 2) % 24]))[0]) + 0.25
-        assert dist.mu == pytest.approx(expected_mu, abs=1e-12)
+        assert mu == pytest.approx(expected_mu, abs=1e-12)
         # b1 ~ 0 pins sigma at b0 regardless of volatility
-        assert dist.sigma == pytest.approx(0.5, abs=1e-12)
+        assert sigma == pytest.approx(0.5, abs=1e-12)
 
-    def test_missing_feature_returns_none(self):
+    def test_block_equals_the_per_row_formula(self):
+        """Bit for bit, on a block from the start of the axis, whose first
+        rows have no volatility yet, and on both sides of SIGMA_FLOOR."""
         state, spec, bounds = _recovery_setup(noise=0.3)
-        data = state.data
-        data.speed[1, 500] = np.nan
-        state2 = ResidualState.build(data, "YMD", bounds[1], bounds)
-        bundle = DesignBundle.build(state2, spec)
-        model = fit_crps(state2, spec, bounds)
-        assert predict_params(model, bundle, 500) is None
-        assert predict_params(model, bundle, 499) is not None
+        bundle = DesignBundle.build(state, spec)
+        fitted = fit_crps(state, spec, bounds, bundle=bundle).coefficients
+        # scale terms that put the rows below 0.9 of the median vol on SIGMA_FLOOR
+        c = Coefficients(fitted.names, fitted.center, 1e-9,
+                         1e-8 / float(np.nanmedian(bundle.vol)))
+        model = TrainedModel(spec, c, 1)
+        rows = np.arange(0, 600)
+        mu, sigma = predict_params(model, bundle, rows)
+        want_mu, want_sigma = np.full(rows.size, np.nan), np.full(rows.size, np.nan)
+        for i, t in enumerate(rows):
+            x, v, offset = bundle.X[t], bundle.vol[t], bundle.offset[t]
+            if np.isfinite(x).all() and np.isfinite(v) and np.isfinite(offset):
+                want_mu[i] = offset + x @ c.center
+                want_sigma[i] = max(c.b0 + c.b1 * v, SIGMA_FLOOR)
+        assert np.isnan(mu).any() and np.isfinite(mu).sum() > 500
+        assert (sigma == SIGMA_FLOOR).any() and (sigma > SIGMA_FLOOR).any()
+        assert mu.tobytes() == want_mu.tobytes()
+        assert sigma.tobytes() == want_sigma.tobytes()
+
+    @pytest.mark.parametrize("missing", ["feature", "vol", "offset"])
+    def test_missing_input_reads_nan(self, missing):
+        state, spec, bounds = _recovery_setup(noise=0.3)
+        if missing == "feature":  # a lag-0 regressor that the volatility does not read
+            state.data.gw_speed[500] = np.nan
+            state = ResidualState.build(state.data, "YMD", bounds[1], bounds)
+        bundle = DesignBundle.build(state, spec)
+        model = fit_crps(state, spec, bounds, bundle=bundle)
+        if missing != "feature":
+            column = getattr(bundle, missing).copy()
+            column[500] = np.nan
+            bundle = dataclasses.replace(bundle, **{missing: column})
+        mu, sigma = predict_params(model, bundle, slice(498, 503))
+        assert np.isnan(mu[2]) and np.isnan(sigma[2])
+        assert np.isfinite(np.delete(mu, 2)).all() and np.isfinite(np.delete(sigma, 2)).all()
 
     def test_missing_rows_dropped_from_training(self):
         state, spec, bounds = _recovery_setup(noise=0.3, seed=6)

@@ -1,14 +1,15 @@
 """Verification: score identities, PIT calibration, reductions."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
 from windcast.errors import EmptyReportError, InvalidInputError
-from windcast.forecast import ForecastRecord
-from windcast.predictive import TruncatedNormal
+from windcast.forecast import ForecastColumns
+from windcast.predictive import quantile_values
 from windcast.timeutil import epoch_hour
 from windcast.verification import (
     CellScores,
@@ -24,23 +25,31 @@ from windcast.verification import (
 T0 = epoch_hour("2010-01-01T00:00")
 
 
+def _columns(point, observed, mu=math.nan, sigma=math.nan, station="S01", k=2):
+    """Forecasts of one (station, k) cell, one per issue hour from T0; scalars
+    fill their whole column."""
+    n = len(observed)
+    return ForecastColumns(
+        station=np.full(n, station), issue_time=T0 + np.arange(n), horizon=np.full(n, k),
+        mu=np.broadcast_to(mu, n).astype(float), sigma=np.broadcast_to(sigma, n).astype(float),
+        point=np.broadcast_to(point, n).astype(float), fallback=np.zeros(n, dtype=bool),
+        observed=np.asarray(observed, dtype=float))
+
+
 def _records(n=200, station="S01", k=2, seed=0, sigma=1.0, perfect=False,
              from_own_dist=False):
     rng = np.random.default_rng(seed)
-    out = []
-    for i in range(n):
-        mu = 5.0 + 2.0 * math.sin(i / 40.0)
-        d = TruncatedNormal(mu, sigma)
-        point = d.median()
-        if perfect:
-            observed = point
-        elif from_own_dist:
-            observed = float(d.sample(rng))
-        else:
-            observed = max(0.0, mu + rng.normal(0, sigma))
-        out.append(ForecastRecord(station, T0 + i, k, mu, sigma, point, False,
-                                  observed))
-    return out
+    mu = 5.0 + 2.0 * np.sin(np.arange(n) / 40.0)
+    sigma = np.full(n, sigma)
+    point = quantile_values(mu, sigma, 0.5)
+    if perfect:
+        observed = point
+    elif from_own_dist:  # inverse-CDF draws
+        u = np.clip(rng.uniform(0.0, 1.0, n), 1e-15, 1.0 - 1e-15)
+        observed = quantile_values(mu, sigma, u)
+    else:
+        observed = np.maximum(0.0, mu + rng.normal(0.0, sigma))
+    return _columns(point, observed, mu, sigma, station, k)
 
 
 class TestScore:
@@ -82,11 +91,8 @@ class TestScore:
         # frozen record set: as sigma -> 0 the mean CRPS approaches the MAE
         # of the median point forecasts
         base = _records(n=300, seed=7, sigma=1.0)
-        shrunk = []
-        for r in base:
-            d = TruncatedNormal(r.mu, 1e-7)
-            shrunk.append(ForecastRecord(r.station, r.issue_time, r.horizon,
-                                         r.mu, 1e-7, d.median(), False, r.observed))
+        sigma = np.full(300, 1e-7)
+        shrunk = replace(base, sigma=sigma, point=quantile_values(base.mu, sigma, 0.5))
         rep = score(shrunk, "TDD")
         assert rep.crps == pytest.approx(rep.mae, abs=1e-5)
 
@@ -96,22 +102,20 @@ class TestScore:
         assert np.all(rep.width_by_month[np.isfinite(rep.width_by_month)] > 0.0)
 
     def test_point_only_records(self):
-        recs = [ForecastRecord("S01", T0 + i, 2, math.nan, math.nan, 5.0, False,
-                               5.0 + 0.1 * i) for i in range(50)]
-        rep = score(recs, "PSS")
+        rep = score(_columns(5.0, 5.0 + 0.1 * np.arange(50)), "PSS")
         assert rep.n_prob == 0
         assert math.isnan(rep.crps)
         assert rep.mae > 0.0
 
     def test_empty_errors(self):
         with pytest.raises(EmptyReportError):
-            score([], "TDD")
-        no_obs = [ForecastRecord("S01", T0, 2, 5.0, 1.0, 5.0, False, math.nan)]
+            score(_records(n=0), "TDD")
+        no_obs = _columns(5.0, [math.nan], mu=5.0, sigma=1.0)
         with pytest.raises(EmptyReportError):
             score(no_obs, "TDD")
 
     def test_mixed_groups_rejected(self):
-        recs = _records(n=10) + _records(n=10, station="S02")
+        recs = ForecastColumns.concat([_records(n=10), _records(n=10, station="S02")])
         with pytest.raises(InvalidInputError):
             score(recs, "TDD")
         groups = score_groups(recs, "TDD")
@@ -119,10 +123,9 @@ class TestScore:
 
     def test_fallback_exclusion(self):
         recs = _records(n=100, seed=4)
-        for r in recs[:30]:
-            r.fallback = True
-        with_fb = score(recs, "TDD", include_fallbacks=True)
-        without = score(recs, "TDD", include_fallbacks=False)
+        recs.fallback[:30] = True
+        with_fb = score(recs, "TDD")
+        without = score(recs.take(~recs.fallback), "TDD")
         assert with_fb.n_scored == 100
         assert without.n_scored == 70
         assert with_fb.n_fallback == 30
@@ -176,9 +179,10 @@ def test_score_csv_and_table_outputs(tmp_path):
 
 def test_scores_csv_round_trips_bit_exactly(tmp_path):
     """What report reads back is what evaluate scored, NaN cells included."""
-    point_only = [ForecastRecord(r.station, r.issue_time, r.horizon, math.nan, math.nan,
-                                 r.point, True, r.observed)
-                  for r in _records(n=24 * 70, seed=8)]
+    recs = _records(n=24 * 70, seed=8)
+    n = len(recs)
+    point_only = replace(recs, mu=np.full(n, math.nan), sigma=np.full(n, math.nan),
+                         fallback=np.ones(n, dtype=bool))
     reports = [score(_records(n=24 * 70, seed=7), "TDD"), score(point_only, "PSS")]
     write_scores_csv(reports, tmp_path / "scores.csv", header_lines=["x"])
     cells = read_scores_csv(tmp_path / "scores.csv")
