@@ -176,20 +176,20 @@ def _station_groups(cfg: RunConfig, jobs: int) -> list:
 def cmd_train(cfg: RunConfig, jobs: int) -> None:
     train = (cfg.train_start, cfg.train_end)
     rolling = _rolling_config(cfg)
-    keys, tasks = [], []
+    variants, tasks = [], []
     with _stage_pool(jobs) as pool:
         data = _load_model_data(cfg, pool)
         for variant in cfg.variants:
             if variant == PERSISTENCE:
                 continue
             for group in _station_groups(cfg, jobs):
-                keys.append((variant, group))
+                variants.append(variant)
                 tasks.append((data, variant, group, list(cfg.horizons), train, rolling))
         selected = _map(pool, select_group, tasks)
 
-    for (variant, group), group_specs in zip(keys, selected):
-        for station, specs in zip(group, group_specs):
-            for k, spec in zip(cfg.horizons, specs):
+    for variant, group_specs in zip(variants, selected):
+        for station, specs in group_specs.items():
+            for k, spec in specs.items():
                 path = _bundle_path(cfg, variant, station, k)
                 os.makedirs(os.path.dirname(path), exist_ok=True)
                 _atomic(path, lambda p, s=spec: save_bundle(s, p, cfg.digest()))
@@ -337,8 +337,17 @@ def _job_count(flag: int | None, cfg: RunConfig) -> int:
     return jobs
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ConfigError, so a bad flag
+    fails with the same JSON error as a bad config value. argparse builds the
+    subcommand parsers from the same class."""
+
+    def error(self, message):
+        raise ConfigError([f"{self.prog}: {message}"])
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="windcast",
         description="probabilistic short-term wind speed forecasting pipeline",
     )
@@ -355,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed

@@ -154,13 +154,13 @@ def _selection(data: ModelData, vspec: VariantSpec, stations: Sequence[str],
 
 def select_group(data: ModelData, variant: str, stations: Sequence[str],
                  horizons: Sequence[int], train: tuple,
-                 config: RollingConfig = RollingConfig()) -> list:
-    """BIC-selected FeatureSpecs for one variant: per station, in the order
-    given, one per horizon, in the order given."""
+                 config: RollingConfig = RollingConfig()) -> dict:
+    """BIC-selected FeatureSpecs for one variant as {station: {horizon:
+    spec}}, stations and horizons in the order given."""
     train = (int(train[0]), int(train[1]))
     _, specs = _selection(data, parse_variant(variant), stations, horizons, train, config,
                           None)
-    return [[specs[st][int(k)] for k in horizons] for st in stations]
+    return specs
 
 
 def run_rolling(
@@ -221,16 +221,14 @@ def run_rolling(
                 min(group[-1] + config.refit_hours, test_end) - t0)
         for s, station in enumerate(stations):
             for j, k in enumerate(horizons):
-                spec = specs[station][k]
-                bundle = DesignBundle.build(state, spec, span)
+                bundle = DesignBundle.build(state, specs[station][k], span)
                 for refit_at in group:
-                    model = fit_crps(state, spec, (refit_at - config.window_hours, refit_at),
-                                     bundle=bundle)
+                    coefficients = fit_crps(bundle, (refit_at - config.window_hours, refit_at))
                     end = min(refit_at + config.refit_hours, test_end)
                     # issue hours [refit_at, end) at horizon j, and their bundle rows
                     rows = slice((refit_at - test_start) * n_k + j, (end - test_start) * n_k, n_k)
                     mu[s][rows], sigma[s][rows] = predict_params(
-                        model, bundle, slice(refit_at - t0 - span[0], end - t0 - span[0]))
+                        coefficients, bundle, slice(refit_at - t0 - span[0], end - t0 - span[0]))
 
     out = []
     for p, m, sg in zip(pss, mu, sigma):

@@ -198,6 +198,16 @@ def geostrophic_from_plane(fit: PlaneFit, f: float, const: PhysicalConstants = P
     return -scale * fit.a2, scale * fit.a1
 
 
+def _nanmean(a: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
+    """``np.nanmean`` without its RuntimeWarning, which ``np.errstate`` does
+    not silence: a slice with no number (a month-long outage, an hour with no
+    barometer) reads NaN. It sums and divides as nanmean does, bit for bit."""
+    have = ~np.isnan(a)
+    with np.errstate(invalid="ignore"):
+        return (np.where(have, a, 0.0).sum(axis=axis, keepdims=keepdims)
+                / have.sum(axis=axis, keepdims=keepdims))
+
+
 def _station_anomalies(heights: np.ndarray, times: np.ndarray, policy: MeanRemovalPolicy):
     """Remove the per-station mean height according to the policy.
 
@@ -207,16 +217,12 @@ def _station_anomalies(heights: np.ndarray, times: np.ndarray, policy: MeanRemov
         return heights
     anomalies = np.array(heights, copy=True)
     if policy is MeanRemovalPolicy.WHOLE_RECORD:
-        with np.errstate(invalid="ignore"):
-            means = np.nanmean(heights, axis=1, keepdims=True)
-        anomalies -= means
+        anomalies -= _nanmean(heights, axis=1, keepdims=True)
         return anomalies
     months = month_index(times)
     for m in np.unique(months):
         cols = months == m
-        with np.errstate(invalid="ignore"):
-            means = np.nanmean(heights[:, cols], axis=1, keepdims=True)
-        anomalies[:, cols] -= means
+        anomalies[:, cols] -= _nanmean(heights[:, cols], axis=1, keepdims=True)
     return anomalies
 
 
@@ -256,8 +262,7 @@ def estimate_series(
 
     # layer-mean absolute temperature per hour from contributing stations
     temp_k = np.where(valid, network.temperature + 273.15, np.nan)
-    with np.errstate(invalid="ignore"):
-        t_bar = np.nanmean(temp_k, axis=0)
+    t_bar = _nanmean(temp_k, axis=0)
     usable = counts >= min_stations
 
     heights = np.full_like(network.pressure, np.nan)

@@ -13,16 +13,18 @@ residual volatility,
     v_t = sqrt( (1/2S) * sum_s sum_{l=0,1} (yr[s,t-l] - yr[s,t-l-1])^2 )
 
 Lag bundles are chosen once per target/horizon on the training record by
-greedy forward selection under BIC on the least-squares center fit, each
-candidate scored from the normal equations of one Gram matrix; a saved
-bundle holds that selection only. Coefficients are then estimated on a
-sliding window by minimizing the mean CRPS of the resulting truncated
-normal forecasts (Gneiting et al. 2006; Thorarinsdottir & Gneiting 2010)
-with Levenberg-Marquardt-damped Newton steps on the analytic gradient and
-Hessian, started from least squares; numpy.linalg factors each step, so a
-fit loads nothing from scipy.optimize. The fit works in (log b0, r) with
-b1 = r^2, which keeps b0, b1 > 0 without the flat log b1 -> -inf of a
-logarithm.
+greedy forward selection under BIC on the least-squares center fit. Each
+candidate is scored from the sub-block of one Gram matrix that its design
+columns index; the candidate pool lists every lag family's columns per lag.
+A saved bundle holds that selection only. Coefficients are then estimated
+from a ``DesignBundle`` alone, on a sliding window, by minimizing the mean
+CRPS of the resulting truncated normal forecasts (Gneiting et al. 2006;
+Thorarinsdottir & Gneiting 2010) with Levenberg-Marquardt-damped Newton
+steps on the analytic gradient and Hessian, started from least squares;
+numpy.linalg factors each step, so a fit loads nothing from scipy.optimize.
+The fit works in (log b0, r) with b1 = r^2, which keeps b0, b1 > 0 without
+the flat log b1 -> -inf of a logarithm. Its ``Coefficients`` follow the
+column order of the design they were fitted on.
 
 The target stations of one variant share its residual states and, in
 selection, one candidate pool per horizon (``CandidatePool``); a refit's
@@ -141,18 +143,17 @@ class FeatureSpec:
 
 @dataclass(frozen=True)
 class Coefficients:
-    """Fitted center weights (aligned with ``names``) and scale parameters."""
+    """Center weights, aligned with the columns of the design they were fitted
+    on, and scale parameters, fitted on ``n_rows`` rows of one window."""
 
-    names: tuple
     center: np.ndarray
     b0: float
     b1: float
+    n_rows: int
 
     def __post_init__(self):
         if not (np.isfinite(self.b0) and np.isfinite(self.b1) and self.b0 > 0 and self.b1 > 0):
             raise InvalidInputError("scale coefficients b0, b1 must be finite and positive")
-        if len(self.names) != np.asarray(self.center).size:
-            raise InvalidInputError("coefficient names and values disagree in length")
 
 
 @dataclass
@@ -316,38 +317,35 @@ class ResidualState:
 
 def _regressors(state: ResidualState, speed_lags: Mapping[str, int],
                 direction_lags: Mapping[str, int], gw_lags: int,
-                gw_direction: bool) -> tuple[list, list]:
-    """Names of the regressors after the intercept, in design order, and the
-    (whole-axis series, lag) each one reads: residual speed and direction
-    lags 0..q of each station in the lag maps, residual geostrophic lags
+                gw_direction: bool) -> tuple[list, list, dict]:
+    """The design's column names, intercept first; the (whole-axis series,
+    lag) each later column reads; and each lag family's design columns per
+    lag, {("speed", station) | ("dir", station) | ("gw",): [columns of lag 0,
+    of lag 1, ...]}. The columns are residual speed and direction (cos, then
+    sin) lags 0..q of each station in the lag maps, residual geostrophic lags
     0..``gw_lags`` and, with ``gw_direction``, the geostrophic direction
     pair."""
     data = state.data
-    names: list[str] = []
-    sources: list[tuple] = []
-    for st in data.stations:
-        q = speed_lags.get(st)
-        if q is None:
-            continue
-        i = data.station_index(st)
-        for j in range(q + 1):
-            names.append(f"speed_r[{st}][{j}]")
-            sources.append((state.speed_r[i], j))
-    for st in data.stations:
-        q = direction_lags.get(st)
-        if q is None:
-            continue
-        i = data.station_index(st)
-        for j in range(q + 1):
-            names += [f"cos_r[{st}][{j}]", f"sin_r[{st}][{j}]"]
-            sources += [(state.cos_r[i], j), (state.sin_r[i], j)]
+    names, sources, families = ["intercept"], [], {}
+
+    def add(family, lag, columns):
+        families.setdefault(family, []).append([len(names) + c for c in range(len(columns))])
+        names.extend(name for name, _ in columns)
+        sources.extend((series, lag) for _, series in columns)
+
+    for i, st in enumerate(data.stations):
+        for j in range(speed_lags.get(st, -1) + 1):
+            add(("speed", st), j, [(f"speed_r[{st}][{j}]", state.speed_r[i])])
+    for i, st in enumerate(data.stations):
+        for j in range(direction_lags.get(st, -1) + 1):
+            add(("dir", st), j, [(f"cos_r[{st}][{j}]", state.cos_r[i]),
+                                 (f"sin_r[{st}][{j}]", state.sin_r[i])])
     for j in range(gw_lags + 1):
-        names.append(f"gw_r[{j}]")
-        sources.append((state.gw_r, j))
+        add(("gw",), j, [(f"gw_r[{j}]", state.gw_r)])
     if gw_direction:
         names += ["gw_cos[0]", "gw_sin[0]"]
         sources += [(data.gw_cos, 0), (data.gw_sin, 0)]
-    return names, sources
+    return names, sources, families
 
 
 def _design(sources: list, lo: int, hi: int, extra: Sequence = (),
@@ -409,15 +407,15 @@ class DesignBundle:
         """The design on the axis rows ``span`` = [lo, hi), the whole axis by
         default."""
         lo, hi = (0, state.data.n) if span is None else (int(span[0]), int(span[1]))
-        names, sources = _regressors(state, spec.speed_lags, spec.direction_lags,
-                                     spec.gw_lags if spec.include_gw else -1,
-                                     spec.include_gw_direction)
+        names, sources, _ = _regressors(state, spec.speed_lags, spec.direction_lags,
+                                        spec.gw_lags if spec.include_gw else -1,
+                                        spec.include_gw_direction)
         extra = []
         if spec.include_temp_diff:
             names.append("temp_diff_24h")
             extra.append(_temp_diff(state.data, spec.target_station, lo, hi))
         target, offset = _target_offset(state, spec.target_station, spec.horizon, lo, hi)
-        return cls(spec=spec, names=("intercept", *names), X=_design(sources, lo, hi, extra),
+        return cls(spec=spec, names=tuple(names), X=_design(sources, lo, hi, extra),
                    target=target, offset=offset, vol=state.vol[lo:hi],
                    times=state.data.times[lo:hi])
 
@@ -430,16 +428,6 @@ class DesignBundle:
         if need_vol:
             mask &= np.isfinite(self.vol)
         return np.nonzero(mask)[0]
-
-
-@dataclass(frozen=True)
-class TrainedModel:
-    """Selected predictors plus coefficients fitted on ``n_rows`` rows of one
-    window."""
-
-    spec: FeatureSpec
-    coefficients: Coefficients
-    n_rows: int
 
 
 BUNDLE_FORMAT_VERSION = 2
@@ -500,7 +488,8 @@ class CandidatePool:
     issue and valid times fall inside the selection window and whose columns
     are all finite. A target station adds only its target, offset and, when
     the variant has it, its ``temp_diff_24h`` column (see
-    ``normal_equations``).
+    ``normal_equations``). ``families`` maps each lag family to its columns
+    per lag (see ``_regressors``).
     """
 
     state: ResidualState
@@ -508,6 +497,7 @@ class CandidatePool:
     horizon: int
     max_lag: int
     names: tuple
+    families: dict
     span: tuple  # axis rows [lo, hi) with issue and valid time in the window
     finite: np.ndarray  # (hi - lo,) rows where every pool column is finite
     X: np.ndarray  # (finite rows, p)
@@ -522,13 +512,14 @@ class CandidatePool:
         lo = min(max(int(window[0]) - t0, 0), data.n)
         hi = min(max(int(window[1]) - horizon + 1 - t0, lo), data.n)
         every = {st: max_lag for st in data.stations}
-        names, sources = _regressors(state, every, every, max_lag if variant.include_gw else -1,
-                                     variant.include_gw_direction)
+        names, sources, families = _regressors(state, every, every,
+                                               max_lag if variant.include_gw else -1,
+                                               variant.include_gw_direction)
         finite = np.ones(hi - lo, dtype=bool)
         for series, lag in sources:
             finite &= np.isfinite(_at(series, lo, hi, -lag))
         return cls(state=state, variant=variant, horizon=horizon, max_lag=max_lag,
-                   names=("intercept", *names), span=(lo, hi), finite=finite,
+                   names=tuple(names), families=families, span=(lo, hi), finite=finite,
                    X=_design(sources, lo, hi, keep=finite))
 
     def normal_equations(self, station: str) -> tuple:
@@ -569,15 +560,10 @@ def select_lags_bic(pool: CandidatePool, target_station: str) -> FeatureSpec:
 
     The Gram matrix of the pool over the station's selection rows is formed
     once (and shared with the pool's other stations where it can be); each
-    candidate is scored from its sub-block.
+    candidate is scored from the sub-block of its columns: the forced ones,
+    then each family's lags 0..q, in pool order.
     """
-    data = pool.state.data
-    variant, horizon, max_lag = pool.variant, pool.horizon, pool.max_lag
-    families: list[tuple] = [("speed", st) for st in data.stations]
-    families += [("dir", st) for st in data.stations]
-    if variant.include_gw:
-        families.append(("gw",))
-
+    variant = pool.variant
     names, gram, xty, yty, n = pool.normal_equations(target_station)
     p_max = len(names)
     if n < MIN_ROWS_PER_PARAM * p_max:
@@ -585,47 +571,26 @@ def select_lags_bic(pool: CandidatePool, target_station: str) -> FeatureSpec:
             f"selection window has {n} rows for {p_max} candidate parameters "
             f"(need >= {MIN_ROWS_PER_PARAM} per parameter)"
         )
-    name_to_col = {nm: i for i, nm in enumerate(names)}
+    forced = [names.index(nm) for nm in ("intercept", "gw_cos[0]", "gw_sin[0]", "temp_diff_24h")
+              if nm in names]
+    chosen = dict.fromkeys(pool.families, -1)
 
-    forced = ["intercept"]
-    if variant.include_gw_direction:
-        forced += ["gw_cos[0]", "gw_sin[0]"]
-    if variant.include_temp_diff:
-        forced += ["temp_diff_24h"]
-
-    def family_cols(fam, q):
-        kind = fam[0]
-        if kind == "speed":
-            return [f"speed_r[{fam[1]}][{j}]" for j in range(q + 1)]
-        if kind == "dir":
-            out = []
-            for j in range(q + 1):
-                out += [f"cos_r[{fam[1]}][{j}]", f"sin_r[{fam[1]}][{j}]"]
-            return out
-        return [f"gw_r[{j}]" for j in range(q + 1)]
-
-    chosen = {fam: -1 for fam in families}
-
-    def spec_cols():
-        names = list(forced)
-        for fam in families:
-            if chosen[fam] >= 0:
-                names += family_cols(fam, chosen[fam])
-        return names
-
-    def score(names):
-        idx = [name_to_col[nm] for nm in names]
+    def score():
+        idx = list(forced)
+        for fam, q in chosen.items():
+            for columns in pool.families[fam][:q + 1]:
+                idx += columns
         return bic_score(gram[np.ix_(idx, idx)], xty[idx], yty, n)
 
-    best = score(spec_cols())
+    best = score()
     while True:
         best_fam, best_bic = None, best
-        for fam in families:
+        for fam in chosen:
             q = chosen[fam]
-            if q + 1 > max_lag:
+            if q + 1 > pool.max_lag:
                 continue
             chosen[fam] = q + 1
-            candidate = score(spec_cols())
+            candidate = score()
             chosen[fam] = q
             if candidate < best_bic:
                 best_fam, best_bic = fam, candidate
@@ -636,11 +601,11 @@ def select_lags_bic(pool: CandidatePool, target_station: str) -> FeatureSpec:
 
     return FeatureSpec(
         target_station=target_station,
-        horizon=horizon,
+        horizon=pool.horizon,
         speed_lags={fam[1]: q for fam, q in chosen.items() if fam[0] == "speed" and q >= 0},
         direction_lags={fam[1]: q for fam, q in chosen.items() if fam[0] == "dir" and q >= 0},
         include_gw=variant.include_gw,
-        gw_lags=next((q for fam, q in chosen.items() if fam[0] == "gw"), -1),
+        gw_lags=chosen.get(("gw",), -1),
         include_gw_direction=variant.include_gw_direction,
         include_temp_diff=variant.include_temp_diff,
         diurnal_method=variant.diurnal_method,
@@ -739,27 +704,20 @@ def _newton(derivatives, theta):
     return theta, val, FIT_MAXITER, float(np.linalg.norm(grad))
 
 
-def fit_crps(
-    state: ResidualState,
-    spec: FeatureSpec,
-    window: tuple,
-    bundle: DesignBundle | None = None,
-) -> TrainedModel:
+def fit_crps(bundle: DesignBundle, window: tuple) -> Coefficients:
     """Minimum-CRPS coefficient estimation over a sliding window.
 
-    Rows are issue times in [window_start, window_end - horizon] with fully
-    observed features, target, and volatility; rows with missing values are
-    dropped. Damped Newton steps (``_newton``) minimize the mean CRPS from
-    the least-squares start, on the analytic gradient and Hessian of
+    Rows are the bundle's issue times in [window_start, window_end - horizon]
+    with fully observed features, target, and volatility; rows with missing
+    values are dropped. Damped Newton steps (``_newton``) minimize the mean
+    CRPS from the least-squares start, on the analytic gradient and Hessian of
     ``_crps_derivatives`` in (center, log b0, r) with b1 = r^2; numpy.linalg
     factors the steps. The window CRPS stays curved in r where the optimum
     has b1 -> 0, which it is not in log b1. A fit that stops short of
     FIT_GTOL logs one warning.
     """
-    if bundle is None or bundle.spec != spec:
-        bundle = DesignBundle.build(state, spec)
     rows = bundle.valid_rows(window[0], window[1])
-    p_center = len(bundle.names)
+    p_center = bundle.X.shape[1]
     n = rows.size
     if n < p_center + 2:
         raise TrainingDataError(
@@ -779,26 +737,24 @@ def fit_crps(
         log.warning("CRPS fit over window [%d, %d] did not converge after %d "
                     "iterations: gradient norm %.3g > %g", window[0], window[1],
                     iterations, gnorm, FIT_GTOL)
-    coefficients = Coefficients(
-        names=bundle.names,
+    return Coefficients(
         center=theta[:p_center].copy(),
         b0=float(np.exp(theta[p_center])),
         b1=float(theta[p_center + 1] ** 2),
+        n_rows=n,
     )
-    return TrainedModel(spec=spec, coefficients=coefficients, n_rows=n)
 
 
-def predict_params(model: TrainedModel, bundle: DesignBundle, rows) -> tuple:
+def predict_params(coefficients: Coefficients, bundle: DesignBundle, rows) -> tuple:
     """(mu, sigma) arrays of the predictive distributions for the valid times
     of the bundle's ``rows`` (a slice or index array), NaN on rows whose
     features, volatility or offset are missing (the caller falls back to
     persistence there)."""
     X, vol, offset = bundle.X[rows], bundle.vol[rows], bundle.offset[rows]
-    c = model.coefficients
     have = np.isfinite(X).all(axis=1) & np.isfinite(vol) & np.isfinite(offset)
     mu = np.full(vol.size, np.nan)
     sigma = np.full(vol.size, np.nan)
     # one dot per row: X @ center on the block rounds differently on some rows
-    mu[have] = offset[have] + np.array([x @ c.center for x in X[have]])
-    sigma[have] = np.maximum(c.b0 + c.b1 * vol[have], SIGMA_FLOOR)
+    mu[have] = offset[have] + np.array([x @ coefficients.center for x in X[have]])
+    sigma[have] = np.maximum(coefficients.b0 + coefficients.b1 * vol[have], SIGMA_FLOOR)
     return mu, sigma

@@ -112,6 +112,36 @@ def test_bad_job_count_refused(tmp_path, capsys, monkeypatch, flag, env, violati
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, violation", [
+    (["forecast", "--config", "{}", "--jobs", "two"],
+     "windcast forecast: argument --jobs: invalid int value: 'two'"),
+    (["forecast", "--config", "{}", "--seed", "x"],
+     "windcast forecast: argument --seed: invalid int value: 'x'"),
+    (["forecast"], "windcast forecast: the following arguments are required: --config"),
+    (["bogus", "--config", "{}"], "windcast: argument command: invalid choice: 'bogus'"),
+], ids=["jobs-text", "seed-text", "no-config", "unknown-command"])
+def test_bad_arguments_refused_as_json(tmp_path, capsys, args, violation):
+    """A usage error prints the JSON ConfigError of a bad config value, not
+    argparse's usage text, and touches no output directory."""
+    out = tmp_path / "out"
+    path = _write_config(tmp_path, small_config(str(out)))
+    assert main([a.format(path) for a in args]) == 2
+    captured = capsys.readouterr()
+    payload = json.loads(captured.err)
+    assert payload["error"] == "ConfigError"
+    (found,) = payload["violations"]
+    assert found.startswith(violation)
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("args", [["--version"], ["forecast", "--help"]])
+def test_help_and_version_still_exit_zero(capsys, args):
+    with pytest.raises(SystemExit) as done:
+        main(args)
+    assert done.value.code == 0
+    assert capsys.readouterr().out
+
+
 def csv_config(unit="m_s"):
     cfg = small_config("out")
     cfg["data"] = {"source": "csv", "csv": {"dir": "archive", "schema": {

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from windcast import forecast
 from windcast.forecast import (
     ForecastColumns,
     RollingConfig,
@@ -14,7 +13,7 @@ from windcast.forecast import (
     run_rolling,
     write_records_csv,
 )
-from windcast.model import ResidualState
+from windcast.model import DesignBundle, ResidualState
 from windcast.predictive import cdf_values
 from windcast.errors import InvalidInputError, TrainingDataError
 
@@ -273,18 +272,18 @@ class TestStateReuse:
         fresh = ResidualState.build(data, method, ts, (t0, t1), ROLLING.window_days)
 
         built, fitted = [], []
-        build, fit = ResidualState.build.__func__, forecast.fit_crps
+        build, design = ResidualState.build.__func__, DesignBundle.build.__func__
 
         def spy_build(cls, *args, **kwargs):
             built.append(build(cls, *args, **kwargs))
             return built[-1]
 
-        def spy_fit(state, *args, **kwargs):
+        def spy_design(cls, state, *args, **kwargs):
             fitted.append(state)
-            return fit(state, *args, **kwargs)
+            return design(cls, state, *args, **kwargs)
 
         monkeypatch.setattr(ResidualState, "build", classmethod(spy_build))
-        monkeypatch.setattr(forecast, "fit_crps", spy_fit)
+        monkeypatch.setattr(DesignBundle, "build", classmethod(spy_design))
         run_rolling(data, variant, ["S01"], [2], (t0, t1), (ts, ts + 48), ROLLING)
 
         assert [st.fit_time for st in built] == [t1] + [ts + 24 * day for day in rebuilt]

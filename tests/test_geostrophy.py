@@ -1,6 +1,7 @@
 """Geostrophic estimation: hydrostatic reduction, plane fits, wind conversion."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from windcast.geostrophy import (
     MeanRemovalPolicy,
     PhysicalConstants,
     PlaneFit,
+    _nanmean,
     coriolis,
     estimate_series,
     fit_plane,
@@ -310,6 +312,37 @@ class TestEstimateSeries:
         assert np.allclose(est.u_g, clean.u_g, atol=1e-8)
         assert np.allclose(est.v_g, clean.v_g, atol=1e-8)
 
+    @pytest.mark.parametrize("policy", [MeanRemovalPolicy.WHOLE_RECORD,
+                                        MeanRemovalPolicy.MONTHLY])
+    def test_barometer_outages_warn_nothing(self, policy):
+        # one barometer is out for all of February, another for the whole
+        # record, and one hour has none: those means are empty and read NaN,
+        # without numpy's "Mean of empty slice" warning
+        times = np.arange(epoch_hour("2008-01-20T00:00"), epoch_hour("2008-03-10T00:00"),
+                          dtype=np.int64)
+        n = times.size
+        a1 = 1e-4 * np.sin(np.arange(n) / 10.0)
+        a2 = -5e-5 * np.cos(np.arange(n) / 7.0)
+        heights = 1500.0 + self.x[:, None] * a1[None, :] + self.y[:, None] * a2[None, :]
+        biased = heights + np.random.default_rng(9).normal(0.0, 8.0, 12)[:, None]
+        february = ((times >= epoch_hour("2008-02-01T00:00"))
+                    & (times < epoch_hour("2008-03-01T00:00")))
+        out = []
+        for h in (heights, biased):
+            net = _network_from_heights(self.metas, times, h)
+            net.pressure[2, february] = np.nan
+            net.pressure[11] = np.nan
+            net.pressure[:, 100] = np.nan
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out.append(estimate_series(net, policy=policy))
+        clean, est = out
+        assert est.n_stations[100] == 0 and np.isnan(est.w_g[100])
+        assert set(est.n_stations[february]) == {10}
+        assert np.isfinite(est.w_g[:100]).all() and np.isfinite(est.w_g[101:]).all()
+        assert np.allclose(est.u_g, clean.u_g, atol=1e-8, equal_nan=True)
+        assert np.allclose(est.v_g, clean.v_g, atol=1e-8, equal_nan=True)
+
     def test_speed_and_direction_identities(self):
         net = _network_from_heights(self.metas, self.times, self._heights(3e-4, 2e-4))
         est = estimate_series(net, policy=MeanRemovalPolicy.NONE)
@@ -321,6 +354,19 @@ class TestEstimateSeries:
         net = _network_from_heights(self.metas, self.times, self._heights(0.0, 0.0))
         with pytest.raises(InvalidInputError):
             estimate_series(net, min_stations=2)
+
+
+def test_nanmean_equals_numpys_bit_for_bit():
+    rng = np.random.default_rng(4)
+    a = rng.normal(1500.0, 30.0, (12, 700))
+    a[rng.random(a.shape) < 0.3] = np.nan
+    a[3] = np.nan  # empty along axis 1
+    a[:, 17] = np.nan  # empty along axis 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for axis, keepdims in ((0, False), (1, True)):
+            want = np.nanmean(a, axis=axis, keepdims=keepdims)
+            assert _nanmean(a, axis, keepdims).tobytes() == want.tobytes()
 
 
 def test_geowind_csv_round_trip(tmp_path):

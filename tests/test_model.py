@@ -19,7 +19,6 @@ from windcast.model import (
     ModelData,
     ResidualState,
     SIGMA_FLOOR,
-    TrainedModel,
     _crps_derivatives,
     _initial_point,
     _newton,
@@ -204,11 +203,11 @@ class TestDesignSpan:
         window = (int(data.times[lo]), int(data.times[hi - 100]))
         full = DesignBundle.build(state, spec)
         part = DesignBundle.build(state, spec, (lo, hi))
-        a = fit_crps(state, spec, window, bundle=full)
-        b = fit_crps(state, spec, window, bundle=part)
+        a = fit_crps(full, window)
+        b = fit_crps(part, window)
         assert a.n_rows == b.n_rows
-        assert a.coefficients.center.tobytes() == b.coefficients.center.tobytes()
-        assert (a.coefficients.b0, a.coefficients.b1) == (b.coefficients.b0, b.coefficients.b1)
+        assert a.center.tobytes() == b.center.tobytes()
+        assert (a.b0, a.b1) == (b.b0, b.b1)
         whole = predict_params(a, full, slice(hi - 100, hi))
         spanned = predict_params(b, part, slice(hi - 100 - lo, hi - lo))
         for x, y in zip(whole, spanned):  # mu, then sigma
@@ -352,7 +351,8 @@ class TestBicSelection:
         y = X[:, :4] @ np.array([1.0, 0.5, -0.3, 0.2]) + rng.normal(0, 1, 600)
         assert _design_bic(X, y) == pytest.approx(_lstsq_bic(X, y), rel=1e-9)
 
-    @pytest.mark.parametrize("variant", ["TDD", "TDDGW-MD", "TDDGWDT-SMD"])
+    @pytest.mark.parametrize("variant", ["TDD", "TDDGW-MD", "TDDGWD", "TDDGWT-YMD",
+                                         "TDDGWDT-SMD"])
     @pytest.mark.parametrize("seed", [21, 22, 23])
     def test_matches_lstsq_oracle(self, variant, seed):
         data, _ = make_model_data(seed=seed, days=100)
@@ -364,6 +364,35 @@ class TestBicSelection:
             for station in ("S01", "S03"):
                 spec = select_lags_bic(pool, station)
                 assert spec == oracle_select_lags_bic(state, station, k, vspec, bounds)
+
+    @pytest.mark.parametrize("variant", ["TDDGWDT-SMD", "TDDGWT-YMD"])
+    def test_candidate_columns_keep_their_order(self, monkeypatch, variant):
+        # lstsq on a permuted Gram block can round differently and flip a
+        # near-tie, so every candidate lists its columns in one order: the
+        # forced ones (intercept, geostrophic direction pair, temperature
+        # difference), then its lag columns in pool order
+        data, _ = make_model_data(seed=21, days=100)
+        vspec = parse_variant(variant)
+        bounds = (int(data.times[0]), int(data.times[-1]) + 1)
+        state = ResidualState.build(data, vspec.diurnal_method, bounds[1], bounds)
+        pool = CandidatePool.build(state, vspec, 1, bounds, 3)
+        names, _, xty, _, _ = pool.normal_equations("S01")
+        column = {value: i for i, value in enumerate(xty)}  # xty values name the columns
+        assert len(column) == len(names)
+        seen, score = [], bic_score
+
+        def spy(gram, xty_block, yty, n):
+            seen.append([column[value] for value in xty_block])
+            return score(gram, xty_block, yty, n)
+
+        monkeypatch.setattr("windcast.model.bic_score", spy)
+        select_lags_bic(pool, "S01")
+        order = ("intercept", "gw_cos[0]", "gw_sin[0]", "temp_diff_24h")
+        forced = [names.index(nm) for nm in order if nm in names]
+        assert len(seen) > 10 and len(forced) == 2 + 2 * vspec.include_gw_direction
+        for candidate in seen:
+            assert candidate[:len(forced)] == forced
+            assert candidate[len(forced):] == sorted(set(candidate) - set(forced))
 
     @pytest.mark.parametrize("variant", ["TDD", "TDDGWDT-SMD"])
     def test_stations_with_their_own_rows_match_oracle(self, variant):
@@ -475,10 +504,14 @@ def _window_arrays(state, spec, window):
     return bundle.X[rows], bundle.target[rows], bundle.offset[rows], bundle.vol[rows]
 
 
-def fitted_crps(state, spec, window, model):
-    """The mean CRPS over a fit window at the model's fitted coefficients."""
+def _fit(state, spec, window):
+    """fit_crps on the whole-axis design of ``spec``."""
+    return fit_crps(DesignBundle.build(state, spec), window)
+
+
+def fitted_crps(state, spec, window, c):
+    """The mean CRPS over a fit window at the fitted coefficients ``c``."""
     X, y, offset, vol = _window_arrays(state, spec, window)
-    c = model.coefficients
     sigma = np.maximum(c.b0 + c.b1 * vol, SIGMA_FLOOR)
     return float(crps_values(offset + X @ c.center, sigma, y).mean())
 
@@ -561,16 +594,16 @@ def oracle_windows():
 class TestFitCrps:
     def test_recovers_generating_coefficients(self):
         state, spec, bounds = _recovery_setup()
-        model = fit_crps(state, spec, bounds)
-        c = model.coefficients
-        named = dict(zip(c.names, c.center))
+        bundle = DesignBundle.build(state, spec)
+        c = fit_crps(bundle, bounds)
+        named = dict(zip(bundle.names, c.center))
         assert named["speed_r[S2][0]"] == pytest.approx(0.7, rel=0.05)
         assert named["gw_r[0]"] == pytest.approx(0.5, rel=0.05)
 
     def test_fit_beats_least_squares_start(self):
         state, spec, bounds = _recovery_setup(noise=0.5)
-        model = fit_crps(state, spec, bounds)
         bundle = DesignBundle.build(state, spec)
+        model = fit_crps(bundle, bounds)
         rows = bundle.valid_rows(*bounds)
         X, y, offset, vol = (bundle.X[rows], bundle.target[rows], bundle.offset[rows],
                              bundle.vol[rows])
@@ -581,11 +614,11 @@ class TestFitCrps:
 
     def test_deterministic(self):
         state, spec, bounds = _recovery_setup(noise=0.3)
-        a = fit_crps(state, spec, bounds)
-        b = fit_crps(state, spec, bounds)
-        assert np.array_equal(a.coefficients.center, b.coefficients.center)
-        assert a.coefficients.b0 == b.coefficients.b0
-        assert a.coefficients.b1 == b.coefficients.b1
+        a = _fit(state, spec, bounds)
+        b = _fit(state, spec, bounds)
+        assert np.array_equal(a.center, b.center)
+        assert a.b0 == b.b0
+        assert a.b1 == b.b1
 
     def test_intercept_only_matches_grid_oracle(self):
         rng = np.random.default_rng(21)
@@ -595,9 +628,9 @@ class TestFitCrps:
         bounds = (int(data.times[0]), int(data.times[-1]) + 1)
         state = ResidualState.build(data, "TRIG", bounds[1], bounds)
         spec = FeatureSpec(target_station="S1", horizon=1, diurnal_method="TRIG")
-        model = fit_crps(state, spec, bounds)
-
         bundle = DesignBundle.build(state, spec)
+        model = fit_crps(bundle, bounds)
+
         rows = bundle.valid_rows(*bounds)
         y = bundle.target[rows]
         offset = bundle.offset[rows]
@@ -613,8 +646,7 @@ class TestFitCrps:
         # the trained model may exploit hour-varying offset and volatility,
         # so it can only be as good or better than the constant oracle
         assert fitted_crps(state, spec, bounds, model) <= best[0] + 1e-3
-        c = model.coefficients
-        mu_fit = offset.mean() + dict(zip(c.names, c.center))["intercept"]
+        mu_fit = offset.mean() + dict(zip(bundle.names, model.center))["intercept"]
         assert mu_fit == pytest.approx(best[1], abs=0.1)
 
     def test_degenerate_window_hits_sigma_floor(self):
@@ -623,15 +655,15 @@ class TestFitCrps:
         bounds = (int(data.times[0]), int(data.times[-1]) + 1)
         state = ResidualState.build(data, "YMD", bounds[1], bounds)
         spec = FeatureSpec(target_station="S1", horizon=1, diurnal_method="YMD")
-        model = fit_crps(state, spec, bounds)
+        model = _fit(state, spec, bounds)
         assert fitted_crps(state, spec, bounds, model) < 1e-4
-        assert model.coefficients.b0 > 0 and model.coefficients.b1 > 0
+        assert model.b0 > 0 and model.b1 > 0
 
     def test_unconverged_fit_logs_one_warning(self, caplog, monkeypatch):
         monkeypatch.setattr("windcast.model.FIT_MAXITER", 1)
         state, spec, bounds = _recovery_setup(noise=0.3)
         with caplog.at_level(logging.WARNING, logger="windcast.model"):
-            fit_crps(state, spec, bounds)
+            _fit(state, spec, bounds)
         (record,) = caplog.records
         text = record.getMessage()
         assert f"[{bounds[0]}, {bounds[1]}]" in text
@@ -658,13 +690,13 @@ class TestFitCrps:
     def test_converged_fit_logs_nothing(self, caplog):
         state, spec, bounds = _recovery_setup(noise=0.3)
         with caplog.at_level(logging.DEBUG, logger="windcast.model"):
-            fit_crps(state, spec, bounds)
+            _fit(state, spec, bounds)
         assert caplog.records == []
 
     def test_never_worse_than_bfgs_oracle(self, oracle_windows, caplog):
         with caplog.at_level(logging.WARNING, logger="windcast.model"):
             for variant, station, state, spec, window in oracle_windows:
-                model = fit_crps(state, spec, window)
+                model = _fit(state, spec, window)
                 oracle = oracle_fit_crps(state, spec, window)
                 assert fitted_crps(state, spec, window, model) <= oracle.fun + 1e-9, \
                     (variant, station, window)
@@ -685,7 +717,7 @@ class TestFitCrps:
                 reference_evaluations += evals
                 with monkeypatch.context() as patch:
                     patch.setattr("windcast.model._crps_grad", counted)
-                    model = fit_crps(state, spec, window)
+                    model = _fit(state, spec, window)
                 assert fitted_crps(state, spec, window, model) <= reference.fun + 1e-9, \
                     (variant, station, window)
         assert caplog.records == []
@@ -703,7 +735,7 @@ class TestFitCrps:
         reference, _ = trust_exact_fit_crps(state, spec, bounds)
         monkeypatch.setattr("windcast.model._initial_point", lambda *args: start.copy())
         with caplog.at_level(logging.WARNING, logger="windcast.model"):
-            model = fit_crps(state, spec, bounds)
+            model = _fit(state, spec, bounds)
         assert caplog.records == []
         assert fitted_crps(state, spec, bounds, model) <= reference.fun + 1e-9
 
@@ -722,7 +754,7 @@ class TestFitCrps:
 
         monkeypatch.setattr("windcast.model._crps_grad", poisoned)
         with caplog.at_level(logging.WARNING, logger="windcast.model"):
-            model = fit_crps(state, spec, bounds)
+            model = _fit(state, spec, bounds)
         assert caplog.records == []
         assert len(calls) > 2
         assert fitted_crps(state, spec, bounds, model) <= reference.fun + 1e-9
@@ -740,10 +772,10 @@ class TestFitCrps:
 
         monkeypatch.setattr("windcast.model._crps_grad", counted)
         with caplog.at_level(logging.WARNING, logger="windcast.model"):
-            model = fit_crps(state, spec, bounds)
+            model = _fit(state, spec, bounds)
         assert caplog.records == []
-        assert model.coefficients.b1 > 0
-        assert model.coefficients.b1 < 1e-6 * model.coefficients.b0
+        assert model.b1 > 0
+        assert model.b1 < 1e-6 * model.b0
         assert len(calls) <= 15
         assert fitted_crps(state, spec, bounds, model) <= oracle.fun + 1e-9
 
@@ -767,15 +799,15 @@ class TestFitCrps:
     def test_too_small_window(self):
         state, spec, bounds = _recovery_setup()
         with pytest.raises(TrainingDataError):
-            fit_crps(state, spec, (bounds[0], bounds[0] + 4))
+            _fit(state, spec, (bounds[0], bounds[0] + 4))
 
     def test_stationary_at_fitted_coefficients(self):
         # central differences of the window CRPS in the fitted parameters
         # (center, log b0, log b1) vanish at the fit; a wrong chain rule in
         # the fitter's gradient would stop it elsewhere
         state, spec, bounds = _recovery_setup(noise=0.3)
-        model = fit_crps(state, spec, bounds)
         bundle = DesignBundle.build(state, spec)
+        model = fit_crps(bundle, bounds)
         rows = bundle.valid_rows(*bounds)
         X, y, offset, vol = (bundle.X[rows], bundle.target[rows], bundle.offset[rows],
                              bundle.vol[rows])
@@ -785,8 +817,7 @@ class TestFitCrps:
             sigma = np.exp(theta[-2]) + np.exp(theta[-1]) * vol
             return crps_values(mu, sigma, y).mean()
 
-        c = model.coefficients
-        theta = np.concatenate([c.center, [math.log(c.b0), math.log(c.b1)]])
+        theta = np.concatenate([model.center, [math.log(model.b0), math.log(model.b1)]])
         assert window_crps(theta) == pytest.approx(fitted_crps(state, spec, bounds, model),
                                                    rel=1e-12)
         h = 1e-6
@@ -806,10 +837,7 @@ class TestPredictParams:
         state = ResidualState.build(data, "MD", bounds[1], bounds)
         spec = FeatureSpec(target_station="S1", horizon=2, diurnal_method="MD")
         bundle = DesignBundle.build(state, spec)
-        model = TrainedModel(
-            spec=spec,
-            coefficients=Coefficients(("intercept",), np.array([0.25]), 0.5, 1e-300),
-            n_rows=1)
+        model = Coefficients(np.array([0.25]), 0.5, 1e-300, 1)
         t = 30 * 24
         (mu,), (sigma,) = predict_params(model, bundle, [t])
         prof = state.profiles["speed/S1"]
@@ -823,13 +851,11 @@ class TestPredictParams:
         rows have no volatility yet, and on both sides of SIGMA_FLOOR."""
         state, spec, bounds = _recovery_setup(noise=0.3)
         bundle = DesignBundle.build(state, spec)
-        fitted = fit_crps(state, spec, bounds, bundle=bundle).coefficients
+        fitted = fit_crps(bundle, bounds)
         # scale terms that put the rows below 0.9 of the median vol on SIGMA_FLOOR
-        c = Coefficients(fitted.names, fitted.center, 1e-9,
-                         1e-8 / float(np.nanmedian(bundle.vol)))
-        model = TrainedModel(spec, c, 1)
+        c = Coefficients(fitted.center, 1e-9, 1e-8 / float(np.nanmedian(bundle.vol)), 1)
         rows = np.arange(0, 600)
-        mu, sigma = predict_params(model, bundle, rows)
+        mu, sigma = predict_params(c, bundle, rows)
         want_mu, want_sigma = np.full(rows.size, np.nan), np.full(rows.size, np.nan)
         for i, t in enumerate(rows):
             x, v, offset = bundle.X[t], bundle.vol[t], bundle.offset[t]
@@ -848,7 +874,7 @@ class TestPredictParams:
             state.data.gw_speed[500] = np.nan
             state = ResidualState.build(state.data, "YMD", bounds[1], bounds)
         bundle = DesignBundle.build(state, spec)
-        model = fit_crps(state, spec, bounds, bundle=bundle)
+        model = fit_crps(bundle, bounds)
         if missing != "feature":
             column = getattr(bundle, missing).copy()
             column[500] = np.nan
@@ -859,11 +885,11 @@ class TestPredictParams:
 
     def test_missing_rows_dropped_from_training(self):
         state, spec, bounds = _recovery_setup(noise=0.3, seed=6)
-        full = fit_crps(state, spec, bounds)
+        full = _fit(state, spec, bounds)
         data = state.data
         data.speed[1, 400:420] = np.nan
         state2 = ResidualState.build(data, "YMD", bounds[1], bounds)
-        holey = fit_crps(state2, spec, bounds)
+        holey = _fit(state2, spec, bounds)
         assert holey.n_rows < full.n_rows
 
 
@@ -905,6 +931,6 @@ def test_bundle_config_digest(tmp_path):
 
 def test_scale_coefficients_must_be_positive():
     with pytest.raises(InvalidInputError):
-        Coefficients(("intercept",), np.array([1.0]), 0.0, 1.0)
+        Coefficients(np.array([1.0]), 0.0, 1.0, 1)
     with pytest.raises(InvalidInputError):
-        Coefficients(("intercept",), np.array([1.0]), 1.0, -0.5)
+        Coefficients(np.array([1.0]), 1.0, -0.5, 1)
