@@ -18,6 +18,8 @@ variants) contiguous groups, whose stations share the variant's residual
 states and candidate pools. train fits no coefficients: a bundle holds the
 selected lags, and forecast refuses one that another config selected, or
 whose spec is not for the (variant, station, horizon) its path names.
+Likewise evaluate refuses forecasts, and report scores, that another config
+wrote.
 
 Every command validates the config first and fails with a machine-readable
 JSON error on stderr and a nonzero exit code. Outputs are written
@@ -52,7 +54,6 @@ from .model import (
     ModelData,
     PERSISTENCE,
     load_bundle,
-    parse_variant,
     save_bundle,
 )
 from .series import Network
@@ -73,12 +74,17 @@ def _provenance(cfg: RunConfig, command: str) -> list:
     return [f"windcast {__version__} {command} seed={cfg.seed} config_sha={cfg.digest()}"]
 
 
-def _provenance_sha(path) -> str | None:
-    """The config digest in a file's provenance line, or None."""
+def _check_provenance(cfg: RunConfig, path, command: str) -> None:
+    """Refuse the artifact ``path`` that the stage ``command`` writes unless it
+    exists and its provenance line carries this run's config digest."""
+    if not os.path.exists(path):
+        raise LoadError(f"{path} not found (run the {command} command first)")
     with open(path) as fh:
-        first = fh.readline()
-    _, found, sha = first.partition(" config_sha=")
-    return sha.strip() if found else None
+        _, stamped, sha = fh.readline().partition(" config_sha=")
+    found, digest = sha.strip() if stamped else None, cfg.digest()
+    if found != digest:
+        raise LoadError(f"{path}: written under config {found or '(none recorded)'}, "
+                        f"this run is config {digest}; re-run {command}")
 
 
 def _atomic(path, write_fn):
@@ -199,22 +205,17 @@ def cmd_train(cfg: RunConfig, jobs: int) -> None:
 def _saved_specs(cfg: RunConfig, variant: str, station: str) -> dict:
     """{horizon: spec} of the trained bundles on disk for (variant, station).
     A bundle is refused unless it was selected under this config for the
-    station, horizon, variant flags and diurnal method its path names."""
-    vspec = parse_variant(variant)
+    station, horizon and variant its path names."""
     specs = {}
     for k in cfg.horizons:
         path = _bundle_path(cfg, variant, station, k)
         if not os.path.exists(path):
             continue
         spec = load_bundle(path, cfg.digest())
-        found = (spec.target_station, spec.horizon, spec.include_gw,
-                 spec.include_gw_direction, spec.include_temp_diff, spec.diurnal_method)
-        wanted = (station, k, vspec.include_gw, vspec.include_gw_direction,
-                  vspec.include_temp_diff, vspec.diurnal_method)
-        if found != wanted:
+        found = (spec.target_station, spec.horizon, spec.variant)
+        if found != (station, k, variant):
             raise LoadError(f"{path}: bundle holds a spec for {found}, this path names "
-                            f"{wanted} (station, horizon, gw, gw direction, temp diff, "
-                            f"diurnal method); re-run train")
+                            f"{(station, k, variant)} (station, horizon, variant); re-run train")
         specs[k] = spec
     return specs
 
@@ -257,8 +258,7 @@ def _all_reports(cfg: RunConfig) -> list:
     reports = []
     for variant in cfg.variants:
         path = os.path.join(cfg.out_dir, "forecasts", f"{variant}.csv")
-        if not os.path.exists(path):
-            raise LoadError(f"{path} not found (run the forecast command first)")
+        _check_provenance(cfg, path, "forecast")
         groups = score_groups(read_records_csv(path), variant, pit_bins=cfg.pit_bins,
                               interval_level=cfg.interval_level)
         reports.extend(groups.values())
@@ -276,12 +276,7 @@ def cmd_evaluate(cfg: RunConfig) -> None:
 
 def cmd_report(cfg: RunConfig) -> None:
     scores_path = os.path.join(cfg.out_dir, "scores.csv")
-    if not os.path.exists(scores_path):
-        raise LoadError(f"{scores_path} not found (run the evaluate command first)")
-    found = _provenance_sha(scores_path)
-    if found != cfg.digest():
-        raise LoadError(f"{scores_path}: scored under config {found or '(none recorded)'}, "
-                        f"this run is config {cfg.digest()}; re-run evaluate")
+    _check_provenance(cfg, scores_path, "evaluate")
     reports = read_scores_csv(scores_path)
     by_key = {(r.variant, r.station, r.horizon): r for r in reports}
     lines = [f"windcast {__version__} verification report (config {cfg.digest()})", ""]

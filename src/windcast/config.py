@@ -166,6 +166,16 @@ def _parse_period(raw, name, violations):
         return 0, 0
 
 
+def _mapping(parent: dict, key: str, name: str, violations) -> dict:
+    """``parent[key]``, {} when absent; a violation, and {}, when it is not a
+    mapping."""
+    value = parent.get(key, {})
+    if isinstance(value, dict):
+        return value
+    violations.append(f"{name} must be a mapping, got {value!r}")
+    return {}
+
+
 def config_from_dict(raw: dict) -> RunConfig:
     """Build and validate a RunConfig; raises ConfigError listing every problem."""
     violations = []
@@ -182,35 +192,32 @@ def config_from_dict(raw: dict) -> RunConfig:
         violations.append("seed must be an integer")
     cfg.out_dir = str(raw.get("out_dir", cfg.out_dir))
 
-    data = raw.get("data", {"source": "synth"})
-    if not isinstance(data, dict):
-        violations.append("data must be a mapping")
-        data = {}
+    data = _mapping(raw, "data", "data", violations)
     cfg.data_source = str(data.get("source", "synth"))
     if cfg.data_source == "synth":
-        synth_raw = dict(data.get("synth", {}))
+        synth_raw = dict(_mapping(data, "synth", "data.synth", violations))
         synth_raw.setdefault("seed", cfg.seed)
         try:
             cfg.synth = SynthConfig(**synth_raw)
         except (TypeError, InvalidInputError) as exc:
             violations.append(f"data.synth: {exc}")
     elif cfg.data_source == "csv":
-        csv_raw = data.get("csv", {})
+        csv_raw = _mapping(data, "csv", "data.csv", violations)
         cfg.csv_dir = csv_raw.get("dir")
-        schema_raw = csv_raw.get("schema")
+        schema_raw = _mapping(csv_raw, "schema", "data.csv.schema", violations)
         if schema_raw:
             try:
                 cfg.csv_schema = SchemaConfig(**schema_raw)
             except (TypeError, InvalidInputError) as exc:
                 violations.append(f"data.csv.schema: {exc}")
 
-    cfg.stations = list(raw.get("stations", []))
-    if raw.get("feature_stations") is not None:
-        cfg.feature_stations = list(raw["feature_stations"])
-    if raw.get("gw_stations") is not None:
-        cfg.gw_stations = list(raw["gw_stations"])
-    cfg.horizons = list(raw.get("horizons", cfg.horizons))
-    cfg.variants = [str(x) for x in raw.get("variants", cfg.variants)]
+    for name in ("stations", "feature_stations", "gw_stations", "horizons", "variants"):
+        value = raw.get(name)  # None keeps the default
+        if isinstance(value, list):
+            setattr(cfg, name, list(value))
+        elif value is not None:
+            violations.append(f"{name} must be a list, got {value!r}")
+    cfg.variants = [str(x) for x in cfg.variants]
     if "train" in raw:
         cfg.train_start, cfg.train_end = _parse_period(raw["train"], "train", violations)
     else:
@@ -244,7 +251,8 @@ def config_from_dict(raw: dict) -> RunConfig:
             violations.append(f"mean_removal must be one of {allowed}")
     if "constants" in raw:
         try:
-            cfg.constants = PhysicalConstants(**raw["constants"])
+            cfg.constants = PhysicalConstants(**_mapping(raw, "constants", "constants",
+                                                         violations))
         except (TypeError, InvalidInputError) as exc:
             violations.append(f"constants: {exc}")
 
@@ -255,8 +263,13 @@ def config_from_dict(raw: dict) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path) as fh:
-        raw = yaml.safe_load(fh)
+    """The validated config in the YAML file ``path``; a file that cannot be
+    read or parsed is a ConfigError too."""
+    try:
+        with open(path) as fh:
+            raw = yaml.safe_load(fh)
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ConfigError([f"cannot read config {path}: {exc}"]) from None
     return config_from_dict(raw if raw is not None else {})
 
 

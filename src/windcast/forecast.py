@@ -132,20 +132,20 @@ def _state_cache_key(method: str, fit_time: int):
     return (method,)
 
 
-def _selection(data: ModelData, vspec: VariantSpec, stations: Sequence[str],
+def _selection(data: ModelData, variant: VariantSpec, stations: Sequence[str],
                horizons: Sequence[int], train: tuple, config: RollingConfig,
                selected: dict | None) -> tuple:
     """The residual state at the training end, and {station: {horizon:
     FeatureSpec}}: the specs in ``selected`` (same layout), and BIC selection
     on the training period for the rest. One candidate pool per horizon
     serves every station selected at it."""
-    state = ResidualState.build(data, vspec.diurnal_method, train[1], train,
+    state = ResidualState.build(data, variant.diurnal_method, train[1], train,
                                 config.window_days)
     specs = {st: dict((selected or {}).get(st, {})) for st in stations}
     for k in horizons:
         todo = [st for st in stations if k not in specs[st]]
         if todo:
-            pool = CandidatePool.build(state, vspec, k, train, config.max_lag)
+            pool = CandidatePool.build(state, variant, k, train, config.max_lag)
             for st in todo:
                 specs[st][k] = select_lags_bic(pool, st)
             del pool  # before the next horizon's pool is built
@@ -199,9 +199,9 @@ def run_rolling(
     if variant == PERSISTENCE:
         return pss
 
-    vspec = parse_variant(variant)
-    method = vspec.diurnal_method
-    state, specs = _selection(data, vspec, stations, horizons, (train_start, train_end),
+    parsed = parse_variant(variant)
+    method = parsed.diurnal_method
+    state, specs = _selection(data, parsed, stations, horizons, (train_start, train_end),
                               config, selected)
     state_key = _state_cache_key(method, train_end)
     mu = [np.full(len(p), np.nan) for p in pss]

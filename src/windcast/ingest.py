@@ -237,7 +237,10 @@ def load_network_dir(directory, schema: SchemaConfig = CANONICAL_SCHEMA,
     in stations.csv order. With an executor ``pool``, each station file is
     read in a worker; the malformed-row warnings are logged here either way,
     one per station in that order."""
-    metas = read_stations_csv(os.path.join(directory, "stations.csv"))
+    meta_path = os.path.join(directory, "stations.csv")
+    if not os.path.exists(meta_path):
+        raise LoadError(f"no station metadata file: {meta_path}")
+    metas = read_stations_csv(meta_path)
     if station_ids is not None:
         wanted = set(station_ids)
         metas = [m for m in metas if m.id in wanted]

@@ -16,15 +16,20 @@ Lag bundles are chosen once per target/horizon on the training record by
 greedy forward selection under BIC on the least-squares center fit. Each
 candidate is scored from the sub-block of one Gram matrix that its design
 columns index; the candidate pool lists every lag family's columns per lag.
-A saved bundle holds that selection only. Coefficients are then estimated
-from a ``DesignBundle`` alone, on a sliding window, by minimizing the mean
-CRPS of the resulting truncated normal forecasts (Gneiting et al. 2006;
-Thorarinsdottir & Gneiting 2010) with Levenberg-Marquardt-damped Newton
-steps on the analytic gradient and Hessian, started from least squares;
-numpy.linalg factors each step, so a fit loads nothing from scipy.optimize.
-The fit works in (log b0, r) with b1 = r^2, which keeps b0, b1 > 0 without
-the flat log b1 -> -inf of a logarithm. Its ``Coefficients`` follow the
-column order of the design they were fitted on.
+The variant (``VariantSpec``) fixes which lag families exist, whether the
+geostrophic direction pair and the temperature difference are forced in, and
+the diurnal method; a ``FeatureSpec`` names the variant and holds only the
+chosen lags, and a saved bundle holds that spec.
+
+Coefficients are then estimated from a ``DesignBundle`` alone, on a sliding
+window, by minimizing the mean CRPS of the resulting truncated normal
+forecasts (Gneiting et al. 2006; Thorarinsdottir & Gneiting 2010) with
+Levenberg-Marquardt-damped Newton steps on the analytic gradient and
+Hessian, started from least squares; numpy.linalg factors each step, so a
+fit loads nothing from scipy.optimize. The fit works in (log b0, r) with
+b1 = r^2, which keeps b0, b1 > 0 without the flat log b1 -> -inf of a
+logarithm. Its ``Coefficients`` follow the column order of the design they
+were fitted on.
 
 The target stations of one variant share its residual states and, in
 selection, one candidate pool per horizon (``CandidatePool``); a refit's
@@ -105,40 +110,36 @@ def parse_variant(name: str) -> VariantSpec:
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    """Selected predictors for one target station and horizon.
+    """What BIC selection chose for one target station and horizon under one
+    variant. The variant (see ``parse_variant``) fixes the predictor families
+    and the diurnal method; the spec adds only the chosen lag bundles.
 
     Lag entries are bundle maxima: a station present in ``speed_lags`` with
-    value q contributes residual-speed lags 0..q.
+    value q contributes residual-speed lags 0..q, and ``gw_lags`` = q adds
+    residual geostrophic lags 0..q. ``gw_lags`` = -1 adds none, and is the
+    only value a variant without the geostrophic wind accepts.
     """
 
     target_station: str
     horizon: int
+    variant: str = "TDD"
     speed_lags: Mapping[str, int] = field(default_factory=dict)
     direction_lags: Mapping[str, int] = field(default_factory=dict)
-    include_gw: bool = False
-    gw_lags: int = -1  # max lag when include_gw; -1 = no bundle selected
-    include_gw_direction: bool = False
-    include_temp_diff: bool = False
-    diurnal_method: str = TRIG
+    gw_lags: int = -1
 
     def __post_init__(self):
-        if not 1 <= self.horizon <= MAX_HORIZON:
-            raise InvalidInputError(f"horizon {self.horizon} outside 1..{MAX_HORIZON}")
+        if not (isinstance(self.horizon, int) and 1 <= self.horizon <= MAX_HORIZON):
+            raise InvalidInputError(f"horizon {self.horizon!r} is not an integer in "
+                                    f"1..{MAX_HORIZON}")
         for lags in (self.speed_lags, self.direction_lags):
             for st, q in lags.items():
-                if not 0 <= q <= MAX_LAG:
-                    raise InvalidInputError(f"lag {q} for {st} outside 0..{MAX_LAG}")
-        if self.include_gw and self.gw_lags > MAX_LAG:
-            raise InvalidInputError(f"geostrophic lag {self.gw_lags} outside 0..{MAX_LAG}")
-        if self.diurnal_method not in DIURNAL_METHODS:
-            raise InvalidInputError(f"unknown diurnal method {self.diurnal_method!r}")
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FeatureSpec":
-        return cls(**d)
+                if not (isinstance(q, int) and 0 <= q <= MAX_LAG):
+                    raise InvalidInputError(f"lag {q!r} for {st} is not an integer in "
+                                            f"0..{MAX_LAG}")
+        top = MAX_LAG if parse_variant(self.variant).include_gw else -1
+        if not (isinstance(self.gw_lags, int) and -1 <= self.gw_lags <= top):
+            raise InvalidInputError(f"geostrophic lag {self.gw_lags!r} is not an integer in "
+                                    f"-1..{top} for variant {self.variant}")
 
 
 @dataclass(frozen=True)
@@ -407,11 +408,11 @@ class DesignBundle:
         """The design on the axis rows ``span`` = [lo, hi), the whole axis by
         default."""
         lo, hi = (0, state.data.n) if span is None else (int(span[0]), int(span[1]))
+        variant = parse_variant(spec.variant)
         names, sources, _ = _regressors(state, spec.speed_lags, spec.direction_lags,
-                                        spec.gw_lags if spec.include_gw else -1,
-                                        spec.include_gw_direction)
+                                        spec.gw_lags, variant.include_gw_direction)
         extra = []
-        if spec.include_temp_diff:
+        if variant.include_temp_diff:
             names.append("temp_diff_24h")
             extra.append(_temp_diff(state.data, spec.target_station, lo, hi))
         target, offset = _target_offset(state, spec.target_station, spec.horizon, lo, hi)
@@ -430,38 +431,41 @@ class DesignBundle:
         return np.nonzero(mask)[0]
 
 
-BUNDLE_FORMAT_VERSION = 2
+BUNDLE_FORMAT_VERSION = 3
 
 
 def save_bundle(spec: FeatureSpec, path, config_sha: str) -> None:
     """Write the selected spec as JSON, stamped with the digest of the run
     config."""
     bundle = {"format_version": BUNDLE_FORMAT_VERSION, "library_version": __version__,
-              "spec": spec.to_dict(), "config_sha": config_sha}
+              "spec": dataclasses.asdict(spec), "config_sha": config_sha}
     with open(path, "w") as fh:
         json.dump(bundle, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
-def load_bundle(path, config_sha: str | None = None) -> FeatureSpec:
-    """Read a bundle's spec, refusing one selected under another config than
-    ``config_sha``, or stamped with none, as stale. ``config_sha=None`` is an
-    inspection read: it skips the check. A bundle that is not JSON, or whose
-    spec is missing or has fields FeatureSpec does not know, is a LoadError."""
+def load_bundle(path, config_sha: str) -> FeatureSpec:
+    """Read a bundle's spec. A bundle that is not a JSON object, was selected
+    under another config than ``config_sha`` or stamped with none (stale), has
+    another format version, or holds a spec FeatureSpec refuses, is a
+    LoadError that names it and says to re-run train."""
     with open(path) as fh:
         try:
             d = json.load(fh)
         except ValueError as exc:
             raise LoadError(f"{path}: damaged bundle, not JSON ({exc}); re-run train") from None
+    if not isinstance(d, dict):
+        raise LoadError(f"{path}: damaged bundle, not a JSON object; re-run train")
     found = d.get("config_sha")
-    if config_sha is not None and found != config_sha:
+    if found != config_sha:
         raise LoadError(f"{path}: bundle trained under config {found or '(none recorded)'}, "
                         f"this run is config {config_sha}; re-run train")
     if d.get("format_version") != BUNDLE_FORMAT_VERSION:
-        raise InvalidInputError(f"unsupported bundle version {d.get('format_version')}")
+        raise LoadError(f"{path}: unsupported bundle version {d.get('format_version')} "
+                        f"(this library reads {BUNDLE_FORMAT_VERSION}); re-run train")
     try:
-        return FeatureSpec.from_dict(d["spec"])
-    except (KeyError, TypeError) as exc:
+        return FeatureSpec(**d["spec"])
+    except (KeyError, TypeError, AttributeError, InvalidInputError) as exc:
         raise LoadError(f"{path}: damaged bundle spec ({type(exc).__name__}: {exc}); "
                         f"re-run train") from None
 
@@ -563,7 +567,6 @@ def select_lags_bic(pool: CandidatePool, target_station: str) -> FeatureSpec:
     candidate is scored from the sub-block of its columns: the forced ones,
     then each family's lags 0..q, in pool order.
     """
-    variant = pool.variant
     names, gram, xty, yty, n = pool.normal_equations(target_station)
     p_max = len(names)
     if n < MIN_ROWS_PER_PARAM * p_max:
@@ -602,13 +605,10 @@ def select_lags_bic(pool: CandidatePool, target_station: str) -> FeatureSpec:
     return FeatureSpec(
         target_station=target_station,
         horizon=pool.horizon,
+        variant=pool.variant.name,
         speed_lags={fam[1]: q for fam, q in chosen.items() if fam[0] == "speed" and q >= 0},
         direction_lags={fam[1]: q for fam, q in chosen.items() if fam[0] == "dir" and q >= 0},
-        include_gw=variant.include_gw,
         gw_lags=chosen.get(("gw",), -1),
-        include_gw_direction=variant.include_gw_direction,
-        include_temp_diff=variant.include_temp_diff,
-        diurnal_method=variant.diurnal_method,
     )
 
 

@@ -74,6 +74,28 @@ class TestConfigValidation:
         assert payload["error"] == "ConfigError"
         assert payload["violations"]
 
+    @pytest.mark.parametrize("case, bad", [
+        ("yaml syntax", "seed: [1\n"),
+        ("missing file", None),
+        ("stations: 5", {"stations": 5}),
+        ("stations: S01", {"stations": "S01"}),
+        ("horizons: 5", {"horizons": 5}),
+        ("variants: 5", {"variants": 5}),
+        ("data.csv: nope", {"data": {"source": "csv", "csv": "nope"}}),
+        ("data.synth: nope", {"data": {"synth": "nope"}}),
+    ])
+    def test_unreadable_or_misshapen_config_refused_as_json(self, tmp_path, capsys, case, bad):
+        out = tmp_path / "out"
+        path = tmp_path / "c.yaml"
+        if isinstance(bad, str):
+            path.write_text(bad)
+        elif bad is not None:
+            path.write_text(yaml.safe_dump(small_config(out, **bad)))
+        assert main(["report", "--config", str(path)]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ConfigError" and payload["violations"]
+        assert not out.exists()
+
     def test_round_trips_through_yaml(self, tmp_path):
         path = _write_config(tmp_path, small_config(tmp_path / "out"))
         cfg = load_config(path)
@@ -230,12 +252,13 @@ class TestPipeline:
 
     def test_bundle_is_self_describing(self, run):
         out, _ = run
-        spec = load_bundle(out / "models/TDDGW-MD/S01_k2.json")
+        spec = load_bundle(out / "models/TDDGW-MD/S01_k2.json",
+                           load_config(out / "config.yaml").digest())
         assert spec.target_station == "S01"
         assert spec.horizon == 2
-        assert spec.include_gw
+        assert spec.variant == "TDDGW-MD"
         raw = json.loads((out / "models/TDDGW-MD/S01_k2.json").read_text())
-        assert raw["format_version"] == 2
+        assert raw["format_version"] == 3
         assert set(raw) == {"format_version", "library_version", "spec", "config_sha"}
 
     def test_forecast_counts(self, run):
@@ -556,11 +579,13 @@ class TestBundleDigest:
         out, path, digest = self._copy(pipeline_run, tmp_path)
         bundle = out / "models/TDDGW-MD/S01_k2.json"
         spec = load_bundle(bundle, digest)
-        tdd = dataclasses.replace(spec, include_gw=False, gw_lags=-1, diurnal_method="TRIG")
+        tdd = dataclasses.replace(spec, variant="TDD", gw_lags=-1)
         save_bundle(tdd, bundle, digest)
         self._refused(path, out, capsys, "S01_k2.json")
 
-    @pytest.mark.parametrize("damage", ["truncated", "no spec", "unknown spec field"])
+    @pytest.mark.parametrize("damage", ["truncated", "no spec", "unknown spec field",
+                                        "JSON list", "lags as a list", "lag 99", "lag 2.5",
+                                        "horizon 2.0", "format 1", "format 2"])
     def test_damaged_bundle_refused(self, pipeline_run, tmp_path, capsys, damage):
         out, path, _ = self._copy(pipeline_run, tmp_path)
         bundle = out / "models/TDDGW-MD/S02_k2.json"
@@ -568,11 +593,28 @@ class TestBundleDigest:
         raw = json.loads(text)
         if damage == "truncated":
             text = text[:len(text) // 2]
-        elif damage == "no spec":
-            del raw["spec"]
-            text = json.dumps(raw)
         else:
-            raw["spec"]["lags"] = {"S01": 1}
+            if damage == "no spec":
+                del raw["spec"]
+            elif damage == "unknown spec field":
+                raw["spec"]["lags"] = {"S01": 1}
+            elif damage == "JSON list":
+                raw = [raw]
+            elif damage == "lags as a list":
+                raw["spec"]["speed_lags"] = [0]
+            elif damage == "lag 99":
+                raw["spec"]["speed_lags"] = {"S02": 99}
+            elif damage == "lag 2.5":
+                raw["spec"]["speed_lags"] = {"S02": 2.5}
+            elif damage == "horizon 2.0":  # equal to the path's 2, but no row offset
+                raw["spec"]["horizon"] = 2.0
+            elif damage == "format 1":
+                raw["format_version"] = 1
+            else:  # the spec as format 2 wrote it, with four of the variant's flags
+                raw["format_version"] = 2
+                del raw["spec"]["variant"]
+                raw["spec"].update(include_gw=True, include_gw_direction=False,
+                                   include_temp_diff=False, diurnal_method="MD")
             text = json.dumps(raw)
         bundle.write_text(text)
         self._refused(path, out, capsys, "S02_k2.json")
@@ -597,7 +639,8 @@ class TestBundleDigest:
 
 
 class TestReportScores:
-    """report reads the scores.csv that evaluate wrote under this config."""
+    """report reads the scores.csv that evaluate wrote under this config, and
+    evaluate the forecasts that forecast wrote under it."""
 
     def _copy(self, pipeline_run, tmp_path):
         src, cfg = pipeline_run
@@ -628,6 +671,19 @@ class TestReportScores:
         assert "0123456789ab" in message and digest in message
         assert not (out / "report.txt").exists()
 
+    def test_stale_forecasts_refused_by_evaluate(self, pipeline_run, tmp_path, capsys):
+        out, _, digest = self._copy(pipeline_run, tmp_path)
+        (out / "scores.csv").unlink()
+        _, cfg = pipeline_run
+        path = _write_config(tmp_path, dict(cfg, out_dir=str(out), interval_level=0.8))
+        assert main(["evaluate", "--config", str(path)]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "LoadError"
+        message = payload["message"]
+        assert "forecasts" in message and digest in message and "re-run forecast" in message
+        assert load_config(path).digest() in message
+        assert not (out / "scores.csv").exists()
+
 
 def test_evaluate_without_observations_fails_cleanly(tmp_path, capsys):
     out = tmp_path / "out"
@@ -636,6 +692,7 @@ def test_evaluate_without_observations_fails_cleanly(tmp_path, capsys):
     cfg = small_config(out, variants=["PSS"])
     path = _write_config(tmp_path, cfg)
     (out / "forecasts" / "PSS.csv").write_text(
+        f"# {cli._provenance(load_config(path), 'forecast')[0]}\n"
         "station,issue_time,horizon,mu,sigma,point,fallback,observed\n"
         "S01,2008-05-01T00:00:00Z,2,,,4.2,0,\n"
     )
@@ -687,7 +744,10 @@ class TestFrozenModelOutputs:
     trust-exact's. PSS and the bundles come from no fit and did not
     change. The bundles were re-recorded when they came to hold only the
     selected spec; each spec is the one the earlier coefficient bundles
-    carried."""
+    carried. They were re-recorded again when a spec came to name its
+    variant instead of copying four of its flags (bundle format 3): each
+    spec has the earlier target, horizon and lags, and its variant's flags
+    equal the four fields the earlier spec carried."""
 
     FORECASTS = {
         "PSS.csv": "f01aa06b1fe896af780deaf9cbe95cce4974a16bd3d22d3b60712ef5ed8d6fcb",
@@ -695,14 +755,14 @@ class TestFrozenModelOutputs:
         "TDDGW-MD.csv": "3ee0642e6448bf8cacffc10f4bb54562f48ed4080d9c6dfb370450ce31f4c0ac",
     }
     BUNDLES = {
-        "TDD/S01_k2.json": "62014380b5d82f7edef7ef38ebfbb3678fd6264fe3d1eb3bbb5688ad631df1c0",
-        "TDD/S02_k2.json": "63e5201196d28c62e901847b25dc673a684e621e2c6241f3dd05bd4eb52ad8a9",
-        "TDD/S03_k2.json": "8c52b9e25d7a0676e4df68db0ebb2678331d994a1f6d8e0d0478661dd925c743",
-        "TDD/S04_k2.json": "3999dc4db2bca7f7fd971a73e0dfcca9d6127d1f48b4bfbf0ca4a18f057445ca",
-        "TDDGW-MD/S01_k2.json": "101cd98991577b97000bb1fe73b2fdf3397a91a5fa8f62455306899103bf6329",
-        "TDDGW-MD/S02_k2.json": "9a9bc2215766870e9e8db87f115fbf3a1652b2991c40cf888c110b7c8fa343eb",
-        "TDDGW-MD/S03_k2.json": "876cc192c13ea8fdfefacb6b8ddd735c4c591dcef620e75d8093f2f0ce5f3adb",
-        "TDDGW-MD/S04_k2.json": "00188e8192eb0b8494e883c1fc9dfe9921070acfcac75728b616685985575707",
+        "TDD/S01_k2.json": "ec1dfe2b6c249bc28e5e80a267a73e8e4522778c7ff48b2afc646939c8beec34",
+        "TDD/S02_k2.json": "d823eda174b9ef0ac47c84bf08a61e2efd5cd5f87c17911169d67e6f099ba97e",
+        "TDD/S03_k2.json": "ef719cc70c1c07982f753a0f7e77f245c28ebef7b8d9fe285cab3bdc3466385c",
+        "TDD/S04_k2.json": "fd318bedb251042466fce83d38ad1370cd1b4ae57d3f570b93a17cfc6f902539",
+        "TDDGW-MD/S01_k2.json": "cf57021e88d0b7989b5e98012a3832252537595059433656986b66579b2d006d",
+        "TDDGW-MD/S02_k2.json": "ebcc6a75bbc8480042914f5f401de66825d4bda23c2e0230d0a14642e5f878fa",
+        "TDDGW-MD/S03_k2.json": "3e31cead68c83c34804fc1b7ce2ae7876f41042e3b287c8a15acf939d07a6f63",
+        "TDDGW-MD/S04_k2.json": "620fd255a391ceef2b9fd84cff96da7ada170e8d48c8001cc31529de53ffb902",
     }
 
     @pytest.fixture(scope="class")

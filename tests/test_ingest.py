@@ -245,3 +245,10 @@ def test_load_network_dir_in_a_pool_warns_in_station_order(tmp_path, caplog):
     assert len(warnings) == 2
     assert "PICT" in warnings[0] and "2 rows" in warnings[0]
     assert "ASPR" in warnings[1] and "1 rows" in warnings[1]
+
+
+def test_load_network_dir_without_stations_csv(tmp_path):
+    header = "time_utc,station,wind_speed_ms,wind_dir_deg,temp_c,pressure_hpa"
+    _write(tmp_path / "PICT.csv", ["2008-01-01T00:00Z,PICT,5.0,90.0,15.0,920.0"], header=header)
+    with pytest.raises(LoadError, match="stations.csv"):
+        load_network_dir(tmp_path)

@@ -122,9 +122,8 @@ class TestDesignBundle:
 
     def test_gw_bundle_adds_three(self, plain_state):
         state, _ = plain_state
-        spec = FeatureSpec(target_station="S1", horizon=2,
-                           speed_lags={"S1": 0}, direction_lags={"S1": 0},
-                           include_gw=True, gw_lags=2)
+        spec = FeatureSpec(target_station="S1", horizon=2, variant="TDDGW",
+                           speed_lags={"S1": 0}, direction_lags={"S1": 0}, gw_lags=2)
         assert len(DesignBundle.build(state, spec).names) == 7
 
     def test_temp_diff_zero_for_24h_periodic(self):
@@ -134,7 +133,7 @@ class TestDesignBundle:
         data = _make_data(np.full((1, n), 5.0), temps=temps[None, :])
         state = ResidualState.build(data, "YMD", int(data.times[-1]) + 1,
                                     (int(data.times[0]), int(data.times[-1]) + 1))
-        spec = FeatureSpec(target_station="S1", horizon=1, include_temp_diff=True)
+        spec = FeatureSpec(target_station="S1", horizon=1, variant="TDDGWT")
         bundle = DesignBundle.build(state, spec)
         col = bundle.X[:, list(bundle.names).index("temp_diff_24h")]
         assert np.allclose(col[24:], 0.0, atol=1e-12)
@@ -144,14 +143,11 @@ class TestDesignBundle:
         kw = dict(target_station="S1", horizon=2, speed_lags={"S1": 1, "S2": 0},
                   direction_lags={"S1": 0})
         tdd = DesignBundle.build(state, FeatureSpec(**kw))
-        tddgw = DesignBundle.build(state, FeatureSpec(**kw, include_gw=True, gw_lags=1))
+        tddgw = DesignBundle.build(state, FeatureSpec(**kw, variant="TDDGW", gw_lags=1))
         assert set(tdd.names) < set(tddgw.names)
         assert set(tddgw.names) - set(tdd.names) == {"gw_r[0]", "gw_r[1]"}
-        gwd = DesignBundle.build(state, FeatureSpec(**kw, include_gw=True, gw_lags=1,
-                                                    include_gw_direction=True))
-        gwdt = DesignBundle.build(state, FeatureSpec(**kw, include_gw=True, gw_lags=1,
-                                                     include_gw_direction=True,
-                                                     include_temp_diff=True))
+        gwd = DesignBundle.build(state, FeatureSpec(**kw, variant="TDDGWD", gw_lags=1))
+        gwdt = DesignBundle.build(state, FeatureSpec(**kw, variant="TDDGWDT", gw_lags=1))
         assert list(gwdt.names) == list(gwd.names) + ["temp_diff_24h"]
 
 
@@ -161,8 +157,7 @@ def span_case():
     data, _ = make_model_data(seed=13, days=60)
     bounds = (int(data.times[0]), int(data.times[0]) + 40 * 24)
     spec = dict(target_station="S02", horizon=3, speed_lags={"S01": 10, "S02": 2},
-                direction_lags={"S03": 1}, include_gw=True, gw_lags=4,
-                include_gw_direction=True, include_temp_diff=True)
+                direction_lags={"S03": 1}, gw_lags=4)
     return data, bounds, spec
 
 
@@ -174,7 +169,7 @@ class TestDesignSpan:
     def test_rows_equal_the_whole_axis(self, span_case, method, where):
         data, bounds, kw = span_case
         state = ResidualState.build(data, method, bounds[1], bounds)
-        spec = FeatureSpec(**kw, diurnal_method=method)
+        spec = FeatureSpec(**kw, variant=f"TDDGWDT-{method}")
         n = data.n
         # "start": lags and temp_diff_24h reach before the axis for its first
         # max_lag + 24 rows; "end": the last valid times fall off the axis
@@ -198,7 +193,7 @@ class TestDesignSpan:
     def test_fit_and_forecasts_equal_the_whole_axis(self, span_case, where):
         data, bounds, kw = span_case
         state = ResidualState.build(data, "MD", bounds[1], bounds)
-        spec = FeatureSpec(**kw, diurnal_method="MD")
+        spec = FeatureSpec(**kw, variant="TDDGWDT-MD")
         lo, hi = (0, 500) if where == "start" else (data.n - 500, data.n)
         window = (int(data.times[lo]), int(data.times[hi - 100]))
         full = DesignBundle.build(state, spec)
@@ -224,6 +219,15 @@ class TestSpecValidation:
         for k in (0, 7):
             with pytest.raises(InvalidInputError):
                 FeatureSpec(target_station="S1", horizon=k)
+
+    @pytest.mark.parametrize("variant, gw_lags", [("PSS", -1), ("TDDXX", -1), ("TDD", 2),
+                                                   ("TDD-MD", 0), ("TDDGW", 11),
+                                                   ("TDDGW-MD", -2)])
+    def test_variant_and_gw_lags(self, variant, gw_lags):
+        with pytest.raises(InvalidInputError):
+            FeatureSpec(target_station="S1", horizon=2, variant=variant, gw_lags=gw_lags)
+        FeatureSpec(target_station="S1", horizon=2, variant="TDDGW", gw_lags=-1)
+        FeatureSpec(target_station="S1", horizon=2, variant="TDDGW-MD", gw_lags=10)
 
     def test_variant_parsing(self):
         v = parse_variant("TDDGWD-MD")
@@ -261,12 +265,10 @@ def oracle_select_lags_bic(state, target_station, horizon, variant, window,
     if variant.include_gw:
         families.append(("gw",))
     full = FeatureSpec(
-        target_station=target_station, horizon=horizon,
+        target_station=target_station, horizon=horizon, variant=variant.name,
         speed_lags={st: max_lag for st in data.stations},
         direction_lags={st: max_lag for st in data.stations},
-        include_gw=variant.include_gw, gw_lags=max_lag if variant.include_gw else -1,
-        include_gw_direction=variant.include_gw_direction,
-        include_temp_diff=variant.include_temp_diff, diurnal_method=variant.diurnal_method)
+        gw_lags=max_lag if variant.include_gw else -1)
     pool = DesignBundle.build(state, full)
     rows = pool.valid_rows(window[0], window[1], need_vol=False)
     assert rows.size >= min_rows_per_param * len(pool.names)
@@ -313,13 +315,10 @@ def oracle_select_lags_bic(state, target_station, horizon, variant, window,
         chosen[best_fam] += 1
         best = best_bic
     return FeatureSpec(
-        target_station=target_station, horizon=horizon,
+        target_station=target_station, horizon=horizon, variant=variant.name,
         speed_lags={f[1]: q for f, q in chosen.items() if f[0] == "speed" and q >= 0},
         direction_lags={f[1]: q for f, q in chosen.items() if f[0] == "dir" and q >= 0},
-        include_gw=variant.include_gw,
-        gw_lags=next((q for f, q in chosen.items() if f[0] == "gw"), -1),
-        include_gw_direction=variant.include_gw_direction,
-        include_temp_diff=variant.include_temp_diff, diurnal_method=variant.diurnal_method)
+        gw_lags=next((q for f, q in chosen.items() if f[0] == "gw"), -1))
 
 
 class TestBicSelection:
@@ -469,7 +468,7 @@ class TestBicSelection:
         state = ResidualState.build(data, "MD", bounds[1], bounds)
         pool = CandidatePool.build(state, parse_variant("TDDGW-MD"), 2, bounds)
         spec = select_lags_bic(pool, "S1")
-        assert spec.include_gw and spec.gw_lags >= 0
+        assert spec.variant == "TDDGW-MD" and spec.gw_lags >= 0
 
     def test_insufficient_rows(self, plain_state):
         state, train = plain_state
@@ -492,8 +491,8 @@ def _recovery_setup(noise=0.05, n=24 * 70, seed=5):
     data = _make_data(np.vstack([target, exog]), gw=gw)
     bounds = (int(data.times[0]), int(data.times[-1]) + 1)
     state = ResidualState.build(data, "YMD", bounds[1], bounds)
-    spec = FeatureSpec(target_station="S1", horizon=k, speed_lags={"S2": 0},
-                       include_gw=True, gw_lags=0, diurnal_method="YMD")
+    spec = FeatureSpec(target_station="S1", horizon=k, variant="TDDGW-YMD",
+                       speed_lags={"S2": 0}, gw_lags=0)
     return state, spec, bounds
 
 
@@ -627,7 +626,7 @@ class TestFitCrps:
         data = _make_data(speed)
         bounds = (int(data.times[0]), int(data.times[-1]) + 1)
         state = ResidualState.build(data, "TRIG", bounds[1], bounds)
-        spec = FeatureSpec(target_station="S1", horizon=1, diurnal_method="TRIG")
+        spec = FeatureSpec(target_station="S1", horizon=1, variant="TDD")
         bundle = DesignBundle.build(state, spec)
         model = fit_crps(bundle, bounds)
 
@@ -654,7 +653,7 @@ class TestFitCrps:
         data = _make_data(np.full((1, n), 4.0))
         bounds = (int(data.times[0]), int(data.times[-1]) + 1)
         state = ResidualState.build(data, "YMD", bounds[1], bounds)
-        spec = FeatureSpec(target_station="S1", horizon=1, diurnal_method="YMD")
+        spec = FeatureSpec(target_station="S1", horizon=1, variant="TDD-YMD")
         model = _fit(state, spec, bounds)
         assert fitted_crps(state, spec, bounds, model) < 1e-4
         assert model.b0 > 0 and model.b1 > 0
@@ -835,7 +834,7 @@ class TestPredictParams:
         data = _make_data(speed[None, :])
         bounds = (int(data.times[0]), int(data.times[-1]) + 1)
         state = ResidualState.build(data, "MD", bounds[1], bounds)
-        spec = FeatureSpec(target_station="S1", horizon=2, diurnal_method="MD")
+        spec = FeatureSpec(target_station="S1", horizon=2, variant="TDD-MD")
         bundle = DesignBundle.build(state, spec)
         model = Coefficients(np.array([0.25]), 0.5, 1e-300, 1)
         t = 30 * 24
@@ -906,12 +905,11 @@ def test_bundle_round_trip(tmp_path):
     assert load_bundle(path, "aaaaaaaaaaaa") == spec
     raw = json.loads(path.read_text())
     assert set(raw) == {"format_version", "library_version", "spec", "config_sha"}
-    assert raw["format_version"] == 2
+    assert raw["format_version"] == 3
     raw["format_version"] = 1  # format 1 also carried coefficients, profiles and a seed
     path.write_text(json.dumps(raw))
-    for sha in ("aaaaaaaaaaaa", None):
-        with pytest.raises(InvalidInputError, match="unsupported bundle version 1"):
-            load_bundle(path, sha)
+    with pytest.raises(LoadError, match="unsupported bundle version 1.*re-run train"):
+        load_bundle(path, "aaaaaaaaaaaa")
 
 
 def test_bundle_config_digest(tmp_path):
@@ -924,7 +922,6 @@ def test_bundle_config_digest(tmp_path):
     raw = json.loads(path.read_text())
     del raw["config_sha"]  # as written before bundles carried a digest
     path.write_text(json.dumps(raw))
-    assert load_bundle(path) == spec
     with pytest.raises(LoadError, match="none recorded"):
         load_bundle(path, "aaaaaaaaaaaa")
 
