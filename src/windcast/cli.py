@@ -16,10 +16,11 @@ per station and then runs the lag selection (train) or the rolling fits
 variant's targets are split, in config order, into ceil(jobs / fitted
 variants) contiguous groups, whose stations share the variant's residual
 states and candidate pools. train fits no coefficients: a bundle holds the
-selected lags, and forecast refuses one that another config selected, or
-whose spec is not for the (variant, station, horizon) its path names.
-Likewise evaluate refuses forecasts, and report scores, that another config
-wrote.
+selected lags, and forecast refuses one that another config selected, whose
+spec is not for the (variant, station, horizon) its path names, or whose
+lags name a station outside the run. Likewise evaluate refuses forecasts,
+and report scores, that another config wrote, and train and forecast a
+geowind.csv estimated under other geowind settings (``_stage_digest``).
 
 Every command validates the config first and fails with a machine-readable
 JSON error on stderr and a nonzero exit code. Outputs are written
@@ -70,18 +71,26 @@ from .verification import (
 JOBS_ENV = "WINDCAST_JOBS"
 
 
+def _stage_digest(cfg: RunConfig, command: str) -> str:
+    """The digest an artifact of ``command`` is stamped with: geowind.csv
+    carries that of the settings geowind reads, so configs that differ in
+    anything else share it; every other artifact that of the whole config."""
+    return cfg.geowind_digest() if command == "geowind" else cfg.digest()
+
+
 def _provenance(cfg: RunConfig, command: str) -> list:
-    return [f"windcast {__version__} {command} seed={cfg.seed} config_sha={cfg.digest()}"]
+    return [f"windcast {__version__} {command} seed={cfg.seed} "
+            f"config_sha={_stage_digest(cfg, command)}"]
 
 
 def _check_provenance(cfg: RunConfig, path, command: str) -> None:
     """Refuse the artifact ``path`` that the stage ``command`` writes unless it
-    exists and its provenance line carries this run's config digest."""
+    exists and its provenance line carries this run's digest for it."""
     if not os.path.exists(path):
         raise LoadError(f"{path} not found (run the {command} command first)")
     with open(path) as fh:
         _, stamped, sha = fh.readline().partition(" config_sha=")
-    found, digest = sha.strip() if stamped else None, cfg.digest()
+    found, digest = sha.strip() if stamped else None, _stage_digest(cfg, command)
     if found != digest:
         raise LoadError(f"{path}: written under config {found or '(none recorded)'}, "
                         f"this run is config {digest}; re-run {command}")
@@ -127,13 +136,12 @@ def _load_network(cfg: RunConfig, station_ids=None, pool=None) -> Network:
 
 
 def _load_model_data(cfg: RunConfig, pool) -> ModelData:
-    """The stations and geowind.csv, read side by side when there is a pool."""
+    """The stations and geowind.csv, read side by side when there is a pool.
+    A geowind.csv estimated under other geowind settings is refused."""
     gw_path = os.path.join(cfg.out_dir, "geowind.csv")
-    pending = pool.submit(GeoWindSeries.from_csv, gw_path) \
-        if pool and os.path.exists(gw_path) else None
+    _check_provenance(cfg, gw_path, "geowind")
+    pending = pool.submit(GeoWindSeries.from_csv, gw_path) if pool else None
     network = _load_network(cfg, cfg.features, pool)
-    if not os.path.exists(gw_path):
-        raise LoadError(f"{gw_path} not found (run the geowind command first)")
     geowind = pending.result() if pending else GeoWindSeries.from_csv(gw_path)
     return ModelData.from_network(network, geowind, cfg.features, cfg.tz_offset_hours)
 
@@ -205,7 +213,8 @@ def cmd_train(cfg: RunConfig, jobs: int) -> None:
 def _saved_specs(cfg: RunConfig, variant: str, station: str) -> dict:
     """{horizon: spec} of the trained bundles on disk for (variant, station).
     A bundle is refused unless it was selected under this config for the
-    station, horizon and variant its path names."""
+    station, horizon and variant its path names, with lags of this run's
+    feature stations only."""
     specs = {}
     for k in cfg.horizons:
         path = _bundle_path(cfg, variant, station, k)
@@ -216,6 +225,10 @@ def _saved_specs(cfg: RunConfig, variant: str, station: str) -> dict:
         if found != (station, k, variant):
             raise LoadError(f"{path}: bundle holds a spec for {found}, this path names "
                             f"{(station, k, variant)} (station, horizon, variant); re-run train")
+        unknown = sorted((set(spec.speed_lags) | set(spec.direction_lags)) - set(cfg.features))
+        if unknown:
+            raise LoadError(f"{path}: bundle has lags of {', '.join(unknown)}, not feature "
+                            f"stations of this run; re-run train")
         specs[k] = spec
     return specs
 

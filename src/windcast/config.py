@@ -151,8 +151,19 @@ class RunConfig:
         d = self.to_dict()
         d.pop("out_dir", None)
         d.pop("jobs", None)
-        payload = json.dumps(d, sort_keys=True).encode()
-        return hashlib.sha256(payload).hexdigest()[:12]
+        return _sha(d)
+
+    def geowind_digest(self) -> str:
+        """Hash of the settings the geowind stage reads: the data source (synth
+        settings, or CSV directory and schema), gw_stations, constants,
+        mean_removal and min_stations."""
+        d = self.to_dict()
+        return _sha({key: d[key] for key in ("data", "gw_stations", "constants",
+                                             "mean_removal", "min_stations")})
+
+
+def _sha(d: dict) -> str:
+    return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()[:12]
 
 
 def _parse_period(raw, name, violations):

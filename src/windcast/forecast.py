@@ -15,7 +15,9 @@ unavailable (NaN point).
 One ``run_rolling`` call serves one variant at a group of target stations:
 they share the lag-selection state, one candidate pool per horizon and
 every refit state, and each refit design covers only the rows its refits
-read.
+read. Consecutive refits share a residual state while the variant's
+diurnal averaging window (``diurnal.window``) stays the state's window;
+the selection state serves the first refits when its window is theirs.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .csvio import read_columns, write_columns
+from .diurnal import window
 from .errors import InvalidInputError, TrainingDataError
 from .model import (
     CandidatePool,
@@ -122,16 +125,6 @@ def persistence(data: ModelData, station: str, test: tuple, horizons: Sequence[i
     )
 
 
-def _state_cache_key(method: str, fit_time: int):
-    from .timeutil import season_index
-
-    if method == "MD":
-        return ("MD", int(fit_time))
-    if method == "SMD":
-        return ("SMD", int(season_index(fit_time)))
-    return (method,)
-
-
 def _selection(data: ModelData, variant: VariantSpec, stations: Sequence[str],
                horizons: Sequence[int], train: tuple, config: RollingConfig,
                selected: dict | None) -> tuple:
@@ -139,8 +132,8 @@ def _selection(data: ModelData, variant: VariantSpec, stations: Sequence[str],
     FeatureSpec}}: the specs in ``selected`` (same layout), and BIC selection
     on the training period for the rest. One candidate pool per horizon
     serves every station selected at it."""
-    state = ResidualState.build(data, variant.diurnal_method, train[1], train,
-                                config.window_days)
+    method = variant.diurnal_method
+    state = ResidualState.build(data, method, window(method, train[1], train, config.window_days))
     specs = {st: dict((selected or {}).get(st, {})) for st in stations}
     for k in horizons:
         todo = [st for st in stations if k not in specs[st]]
@@ -180,9 +173,10 @@ def run_rolling(
     ``selected`` may carry pre-selected FeatureSpecs as {station: {horizon:
     spec}} (from a saved training run); otherwise BIC selection runs on the
     training period first. The stations share every residual state: the one
-    built for selection serves the refits while its cache key holds, and each
-    later key is built once, in refit order. Under each state, a (station,
-    horizon) design covers only the rows its refits and forecasts read.
+    built for selection serves the refits while their diurnal window is its
+    window, and each later window is built once, in refit order. Under each
+    state, a (station, horizon) design covers only the rows its refits and
+    forecasts read.
     """
     train_start, train_end = int(train[0]), int(train[1])
     test_start, test_end = int(test[0]), int(test[1])
@@ -203,19 +197,16 @@ def run_rolling(
     method = parsed.diurnal_method
     state, specs = _selection(data, parsed, stations, horizons, (train_start, train_end),
                               config, selected)
-    state_key = _state_cache_key(method, train_end)
     mu = [np.full(len(p), np.nan) for p in pss]
     sigma = [np.full(len(p), np.nan) for p in pss]
     t0 = int(data.times[0])
     n_k = len(horizons)
 
     refits = range(test_start, test_end, config.refit_hours)
-    for key, group in groupby(refits, lambda at: _state_cache_key(method, at)):
+    for win, group in groupby(refits, lambda at: window(method, at, train, config.window_days)):
         group = list(group)
-        if key != state_key:
-            state = ResidualState.build(data, method, group[0], (train_start, train_end),
-                                        config.window_days)
-            state_key = key
+        if win != state.window:
+            state = ResidualState.build(data, method, win)
         # from the first fit window's start to the last issue hour under this state
         span = (max(group[0] - config.window_hours - t0, 0),
                 min(group[-1] + config.refit_hours, test_end) - t0)

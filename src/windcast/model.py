@@ -31,11 +31,14 @@ b1 = r^2, which keeps b0, b1 > 0 without the flat log b1 -> -inf of a
 logarithm. Its ``Coefficients`` follow the column order of the design they
 were fitted on.
 
-The target stations of one variant share its residual states and, in
-selection, one candidate pool per horizon (``CandidatePool``); a refit's
-design covers only the rows that refit reads (``DesignBundle.build`` over a
-row span). Distinct variants, and disjoint station groups of one variant,
-share only read-only inputs and can run in parallel.
+A ``ResidualState`` holds every series less its diurnal profile, fitted on
+the hours of one averaging window (``diurnal.window``), and keeps the
+stations' speed profiles, which the targets' offsets read, as 24 hourly
+values each. The target stations of one variant share its residual states
+and, in selection, one candidate pool per horizon (``CandidatePool``); a
+refit's design covers only the rows that refit reads (``DesignBundle.build``
+over a row span). Distinct variants, and disjoint station groups of one
+variant, share only read-only inputs and can run in parallel.
 """
 
 from __future__ import annotations
@@ -51,10 +54,13 @@ import numpy as np
 
 from . import __version__
 from .diurnal import (
-    EMPIRICAL_METHODS,
+    DIURNAL_METHODS,
     TRIG,
+    TRIG_TABLE,
+    describe,
     fit_empirical,
     fit_trig,
+    in_window,
 )
 from .errors import InvalidInputError, LoadError, TrainingDataError
 from .geostrophy import GeoWindSeries
@@ -68,7 +74,6 @@ SIGMA_FLOOR = 1e-8
 FIT_GTOL = 1e-8  # gradient 2-norm at which a CRPS fit stops
 FIT_MAXITER = 1000
 MIN_ROWS_PER_PARAM = 10  # selection rows needed per candidate column
-DIURNAL_METHODS = (TRIG,) + EMPIRICAL_METHODS
 
 log = logging.getLogger(__name__)
 
@@ -265,17 +270,17 @@ def _at(series: np.ndarray, lo: int, hi: int, shift: int = 0) -> np.ndarray:
 
 @dataclass
 class ResidualState:
-    """Diurnal profiles plus residualized arrays, built for one fit time.
+    """The residualized arrays of one diurnal method and averaging window.
 
-    Profiles come only from observations strictly before ``fit_time`` (and
-    inside the training bounds for TRIG/SMD/YMD), so downstream features
-    are leakage-free by construction.
+    Every series' profile is fitted on the hours of ``window`` alone (see
+    ``diurnal.window``), which end at or before the fit time, so downstream
+    features are leakage-free by construction. Under one method, equal
+    windows give equal states.
     """
 
     data: ModelData
-    method: str
-    fit_time: int
-    profiles: dict
+    window: tuple  # (start | None, end, season | None), see diurnal.window
+    speed_diurnal: np.ndarray  # (S, 24) diurnal speed of each station by hour of day
     speed_r: np.ndarray
     cos_r: np.ndarray
     sin_r: np.ndarray
@@ -283,37 +288,30 @@ class ResidualState:
     vol: np.ndarray
 
     @classmethod
-    def build(cls, data: ModelData, method: str, fit_time: int,
-              train_bounds: tuple, window_days: int = 45) -> "ResidualState":
-        train_start, train_end = int(train_bounds[0]), int(train_bounds[1])
-        fit_time = int(fit_time)
+    def build(cls, data: ModelData, method: str, window: tuple) -> "ResidualState":
+        rows = in_window(window, data.times)
+        hours = data.hod[rows]
+        where = describe(method, window)
 
-        def profile_for(values):
+        def residual(values, series):
+            """The series less its diurnal profile, and the profile."""
             if method == TRIG:
-                mask = (data.times >= train_start) & (data.times < min(train_end, fit_time))
-                return fit_trig(data.hod[mask], values[mask])
-            return fit_empirical(data.times, values, data.hod, method, fit_time,
-                                 window_days=window_days,
-                                 training_end=train_end if method in ("SMD", "YMD") else None)
+                profile = TRIG_TABLE @ fit_trig(hours, values[rows])
+            else:
+                profile = fit_empirical(hours, values[rows], f"{series} in the {where}")
+            return values - profile[data.hod], profile
 
-        profiles = {}
-        S = len(data.stations)
+        speed_diurnal = np.empty((len(data.stations), 24))
         speed_r = np.empty_like(data.speed)
         cos_r = np.empty_like(data.cos_dir)
         sin_r = np.empty_like(data.sin_dir)
         for i, st in enumerate(data.stations):
-            for key, raw, out in ((f"speed/{st}", data.speed, speed_r),
-                                  (f"cos/{st}", data.cos_dir, cos_r),
-                                  (f"sin/{st}", data.sin_dir, sin_r)):
-                prof = profile_for(raw[i])
-                profiles[key] = prof
-                out[i] = raw[i] - prof.evaluate(data.hod)
-        gw_prof = profile_for(data.gw_speed)
-        profiles["gw_speed"] = gw_prof
-        gw_r = data.gw_speed - gw_prof.evaluate(data.hod)
-        return cls(data=data, method=method, fit_time=fit_time, profiles=profiles,
-                   speed_r=speed_r, cos_r=cos_r, sin_r=sin_r, gw_r=gw_r,
-                   vol=volatility(speed_r))
+            speed_r[i], speed_diurnal[i] = residual(data.speed[i], f"speed at {st}")
+            cos_r[i], _ = residual(data.cos_dir[i], f"direction cosine at {st}")
+            sin_r[i], _ = residual(data.sin_dir[i], f"direction sine at {st}")
+        gw_r, _ = residual(data.gw_speed, "geostrophic speed")
+        return cls(data=data, window=window, speed_diurnal=speed_diurnal, speed_r=speed_r,
+                   cos_r=cos_r, sin_r=sin_r, gw_r=gw_r, vol=volatility(speed_r))
 
 
 def _regressors(state: ResidualState, speed_lags: Mapping[str, int],
@@ -377,10 +375,9 @@ def _target_offset(state: ResidualState, station: str, k: int, lo: int, hi: int)
     and the station's diurnal component there. The component is clock
     arithmetic, defined for every issue hour whether or not the valid time
     has data yet."""
-    data = state.data
-    target = _at(data.speed[data.station_index(station)], lo, hi, k).copy()
-    offset = state.profiles[f"speed/{station}"].evaluate((data.hod[lo:hi] + k) % 24)
-    return target, offset
+    si = state.data.station_index(station)
+    target = _at(state.data.speed[si], lo, hi, k).copy()
+    return target, state.speed_diurnal[si][(state.data.hod[lo:hi] + k) % 24]
 
 
 @dataclass
@@ -420,14 +417,13 @@ class DesignBundle:
                    target=target, offset=offset, vol=state.vol[lo:hi],
                    times=state.data.times[lo:hi])
 
-    def valid_rows(self, start_eh: int, end_eh: int, need_vol: bool = True) -> np.ndarray:
-        """Indices of fully observed rows with issue in [start, end-k]."""
+    def valid_rows(self, start_eh: int, end_eh: int) -> np.ndarray:
+        """Indices of the rows with issue in [start, end-k] whose features,
+        target, offset and volatility are all finite."""
         k = self.spec.horizon
         mask = (self.times >= int(start_eh)) & (self.times + k <= int(end_eh))
         mask &= np.all(np.isfinite(self.X), axis=1)
-        mask &= np.isfinite(self.target) & np.isfinite(self.offset)
-        if need_vol:
-            mask &= np.isfinite(self.vol)
+        mask &= np.isfinite(self.target) & np.isfinite(self.offset) & np.isfinite(self.vol)
         return np.nonzero(mask)[0]
 
 

@@ -16,6 +16,7 @@ import windcast
 from windcast import cli
 from windcast.cli import main
 from windcast.config import config_from_dict, dump_config, load_config
+from windcast.diurnal import window
 from windcast.errors import ConfigError
 from windcast.forecast import read_records_csv
 from windcast.geostrophy import GeoWindSeries
@@ -475,9 +476,9 @@ class TestSharedWork:
         states, pools = [], []
         build_state, build_pool = ResidualState.build.__func__, CandidatePool.build.__func__
 
-        def spy_state(cls, data, method, fit_time, *args, **kwargs):
-            states.append((method, fit_time))
-            return build_state(cls, data, method, fit_time, *args, **kwargs)
+        def spy_state(cls, data, method, win):
+            states.append((method, win))
+            return build_state(cls, data, method, win)
 
         def spy_pool(cls, state, variant, horizon, *args, **kwargs):
             pools.append((variant.name, horizon))
@@ -492,11 +493,16 @@ class TestSharedWork:
         path = _write_config(tmp_path, run)
         loaded = load_config(path)
         train_end, test_start = loaded.train_end, loaded.test_start
+
+        def windows(method, *fit_times):
+            train = (loaded.train_start, train_end)
+            return [(method, window(method, t, train, loaded.window_days)) for t in fit_times]
+
         assert len(loaded.stations) == 4
         per_horizon = [("TDD", 1), ("TDD", 2), ("TDDGW-MD", 1), ("TDDGW-MD", 2)]
 
         assert main(["train", "--config", str(path), "--jobs", "1"]) == 0
-        assert states == [("TRIG", train_end), ("MD", train_end)]
+        assert states == windows("TRIG", train_end) + windows("MD", train_end)
         assert pools == per_horizon
 
         states.clear()
@@ -504,8 +510,8 @@ class TestSharedWork:
         shutil.rmtree(out / "models")
         assert main(["forecast", "--config", str(path), "--jobs", "1"]) == 0
         # MD refits on each of the 5 test days; the first reuses the selection state
-        assert states == [("TRIG", train_end), ("MD", train_end)] + [
-            ("MD", test_start + 24 * day) for day in range(1, 5)]
+        assert states == windows("TRIG", train_end) + windows(
+            "MD", train_end, *(test_start + 24 * day for day in range(1, 5)))
         assert pools == per_horizon
 
 
@@ -585,7 +591,8 @@ class TestBundleDigest:
 
     @pytest.mark.parametrize("damage", ["truncated", "no spec", "unknown spec field",
                                         "JSON list", "lags as a list", "lag 99", "lag 2.5",
-                                        "horizon 2.0", "format 1", "format 2"])
+                                        "horizon 2.0", "format 1", "format 2",
+                                        "lags of another station"])
     def test_damaged_bundle_refused(self, pipeline_run, tmp_path, capsys, damage):
         out, path, _ = self._copy(pipeline_run, tmp_path)
         bundle = out / "models/TDDGW-MD/S02_k2.json"
@@ -610,6 +617,8 @@ class TestBundleDigest:
                 raw["spec"]["horizon"] = 2.0
             elif damage == "format 1":
                 raw["format_version"] = 1
+            elif damage == "lags of another station":  # a key no station of the run reads
+                raw["spec"]["speed_lags"] = {"S99": 0}
             else:  # the spec as format 2 wrote it, with four of the variant's flags
                 raw["format_version"] = 2
                 del raw["spec"]["variant"]
@@ -636,6 +645,36 @@ class TestBundleDigest:
         assert main(["forecast", "--config", str(path)]) == 1
         payload = json.loads(capsys.readouterr().err)
         assert "(none recorded)" in payload["message"] and digest in payload["message"]
+
+
+class TestGeowindProvenance:
+    """train and forecast read a geowind.csv estimated under this run's
+    geowind settings only; the other settings may differ."""
+
+    def _copy(self, pipeline_run, tmp_path, **changes):
+        src, cfg = pipeline_run
+        out = tmp_path / "out"
+        shutil.copytree(src / "data", out / "data")
+        shutil.copy(src / "geowind.csv", out / "geowind.csv")
+        return out, _write_config(tmp_path, dict(cfg, out_dir=str(out), **changes))
+
+    @pytest.mark.parametrize("command", ["train", "forecast"])
+    def test_other_geowind_settings_refused(self, pipeline_run, tmp_path, capsys, command):
+        src, _ = pipeline_run
+        out, path = self._copy(pipeline_run, tmp_path, min_stations=11)
+        assert main([command, "--config", str(path)]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "LoadError"
+        message = payload["message"]
+        assert "geowind.csv" in message and "re-run geowind" in message
+        estimated = load_config(src / "config.yaml").geowind_digest()
+        assert estimated in message and load_config(path).geowind_digest() in message
+        assert not (out / "forecasts").exists() and not (out / "models").exists()
+
+    def test_other_variants_read_it(self, pipeline_run, tmp_path):
+        out, path = self._copy(pipeline_run, tmp_path, variants=["PSS", "TDD"], horizons=[1])
+        assert main(["forecast", "--config", str(path)]) == 0
+        assert (out / "forecasts" / "TDD.csv").exists()
 
 
 class TestReportScores:
@@ -747,12 +786,18 @@ class TestFrozenModelOutputs:
     carried. They were re-recorded again when a spec came to name its
     variant instead of copying four of its flags (bundle format 3): each
     spec has the earlier target, horizon and lags, and its variant's flags
-    equal the four fields the earlier spec carried."""
+    equal the four fields the earlier spec carried. TDDGWDT-SMD and TDD-YMD
+    were added, and recorded as the code of that time wrote them, before the
+    diurnal averaging window became one value: they pin the seasonal and
+    whole-record profiles, the forced geostrophic direction pair and the
+    temperature difference."""
 
     FORECASTS = {
         "PSS.csv": "f01aa06b1fe896af780deaf9cbe95cce4974a16bd3d22d3b60712ef5ed8d6fcb",
         "TDD.csv": "0969b3901bd145c3c24838df619c6f96cfffcb40dc47d62015929b13962fe550",
         "TDDGW-MD.csv": "3ee0642e6448bf8cacffc10f4bb54562f48ed4080d9c6dfb370450ce31f4c0ac",
+        "TDDGWDT-SMD.csv": "93721174f1559a74bbaf2ab56cf9f68f9a5ab35ca89cdd392fe6ad5e18aaf636",
+        "TDD-YMD.csv": "4fd5a882b687e99fa1bb54418c55339abc08615015ace1dae3d38cec4214fc35",
     }
     BUNDLES = {
         "TDD/S01_k2.json": "ec1dfe2b6c249bc28e5e80a267a73e8e4522778c7ff48b2afc646939c8beec34",
@@ -763,12 +808,20 @@ class TestFrozenModelOutputs:
         "TDDGW-MD/S02_k2.json": "ebcc6a75bbc8480042914f5f401de66825d4bda23c2e0230d0a14642e5f878fa",
         "TDDGW-MD/S03_k2.json": "3e31cead68c83c34804fc1b7ce2ae7876f41042e3b287c8a15acf939d07a6f63",
         "TDDGW-MD/S04_k2.json": "620fd255a391ceef2b9fd84cff96da7ada170e8d48c8001cc31529de53ffb902",
+        "TDDGWDT-SMD/S01_k2.json": "b51605deb436239fbf85a04edc9680e47dbf8fd7ab1d31cd20728f4b5ff2b0c7",
+        "TDDGWDT-SMD/S02_k2.json": "0af748de4ffaeb470f5447997b2f663eebd0a2b8640eec05fb577c3e798e11ff",
+        "TDDGWDT-SMD/S03_k2.json": "afe75fc95d467da20608d4e9a1709b62b9f4ddddeb0b393122674b63d3130903",
+        "TDDGWDT-SMD/S04_k2.json": "6a941ccfb7fb61ada15be31ba40ae410af89c30f34af24ca9803f4a20ba867b2",
+        "TDD-YMD/S01_k2.json": "5f1ceac8a468b38e074e81dea7c8684cbfa3496dfb70947232c04600b6a76a72",
+        "TDD-YMD/S02_k2.json": "a9ee558a42380bdb5326a894326d83ffc2c16c312cd0f68c26e17e120e645f9f",
+        "TDD-YMD/S03_k2.json": "b9e651a25414d5cdbaf46bcc5d18bd4e9d6cff5f519047ac7a6bd7714ba67bf1",
+        "TDD-YMD/S04_k2.json": "6b0114f2eea2dbd1c9430ce988e1bd689e5360b1866d11d99be6c4e1beeda015",
     }
 
     @pytest.fixture(scope="class")
     def run(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("frozen")
-        cfg = small_config(out, variants=["PSS", "TDD", "TDDGW-MD"])
+        cfg = small_config(out, variants=["PSS", "TDD", "TDDGW-MD", "TDDGWDT-SMD", "TDD-YMD"])
         cfg["test"]["end"] = "2008-05-03T00:00"
         path = _write_config(out, cfg)
         run_pipeline(path, out, commands=("synth", "geowind", "forecast"))

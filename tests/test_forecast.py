@@ -13,9 +13,11 @@ from windcast.forecast import (
     run_rolling,
     write_records_csv,
 )
+from windcast.diurnal import window
 from windcast.model import DesignBundle, ResidualState
 from windcast.predictive import cdf_values
 from windcast.errors import InvalidInputError, TrainingDataError
+from windcast.timeutil import epoch_hour
 
 from conftest import make_model_data
 
@@ -257,20 +259,23 @@ class TestRunRolling:
         assert recs.observed.tobytes() == pss.observed.tobytes()
 
 
+def _window(method, fit_time, train):
+    return window(method, fit_time, train, ROLLING.window_days)
+
+
+def _state(data, method, fit_time, train):
+    return ResidualState.build(data, method, _window(method, fit_time, train))
+
+
 class TestStateReuse:
     """The residual state built for selection serves the first refits while
-    its cache key holds, and equals a state built afresh for them."""
+    their averaging window is its window, and equals a state built afresh
+    for them."""
 
-    @pytest.mark.parametrize("variant, delay_days, rebuilt", [
-        ("TDD", 0, []), ("TDD", 1, []), ("TDD-SMD", 1, []), ("TDD-YMD", 1, []),
-        ("TDDGW-MD", 0, [1]), ("TDDGW-MD", 1, [0, 1]),
-    ])
-    def test_first_refit_state(self, data, monkeypatch, variant, delay_days, rebuilt):
-        (t0, t1), _ = _bounds(data, 100, 2)
-        ts = t1 + 24 * delay_days
-        method = variant.partition("-")[2] or "TRIG"
-        fresh = ResidualState.build(data, method, ts, (t0, t1), ROLLING.window_days)
-
+    @staticmethod
+    def _spied_run(monkeypatch, data, variant, train, test):
+        """Run one station at k=2; return the states built, in order, and the
+        state each refit design was built on."""
         built, fitted = [], []
         build, design = ResidualState.build.__func__, DesignBundle.build.__func__
 
@@ -284,13 +289,49 @@ class TestStateReuse:
 
         monkeypatch.setattr(ResidualState, "build", classmethod(spy_build))
         monkeypatch.setattr(DesignBundle, "build", classmethod(spy_design))
-        run_rolling(data, variant, ["S01"], [2], (t0, t1), (ts, ts + 48), ROLLING)
+        run_rolling(data, variant, ["S01"], [2], train, test, ROLLING)
+        return built, fitted
 
-        assert [st.fit_time for st in built] == [t1] + [ts + 24 * day for day in rebuilt]
-        assert (fitted[0] is built[0]) == (0 not in rebuilt)  # built[0] selected the lags
+    @staticmethod
+    def _same_state(state, fresh):
         for name in ("speed_r", "cos_r", "sin_r", "gw_r", "vol"):
-            assert getattr(fitted[0], name).tobytes() == getattr(fresh, name).tobytes(), name
-        assert fitted[0].profiles == fresh.profiles
+            assert getattr(state, name).tobytes() == getattr(fresh, name).tobytes(), name
+        assert state.window == fresh.window
+        assert state.speed_diurnal.tobytes() == fresh.speed_diurnal.tobytes()
+
+    @pytest.mark.parametrize("variant, delay_days, rebuilt", [
+        ("TDD", 0, []), ("TDD", 1, []), ("TDD-SMD", 1, []), ("TDD-YMD", 1, []),
+        ("TDDGW-MD", 0, [1]), ("TDDGW-MD", 1, [0, 1]),
+    ])
+    def test_first_refit_state(self, data, monkeypatch, variant, delay_days, rebuilt):
+        (t0, t1), _ = _bounds(data, 100, 2)
+        ts = t1 + 24 * delay_days
+        method = variant.partition("-")[2] or "TRIG"
+        fresh = _state(data, method, ts, (t0, t1))
+        built, fitted = self._spied_run(monkeypatch, data, variant, (t0, t1), (ts, ts + 48))
+
+        assert [st.window for st in built] == [_window(method, at, (t0, t1)) for at in
+                                               [t1] + [ts + 24 * day for day in rebuilt]]
+        assert (fitted[0] is built[0]) == (0 not in rebuilt)  # built[0] selected the lags
+        self._same_state(fitted[0], fresh)
+
+    @pytest.mark.parametrize("variant, rebuilt", [
+        ("TDD", []), ("TDD-YMD", []), ("TDD-SMD", [2]), ("TDD-MD", [1, 2, 3]),
+    ])
+    def test_refits_across_a_season_boundary(self, monkeypatch, variant, rebuilt):
+        # the record opens with 10 days of DJF, so the training record holds
+        # the season the test period enters on day 2 (2008-12-01)
+        data, _ = make_model_data(seed=15, days=290, start="2008-02-20T00:00")
+        t0, t1 = int(data.times[0]), epoch_hour("2008-11-29T00:00")
+        method = variant.partition("-")[2] or "TRIG"
+        built, fitted = self._spied_run(monkeypatch, data, variant, (t0, t1), (t1, t1 + 96))
+
+        assert [st.window for st in built] == [_window(method, at, (t0, t1)) for at in
+                                               [t1] + [t1 + 24 * day for day in rebuilt]]
+        # one design per state, the first on the selection state
+        assert [id(st) for st in fitted] == [id(st) for st in built]
+        for day, state in zip([0] + rebuilt, fitted):
+            self._same_state(state, _state(data, method, t1 + 24 * day, (t0, t1)))
 
 
 def test_records_csv_round_trip(tmp_path):

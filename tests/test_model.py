@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from windcast import diurnal
 from windcast.errors import InvalidInputError, LoadError, TrainingDataError
 from windcast.model import (
     CandidatePool,
@@ -74,6 +75,12 @@ def _make_data(speed_rows, gw=None, temps=None, start="2008-01-01T00:00",
     )
 
 
+def _state(data, method, fit_time, train, window_days=45):
+    """The residual state of ``method``'s averaging window at ``fit_time``."""
+    return ResidualState.build(data, method,
+                               diurnal.window(method, fit_time, train, window_days))
+
+
 class TestVolatility:
     def test_constant_residuals(self):
         assert volatility(np.full((3, 10), 2.5))[5] == 0.0
@@ -108,7 +115,7 @@ def plain_state():
     temps = rng.normal(15, 4, (2, n))
     data = _make_data(speed, gw=gw, temps=temps)
     train = (int(data.times[0]), int(data.times[-1]) + 1)
-    return ResidualState.build(data, "YMD", train[1], train), train
+    return _state(data, "YMD", train[1], train), train
 
 
 class TestDesignBundle:
@@ -131,8 +138,8 @@ class TestDesignBundle:
         hod = np.arange(n) % 24
         temps = 10.0 + 5.0 * np.sin(2 * np.pi * hod / 24.0)
         data = _make_data(np.full((1, n), 5.0), temps=temps[None, :])
-        state = ResidualState.build(data, "YMD", int(data.times[-1]) + 1,
-                                    (int(data.times[0]), int(data.times[-1]) + 1))
+        state = _state(data, "YMD", int(data.times[-1]) + 1,
+                       (int(data.times[0]), int(data.times[-1]) + 1))
         spec = FeatureSpec(target_station="S1", horizon=1, variant="TDDGWT")
         bundle = DesignBundle.build(state, spec)
         col = bundle.X[:, list(bundle.names).index("temp_diff_24h")]
@@ -168,7 +175,7 @@ class TestDesignSpan:
     @pytest.mark.parametrize("where", ["start", "end", "inside"])
     def test_rows_equal_the_whole_axis(self, span_case, method, where):
         data, bounds, kw = span_case
-        state = ResidualState.build(data, method, bounds[1], bounds)
+        state = _state(data, method, bounds[1], bounds)
         spec = FeatureSpec(**kw, variant=f"TDDGWDT-{method}")
         n = data.n
         # "start": lags and temp_diff_24h reach before the axis for its first
@@ -192,7 +199,7 @@ class TestDesignSpan:
     @pytest.mark.parametrize("where", ["start", "end"])
     def test_fit_and_forecasts_equal_the_whole_axis(self, span_case, where):
         data, bounds, kw = span_case
-        state = ResidualState.build(data, "MD", bounds[1], bounds)
+        state = _state(data, "MD", bounds[1], bounds)
         spec = FeatureSpec(**kw, variant="TDDGWDT-MD")
         lo, hi = (0, 500) if where == "start" else (data.n - 500, data.n)
         window = (int(data.times[lo]), int(data.times[hi - 100]))
@@ -270,7 +277,12 @@ def oracle_select_lags_bic(state, target_station, horizon, variant, window,
         direction_lags={st: max_lag for st in data.stations},
         gw_lags=max_lag if variant.include_gw else -1)
     pool = DesignBundle.build(state, full)
-    rows = pool.valid_rows(window[0], window[1], need_vol=False)
+    # rows in the window with finite features, target and offset; unlike a fit,
+    # selection does not need the volatility
+    k = pool.spec.horizon
+    rows = np.nonzero((pool.times >= window[0]) & (pool.times + k <= window[1])
+                      & np.isfinite(pool.X).all(axis=1) & np.isfinite(pool.target)
+                      & np.isfinite(pool.offset))[0]
     assert rows.size >= min_rows_per_param * len(pool.names)
     X = pool.X[rows]
     y = pool.target[rows] - pool.offset[rows]
@@ -357,7 +369,7 @@ class TestBicSelection:
         data, _ = make_model_data(seed=seed, days=100)
         vspec = parse_variant(variant)
         bounds = (int(data.times[0]), int(data.times[-1]) + 1)
-        state = ResidualState.build(data, vspec.diurnal_method, bounds[1], bounds)
+        state = _state(data, vspec.diurnal_method, bounds[1], bounds)
         for k in (1, 3):
             pool = CandidatePool.build(state, vspec, k, bounds)  # shared by both stations
             for station in ("S01", "S03"):
@@ -373,7 +385,7 @@ class TestBicSelection:
         data, _ = make_model_data(seed=21, days=100)
         vspec = parse_variant(variant)
         bounds = (int(data.times[0]), int(data.times[-1]) + 1)
-        state = ResidualState.build(data, vspec.diurnal_method, bounds[1], bounds)
+        state = _state(data, vspec.diurnal_method, bounds[1], bounds)
         pool = CandidatePool.build(state, vspec, 1, bounds, 3)
         names, _, xty, _, _ = pool.normal_equations("S01")
         column = {value: i for i, value in enumerate(xty)}  # xty values name the columns
@@ -403,7 +415,7 @@ class TestBicSelection:
         data.temperature[data.station_index("S02"), 1500:1510] = np.nan
         vspec = parse_variant(variant)
         bounds = (int(data.times[0]), int(data.times[-1]) + 1)
-        state = ResidualState.build(data, vspec.diurnal_method, bounds[1], bounds)
+        state = _state(data, vspec.diurnal_method, bounds[1], bounds)
         pool = CandidatePool.build(state, vspec, 2, bounds)
         rows = {st: pool.normal_equations(st)[4] for st in ("S01", "S02", "S03")}
         assert rows["S01"] < rows["S03"]
@@ -427,7 +439,7 @@ class TestBicSelection:
         bounds = (int(data.times[0]), int(data.times[-1]) + 1)
         for variant in ("TDD", "TDDGW-MD"):
             vspec = parse_variant(variant)
-            state = ResidualState.build(data, vspec.diurnal_method, bounds[1], bounds)
+            state = _state(data, vspec.diurnal_method, bounds[1], bounds)
             for station, k in (("S3", 2), ("S1", 1)):
                 spec = select_lags_bic(CandidatePool.build(state, vspec, k, bounds, 4), station)
                 assert spec == oracle_select_lags_bic(state, station, k, vspec, bounds,
@@ -440,7 +452,7 @@ class TestBicSelection:
             speed = np.abs(rng.normal(5, 1, (1, n)))
             data = _make_data(speed)
             bounds = (int(data.times[0]), int(data.times[-1]) + 1)
-            state = ResidualState.build(data, "YMD", bounds[1], bounds)
+            state = _state(data, "YMD", bounds[1], bounds)
             spec = select_lags_bic(CandidatePool.build(state, parse_variant("TDD"), 2, bounds),
                                    "S1")
             assert spec.speed_lags == {}
@@ -452,7 +464,7 @@ class TestBicSelection:
         speed = np.abs(_ar1(rng, n, 5, 1.2, 0.8))[None, :]
         data = _make_data(speed)
         bounds = (int(data.times[0]), int(data.times[-1]) + 1)
-        state = ResidualState.build(data, "YMD", bounds[1], bounds)
+        state = _state(data, "YMD", bounds[1], bounds)
         spec = select_lags_bic(CandidatePool.build(state, parse_variant("TDD"), 1, bounds), "S1")
         assert spec.speed_lags == {"S1": 0}
 
@@ -465,7 +477,7 @@ class TestBicSelection:
                            + 3.0 + noise)[None, :]
         data = _make_data(speed, gw=gw)
         bounds = (int(data.times[0]), int(data.times[-1]) + 1)
-        state = ResidualState.build(data, "MD", bounds[1], bounds)
+        state = _state(data, "MD", bounds[1], bounds)
         pool = CandidatePool.build(state, parse_variant("TDDGW-MD"), 2, bounds)
         spec = select_lags_bic(pool, "S1")
         assert spec.variant == "TDDGW-MD" and spec.gw_lags >= 0
@@ -490,7 +502,7 @@ def _recovery_setup(noise=0.05, n=24 * 70, seed=5):
     assert np.all(target > 0)
     data = _make_data(np.vstack([target, exog]), gw=gw)
     bounds = (int(data.times[0]), int(data.times[-1]) + 1)
-    state = ResidualState.build(data, "YMD", bounds[1], bounds)
+    state = _state(data, "YMD", bounds[1], bounds)
     spec = FeatureSpec(target_station="S1", horizon=k, variant="TDDGW-YMD",
                        speed_lags={"S2": 0}, gw_lags=0)
     return state, spec, bounds
@@ -580,12 +592,12 @@ def oracle_windows():
     cases = []
     for variant in ("TDD", "TDDGW-MD", "TDDGWDT-SMD"):
         vspec = parse_variant(variant)
-        state = ResidualState.build(data, vspec.diurnal_method, train[1], train)
+        state = _state(data, vspec.diurnal_method, train[1], train)
         for station in ("S01", "S03"):
             spec = select_lags_bic(CandidatePool.build(state, vspec, 2, train), station)
             for day in range(3):
                 end = train[1] + 24 * day
-                refit = ResidualState.build(data, vspec.diurnal_method, end, train)
+                refit = _state(data, vspec.diurnal_method, end, train)
                 cases.append((variant, station, refit, spec, (end - 45 * 24, end)))
     return cases
 
@@ -625,7 +637,7 @@ class TestFitCrps:
         speed = np.abs(rng.normal(6, 1.0, (1, n)))
         data = _make_data(speed)
         bounds = (int(data.times[0]), int(data.times[-1]) + 1)
-        state = ResidualState.build(data, "TRIG", bounds[1], bounds)
+        state = _state(data, "TRIG", bounds[1], bounds)
         spec = FeatureSpec(target_station="S1", horizon=1, variant="TDD")
         bundle = DesignBundle.build(state, spec)
         model = fit_crps(bundle, bounds)
@@ -652,7 +664,7 @@ class TestFitCrps:
         n = 24 * 60
         data = _make_data(np.full((1, n), 4.0))
         bounds = (int(data.times[0]), int(data.times[-1]) + 1)
-        state = ResidualState.build(data, "YMD", bounds[1], bounds)
+        state = _state(data, "YMD", bounds[1], bounds)
         spec = FeatureSpec(target_station="S1", horizon=1, variant="TDD-YMD")
         model = _fit(state, spec, bounds)
         assert fitted_crps(state, spec, bounds, model) < 1e-4
@@ -833,14 +845,13 @@ class TestPredictParams:
         speed = 5.0 + np.sin(2 * np.pi * hod / 24) + 0.01 * rng.standard_normal(n)
         data = _make_data(speed[None, :])
         bounds = (int(data.times[0]), int(data.times[-1]) + 1)
-        state = ResidualState.build(data, "MD", bounds[1], bounds)
+        state = _state(data, "MD", bounds[1], bounds)
         spec = FeatureSpec(target_station="S1", horizon=2, variant="TDD-MD")
         bundle = DesignBundle.build(state, spec)
         model = Coefficients(np.array([0.25]), 0.5, 1e-300, 1)
         t = 30 * 24
         (mu,), (sigma,) = predict_params(model, bundle, [t])
-        prof = state.profiles["speed/S1"]
-        expected_mu = float(prof.evaluate(np.array([(t + 2) % 24]))[0]) + 0.25
+        expected_mu = float(state.speed_diurnal[0][(t + 2) % 24]) + 0.25
         assert mu == pytest.approx(expected_mu, abs=1e-12)
         # b1 ~ 0 pins sigma at b0 regardless of volatility
         assert sigma == pytest.approx(0.5, abs=1e-12)
@@ -871,7 +882,7 @@ class TestPredictParams:
         state, spec, bounds = _recovery_setup(noise=0.3)
         if missing == "feature":  # a lag-0 regressor that the volatility does not read
             state.data.gw_speed[500] = np.nan
-            state = ResidualState.build(state.data, "YMD", bounds[1], bounds)
+            state = _state(state.data, "YMD", bounds[1], bounds)
         bundle = DesignBundle.build(state, spec)
         model = fit_crps(bundle, bounds)
         if missing != "feature":
@@ -887,7 +898,7 @@ class TestPredictParams:
         full = _fit(state, spec, bounds)
         data = state.data
         data.speed[1, 400:420] = np.nan
-        state2 = ResidualState.build(data, "YMD", bounds[1], bounds)
+        state2 = _state(data, "YMD", bounds[1], bounds)
         holey = _fit(state2, spec, bounds)
         assert holey.n_rows < full.n_rows
 
