@@ -16,7 +16,14 @@ wide, or any warning) sends the file to ``csv.reader``, which reads all other
 files and defines the semantics: the arrays are the same either way.
 
 Writing puts floats as ``repr`` (shortest round-trip text, so reading back
-is bit-exact) and non-finite floats as ``""`` unless asked otherwise.
+is bit-exact) and non-finite floats as ``""`` unless asked otherwise. Rows
+are built a chunk at a time: each column's cells are formatted as a list of
+text, the lists are joined with ``","`` row by row, and the chunk goes to the
+file in one write. The bytes are those ``csv.writer``'s default dialect
+writes (QUOTE_MINIMAL, CRLF rows): a cell holding ``,``, ``"``, CR or LF is
+quoted with its quotes doubled, and a row whose only cell is empty reads
+``""``. Only text cells can need quoting, and one regex scan of a column
+chunk tells whether any does.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ CHUNK_ROWS = 8192
 TEXT_WIDTH = 24
 _DTYPE = {"float": "f8", "int": "i8", "str": f"U{TEXT_WIDTH}", "time": f"U{TEXT_WIDTH}"}
 _PREAMBLE = re.compile(rb"(?:(?:#[^\r\n]*)?(?:\r\n?|\n))*")  # '#' and blank lines
+_SPECIAL = re.compile(r'[,"\r\n]')  # a written cell holding one of these is quoted
 
 
 class Columns(dict):
@@ -211,29 +219,56 @@ def read_columns(path, kinds: Mapping[str, str], keep: tuple | None = None,
     return out
 
 
-def _cells(values: np.ndarray, nonfinite: str | None) -> list:
-    """One column chunk as csv cells; the csv writer renders floats by repr."""
-    if values.dtype.kind == "b":
-        return values.astype(np.int64).tolist()
-    cells = values.tolist()
-    if values.dtype.kind == "f" and nonfinite is not None:
-        for i in np.flatnonzero(~np.isfinite(values)).tolist():
-            cells[i] = nonfinite
-    return cells
+def _quote(cell: str) -> str:
+    return '"' + cell.replace('"', '""') + '"' if _SPECIAL.search(cell) else cell
+
+
+def _cells(values, nonfinite: str | None) -> list:
+    """One column chunk as cell text: floats by repr, bools as 0 and 1, text
+    as it is but quoted where it needs to be, other values by str."""
+    if isinstance(values, list):  # text
+        cells = values
+    elif values.dtype.kind == "f":
+        cells = list(map(float.__repr__, values.tolist()))
+        if nonfinite is not None and not np.isfinite(values).all():
+            for i in np.flatnonzero(~np.isfinite(values)).tolist():
+                cells[i] = nonfinite
+        return cells
+    elif values.dtype.kind in "biu":
+        ints = values.view(np.uint8) if values.dtype.kind == "b" else values
+        return list(map(str, ints.tolist()))
+    else:
+        cells = list(map(str, values.tolist()))
+    return list(map(_quote, cells)) if _SPECIAL.search("".join(cells)) else cells
+
+
+def _rows(cells: Sequence[list]) -> list:
+    """Rows from their columns of cell text; a row whose only cell is empty
+    is written as '""', so that it does not read as a blank line."""
+    if len(cells) == 1:
+        return ['""' if c == "" else c for c in cells[0]]
+    return list(map(",".join, zip(*cells)))
 
 
 def write_columns(path, header: Sequence[str], columns: Sequence,
                   header_lines: Sequence[str] = (), nonfinite: str | None = "") -> None:
     """Write ``# line`` provenance lines, the header, then one CRLF-ended row
     per index of the equal-length ``columns``. Non-finite floats are written
-    as ``nonfinite``, or by ``repr`` ('nan', 'inf') when it is None."""
-    columns = [np.asarray(c) for c in columns]
+    as ``nonfinite``, or by ``repr`` ('nan', 'inf') when it is None.
+
+    A column is an array, or a sequence that ``numpy.asarray`` reads; a list
+    of ``str`` is taken as it is. Each chunk of ``CHUNK_ROWS`` rows becomes
+    one list of cell text per column (floats by ``repr``, bools as 0 and 1,
+    other values by ``str``, text quoted as the module docstring says); the
+    rows are joined with ``","`` and the chunk is written at once."""
+    columns = [c if isinstance(c, list) and {str} >= set(map(type, c)) else np.asarray(c)
+               for c in columns]
+    if nonfinite is not None:
+        nonfinite = _quote(nonfinite)
     n = len(columns[0]) if columns else 0
     with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.writelines(f"# {line}\n" for line in header_lines)
+        fh.write("".join(_rows([[_quote(name)] for name in header])) + "\r\n")
         for lo in range(0, n, CHUNK_ROWS):
-            writer.writerows(zip(*(_cells(c[lo:lo + CHUNK_ROWS], nonfinite)
-                                   for c in columns)))
+            rows = _rows([_cells(c[lo:lo + CHUNK_ROWS], nonfinite) for c in columns])
+            fh.write("\r\n".join(rows) + "\r\n")

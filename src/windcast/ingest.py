@@ -191,20 +191,6 @@ def _load_station(path, schema: SchemaConfig, meta: StationMeta):
     return hourly_average(raw, schema, meta), raw.n_malformed
 
 
-def _warn_malformed(meta: StationMeta, n_malformed: int, path) -> None:
-    if n_malformed:
-        log.warning("station %s: %d rows with a malformed numeric field in %s",
-                    meta.id, n_malformed, path)
-
-
-def load_station_csv(path, schema: SchemaConfig, meta: StationMeta) -> StationSeries:
-    """One station file as an hourly StationSeries; logs a warning when rows
-    had malformed numeric fields."""
-    series, n_malformed = _load_station(path, schema, meta)
-    _warn_malformed(meta, n_malformed, path)
-    return series
-
-
 def write_station_csv(series: StationSeries, path, header_lines: Sequence[str] = ()) -> None:
     """Write the canonical hourly CSV (CANONICAL_SCHEMA layout)."""
     cols = CANONICAL_SCHEMA.columns
@@ -254,6 +240,8 @@ def load_network_dir(directory, schema: SchemaConfig = CANONICAL_SCHEMA,
     loaded = (pool.map if pool else map)(_load_station, paths, repeat(schema), metas)
     series = []
     for meta, path, (station, n_malformed) in zip(metas, paths, loaded):
-        _warn_malformed(meta, n_malformed, path)
+        if n_malformed:
+            log.warning("station %s: %d rows with a malformed numeric field in %s",
+                        meta.id, n_malformed, path)
         series.append(station)
     return series

@@ -222,22 +222,6 @@ class ModelData:
             tz_offset=tz_offset,
         )
 
-    def truncated_at(self, eh: int) -> "ModelData":
-        """Copy with every observation strictly after ``eh`` removed (audits)."""
-        keep = self.times <= eh
-        return ModelData(
-            times=self.times[keep],
-            stations=list(self.stations),
-            speed=self.speed[:, keep],
-            cos_dir=self.cos_dir[:, keep],
-            sin_dir=self.sin_dir[:, keep],
-            temperature=self.temperature[:, keep],
-            gw_speed=self.gw_speed[keep],
-            gw_cos=self.gw_cos[keep],
-            gw_sin=self.gw_sin[keep],
-            tz_offset=self.tz_offset,
-        )
-
 
 def volatility(speed_residuals: np.ndarray) -> np.ndarray:
     """Network residual volatility v_t from an (S, n) residual-speed array.

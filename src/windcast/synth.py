@@ -72,19 +72,25 @@ class SynthConfig:
             raise InvalidInputError("n_inner must be nonnegative")
         if not 0.0 <= self.wind_rho < 1.0 or not 0.0 <= self.noise_rho < 1.0:
             raise InvalidInputError("AR coefficients must lie in [0, 1)")
-        if self.response_lag_hours < 0:
-            raise InvalidInputError("response lag must be nonnegative")
+        if self.days < 1:
+            raise InvalidInputError(f"days must be at least 1, got {self.days}")
+        if not 0 <= self.response_lag_hours < 24 * self.days:
+            raise InvalidInputError(
+                f"response_lag_hours must lie in [0, {24 * self.days}), the archive's "
+                f"hours, got {self.response_lag_hours}")
 
 
 def _ar1(rng, n, mean, std, rho):
-    """Stationary AR(1) path of length n."""
-    x = np.empty(n)
+    """Stationary AR(1) path of length n. The recurrence runs on Python
+    floats, which round as numpy float64 does, at a quarter of the cost."""
     innovation = std * math.sqrt(1.0 - rho * rho)
-    x[0] = mean + std * rng.standard_normal()
+    x = mean + std * rng.standard_normal()
     shocks = innovation * rng.standard_normal(n - 1)
-    for t in range(1, n):
-        x[t] = mean + rho * (x[t - 1] - mean) + shocks[t - 1]
-    return x
+    path = [x]
+    for shock in shocks.tolist():
+        x = mean + rho * (x - mean) + shock
+        path.append(x)
+    return np.array(path)
 
 
 def generate(config: SynthConfig, const: PhysicalConstants = PhysicalConstants()):

@@ -27,6 +27,15 @@ def make_model_data(seed=11, days=240, n_inner=4, tz_offset=-6, **synth_kw):
     return data, truth
 
 
+def truncated_at(data: ModelData, eh: int) -> ModelData:
+    """A private copy of ``data`` without the observations after epoch hour ``eh``."""
+    keep = data.times <= eh
+    series = ("speed", "cos_dir", "sin_dir", "temperature", "gw_speed", "gw_cos", "gw_sin")
+    return ModelData(times=data.times[keep], stations=list(data.stations),
+                     tz_offset=data.tz_offset,
+                     **{name: getattr(data, name)[..., keep] for name in series})
+
+
 @pytest.fixture(scope="session")
 def small_data():
     data, _ = make_model_data()

@@ -97,6 +97,22 @@ class TestConfigValidation:
         assert payload["error"] == "ConfigError" and payload["violations"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("synth, violation", [
+        ({"days": 0}, "data.synth: days must be at least 1, got 0"),
+        ({"days": -3}, "data.synth: days must be at least 1, got -3"),
+        ({"days": 1, "response_lag_hours": 30},
+         "data.synth: response_lag_hours must lie in [0, 24), the archive's hours, got 30"),
+    ], ids=["days-0", "days-negative", "lag-past-archive"])
+    def test_archive_too_short_refused_before_writing(self, tmp_path, capsys, synth, violation):
+        out = tmp_path / "out"
+        cfg = small_config(str(out))
+        cfg["data"]["synth"].update(synth)
+        assert main(["synth", "--config", str(_write_config(tmp_path, cfg))]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ConfigError"
+        assert payload["violations"] == [violation]
+        assert not out.exists()
+
     def test_round_trips_through_yaml(self, tmp_path):
         path = _write_config(tmp_path, small_config(tmp_path / "out"))
         cfg = load_config(path)

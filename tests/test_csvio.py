@@ -1,5 +1,6 @@
 """Columnar CSV layer: exact round trips, input syntax, errors, frozen bytes."""
 
+import csv
 import hashlib
 import math
 
@@ -232,6 +233,100 @@ class TestFrozenBytes:
             x, y = getattr(back, name), getattr(records, name)
             same = (np.isnan(x) & np.isnan(y)) | (x.view(np.int64) == y.view(np.int64))
             assert same.all(), name
+
+
+def _csv_writer_reference(path, header, columns, header_lines=(), nonfinite=""):
+    """write_columns as it was built on csv.writer: the bytes it must match."""
+    import windcast.csvio
+
+    def cells(values):
+        if values.dtype.kind == "b":
+            return values.astype(np.int64).tolist()
+        out = values.tolist()
+        if values.dtype.kind == "f" and nonfinite is not None:
+            for i in np.flatnonzero(~np.isfinite(values)).tolist():
+                out[i] = nonfinite
+        return out
+
+    columns = [np.asarray(c) for c in columns]
+    n = len(columns[0]) if columns else 0
+    chunk = windcast.csvio.CHUNK_ROWS
+    with open(path, "w", newline="") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for lo in range(0, n, chunk):
+            writer.writerows(zip(*(cells(c[lo:lo + chunk]) for c in columns)))
+
+
+TEXT_CELLS = ["plain", "a,b", 'say "hi"', "cr\rhere", "lf\nhere", "crlf\r\n", " lead",
+              "trail ", "  both  ", "", '"', ",", "", "tab\tok", "#not a comment", "ünï"]
+
+
+class TestWriterBytes:
+    """write_columns writes the bytes csv.writer writes, on every kind of cell."""
+
+    def _same(self, tmp_path, header, columns, **kw):
+        ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+        write_columns(ours, header, columns, **kw)
+        _csv_writer_reference(theirs, header, columns, **kw)
+        assert ours.read_bytes() == theirs.read_bytes()
+        return ours.read_bytes()
+
+    def test_text_cells(self, tmp_path):
+        n = len(TEXT_CELLS)
+        self._same(tmp_path, ["text", "x"], [TEXT_CELLS, np.arange(n) / 4.0])
+        self._same(tmp_path, ["text", "x"], [np.array(TEXT_CELLS), np.arange(n)])
+        self._same(tmp_path, ["a,b", 'q"', "lf\n", ""], [TEXT_CELLS[::-1]] * 4,
+                   header_lines=["provenance, with a comma"])
+
+    def test_single_column_with_empty_cells(self, tmp_path):
+        data = self._same(tmp_path, ["name"], [["a", "", "b,c", ""]])
+        assert data == b'name\r\na\r\n""\r\n"b,c"\r\n""\r\n'
+        assert self._same(tmp_path, [""], [["", "x"]]) == b'""\r\n""\r\nx\r\n'
+        self._same(tmp_path, ["x"], [np.array([np.nan, 1.0, np.inf])])
+
+    @pytest.mark.parametrize("nonfinite", ["", None, "NA", "n,a"])
+    def test_nonfinite_and_signed_zero(self, tmp_path, nonfinite):
+        values = np.array(EDGE_FLOATS + [-np.inf, -0.0, np.nan])
+        data = self._same(tmp_path, ["x", "y"], [values, values[::-1].copy()],
+                          nonfinite=nonfinite)
+        assert b"-0.0" in data
+
+    def test_bool_and_int_columns(self, tmp_path):
+        n = np.array([0, -1, 2**62, -2**63, 7], dtype=np.int64)
+        flags = np.array([True, False, True, True, False])
+        data = self._same(tmp_path, ["n", "flag", "u", "i32"],
+                          [n, flags, n.view(np.uint64), n.astype(np.int32)])
+        assert data.splitlines()[1] == b"0,1,0,0"
+        self._same(tmp_path, ["flag"], [[True, False]])
+
+    def test_block_columns(self, tmp_path):
+        # verification._write_blocks: lists of python ints, floats and text
+        blocks = [(["S01"] * 2, ["PSS"] * 2, [2, 2], ["2010-01", "overall"], [31, 31],
+                   [0.5, float("nan")]),
+                  (["S02"], ["TDDGW-MD"], [6], ["overall"], [0], [math.inf])]
+        columns = [[v for block in blocks for v in block[i]] for i in range(6)]
+        self._same(tmp_path, list("svhmnx"), columns, header_lines=["blocks"])
+        self._same(tmp_path, list("svhmnx"), [[]] * 6)
+
+    def test_zero_rows(self, tmp_path):
+        data = self._same(tmp_path, ["t", "x"], [[], np.zeros(0)], header_lines=["p"])
+        assert data == b"# p\nt,x\r\n"
+        assert self._same(tmp_path, [], []) == b"\r\n"
+
+    def test_several_chunks(self, tmp_path, monkeypatch):
+        import windcast.csvio
+
+        monkeypatch.setattr(windcast.csvio, "CHUNK_ROWS", 3)
+        rng = np.random.default_rng(8)
+        values = rng.standard_normal(11)
+        values[[2, 9]] = np.nan
+        text = (TEXT_CELLS * 2)[:11]
+        self._same(tmp_path, ["t", "x", "n", "f"],
+                   [text, values, np.arange(11), values > 0], nonfinite="")
+        self._same(tmp_path, ["t"], [text])
 
 
 def _typed_and_reference(monkeypatch, path, kinds, keep=None, lenient=False):

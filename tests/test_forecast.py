@@ -19,7 +19,7 @@ from windcast.predictive import cdf_values
 from windcast.errors import InvalidInputError, TrainingDataError
 from windcast.timeutil import epoch_hour
 
-from conftest import make_model_data
+from conftest import make_model_data, truncated_at
 
 ROLLING = RollingConfig()
 
@@ -83,7 +83,7 @@ class TestPersistence:
         assert rec.observed[0] == pytest.approx(rec.point[0], abs=1e-9)
 
     def test_missing_current_uses_latest_and_flags(self, data):
-        d = data.truncated_at(int(data.times[-1]))  # private copy
+        d = truncated_at(data, int(data.times[-1]))  # private copy
         si = d.station_index("S01")
         d.speed[si, 1000] = np.nan
         rec = _one(d, "S01", int(d.times[1000]), 2)
@@ -108,7 +108,7 @@ WINDOW = 6  # lookback of the fault-injection cases, in hours
 
 def _holed(data, station, *slices):
     """Private copy of ``data`` with ``station``'s speed blanked on ``slices``."""
-    d = data.truncated_at(int(data.times[-1]))
+    d = truncated_at(data, int(data.times[-1]))
     si = d.station_index(station)
     for sl in slices:
         d.speed[si, sl] = np.nan
@@ -216,7 +216,7 @@ class TestRunRolling:
         cutoff = ts + 48
         (full,) = run_rolling(data, "TDDGW-MD", ["S01"], [2], (t0, t1), (ts, ts + 96),
                               ROLLING)
-        truncated_data = data.truncated_at(cutoff)
+        truncated_data = truncated_at(data, cutoff)
         (part,) = run_rolling(truncated_data, "TDDGW-MD", ["S01"], [2], (t0, t1),
                               (ts, cutoff), ROLLING)
         assert len(part) == 48
@@ -237,7 +237,7 @@ class TestRunRolling:
 
     def test_fallback_on_missing_features(self, data):
         (t0, t1), (ts, te) = _bounds(data, 100, 2)
-        holed = data.truncated_at(int(data.times[-1]))
+        holed = truncated_at(data, int(data.times[-1]))
         si = holed.station_index("S02")
         i = holed.index_of_time(ts + 30)
         holed.speed[si, i] = np.nan  # cross-station feature hole

@@ -15,7 +15,6 @@ from windcast.ingest import (
     SchemaConfig,
     hourly_average,
     load_network_dir,
-    load_station_csv,
     read_raw,
     read_stations_csv,
     write_station_csv,
@@ -45,6 +44,11 @@ def _five_min_rows(day="2008-01-01", hours=24, speed=5.0, direction=90.0):
         for m in range(0, 60, 5):
             rows.append(f"{day}T{h:02d}:{m:02d}:00Z,PICT,{speed},{direction},15.0,920.0")
     return rows
+
+
+def load_station_csv(path, schema, meta):
+    """One station file as the hourly series load_network_dir reads from it."""
+    return hourly_average(read_raw(path, schema, station_id=meta.id), schema, meta)
 
 
 class TestLoading:

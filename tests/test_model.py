@@ -35,7 +35,7 @@ from windcast.model import (
 from windcast.predictive import _crps_grad, crps_values
 from windcast.timeutil import epoch_hour
 
-from conftest import make_model_data
+from conftest import make_model_data, truncated_at
 
 
 def _ar1(rng, n, mean, std, rho):
@@ -410,7 +410,7 @@ class TestBicSelection:
         # S01's speed gap drops its target rows from its own selection only,
         # and S02's temperature gap its temp_diff_24h rows; one pool serves all
         data, _ = make_model_data(seed=24, days=100)
-        data = data.truncated_at(int(data.times[-1]))  # private copy
+        data = truncated_at(data, int(data.times[-1]))  # private copy
         data.speed[data.station_index("S01"), 900:905] = np.nan
         data.temperature[data.station_index("S02"), 1500:1510] = np.nan
         vspec = parse_variant(variant)

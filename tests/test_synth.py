@@ -1,11 +1,15 @@
 """Synthetic generator: determinism, friction scaling, estimator round trip."""
 
+import dataclasses
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
 from windcast import synth
 from windcast.geostrophy import MeanRemovalPolicy, estimate_series
-from windcast.series import Network
+from windcast.series import FIELDS, Network
 
 
 def _quick(**kw):
@@ -74,3 +78,48 @@ def test_inner_stations_near_center():
     lons = np.array([s.meta.longitude for s in series])
     center_dist = np.hypot(lats - cfg.center_lat, lons - cfg.center_lon)
     assert center_dist[:4].max() < center_dist[4:].min()
+
+
+def _ar1_indexed(rng, n, mean, std, rho):
+    """The AR(1) recurrence on numpy scalars and indexing, as first written."""
+    x = np.empty(n)
+    innovation = std * math.sqrt(1.0 - rho * rho)
+    x[0] = mean + std * rng.standard_normal()
+    shocks = innovation * rng.standard_normal(n - 1)
+    for t in range(1, n):
+        x[t] = mean + rho * (x[t - 1] - mean) + shocks[t - 1]
+    return x
+
+
+@pytest.mark.parametrize("mean, std, rho", [
+    (2.0, 3.5, 0.98), (1500.0, 10.0, 0.995), (0.0, 1.5, 0.9), (0.0, 0.25, 0.8), (6, 3.5, 0.0),
+])
+@pytest.mark.parametrize("n", [1, 2, 2000])
+def test_ar1_bit_identical_to_indexing_loop(mean, std, rho, n):
+    ours = synth._ar1(np.random.default_rng(7), n, mean, std, rho)
+    reference = _ar1_indexed(np.random.default_rng(7), n, mean, std, rho)
+    assert ours.dtype == np.float64 and ours.tobytes() == reference.tobytes()
+
+
+# sha256 over every array synth.generate returns for benchmark_config() at
+# 60 days, taken when _ar1 still indexed numpy arrays
+GENERATE_SHA256 = "0550f7a4f7ecdbb8d5a4e8cf8a75a302eb4fc1682295dfdd94e4f83bb544167d"
+
+
+def _generated_arrays(series, truth):
+    for s in series:
+        yield f"{s.meta.id}.meta", np.array([s.meta.latitude, s.meta.longitude,
+                                             s.meta.elevation])
+        for name in ("times",) + FIELDS:
+            yield f"{s.meta.id}.{name}", getattr(s, name)
+    for field in dataclasses.fields(truth):
+        yield f"truth.{field.name}", getattr(truth, field.name)
+
+
+def test_generate_pinned():
+    digest = hashlib.sha256()
+    generated = synth.generate(dataclasses.replace(synth.benchmark_config(), days=60))
+    for name, values in _generated_arrays(*generated):
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(values).tobytes())
+    assert digest.hexdigest() == GENERATE_SHA256
