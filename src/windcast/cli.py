@@ -2,25 +2,22 @@
 
 Subcommands chain through files under the run's output directory:
 
-    synth                                -> <out>/data/{stations.csv, <ID>.csv, truth.csv}
-    geowind   data/                      -> <out>/geowind.csv
-    train     data/, geowind.csv         -> <out>/models/<variant>/<station>_k<h>.json
-    forecast  data/, geowind.csv[, models/] -> <out>/forecasts/<variant>.csv
-    evaluate  forecasts/                 -> <out>/scores.csv, <out>/pit.csv
-    report    scores.csv                 -> <out>/report.txt
+    synth                        -> <out>/data/{stations.csv, <ID>.csv, truth.csv}
+    geowind   data/              -> <out>/geowind.csv
+    forecast  data/, geowind.csv -> <out>/forecasts/<variant>.csv
+    evaluate  forecasts/         -> <out>/scores.csv, <out>/pit.csv
+    report    scores.csv         -> <out>/report.txt
 
-With more than one job, synth, geowind, train and forecast each open one
-pool of worker processes, which writes or reads the station CSVs one task
-per station and then runs the lag selection (train) or the rolling fits
-(forecast). Those run one task per (fitted variant, station group): each
-variant's targets are split, in config order, into ceil(jobs / fitted
-variants) contiguous groups, whose stations share the variant's residual
-states and candidate pools. train fits no coefficients: a bundle holds the
-selected lags, and forecast refuses one that another config selected, whose
-spec is not for the (variant, station, horizon) its path names, or whose
-lags name a station outside the run. Likewise evaluate refuses forecasts,
-and report scores, that another config wrote, and train and forecast a
-geowind.csv estimated under other geowind settings (``_stage_digest``).
+With more than one job, synth, geowind and forecast each open one pool of
+worker processes, which writes or reads the station CSVs one task per
+station; forecast then runs the lag selection and rolling fits there, one
+task per (fitted variant, station group): each variant's targets are
+split, in config order, into ceil(jobs / fitted variants) contiguous
+groups, whose stations share the variant's residual states and candidate
+pools. Lags are selected afresh by every forecast run, deterministically
+from the config's training period. evaluate refuses forecasts, and report
+scores, that another config wrote, and forecast a geowind.csv estimated
+under other geowind settings (``_stage_digest``).
 
 Every command validates the config first and fails with a machine-readable
 JSON error on stderr and a nonzero exit code. Outputs are written
@@ -46,17 +43,11 @@ from .forecast import (
     RollingConfig,
     read_records_csv,
     run_rolling,
-    select_group,
     write_records_csv,
 )
 from .geostrophy import GeoWindSeries, estimate_series
 from .ingest import load_network_dir
-from .model import (
-    ModelData,
-    PERSISTENCE,
-    load_bundle,
-    save_bundle,
-)
+from .model import ModelData, PERSISTENCE
 from .series import Network
 from .synth import write_dataset
 from .verification import (
@@ -151,10 +142,6 @@ def _rolling_config(cfg: RunConfig) -> RollingConfig:
                          max_lag=cfg.max_lag)
 
 
-def _bundle_path(cfg: RunConfig, variant: str, station: str, horizon: int) -> str:
-    return os.path.join(cfg.out_dir, "models", variant, f"{station}_k{horizon}.json")
-
-
 def cmd_synth(cfg: RunConfig, jobs: int) -> None:
     if cfg.data_source != "synth":
         raise ConfigError(["synth command requires data.source == 'synth'"])
@@ -187,52 +174,6 @@ def _station_groups(cfg: RunConfig, jobs: int) -> list:
     return [cfg.stations[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def cmd_train(cfg: RunConfig, jobs: int) -> None:
-    train = (cfg.train_start, cfg.train_end)
-    rolling = _rolling_config(cfg)
-    variants, tasks = [], []
-    with _stage_pool(jobs) as pool:
-        data = _load_model_data(cfg, pool)
-        for variant in cfg.variants:
-            if variant == PERSISTENCE:
-                continue
-            for group in _station_groups(cfg, jobs):
-                variants.append(variant)
-                tasks.append((data, variant, group, list(cfg.horizons), train, rolling))
-        selected = _map(pool, select_group, tasks)
-
-    for variant, group_specs in zip(variants, selected):
-        for station, specs in group_specs.items():
-            for k, spec in specs.items():
-                path = _bundle_path(cfg, variant, station, k)
-                os.makedirs(os.path.dirname(path), exist_ok=True)
-                _atomic(path, lambda p, s=spec: save_bundle(s, p, cfg.digest()))
-                print(f"selected lags for {variant} {station} k={k} -> {path}")
-
-
-def _saved_specs(cfg: RunConfig, variant: str, station: str) -> dict:
-    """{horizon: spec} of the trained bundles on disk for (variant, station).
-    A bundle is refused unless it was selected under this config for the
-    station, horizon and variant its path names, with lags of this run's
-    feature stations only."""
-    specs = {}
-    for k in cfg.horizons:
-        path = _bundle_path(cfg, variant, station, k)
-        if not os.path.exists(path):
-            continue
-        spec = load_bundle(path, cfg.digest())
-        found = (spec.target_station, spec.horizon, spec.variant)
-        if found != (station, k, variant):
-            raise LoadError(f"{path}: bundle holds a spec for {found}, this path names "
-                            f"{(station, k, variant)} (station, horizon, variant); re-run train")
-        unknown = sorted((set(spec.speed_lags) | set(spec.direction_lags)) - set(cfg.features))
-        if unknown:
-            raise LoadError(f"{path}: bundle has lags of {', '.join(unknown)}, not feature "
-                            f"stations of this run; re-run train")
-        specs[k] = spec
-    return specs
-
-
 def cmd_forecast(cfg: RunConfig, jobs: int) -> None:
     """PSS is computed here; only the variants that fit models go to the pool,
     one task per (variant, station group)."""
@@ -251,10 +192,8 @@ def cmd_forecast(cfg: RunConfig, jobs: int) -> None:
                 results.update(((variant, st), c) for st, c in zip(cfg.stations, columns))
                 continue
             for group in _station_groups(cfg, jobs):
-                selected = {st: _saved_specs(cfg, variant, st) for st in group}
                 fit_keys.append((variant, group))
-                fit_tasks.append((data, variant, group, list(cfg.horizons), train, test,
-                                  rolling, selected))
+                fit_tasks.append((data, variant, group, list(cfg.horizons), train, test, rolling))
         for (variant, group), columns in zip(fit_keys, _map(pool, run_rolling, fit_tasks)):
             results.update(((variant, st), c) for st, c in zip(group, columns))
 
@@ -319,12 +258,11 @@ def cmd_report(cfg: RunConfig) -> None:
 COMMANDS = {
     "synth": cmd_synth,
     "geowind": cmd_geowind,
-    "train": cmd_train,
     "forecast": cmd_forecast,
     "evaluate": cmd_evaluate,
     "report": cmd_report,
 }
-POOLED = ("synth", "geowind", "train", "forecast")  # the commands that take a job count
+POOLED = ("synth", "geowind", "forecast")  # the commands that take a job count
 
 
 def _job_count(flag: int | None, cfg: RunConfig) -> int:

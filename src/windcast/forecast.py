@@ -126,34 +126,19 @@ def persistence(data: ModelData, station: str, test: tuple, horizons: Sequence[i
 
 
 def _selection(data: ModelData, variant: VariantSpec, stations: Sequence[str],
-               horizons: Sequence[int], train: tuple, config: RollingConfig,
-               selected: dict | None) -> tuple:
+               horizons: Sequence[int], train: tuple, config: RollingConfig) -> tuple:
     """The residual state at the training end, and {station: {horizon:
-    FeatureSpec}}: the specs in ``selected`` (same layout), and BIC selection
-    on the training period for the rest. One candidate pool per horizon
-    serves every station selected at it."""
+    FeatureSpec}} by BIC selection on the training period. One candidate pool
+    per horizon serves every station."""
     method = variant.diurnal_method
     state = ResidualState.build(data, method, window(method, train[1], train, config.window_days))
-    specs = {st: dict((selected or {}).get(st, {})) for st in stations}
+    specs = {st: {} for st in stations}
     for k in horizons:
-        todo = [st for st in stations if k not in specs[st]]
-        if todo:
-            pool = CandidatePool.build(state, variant, k, train, config.max_lag)
-            for st in todo:
-                specs[st][k] = select_lags_bic(pool, st)
-            del pool  # before the next horizon's pool is built
+        pool = CandidatePool.build(state, variant, k, train, config.max_lag)
+        for st in stations:
+            specs[st][k] = select_lags_bic(pool, st)
+        del pool  # before the next horizon's pool is built
     return state, specs
-
-
-def select_group(data: ModelData, variant: str, stations: Sequence[str],
-                 horizons: Sequence[int], train: tuple,
-                 config: RollingConfig = RollingConfig()) -> dict:
-    """BIC-selected FeatureSpecs for one variant as {station: {horizon:
-    spec}}, stations and horizons in the order given."""
-    train = (int(train[0]), int(train[1]))
-    _, specs = _selection(data, parse_variant(variant), stations, horizons, train, config,
-                          None)
-    return specs
 
 
 def run_rolling(
@@ -164,19 +149,16 @@ def run_rolling(
     train: tuple,
     test: tuple,
     config: RollingConfig = RollingConfig(),
-    selected: dict | None = None,
 ) -> list:
     """All forecasts for one variant over the test period: one
     ForecastColumns per target station, in the order given, each ordered by
     issue hour, then horizon.
 
-    ``selected`` may carry pre-selected FeatureSpecs as {station: {horizon:
-    spec}} (from a saved training run); otherwise BIC selection runs on the
-    training period first. The stations share every residual state: the one
-    built for selection serves the refits while their diurnal window is its
-    window, and each later window is built once, in refit order. Under each
-    state, a (station, horizon) design covers only the rows its refits and
-    forecasts read.
+    BIC selection runs on the training period first (``_selection``). The
+    stations share every residual state: the one built for selection serves
+    the refits while their diurnal window is its window, and each later
+    window is built once, in refit order. Under each state, a (station,
+    horizon) design covers only the rows its refits and forecasts read.
     """
     train_start, train_end = int(train[0]), int(train[1])
     test_start, test_end = int(test[0]), int(test[1])
@@ -195,8 +177,7 @@ def run_rolling(
 
     parsed = parse_variant(variant)
     method = parsed.diurnal_method
-    state, specs = _selection(data, parsed, stations, horizons, (train_start, train_end),
-                              config, selected)
+    state, specs = _selection(data, parsed, stations, horizons, (train_start, train_end), config)
     mu = [np.full(len(p), np.nan) for p in pss]
     sigma = [np.full(len(p), np.nan) for p in pss]
     t0 = int(data.times[0])

@@ -19,7 +19,7 @@ columns index; the candidate pool lists every lag family's columns per lag.
 The variant (``VariantSpec``) fixes which lag families exist, whether the
 geostrophic direction pair and the temperature difference are forced in, and
 the diurnal method; a ``FeatureSpec`` names the variant and holds only the
-chosen lags, and a saved bundle holds that spec.
+chosen lags.
 
 Coefficients are then estimated from a ``DesignBundle`` alone, on a sliding
 window, by minimizing the mean CRPS of the resulting truncated normal
@@ -43,8 +43,6 @@ variant, share only read-only inputs and can run in parallel.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import logging
 from dataclasses import dataclass, field
 from itertools import chain
@@ -52,7 +50,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import __version__
 from .diurnal import (
     DIURNAL_METHODS,
     TRIG,
@@ -62,7 +59,7 @@ from .diurnal import (
     fit_trig,
     in_window,
 )
-from .errors import InvalidInputError, LoadError, TrainingDataError
+from .errors import InvalidInputError, TrainingDataError
 from .geostrophy import GeoWindSeries
 from .predictive import _crps_grad
 from .series import Network
@@ -133,14 +130,6 @@ class FeatureSpec:
     gw_lags: int = -1
 
     def __post_init__(self):
-        if not (isinstance(self.horizon, int) and 1 <= self.horizon <= MAX_HORIZON):
-            raise InvalidInputError(f"horizon {self.horizon!r} is not an integer in "
-                                    f"1..{MAX_HORIZON}")
-        for lags in (self.speed_lags, self.direction_lags):
-            for st, q in lags.items():
-                if not (isinstance(q, int) and 0 <= q <= MAX_LAG):
-                    raise InvalidInputError(f"lag {q!r} for {st} is not an integer in "
-                                            f"0..{MAX_LAG}")
         top = MAX_LAG if parse_variant(self.variant).include_gw else -1
         if not (isinstance(self.gw_lags, int) and -1 <= self.gw_lags <= top):
             raise InvalidInputError(f"geostrophic lag {self.gw_lags!r} is not an integer in "
@@ -409,45 +398,6 @@ class DesignBundle:
         mask &= np.all(np.isfinite(self.X), axis=1)
         mask &= np.isfinite(self.target) & np.isfinite(self.offset) & np.isfinite(self.vol)
         return np.nonzero(mask)[0]
-
-
-BUNDLE_FORMAT_VERSION = 3
-
-
-def save_bundle(spec: FeatureSpec, path, config_sha: str) -> None:
-    """Write the selected spec as JSON, stamped with the digest of the run
-    config."""
-    bundle = {"format_version": BUNDLE_FORMAT_VERSION, "library_version": __version__,
-              "spec": dataclasses.asdict(spec), "config_sha": config_sha}
-    with open(path, "w") as fh:
-        json.dump(bundle, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def load_bundle(path, config_sha: str) -> FeatureSpec:
-    """Read a bundle's spec. A bundle that is not a JSON object, was selected
-    under another config than ``config_sha`` or stamped with none (stale), has
-    another format version, or holds a spec FeatureSpec refuses, is a
-    LoadError that names it and says to re-run train."""
-    with open(path) as fh:
-        try:
-            d = json.load(fh)
-        except ValueError as exc:
-            raise LoadError(f"{path}: damaged bundle, not JSON ({exc}); re-run train") from None
-    if not isinstance(d, dict):
-        raise LoadError(f"{path}: damaged bundle, not a JSON object; re-run train")
-    found = d.get("config_sha")
-    if found != config_sha:
-        raise LoadError(f"{path}: bundle trained under config {found or '(none recorded)'}, "
-                        f"this run is config {config_sha}; re-run train")
-    if d.get("format_version") != BUNDLE_FORMAT_VERSION:
-        raise LoadError(f"{path}: unsupported bundle version {d.get('format_version')} "
-                        f"(this library reads {BUNDLE_FORMAT_VERSION}); re-run train")
-    try:
-        return FeatureSpec(**d["spec"])
-    except (KeyError, TypeError, AttributeError, InvalidInputError) as exc:
-        raise LoadError(f"{path}: damaged bundle spec ({type(exc).__name__}: {exc}); "
-                        f"re-run train") from None
 
 
 def bic_score(gram: np.ndarray, xty: np.ndarray, yty: float, n: int) -> float:

@@ -47,17 +47,6 @@ def _check_params(mu, sigma):
     return mu, sigma
 
 
-def pdf_values(mu, sigma, y):
-    """Density of N+(mu, sigma) at y (vectorized)."""
-    from scipy.special import log_ndtr
-
-    mu, sigma = _check_params(mu, sigma)
-    y = np.asarray(y, dtype=float)
-    w = (y - mu) / sigma
-    out = np.exp(-0.5 * w * w - _LOG_SQRT_2PI - log_ndtr(mu / sigma)) / sigma
-    return np.where(y < 0.0, 0.0, out)
-
-
 def cdf_values(mu, sigma, y):
     """CDF of N+(mu, sigma) at y (vectorized); 0 below the truncation point."""
     mu, sigma = _check_params(mu, sigma)
@@ -229,13 +218,6 @@ class TruncatedNormal:
     def median(self) -> float:
         return self.quantile(0.5)
 
-    def central_interval(self, level: float = 0.90) -> tuple[float, float]:
-        """Central prediction interval (lo, hi) covering ``level`` mass."""
-        if not 0.0 < level < 1.0:
-            raise InvalidInputError("interval level must lie strictly in (0, 1)")
-        half = (1.0 - level) / 2.0
-        return self.quantile(half), self.quantile(1.0 - half)
-
     def crps(self, y: float) -> float:
         return float(crps_values(self.mu, self.sigma, y))
 
@@ -262,9 +244,3 @@ class TruncatedNormal:
         left, _ = quad(below, 0.0, y, epsabs=tol, epsrel=tol, limit=300)
         right, _ = quad(above, y, hi, epsabs=tol, epsrel=tol, limit=300)
         return left + right
-
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Draw via the inverse CDF, so sampling shares the quantile path."""
-        u = rng.uniform(0.0, 1.0, size=size)
-        u = np.clip(u, 1e-15, 1.0 - 1e-15)
-        return quantile_values(self.mu, self.sigma, u)

@@ -13,7 +13,7 @@ import pytest
 import yaml
 
 import windcast
-from windcast import cli
+from windcast import cli, forecast
 from windcast.cli import main
 from windcast.config import config_from_dict, dump_config, load_config
 from windcast.diurnal import window
@@ -21,7 +21,7 @@ from windcast.errors import ConfigError
 from windcast.forecast import read_records_csv
 from windcast.geostrophy import GeoWindSeries
 from windcast.ingest import CANONICAL_SCHEMA
-from windcast.model import CandidatePool, ResidualState, load_bundle, save_bundle
+from windcast.model import CandidatePool, ResidualState, parse_variant
 
 from conftest import benchmark_config_dict, run_pipeline
 
@@ -158,7 +158,8 @@ def test_bad_job_count_refused(tmp_path, capsys, monkeypatch, flag, env, violati
      "windcast forecast: argument --seed: invalid int value: 'x'"),
     (["forecast"], "windcast forecast: the following arguments are required: --config"),
     (["bogus", "--config", "{}"], "windcast: argument command: invalid choice: 'bogus'"),
-], ids=["jobs-text", "seed-text", "no-config", "unknown-command"])
+    (["train", "--config", "{}"], "windcast: argument command: invalid choice: 'train'"),
+], ids=["jobs-text", "seed-text", "no-config", "unknown-command", "removed-train"])
 def test_bad_arguments_refused_as_json(tmp_path, capsys, args, violation):
     """A usage error prints the JSON ConfigError of a bad config value, not
     argparse's usage text, and touches no output directory."""
@@ -179,6 +180,12 @@ def test_help_and_version_still_exit_zero(capsys, args):
         main(args)
     assert done.value.code == 0
     assert capsys.readouterr().out
+
+
+def test_help_lists_the_commands(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert "{synth,geowind,forecast,evaluate,report}" in capsys.readouterr().out
 
 
 def csv_config(unit="m_s"):
@@ -210,6 +217,16 @@ class TestConfigDigest:
         assert back.csv_schema.units["speed"] == "mph"
         assert back.csv_schema.sentinels == [-999.0, 9999.0]
         assert back.digest() == cfg.digest()
+
+    def test_job_count_is_not_in_the_digest(self, pipeline_run, tmp_path):
+        src, cfg = pipeline_run
+        out = tmp_path / "run"
+        shutil.copytree(src, out)
+        (out / "forecasts" / "TDDGW-MD.csv").unlink()
+        path = _write_config(tmp_path, dict(cfg, out_dir=str(out), jobs=cfg["jobs"] + 1))
+        assert load_config(path).digest() == load_config(src / "config.yaml").digest()
+        assert main(["forecast", "--config", str(path)]) == 0
+        assert (out / "forecasts" / "TDDGW-MD.csv").exists()
 
 
 def _import_env(**overrides):
@@ -249,8 +266,7 @@ def pipeline_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli-run")
     cfg = small_config(out)
     path = _write_config(out, cfg)
-    run_pipeline(path, out, commands=("synth", "geowind", "train", "forecast",
-                                      "evaluate", "report"))
+    run_pipeline(path, out)
     return out, cfg
 
 
@@ -261,22 +277,10 @@ class TestPipeline:
 
     def test_all_artifacts_exist(self, run):
         out, _ = run
-        for rel in ("data/stations.csv", "data/S01.csv", "data/truth.csv",
-                    "geowind.csv", "models/TDDGW-MD/S01_k2.json",
+        for rel in ("data/stations.csv", "data/S01.csv", "data/truth.csv", "geowind.csv",
                     "forecasts/PSS.csv", "forecasts/TDDGW-MD.csv",
                     "scores.csv", "pit.csv", "report.txt", "config.yaml"):
             assert (out / rel).exists(), rel
-
-    def test_bundle_is_self_describing(self, run):
-        out, _ = run
-        spec = load_bundle(out / "models/TDDGW-MD/S01_k2.json",
-                           load_config(out / "config.yaml").digest())
-        assert spec.target_station == "S01"
-        assert spec.horizon == 2
-        assert spec.variant == "TDDGW-MD"
-        raw = json.loads((out / "models/TDDGW-MD/S01_k2.json").read_text())
-        assert raw["format_version"] == 3
-        assert set(raw) == {"format_version", "library_version", "spec", "config_sha"}
 
     def test_forecast_counts(self, run):
         out, cfg = run
@@ -367,9 +371,9 @@ def test_pooled_io_stages_never_load_scipy_optimize(pipeline_run, tmp_path):
     path = _write_config(tmp_path, dict(cfg, out_dir=str(out)))
     code = ("import sys; from windcast.cli import main; "
             f"assert all(main([s, '--config', {str(path)!r}, '--jobs', '2']) == 0 "
-            "for s in ('synth', 'geowind', 'train'))")
+            "for s in ('synth', 'geowind'))")
     assert "scipy.optimize" not in _scipy_loaded_after(code)
-    assert (out / "models/TDDGW-MD/S01_k2.json").exists()
+    assert (out / "geowind.csv").exists()
 
 
 def test_fitted_forecast_never_loads_scipy_optimize(pipeline_run, tmp_path):
@@ -389,8 +393,7 @@ class TestJobs:
     pool, which also does its station file I/O. On the mixed forecast path PSS
     runs in the calling process and the fitted variant in the pool."""
 
-    OUTPUTS = {"synth": "data", "geowind": "geowind.csv", "train": "models",
-               "forecast": "forecasts"}
+    OUTPUTS = {"synth": "data", "geowind": "geowind.csv", "forecast": "forecasts"}
 
     #: the station group of each fitted pool task, by job count, for one
     #: fitted variant and four targets
@@ -452,11 +455,6 @@ class TestJobs:
         for other in more:
             self._same_files(one, other, "forecasts/*.csv")
 
-    def test_train_bundles_identical(self, pipeline_run, tmp_path, monkeypatch):
-        one, *more = self._grouped_reruns(pipeline_run, tmp_path, "train", monkeypatch)
-        for other in more:
-            self._same_files(one, other, "models/*/*.json")
-
     @pytest.mark.parametrize("jobs, variants, sizes", [
         (1, ["PSS", "TDD", "TDDGW-MD"], [4]),
         (2, ["PSS", "TDD", "TDDGW-MD"], [4]),
@@ -517,13 +515,6 @@ class TestSharedWork:
         assert len(loaded.stations) == 4
         per_horizon = [("TDD", 1), ("TDD", 2), ("TDDGW-MD", 1), ("TDDGW-MD", 2)]
 
-        assert main(["train", "--config", str(path), "--jobs", "1"]) == 0
-        assert states == windows("TRIG", train_end) + windows("MD", train_end)
-        assert pools == per_horizon
-
-        states.clear()
-        pools.clear()
-        shutil.rmtree(out / "models")
         assert main(["forecast", "--config", str(path), "--jobs", "1"]) == 0
         # MD refits on each of the 5 test days; the first reuses the selection state
         assert states == windows("TRIG", train_end) + windows(
@@ -553,119 +544,9 @@ class TestWorkerFaults:
         assert "5 o'clock" in payloads[0]["message"]
 
 
-class TestBundleDigest:
-    """forecast reuses a trained bundle only under the config that trained it."""
-
-    def _copy(self, pipeline_run, tmp_path):
-        src, cfg = pipeline_run
-        out = tmp_path / "run"
-        shutil.copytree(src, out)
-        (out / "forecasts" / "TDDGW-MD.csv").unlink()
-        path = tmp_path / "run.yaml"
-        path.write_text(yaml.safe_dump(dict(cfg, out_dir=str(out))))
-        return out, path, load_config(path).digest()
-
-    def test_bundles_carry_the_config_digest(self, pipeline_run):
-        out, cfg = pipeline_run
-        digest = load_config(out / "config.yaml").digest()
-        raw = json.loads((out / "models/TDDGW-MD/S01_k2.json").read_text())
-        assert raw["config_sha"] == digest
-        assert load_bundle(out / "models/TDDGW-MD/S01_k2.json", digest).horizon == 2
-
-    def test_mismatch_refused(self, pipeline_run, tmp_path, capsys):
-        out, path, digest = self._copy(pipeline_run, tmp_path)
-        bundle = out / "models/TDDGW-MD/S02_k2.json"
-        raw = json.loads(bundle.read_text())
-        raw["config_sha"] = "0123456789ab"
-        bundle.write_text(json.dumps(raw))
-        assert main(["forecast", "--config", str(path)]) == 1
-        payload = json.loads(capsys.readouterr().err)
-        assert payload["error"] == "LoadError"
-        assert "0123456789ab" in payload["message"] and digest in payload["message"]
-        assert not (out / "forecasts" / "TDDGW-MD.csv").exists()
-
-    def _refused(self, path, out, capsys, bundle):
-        assert main(["forecast", "--config", str(path)]) == 1
-        payload = json.loads(capsys.readouterr().err)
-        assert payload["error"] == "LoadError"
-        assert bundle in payload["message"] and "re-run train" in payload["message"]
-        assert not (out / "forecasts" / "TDDGW-MD.csv").exists()
-
-    def test_bundle_of_another_station_refused(self, pipeline_run, tmp_path, capsys):
-        out, path, _ = self._copy(pipeline_run, tmp_path)
-        models = out / "models/TDDGW-MD"
-        shutil.copy(models / "S01_k2.json", models / "S02_k2.json")  # same config digest
-        self._refused(path, out, capsys, "S02_k2.json")
-
-    def test_bundle_of_another_variant_refused(self, pipeline_run, tmp_path, capsys):
-        out, path, digest = self._copy(pipeline_run, tmp_path)
-        bundle = out / "models/TDDGW-MD/S01_k2.json"
-        spec = load_bundle(bundle, digest)
-        tdd = dataclasses.replace(spec, variant="TDD", gw_lags=-1)
-        save_bundle(tdd, bundle, digest)
-        self._refused(path, out, capsys, "S01_k2.json")
-
-    @pytest.mark.parametrize("damage", ["truncated", "no spec", "unknown spec field",
-                                        "JSON list", "lags as a list", "lag 99", "lag 2.5",
-                                        "horizon 2.0", "format 1", "format 2",
-                                        "lags of another station"])
-    def test_damaged_bundle_refused(self, pipeline_run, tmp_path, capsys, damage):
-        out, path, _ = self._copy(pipeline_run, tmp_path)
-        bundle = out / "models/TDDGW-MD/S02_k2.json"
-        text = bundle.read_text()
-        raw = json.loads(text)
-        if damage == "truncated":
-            text = text[:len(text) // 2]
-        else:
-            if damage == "no spec":
-                del raw["spec"]
-            elif damage == "unknown spec field":
-                raw["spec"]["lags"] = {"S01": 1}
-            elif damage == "JSON list":
-                raw = [raw]
-            elif damage == "lags as a list":
-                raw["spec"]["speed_lags"] = [0]
-            elif damage == "lag 99":
-                raw["spec"]["speed_lags"] = {"S02": 99}
-            elif damage == "lag 2.5":
-                raw["spec"]["speed_lags"] = {"S02": 2.5}
-            elif damage == "horizon 2.0":  # equal to the path's 2, but no row offset
-                raw["spec"]["horizon"] = 2.0
-            elif damage == "format 1":
-                raw["format_version"] = 1
-            elif damage == "lags of another station":  # a key no station of the run reads
-                raw["spec"]["speed_lags"] = {"S99": 0}
-            else:  # the spec as format 2 wrote it, with four of the variant's flags
-                raw["format_version"] = 2
-                del raw["spec"]["variant"]
-                raw["spec"].update(include_gw=True, include_gw_direction=False,
-                                   include_temp_diff=False, diurnal_method="MD")
-            text = json.dumps(raw)
-        bundle.write_text(text)
-        self._refused(path, out, capsys, "S02_k2.json")
-
-    def test_job_count_is_not_in_the_digest(self, pipeline_run, tmp_path):
-        out, path, digest = self._copy(pipeline_run, tmp_path)
-        _, cfg = pipeline_run
-        path.write_text(yaml.safe_dump(dict(cfg, out_dir=str(out), jobs=cfg["jobs"] + 1)))
-        assert load_config(path).digest() == digest
-        assert main(["forecast", "--config", str(path)]) == 0
-        assert (out / "forecasts" / "TDDGW-MD.csv").exists()
-
-    def test_bundle_without_digest_refused(self, pipeline_run, tmp_path, capsys):
-        out, path, digest = self._copy(pipeline_run, tmp_path)
-        bundle = out / "models/TDDGW-MD/S01_k2.json"
-        raw = json.loads(bundle.read_text())
-        del raw["config_sha"]
-        bundle.write_text(json.dumps(raw))
-        assert main(["forecast", "--config", str(path)]) == 1
-        payload = json.loads(capsys.readouterr().err)
-        assert "(none recorded)" in payload["message"] and digest in payload["message"]
-
-
 class TestGeowindProvenance:
-    """train and forecast read a geowind.csv estimated under this run's
-    geowind settings only; the other settings may differ."""
+    """forecast reads a geowind.csv estimated under this run's geowind
+    settings only; the other settings may differ."""
 
     def _copy(self, pipeline_run, tmp_path, **changes):
         src, cfg = pipeline_run
@@ -674,7 +555,7 @@ class TestGeowindProvenance:
         shutil.copy(src / "geowind.csv", out / "geowind.csv")
         return out, _write_config(tmp_path, dict(cfg, out_dir=str(out), **changes))
 
-    @pytest.mark.parametrize("command", ["train", "forecast"])
+    @pytest.mark.parametrize("command", ["forecast"])
     def test_other_geowind_settings_refused(self, pipeline_run, tmp_path, capsys, command):
         src, _ = pipeline_run
         out, path = self._copy(pipeline_run, tmp_path, min_stations=11)
@@ -685,7 +566,7 @@ class TestGeowindProvenance:
         assert "geowind.csv" in message and "re-run geowind" in message
         estimated = load_config(src / "config.yaml").geowind_digest()
         assert estimated in message and load_config(path).geowind_digest() in message
-        assert not (out / "forecasts").exists() and not (out / "models").exists()
+        assert not (out / "forecasts").exists()
 
     def test_other_variants_read_it(self, pipeline_run, tmp_path):
         out, path = self._copy(pipeline_run, tmp_path, variants=["PSS", "TDD"], horizons=[1])
@@ -777,10 +658,10 @@ def _data_sha(path) -> str:
     return hashlib.sha256(b"".join(l for l in lines if not l.startswith(b"#"))).hexdigest()
 
 
-def _bundle_sha(path) -> str:
-    """sha256 of a bundle's JSON without the library version and config digest."""
-    raw = json.loads(path.read_text())
-    del raw["library_version"], raw["config_sha"]
+def _spec_sha(spec) -> str:
+    """sha256 of a selected spec as the JSON of a format-3 model bundle,
+    without its library version and config digest (see TestFrozenModelOutputs)."""
+    raw = {"format_version": 3, "spec": dataclasses.asdict(spec)}
     return hashlib.sha256(json.dumps(raw, sort_keys=True).encode()).hexdigest()
 
 
@@ -796,17 +677,17 @@ class TestFrozenModelOutputs:
     trust-exact gave way to the damped Newton loop in windcast.model, which
     takes other steps to the same optimum: mu, sigma and the point forecast
     moved by at most 2.8e-8 relative, with a window CRPS never above
-    trust-exact's. PSS and the bundles come from no fit and did not
-    change. The bundles were re-recorded when they came to hold only the
-    selected spec; each spec is the one the earlier coefficient bundles
-    carried. They were re-recorded again when a spec came to name its
-    variant instead of copying four of its flags (bundle format 3): each
-    spec has the earlier target, horizon and lags, and its variant's flags
-    equal the four fields the earlier spec carried. TDDGWDT-SMD and TDD-YMD
-    were added, and recorded as the code of that time wrote them, before the
-    diurnal averaging window became one value: they pin the seasonal and
-    whole-record profiles, the forced geostrophic direction pair and the
-    temperature difference."""
+    trust-exact's. PSS and the selected lags come from no fit and did not
+    change. The lags were pinned as the model bundles of a since-removed
+    train stage held them, re-recorded when a bundle came to hold only the
+    selected spec (each spec the one the earlier coefficient bundles
+    carried), and again when a spec came to name its variant instead of
+    copying four of its flags (bundle format 3). SPECS keeps those digests:
+    each spec that selection returns is hashed as the JSON of its format-3
+    bundle. TDDGWDT-SMD and TDD-YMD were added, and recorded as the code of
+    that time wrote them, before the diurnal averaging window became one
+    value: they pin the seasonal and whole-record profiles, the forced
+    geostrophic direction pair and the temperature difference."""
 
     FORECASTS = {
         "PSS.csv": "f01aa06b1fe896af780deaf9cbe95cce4974a16bd3d22d3b60712ef5ed8d6fcb",
@@ -815,23 +696,23 @@ class TestFrozenModelOutputs:
         "TDDGWDT-SMD.csv": "93721174f1559a74bbaf2ab56cf9f68f9a5ab35ca89cdd392fe6ad5e18aaf636",
         "TDD-YMD.csv": "4fd5a882b687e99fa1bb54418c55339abc08615015ace1dae3d38cec4214fc35",
     }
-    BUNDLES = {
-        "TDD/S01_k2.json": "ec1dfe2b6c249bc28e5e80a267a73e8e4522778c7ff48b2afc646939c8beec34",
-        "TDD/S02_k2.json": "d823eda174b9ef0ac47c84bf08a61e2efd5cd5f87c17911169d67e6f099ba97e",
-        "TDD/S03_k2.json": "ef719cc70c1c07982f753a0f7e77f245c28ebef7b8d9fe285cab3bdc3466385c",
-        "TDD/S04_k2.json": "fd318bedb251042466fce83d38ad1370cd1b4ae57d3f570b93a17cfc6f902539",
-        "TDDGW-MD/S01_k2.json": "cf57021e88d0b7989b5e98012a3832252537595059433656986b66579b2d006d",
-        "TDDGW-MD/S02_k2.json": "ebcc6a75bbc8480042914f5f401de66825d4bda23c2e0230d0a14642e5f878fa",
-        "TDDGW-MD/S03_k2.json": "3e31cead68c83c34804fc1b7ce2ae7876f41042e3b287c8a15acf939d07a6f63",
-        "TDDGW-MD/S04_k2.json": "620fd255a391ceef2b9fd84cff96da7ada170e8d48c8001cc31529de53ffb902",
-        "TDDGWDT-SMD/S01_k2.json": "b51605deb436239fbf85a04edc9680e47dbf8fd7ab1d31cd20728f4b5ff2b0c7",
-        "TDDGWDT-SMD/S02_k2.json": "0af748de4ffaeb470f5447997b2f663eebd0a2b8640eec05fb577c3e798e11ff",
-        "TDDGWDT-SMD/S03_k2.json": "afe75fc95d467da20608d4e9a1709b62b9f4ddddeb0b393122674b63d3130903",
-        "TDDGWDT-SMD/S04_k2.json": "6a941ccfb7fb61ada15be31ba40ae410af89c30f34af24ca9803f4a20ba867b2",
-        "TDD-YMD/S01_k2.json": "5f1ceac8a468b38e074e81dea7c8684cbfa3496dfb70947232c04600b6a76a72",
-        "TDD-YMD/S02_k2.json": "a9ee558a42380bdb5326a894326d83ffc2c16c312cd0f68c26e17e120e645f9f",
-        "TDD-YMD/S03_k2.json": "b9e651a25414d5cdbaf46bcc5d18bd4e9d6cff5f519047ac7a6bd7714ba67bf1",
-        "TDD-YMD/S04_k2.json": "6b0114f2eea2dbd1c9430ce988e1bd689e5360b1866d11d99be6c4e1beeda015",
+    SPECS = {
+        "TDD/S01_k2": "ec1dfe2b6c249bc28e5e80a267a73e8e4522778c7ff48b2afc646939c8beec34",
+        "TDD/S02_k2": "d823eda174b9ef0ac47c84bf08a61e2efd5cd5f87c17911169d67e6f099ba97e",
+        "TDD/S03_k2": "ef719cc70c1c07982f753a0f7e77f245c28ebef7b8d9fe285cab3bdc3466385c",
+        "TDD/S04_k2": "fd318bedb251042466fce83d38ad1370cd1b4ae57d3f570b93a17cfc6f902539",
+        "TDDGW-MD/S01_k2": "cf57021e88d0b7989b5e98012a3832252537595059433656986b66579b2d006d",
+        "TDDGW-MD/S02_k2": "ebcc6a75bbc8480042914f5f401de66825d4bda23c2e0230d0a14642e5f878fa",
+        "TDDGW-MD/S03_k2": "3e31cead68c83c34804fc1b7ce2ae7876f41042e3b287c8a15acf939d07a6f63",
+        "TDDGW-MD/S04_k2": "620fd255a391ceef2b9fd84cff96da7ada170e8d48c8001cc31529de53ffb902",
+        "TDDGWDT-SMD/S01_k2": "b51605deb436239fbf85a04edc9680e47dbf8fd7ab1d31cd20728f4b5ff2b0c7",
+        "TDDGWDT-SMD/S02_k2": "0af748de4ffaeb470f5447997b2f663eebd0a2b8640eec05fb577c3e798e11ff",
+        "TDDGWDT-SMD/S03_k2": "afe75fc95d467da20608d4e9a1709b62b9f4ddddeb0b393122674b63d3130903",
+        "TDDGWDT-SMD/S04_k2": "6a941ccfb7fb61ada15be31ba40ae410af89c30f34af24ca9803f4a20ba867b2",
+        "TDD-YMD/S01_k2": "5f1ceac8a468b38e074e81dea7c8684cbfa3496dfb70947232c04600b6a76a72",
+        "TDD-YMD/S02_k2": "a9ee558a42380bdb5326a894326d83ffc2c16c312cd0f68c26e17e120e645f9f",
+        "TDD-YMD/S03_k2": "b9e651a25414d5cdbaf46bcc5d18bd4e9d6cff5f519047ac7a6bd7714ba67bf1",
+        "TDD-YMD/S04_k2": "6b0114f2eea2dbd1c9430ce988e1bd689e5360b1866d11d99be6c4e1beeda015",
     }
 
     @pytest.fixture(scope="class")
@@ -841,23 +722,36 @@ class TestFrozenModelOutputs:
         cfg["test"]["end"] = "2008-05-03T00:00"
         path = _write_config(out, cfg)
         run_pipeline(path, out, commands=("synth", "geowind", "forecast"))
-        selected = {name: (out / "forecasts" / name).read_bytes() for name in self.FORECASTS}
-        run_pipeline(path, out, commands=("train",))
-        return out, selected, path
+        return out, path
+
+    def _forecast_shas(self, out):
+        return {name: _data_sha(out / "forecasts" / name) for name in self.FORECASTS}
 
     def test_forecasts(self, run):
-        out, _, _ = run
-        assert {name: _data_sha(out / "forecasts" / name) for name in self.FORECASTS} \
-            == self.FORECASTS
+        out, _ = run
+        assert self._forecast_shas(out) == self.FORECASTS
 
-    def test_train_bundles(self, run):
-        out, _, _ = run
-        names = sorted(str(p.relative_to(out / "models")) for p in out.glob("models/*/*.json"))
-        assert names == sorted(self.BUNDLES)
-        assert {name: _bundle_sha(out / "models" / name) for name in names} == self.BUNDLES
+    def test_selected_specs(self, run):
+        _, path = run
+        cfg = load_config(path)
+        data = cli._load_model_data(cfg, None)
+        found = {}
+        for variant in cfg.variants[1:]:  # PSS selects nothing
+            _, specs = forecast._selection(data, parse_variant(variant), cfg.stations,
+                                           cfg.horizons, (cfg.train_start, cfg.train_end),
+                                           cli._rolling_config(cfg))
+            found.update((f"{variant}/{st}_k{k}", _spec_sha(spec))
+                         for st, by_k in specs.items() for k, spec in by_k.items())
+        assert found == self.SPECS
 
-    def test_saved_specs_forecast_the_same_bytes(self, run):
-        out, selected, path = run
-        assert main(["forecast", "--config", str(path)]) == 0  # now reads models/
-        for name, text in selected.items():
-            assert (out / "forecasts" / name).read_bytes() == text, name
+    def test_leftover_models_tree_changes_nothing(self, run):
+        """forecast reads no model bundle that an earlier version's train
+        stage left under models/, even a stale one."""
+        out, path = run
+        bundle = out / "models" / "TDD" / "S01_k2.json"
+        bundle.parent.mkdir(parents=True, exist_ok=True)
+        bundle.write_text(json.dumps({"format_version": 3, "config_sha": "0123456789ab",
+                                      "spec": {"target_station": "S01", "horizon": 2,
+                                               "variant": "TDD", "speed_lags": {"S02": 0}}}))
+        assert main(["forecast", "--config", str(path)]) == 0
+        assert self._forecast_shas(out) == self.FORECASTS

@@ -1,7 +1,6 @@
 """Regression machinery: features, volatility, BIC selection, CRPS training."""
 
 import dataclasses
-import json
 import logging
 import math
 import warnings
@@ -10,7 +9,7 @@ import numpy as np
 import pytest
 
 from windcast import diurnal
-from windcast.errors import InvalidInputError, LoadError, TrainingDataError
+from windcast.errors import InvalidInputError, TrainingDataError
 from windcast.model import (
     CandidatePool,
     Coefficients,
@@ -25,10 +24,8 @@ from windcast.model import (
     _newton,
     bic_score,
     fit_crps,
-    load_bundle,
     parse_variant,
     predict_params,
-    save_bundle,
     select_lags_bic,
     volatility,
 )
@@ -218,15 +215,6 @@ class TestDesignSpan:
 
 
 class TestSpecValidation:
-    def test_lag_bounds(self):
-        with pytest.raises(InvalidInputError):
-            FeatureSpec(target_station="S1", horizon=2, speed_lags={"S1": 11})
-
-    def test_horizon_bounds(self):
-        for k in (0, 7):
-            with pytest.raises(InvalidInputError):
-                FeatureSpec(target_station="S1", horizon=k)
-
     @pytest.mark.parametrize("variant, gw_lags", [("PSS", -1), ("TDDXX", -1), ("TDD", 2),
                                                    ("TDD-MD", 0), ("TDDGW", 11),
                                                    ("TDDGW-MD", -2)])
@@ -901,40 +889,6 @@ class TestPredictParams:
         state2 = _state(data, "YMD", bounds[1], bounds)
         holey = _fit(state2, spec, bounds)
         assert holey.n_rows < full.n_rows
-
-
-def _selected_spec():
-    state, _, bounds = _recovery_setup(noise=0.3)
-    return select_lags_bic(CandidatePool.build(state, parse_variant("TDDGW-YMD"), 2, bounds, 3),
-                           "S1")
-
-
-def test_bundle_round_trip(tmp_path):
-    spec = _selected_spec()
-    path = tmp_path / "bundle.json"
-    save_bundle(spec, path, "aaaaaaaaaaaa")
-    assert load_bundle(path, "aaaaaaaaaaaa") == spec
-    raw = json.loads(path.read_text())
-    assert set(raw) == {"format_version", "library_version", "spec", "config_sha"}
-    assert raw["format_version"] == 3
-    raw["format_version"] = 1  # format 1 also carried coefficients, profiles and a seed
-    path.write_text(json.dumps(raw))
-    with pytest.raises(LoadError, match="unsupported bundle version 1.*re-run train"):
-        load_bundle(path, "aaaaaaaaaaaa")
-
-
-def test_bundle_config_digest(tmp_path):
-    spec = _selected_spec()
-    path = tmp_path / "bundle.json"
-    save_bundle(spec, path, config_sha="aaaaaaaaaaaa")
-    assert load_bundle(path, "aaaaaaaaaaaa") == spec
-    with pytest.raises(LoadError, match="aaaaaaaaaaaa.*bbbbbbbbbbbb"):
-        load_bundle(path, "bbbbbbbbbbbb")
-    raw = json.loads(path.read_text())
-    del raw["config_sha"]  # as written before bundles carried a digest
-    path.write_text(json.dumps(raw))
-    with pytest.raises(LoadError, match="none recorded"):
-        load_bundle(path, "aaaaaaaaaaaa")
 
 
 def test_scale_coefficients_must_be_positive():
