@@ -69,6 +69,12 @@ class RunConfig:
             v.append("data.csv.dir is required for source 'csv'")
         if not self.stations:
             v.append("stations (forecast targets) must be nonempty")
+        for name in ("stations", "feature_stations", "gw_stations", "variants", "horizons"):
+            values = getattr(self, name) or []
+            repeated = [x for i, x in enumerate(values)
+                        if x in values[:i] and x not in values[i + 1:]]
+            if repeated:
+                v.append(f"{name} lists {repeated} more than once")
         if self.feature_stations is not None:
             missing = set(self.stations) - set(self.feature_stations)
             if missing:

@@ -90,7 +90,7 @@ class ForecastColumns:
 
 
 def persistence(data: ModelData, station: str, test: tuple, horizons: Sequence[int],
-                max_back_hours: int = 45 * 24) -> ForecastColumns:
+                max_back_hours: int) -> ForecastColumns:
     """Persistence forecasts for every issue hour in ``test`` = (start, end)
     and every horizon, ordered by issue hour, then horizon.
 
@@ -127,18 +127,17 @@ def persistence(data: ModelData, station: str, test: tuple, horizons: Sequence[i
 
 def _selection(data: ModelData, variant: VariantSpec, stations: Sequence[str],
                horizons: Sequence[int], train: tuple, config: RollingConfig) -> tuple:
-    """The residual state at the training end, and {station: {horizon:
-    FeatureSpec}} by BIC selection on the training period. One candidate pool
-    per horizon serves every station."""
+    """The residual state at the training end, and {(station, horizon): the
+    design column names BIC kept} by selection on the training period. One
+    candidate pool per horizon serves every station."""
     method = variant.diurnal_method
     state = ResidualState.build(data, method, window(method, train[1], train, config.window_days))
-    specs = {st: {} for st in stations}
+    chosen = {}
     for k in horizons:
         pool = CandidatePool.build(state, variant, k, train, config.max_lag)
-        for st in stations:
-            specs[st][k] = select_lags_bic(pool, st)
+        chosen.update(((st, k), select_lags_bic(pool, st)) for st in stations)
         del pool  # before the next horizon's pool is built
-    return state, specs
+    return state, chosen
 
 
 def run_rolling(
@@ -148,13 +147,14 @@ def run_rolling(
     horizons: Sequence[int],
     train: tuple,
     test: tuple,
-    config: RollingConfig = RollingConfig(),
+    config: RollingConfig,
 ) -> list:
     """All forecasts for one variant over the test period: one
     ForecastColumns per target station, in the order given, each ordered by
     issue hour, then horizon.
 
-    BIC selection runs on the training period first (``_selection``). The
+    BIC selection runs on the training period first (``_selection``), and
+    each (station, horizon) design then builds the columns it kept. The
     stations share every residual state: the one built for selection serves
     the refits while their diurnal window is its window, and each later
     window is built once, in refit order. Under each state, a (station,
@@ -177,7 +177,7 @@ def run_rolling(
 
     parsed = parse_variant(variant)
     method = parsed.diurnal_method
-    state, specs = _selection(data, parsed, stations, horizons, (train_start, train_end), config)
+    state, chosen = _selection(data, parsed, stations, horizons, (train_start, train_end), config)
     mu = [np.full(len(p), np.nan) for p in pss]
     sigma = [np.full(len(p), np.nan) for p in pss]
     t0 = int(data.times[0])
@@ -193,7 +193,7 @@ def run_rolling(
                 min(group[-1] + config.refit_hours, test_end) - t0)
         for s, station in enumerate(stations):
             for j, k in enumerate(horizons):
-                bundle = DesignBundle.build(state, specs[station][k], span)
+                bundle = DesignBundle.build(state, parsed, station, k, chosen[station, k], span)
                 for refit_at in group:
                     coefficients = fit_crps(bundle, (refit_at - config.window_hours, refit_at))
                     end = min(refit_at + config.refit_hours, test_end)

@@ -18,8 +18,8 @@ candidate is scored from the sub-block of one Gram matrix that its design
 columns index; the candidate pool lists every lag family's columns per lag.
 The variant (``VariantSpec``) fixes which lag families exist, whether the
 geostrophic direction pair and the temperature difference are forced in, and
-the diurnal method; a ``FeatureSpec`` names the variant and holds only the
-chosen lags.
+the diurnal method. A selection is the tuple of design column names BIC
+kept, in pool order; a refit's design builds exactly those columns.
 
 Coefficients are then estimated from a ``DesignBundle`` alone, on a sliding
 window, by minimizing the mean CRPS of the resulting truncated normal
@@ -46,7 +46,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -108,32 +108,6 @@ def parse_variant(name: str) -> VariantSpec:
         raise InvalidInputError(f"unknown diurnal method {method!r} in variant {name!r}")
     gw, gwd, tdiff = VARIANT_FLAGS[base]
     return VariantSpec(name, gw, gwd, tdiff, method)
-
-
-@dataclass(frozen=True)
-class FeatureSpec:
-    """What BIC selection chose for one target station and horizon under one
-    variant. The variant (see ``parse_variant``) fixes the predictor families
-    and the diurnal method; the spec adds only the chosen lag bundles.
-
-    Lag entries are bundle maxima: a station present in ``speed_lags`` with
-    value q contributes residual-speed lags 0..q, and ``gw_lags`` = q adds
-    residual geostrophic lags 0..q. ``gw_lags`` = -1 adds none, and is the
-    only value a variant without the geostrophic wind accepts.
-    """
-
-    target_station: str
-    horizon: int
-    variant: str = "TDD"
-    speed_lags: Mapping[str, int] = field(default_factory=dict)
-    direction_lags: Mapping[str, int] = field(default_factory=dict)
-    gw_lags: int = -1
-
-    def __post_init__(self):
-        top = MAX_LAG if parse_variant(self.variant).include_gw else -1
-        if not (isinstance(self.gw_lags, int) and -1 <= self.gw_lags <= top):
-            raise InvalidInputError(f"geostrophic lag {self.gw_lags!r} is not an integer in "
-                                    f"-1..{top} for variant {self.variant}")
 
 
 @dataclass(frozen=True)
@@ -287,52 +261,40 @@ class ResidualState:
                    cos_r=cos_r, sin_r=sin_r, gw_r=gw_r, vol=volatility(speed_r))
 
 
-def _regressors(state: ResidualState, speed_lags: Mapping[str, int],
-                direction_lags: Mapping[str, int], gw_lags: int,
-                gw_direction: bool) -> tuple[list, list, dict]:
-    """The design's column names, intercept first; the (whole-axis series,
-    lag) each later column reads; and each lag family's design columns per
-    lag, {("speed", station) | ("dir", station) | ("gw",): [columns of lag 0,
-    of lag 1, ...]}. The columns are residual speed and direction (cos, then
-    sin) lags 0..q of each station in the lag maps, residual geostrophic lags
-    0..``gw_lags`` and, with ``gw_direction``, the geostrophic direction
-    pair."""
+def _regressors(state: ResidualState, variant: VariantSpec, max_lag: int) -> list:
+    """Every candidate column of the variant after the intercept, in pool
+    order, as (name, lag family, whole-axis series, lag): residual speed lags
+    0..``max_lag`` of each station, then each station's residual direction
+    lags (cos, then sin), the residual geostrophic lags when the variant has
+    the geostrophic wind, and the geostrophic direction pair, in no family,
+    when it has that."""
     data = state.data
-    names, sources, families = ["intercept"], [], {}
-
-    def add(family, lag, columns):
-        families.setdefault(family, []).append([len(names) + c for c in range(len(columns))])
-        names.extend(name for name, _ in columns)
-        sources.extend((series, lag) for _, series in columns)
-
-    for i, st in enumerate(data.stations):
-        for j in range(speed_lags.get(st, -1) + 1):
-            add(("speed", st), j, [(f"speed_r[{st}][{j}]", state.speed_r[i])])
-    for i, st in enumerate(data.stations):
-        for j in range(direction_lags.get(st, -1) + 1):
-            add(("dir", st), j, [(f"cos_r[{st}][{j}]", state.cos_r[i]),
-                                 (f"sin_r[{st}][{j}]", state.sin_r[i])])
-    for j in range(gw_lags + 1):
-        add(("gw",), j, [(f"gw_r[{j}]", state.gw_r)])
-    if gw_direction:
-        names += ["gw_cos[0]", "gw_sin[0]"]
-        sources += [(data.gw_cos, 0), (data.gw_sin, 0)]
-    return names, sources, families
+    lags = range(max_lag + 1)
+    columns = [(f"speed_r[{st}][{j}]", ("speed", st), state.speed_r[i], j)
+               for i, st in enumerate(data.stations) for j in lags]
+    columns += [(f"{trig}_r[{st}][{j}]", ("dir", st), series[i], j)
+                for i, st in enumerate(data.stations) for j in lags
+                for trig, series in (("cos", state.cos_r), ("sin", state.sin_r))]
+    if variant.include_gw:
+        columns += [(f"gw_r[{j}]", ("gw",), state.gw_r, j) for j in lags]
+    if variant.include_gw_direction:
+        columns += [("gw_cos[0]", None, data.gw_cos, 0), ("gw_sin[0]", None, data.gw_sin, 0)]
+    return columns
 
 
-def _design(sources: list, lo: int, hi: int, extra: Sequence = (),
+def _design(columns: list, lo: int, hi: int, extra: Sequence = (),
             keep: np.ndarray | None = None) -> np.ndarray:
     """Design rows for the axis rows [lo, hi), or for those of them that
-    ``keep`` selects: the intercept, each (series, lag) source, then the
+    ``keep`` selects: the intercept, each ``_regressors`` column, then the
     ``extra`` columns given on [lo, hi). The matrix is filled one column at
     a time, so no more than one column exists outside it. Lagged values are
     read from the whole-axis series, so the span needs no history before lo.
     """
     n = hi - lo if keep is None else int(np.count_nonzero(keep))
-    X = np.empty((n, 1 + len(sources) + len(extra)))
+    X = np.empty((n, 1 + len(columns) + len(extra)))
     X[:, 0] = 1.0
-    columns = chain((_at(series, lo, hi, -lag) for series, lag in sources), extra)
-    for c, col in enumerate(columns, 1):
+    lagged = chain((_at(series, lo, hi, -lag) for _, _, series, lag in columns), extra)
+    for c, col in enumerate(lagged, 1):
         X[:, c] = col if keep is None else col[keep]
     return X
 
@@ -355,7 +317,7 @@ def _target_offset(state: ResidualState, station: str, k: int, lo: int, hi: int)
 
 @dataclass
 class DesignBundle:
-    """Design matrix for one FeatureSpec on a span of the axis.
+    """Design matrix of one selection on a span of the axis.
 
     Row t carries the regressors observed at issue time t; ``target``/
     ``offset`` refer to the valid time t+k (raw observed speed and the
@@ -364,7 +326,7 @@ class DesignBundle:
     equal the same rows of the whole-axis design bit for bit.
     """
 
-    spec: FeatureSpec
+    horizon: int
     names: tuple
     X: np.ndarray  # (rows, p) including leading intercept column
     target: np.ndarray  # (rows,)
@@ -373,27 +335,33 @@ class DesignBundle:
     times: np.ndarray  # (rows,) issue times, contiguous
 
     @classmethod
-    def build(cls, state: ResidualState, spec: FeatureSpec,
-              span: tuple | None = None) -> "DesignBundle":
-        """The design on the axis rows ``span`` = [lo, hi), the whole axis by
-        default."""
+    def build(cls, state: ResidualState, variant: VariantSpec, station: str, horizon: int,
+              names: tuple, span: tuple | None = None) -> "DesignBundle":
+        """The design of the columns ``names`` for the target ``station`` at
+        ``horizon`` on the axis rows ``span`` = [lo, hi), the whole axis by
+        default. ``names`` lists the intercept, candidate columns of the
+        variant in pool order and, for the T variants, ``temp_diff_24h``, as
+        ``select_lags_bic`` returns them."""
         lo, hi = (0, state.data.n) if span is None else (int(span[0]), int(span[1]))
-        variant = parse_variant(spec.variant)
-        names, sources, _ = _regressors(state, spec.speed_lags, spec.direction_lags,
-                                        spec.gw_lags, variant.include_gw_direction)
+        chosen = set(names)
+        columns = [col for col in _regressors(state, variant, MAX_LAG) if col[0] in chosen]
+        built = ("intercept",) + tuple(col[0] for col in columns)
         extra = []
         if variant.include_temp_diff:
-            names.append("temp_diff_24h")
-            extra.append(_temp_diff(state.data, spec.target_station, lo, hi))
-        target, offset = _target_offset(state, spec.target_station, spec.horizon, lo, hi)
-        return cls(spec=spec, names=tuple(names), X=_design(sources, lo, hi, extra),
+            built += ("temp_diff_24h",)
+            extra.append(_temp_diff(state.data, station, lo, hi))
+        if built != tuple(names):
+            raise InvalidInputError(f"{names} are not design columns of variant "
+                                    f"{variant.name} in pool order")
+        target, offset = _target_offset(state, station, horizon, lo, hi)
+        return cls(horizon=horizon, names=built, X=_design(columns, lo, hi, extra),
                    target=target, offset=offset, vol=state.vol[lo:hi],
                    times=state.data.times[lo:hi])
 
     def valid_rows(self, start_eh: int, end_eh: int) -> np.ndarray:
         """Indices of the rows with issue in [start, end-k] whose features,
         target, offset and volatility are all finite."""
-        k = self.spec.horizon
+        k = self.horizon
         mask = (self.times >= int(start_eh)) & (self.times + k <= int(end_eh))
         mask &= np.all(np.isfinite(self.X), axis=1)
         mask &= np.isfinite(self.target) & np.isfinite(self.offset) & np.isfinite(self.vol)
@@ -423,7 +391,7 @@ class CandidatePool:
     are all finite. A target station adds only its target, offset and, when
     the variant has it, its ``temp_diff_24h`` column (see
     ``normal_equations``). ``families`` maps each lag family to its columns
-    per lag (see ``_regressors``).
+    per lag.
     """
 
     state: ResidualState
@@ -445,16 +413,16 @@ class CandidatePool:
         t0 = int(data.times[0])
         lo = min(max(int(window[0]) - t0, 0), data.n)
         hi = min(max(int(window[1]) - horizon + 1 - t0, lo), data.n)
-        every = {st: max_lag for st in data.stations}
-        names, sources, families = _regressors(state, every, every,
-                                               max_lag if variant.include_gw else -1,
-                                               variant.include_gw_direction)
+        columns = _regressors(state, variant, max_lag)
+        families = {}
         finite = np.ones(hi - lo, dtype=bool)
-        for series, lag in sources:
+        for c, (_, family, series, lag) in enumerate(columns, 1):
+            if family is not None:
+                families.setdefault(family, [[] for _ in range(max_lag + 1)])[lag].append(c)
             finite &= np.isfinite(_at(series, lo, hi, -lag))
         return cls(state=state, variant=variant, horizon=horizon, max_lag=max_lag,
-                   names=tuple(names), families=families, span=(lo, hi), finite=finite,
-                   X=_design(sources, lo, hi, keep=finite))
+                   names=("intercept",) + tuple(col[0] for col in columns), families=families,
+                   span=(lo, hi), finite=finite, X=_design(columns, lo, hi, keep=finite))
 
     def normal_equations(self, station: str) -> tuple:
         """(names, XᵀX, Xᵀy, yᵀy, n) over the station's selection rows: the
@@ -482,8 +450,9 @@ class CandidatePool:
         return names, gram, X.T @ y, float(y @ y), y.size
 
 
-def select_lags_bic(pool: CandidatePool, target_station: str) -> FeatureSpec:
-    """Greedy forward selection of contiguous lag bundles under BIC.
+def select_lags_bic(pool: CandidatePool, target_station: str) -> tuple:
+    """Greedy forward selection of contiguous lag bundles under BIC: the
+    names of the design columns kept, in pool order.
 
     Candidate families are residual speed and direction per station plus
     the shared geostrophic wind (when the variant includes it); each step
@@ -508,11 +477,12 @@ def select_lags_bic(pool: CandidatePool, target_station: str) -> FeatureSpec:
               if nm in names]
     chosen = dict.fromkeys(pool.families, -1)
 
+    def kept():
+        return forced + [c for fam, q in chosen.items()
+                         for lag in pool.families[fam][:q + 1] for c in lag]
+
     def score():
-        idx = list(forced)
-        for fam, q in chosen.items():
-            for columns in pool.families[fam][:q + 1]:
-                idx += columns
+        idx = kept()
         return bic_score(gram[np.ix_(idx, idx)], xty[idx], yty, n)
 
     best = score()
@@ -532,14 +502,7 @@ def select_lags_bic(pool: CandidatePool, target_station: str) -> FeatureSpec:
         chosen[best_fam] += 1
         best = best_bic
 
-    return FeatureSpec(
-        target_station=target_station,
-        horizon=pool.horizon,
-        variant=pool.variant.name,
-        speed_lags={fam[1]: q for fam, q in chosen.items() if fam[0] == "speed" and q >= 0},
-        direction_lags={fam[1]: q for fam, q in chosen.items() if fam[0] == "dir" and q >= 0},
-        gw_lags=chosen.get(("gw",), -1),
-    )
+    return tuple(names[c] for c in sorted(kept()))
 
 
 def _initial_point(X, y_resid, vol):

@@ -1,6 +1,5 @@
 """CLI pipeline: config validation, chained stages, determinism."""
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -65,6 +64,18 @@ class TestConfigValidation:
                          "training period start", "bogus_key", "window_days"):
             assert fragment in text
         assert len(err.value.violations) >= 6
+
+    @pytest.mark.parametrize("name, values, repeated", [
+        ("stations", ["S01", "S01"], ["S01"]),
+        ("feature_stations", ["S01", "S02", "S03", "S04", "S05", "S02"], ["S02"]),
+        ("gw_stations", ["S05", "S06", "S07", "S06", "S05", "S06"], ["S05", "S06"]),
+        ("variants", ["PSS", "TDD", "PSS"], ["PSS"]),
+        ("horizons", [2, 1, 2], [2]),
+    ], ids=["stations", "feature_stations", "gw_stations", "variants", "horizons"])
+    def test_repeated_entries_refused(self, tmp_path, name, values, repeated):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(small_config(tmp_path / "out", **{name: values}))
+        assert err.value.violations == [f"{name} lists {repeated} more than once"]
 
     def test_cli_reports_machine_readable_error(self, tmp_path, capsys):
         path = _write_config(tmp_path, {"stations": []})
@@ -658,10 +669,21 @@ def _data_sha(path) -> str:
     return hashlib.sha256(b"".join(l for l in lines if not l.startswith(b"#"))).hexdigest()
 
 
-def _spec_sha(spec) -> str:
-    """sha256 of a selected spec as the JSON of a format-3 model bundle,
-    without its library version and config digest (see TestFrozenModelOutputs)."""
-    raw = {"format_version": 3, "spec": dataclasses.asdict(spec)}
+def _spec_sha(variant, station, horizon, names) -> str:
+    """sha256 of the design columns selection kept, written as the JSON of a
+    format-3 model bundle without its library version and config digest
+    (see TestFrozenModelOutputs). Such a bundle held the highest lag q of
+    each lag family: ``speed_r[S][q]``, ``cos_r[S][q]`` and ``gw_r[q]``."""
+    lags = {"speed_lags": {}, "direction_lags": {}, "gw_lags": -1}
+    for name in names:
+        if name.startswith("gw_r["):
+            lags["gw_lags"] = max(lags["gw_lags"], int(name[5:-1]))
+        elif name.startswith(("speed_r[", "cos_r[")):
+            st, _, lag = name[name.index("[") + 1:-1].partition("][")
+            family = lags["speed_lags" if name.startswith("speed") else "direction_lags"]
+            family[st] = max(family.get(st, -1), int(lag))
+    spec = {"target_station": station, "horizon": horizon, "variant": variant, **lags}
+    raw = {"format_version": 3, "spec": spec}
     return hashlib.sha256(json.dumps(raw, sort_keys=True).encode()).hexdigest()
 
 
@@ -683,8 +705,8 @@ class TestFrozenModelOutputs:
     selected spec (each spec the one the earlier coefficient bundles
     carried), and again when a spec came to name its variant instead of
     copying four of its flags (bundle format 3). SPECS keeps those digests:
-    each spec that selection returns is hashed as the JSON of its format-3
-    bundle. TDDGWDT-SMD and TDD-YMD were added, and recorded as the code of
+    the column names that selection returns are written back as the lag
+    maps of a format-3 bundle and hashed (``_spec_sha``). TDDGWDT-SMD and TDD-YMD were added, and recorded as the code of
     that time wrote them, before the diurnal averaging window became one
     value: they pin the seasonal and whole-record profiles, the forced
     geostrophic direction pair and the temperature difference."""
@@ -737,11 +759,11 @@ class TestFrozenModelOutputs:
         data = cli._load_model_data(cfg, None)
         found = {}
         for variant in cfg.variants[1:]:  # PSS selects nothing
-            _, specs = forecast._selection(data, parse_variant(variant), cfg.stations,
-                                           cfg.horizons, (cfg.train_start, cfg.train_end),
-                                           cli._rolling_config(cfg))
-            found.update((f"{variant}/{st}_k{k}", _spec_sha(spec))
-                         for st, by_k in specs.items() for k, spec in by_k.items())
+            _, chosen = forecast._selection(data, parse_variant(variant), cfg.stations,
+                                            cfg.horizons, (cfg.train_start, cfg.train_end),
+                                            cli._rolling_config(cfg))
+            found.update((f"{variant}/{st}_k{k}", _spec_sha(variant, st, k, names))
+                         for (st, k), names in chosen.items())
         assert found == self.SPECS
 
     def test_leftover_models_tree_changes_nothing(self, run):

@@ -174,7 +174,7 @@ class TestPersistenceFaults:
         first, last = int(data.times[0]), int(data.times[-1])
         for test in ((first - 3, first + 2), (last - 3, last + 2)):
             with pytest.raises(InvalidInputError):  # neither IndexError nor a wrapped index
-                persistence(data, "S01", test, [1])
+                persistence(data, "S01", test, [1], ROLLING.window_hours)
 
     def test_rolling_test_period_past_the_data_rejected(self, data):
         (t0, t1), _ = _bounds(data, 100, 1)

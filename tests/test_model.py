@@ -15,7 +15,6 @@ from windcast.model import (
     Coefficients,
     DesignBundle,
     FIT_MAXITER,
-    FeatureSpec,
     ModelData,
     ResidualState,
     SIGMA_FLOOR,
@@ -78,6 +77,24 @@ def _state(data, method, fit_time, train, window_days=45):
                                diurnal.window(method, fit_time, train, window_days))
 
 
+def _columns(speed=(), direction=(), gw=-1, forced=()):
+    """Design column names in pool order: the intercept, residual speed
+    lags 0..q and direction (cos, sin) lags 0..q of each (station, q) in
+    ``speed`` and ``direction``, geostrophic lags 0..``gw``, then ``forced``."""
+    names = ["intercept"]
+    names += [f"speed_r[{st}][{j}]" for st, q in dict(speed).items() for j in range(q + 1)]
+    names += [f"{trig}_r[{st}][{j}]" for st, q in dict(direction).items()
+              for j in range(q + 1) for trig in ("cos", "sin")]
+    names += [f"gw_r[{j}]" for j in range(gw + 1)]
+    return tuple(names) + tuple(forced)
+
+
+def _bundle(state, spec, span=None):
+    """The design of ``spec`` = (variant, target station, horizon, column names)."""
+    variant, station, k, names = spec
+    return DesignBundle.build(state, parse_variant(variant), station, k, names, span)
+
+
 class TestVolatility:
     def test_constant_residuals(self):
         assert volatility(np.full((3, 10), 2.5))[5] == 0.0
@@ -118,17 +135,14 @@ def plain_state():
 class TestDesignBundle:
     def test_minimal_row_length(self, plain_state):
         state, _ = plain_state
-        spec = FeatureSpec(target_station="S1", horizon=2,
-                           speed_lags={"S1": 0}, direction_lags={"S1": 0})
-        bundle = DesignBundle.build(state, spec)
+        bundle = _bundle(state, ("TDD", "S1", 2, _columns({"S1": 0}, {"S1": 0})))
         # intercept, speed lag 0, cos lag 0, sin lag 0
-        assert len(bundle.names) == 4
+        assert len(bundle.names) == bundle.X.shape[1] == 4
 
     def test_gw_bundle_adds_three(self, plain_state):
         state, _ = plain_state
-        spec = FeatureSpec(target_station="S1", horizon=2, variant="TDDGW",
-                           speed_lags={"S1": 0}, direction_lags={"S1": 0}, gw_lags=2)
-        assert len(DesignBundle.build(state, spec).names) == 7
+        bundle = _bundle(state, ("TDDGW", "S1", 2, _columns({"S1": 0}, {"S1": 0}, gw=2)))
+        assert len(bundle.names) == bundle.X.shape[1] == 7
 
     def test_temp_diff_zero_for_24h_periodic(self):
         n = 24 * 30
@@ -137,32 +151,49 @@ class TestDesignBundle:
         data = _make_data(np.full((1, n), 5.0), temps=temps[None, :])
         state = _state(data, "YMD", int(data.times[-1]) + 1,
                        (int(data.times[0]), int(data.times[-1]) + 1))
-        spec = FeatureSpec(target_station="S1", horizon=1, variant="TDDGWT")
-        bundle = DesignBundle.build(state, spec)
+        bundle = _bundle(state, ("TDDGWT", "S1", 1, ("intercept", "temp_diff_24h")))
         col = bundle.X[:, list(bundle.names).index("temp_diff_24h")]
         assert np.allclose(col[24:], 0.0, atol=1e-12)
 
     def test_nesting(self, plain_state):
         state, _ = plain_state
-        kw = dict(target_station="S1", horizon=2, speed_lags={"S1": 1, "S2": 0},
-                  direction_lags={"S1": 0})
-        tdd = DesignBundle.build(state, FeatureSpec(**kw))
-        tddgw = DesignBundle.build(state, FeatureSpec(**kw, variant="TDDGW", gw_lags=1))
-        assert set(tdd.names) < set(tddgw.names)
-        assert set(tddgw.names) - set(tdd.names) == {"gw_r[0]", "gw_r[1]"}
-        gwd = DesignBundle.build(state, FeatureSpec(**kw, variant="TDDGWD", gw_lags=1))
-        gwdt = DesignBundle.build(state, FeatureSpec(**kw, variant="TDDGWDT", gw_lags=1))
-        assert list(gwdt.names) == list(gwd.names) + ["temp_diff_24h"]
+        lags = ({"S1": 1, "S2": 0}, {"S1": 0})
+        pair = ("gw_cos[0]", "gw_sin[0]")
+        tdd = _bundle(state, ("TDD", "S1", 2, _columns(*lags)))
+        tddgw = _bundle(state, ("TDDGW", "S1", 2, _columns(*lags, gw=1)))
+        gwd = _bundle(state, ("TDDGWD", "S1", 2, _columns(*lags, gw=1, forced=pair)))
+        gwdt = _bundle(state, ("TDDGWDT", "S1", 2,
+                               _columns(*lags, gw=1, forced=pair + ("temp_diff_24h",))))
+        # each design leads with the columns of the one before, value for value
+        for small, large, added in ((tdd, tddgw, ("gw_r[0]", "gw_r[1]")), (tddgw, gwd, pair),
+                                    (gwd, gwdt, ("temp_diff_24h",))):
+            assert large.names == small.names + added
+            p = len(small.names)
+            assert large.X[:, :p].tobytes() == small.X.tobytes()
+
+    @pytest.mark.parametrize("variant, names", [
+        ("TDD", ("speed_r[S1][0]",)),
+        ("TDD", ("intercept", "speed_r[S2][0]", "speed_r[S1][0]")),
+        ("TDD", ("intercept", "speed_r[S1][11]")),
+        ("TDD", ("intercept", "speed_r[S3][0]")),
+        ("TDDGWT", ("intercept",)),
+        ("TDDGWD", ("intercept", "gw_sin[0]", "gw_cos[0]")),
+    ], ids=["no-intercept", "out-of-order", "past-max-lag", "unknown-station",
+            "no-temp-diff", "direction-pair-swapped"])
+    def test_names_outside_the_pool_refused(self, plain_state, variant, names):
+        state, _ = plain_state
+        with pytest.raises(InvalidInputError):
+            _bundle(state, (variant, "S1", 2, names))
 
 
 @pytest.fixture(scope="module")
 def span_case():
-    """Residual states on a 60-day axis and a spec with every kind of column."""
+    """Residual states on a 60-day axis and TDDGWDT columns of every kind."""
     data, _ = make_model_data(seed=13, days=60)
     bounds = (int(data.times[0]), int(data.times[0]) + 40 * 24)
-    spec = dict(target_station="S02", horizon=3, speed_lags={"S01": 10, "S02": 2},
-                direction_lags={"S03": 1}, gw_lags=4)
-    return data, bounds, spec
+    names = _columns({"S01": 10, "S02": 2}, {"S03": 1}, gw=4,
+                     forced=("gw_cos[0]", "gw_sin[0]", "temp_diff_24h"))
+    return data, bounds, names
 
 
 class TestDesignSpan:
@@ -171,16 +202,16 @@ class TestDesignSpan:
     @pytest.mark.parametrize("method", ["TRIG", "MD"])
     @pytest.mark.parametrize("where", ["start", "end", "inside"])
     def test_rows_equal_the_whole_axis(self, span_case, method, where):
-        data, bounds, kw = span_case
+        data, bounds, names = span_case
         state = _state(data, method, bounds[1], bounds)
-        spec = FeatureSpec(**kw, variant=f"TDDGWDT-{method}")
+        spec = (f"TDDGWDT-{method}", "S02", 3, names)
         n = data.n
         # "start": lags and temp_diff_24h reach before the axis for its first
         # max_lag + 24 rows; "end": the last valid times fall off the axis
         lo, hi = {"start": (2, 30), "end": (n - 40, n - 1), "inside": (700, 900)}[where]
-        full = DesignBundle.build(state, spec)
-        part = DesignBundle.build(state, spec, (lo, hi))
-        assert part.names == full.names
+        full = _bundle(state, spec)
+        part = _bundle(state, spec, (lo, hi))
+        assert part.names == full.names == names
         for name in ("X", "target", "offset", "vol", "times"):
             a, b = getattr(part, name), getattr(full, name)[lo:hi]
             assert a.dtype == b.dtype and a.shape == b.shape, name
@@ -195,13 +226,13 @@ class TestDesignSpan:
 
     @pytest.mark.parametrize("where", ["start", "end"])
     def test_fit_and_forecasts_equal_the_whole_axis(self, span_case, where):
-        data, bounds, kw = span_case
+        data, bounds, names = span_case
         state = _state(data, "MD", bounds[1], bounds)
-        spec = FeatureSpec(**kw, variant="TDDGWDT-MD")
+        spec = ("TDDGWDT-MD", "S02", 3, names)
         lo, hi = (0, 500) if where == "start" else (data.n - 500, data.n)
         window = (int(data.times[lo]), int(data.times[hi - 100]))
-        full = DesignBundle.build(state, spec)
-        part = DesignBundle.build(state, spec, (lo, hi))
+        full = _bundle(state, spec)
+        part = _bundle(state, spec, (lo, hi))
         a = fit_crps(full, window)
         b = fit_crps(part, window)
         assert a.n_rows == b.n_rows
@@ -218,11 +249,13 @@ class TestSpecValidation:
     @pytest.mark.parametrize("variant, gw_lags", [("PSS", -1), ("TDDXX", -1), ("TDD", 2),
                                                    ("TDD-MD", 0), ("TDDGW", 11),
                                                    ("TDDGW-MD", -2)])
-    def test_variant_and_gw_lags(self, variant, gw_lags):
+    def test_variant_and_gw_lags(self, plain_state, variant, gw_lags):
+        # a design takes only the geostrophic lags its variant's pool lists
+        state, _ = plain_state
         with pytest.raises(InvalidInputError):
-            FeatureSpec(target_station="S1", horizon=2, variant=variant, gw_lags=gw_lags)
-        FeatureSpec(target_station="S1", horizon=2, variant="TDDGW", gw_lags=-1)
-        FeatureSpec(target_station="S1", horizon=2, variant="TDDGW-MD", gw_lags=10)
+            _bundle(state, (variant, "S1", 2, ("intercept", f"gw_r[{gw_lags}]")))
+        _bundle(state, ("TDDGW", "S1", 2, ("intercept",)))
+        _bundle(state, ("TDDGW-MD", "S1", 2, _columns(gw=10)))
 
     def test_variant_parsing(self):
         v = parse_variant("TDDGWD-MD")
@@ -259,15 +292,17 @@ def oracle_select_lags_bic(state, target_station, horizon, variant, window,
     families += [("dir", st) for st in data.stations]
     if variant.include_gw:
         families.append(("gw",))
-    full = FeatureSpec(
-        target_station=target_station, horizon=horizon, variant=variant.name,
-        speed_lags={st: max_lag for st in data.stations},
-        direction_lags={st: max_lag for st in data.stations},
-        gw_lags=max_lag if variant.include_gw else -1)
-    pool = DesignBundle.build(state, full)
+    tail = []
+    if variant.include_gw_direction:
+        tail += ["gw_cos[0]", "gw_sin[0]"]
+    if variant.include_temp_diff:
+        tail += ["temp_diff_24h"]
+    every = {st: max_lag for st in data.stations}
+    pool = DesignBundle.build(state, variant, target_station, horizon,
+                              _columns(every, every, max_lag if variant.include_gw else -1, tail))
     # rows in the window with finite features, target and offset; unlike a fit,
     # selection does not need the volatility
-    k = pool.spec.horizon
+    k = pool.horizon
     rows = np.nonzero((pool.times >= window[0]) & (pool.times + k <= window[1])
                       & np.isfinite(pool.X).all(axis=1) & np.isfinite(pool.target)
                       & np.isfinite(pool.offset))[0]
@@ -275,11 +310,7 @@ def oracle_select_lags_bic(state, target_station, horizon, variant, window,
     X = pool.X[rows]
     y = pool.target[rows] - pool.offset[rows]
     col = {nm: i for i, nm in enumerate(pool.names)}
-    forced = ["intercept"]
-    if variant.include_gw_direction:
-        forced += ["gw_cos[0]", "gw_sin[0]"]
-    if variant.include_temp_diff:
-        forced += ["temp_diff_24h"]
+    forced = ["intercept"] + tail
 
     def family_cols(fam, q):
         if fam[0] == "speed":
@@ -314,11 +345,9 @@ def oracle_select_lags_bic(state, target_station, horizon, variant, window,
             break
         chosen[best_fam] += 1
         best = best_bic
-    return FeatureSpec(
-        target_station=target_station, horizon=horizon, variant=variant.name,
-        speed_lags={f[1]: q for f, q in chosen.items() if f[0] == "speed" and q >= 0},
-        direction_lags={f[1]: q for f, q in chosen.items() if f[0] == "dir" and q >= 0},
-        gw_lags=next((q for f, q in chosen.items() if f[0] == "gw"), -1))
+    return _columns({f[1]: q for f, q in chosen.items() if f[0] == "speed" and q >= 0},
+                    {f[1]: q for f, q in chosen.items() if f[0] == "dir" and q >= 0},
+                    chosen.get(("gw",), -1), tail)
 
 
 class TestBicSelection:
@@ -441,10 +470,9 @@ class TestBicSelection:
             data = _make_data(speed)
             bounds = (int(data.times[0]), int(data.times[-1]) + 1)
             state = _state(data, "YMD", bounds[1], bounds)
-            spec = select_lags_bic(CandidatePool.build(state, parse_variant("TDD"), 2, bounds),
-                                   "S1")
-            assert spec.speed_lags == {}
-            assert spec.direction_lags == {}
+            names = select_lags_bic(CandidatePool.build(state, parse_variant("TDD"), 2, bounds),
+                                    "S1")
+            assert names == ("intercept",)
 
     def test_ar_process_selects_own_lag(self):
         rng = np.random.default_rng(8)
@@ -453,8 +481,8 @@ class TestBicSelection:
         data = _make_data(speed)
         bounds = (int(data.times[0]), int(data.times[-1]) + 1)
         state = _state(data, "YMD", bounds[1], bounds)
-        spec = select_lags_bic(CandidatePool.build(state, parse_variant("TDD"), 1, bounds), "S1")
-        assert spec.speed_lags == {"S1": 0}
+        names = select_lags_bic(CandidatePool.build(state, parse_variant("TDD"), 1, bounds), "S1")
+        assert names == ("intercept", "speed_r[S1][0]")
 
     def test_gw_driver_selected_for_tddgw(self):
         rng = np.random.default_rng(9)
@@ -467,14 +495,44 @@ class TestBicSelection:
         bounds = (int(data.times[0]), int(data.times[-1]) + 1)
         state = _state(data, "MD", bounds[1], bounds)
         pool = CandidatePool.build(state, parse_variant("TDDGW-MD"), 2, bounds)
-        spec = select_lags_bic(pool, "S1")
-        assert spec.variant == "TDDGW-MD" and spec.gw_lags >= 0
+        assert "gw_r[0]" in select_lags_bic(pool, "S1")
 
     def test_insufficient_rows(self, plain_state):
         state, train = plain_state
         with pytest.raises(TrainingDataError):
             select_lags_bic(CandidatePool.build(state, parse_variant("TDD"), 2,
                                                 (train[0], train[0] + 200)), "S1")
+
+
+class TestSelectionDesign:
+    """A selection is the design column names BIC kept; the refit design
+    builds exactly those columns."""
+
+    @pytest.mark.parametrize("variant", ["TDD", "TDDGW-MD", "TDDGWD", "TDDGWT-YMD",
+                                         "TDDGWDT-SMD"])
+    def test_design_equals_the_pool_columns(self, variant):
+        data, _ = make_model_data(seed=21, days=100)
+        vspec = parse_variant(variant)
+        bounds = (int(data.times[0]), int(data.times[-1]) + 1)
+        state = _state(data, vspec.diurnal_method, bounds[1], bounds)
+        lagged = 0
+        for k in (1, 3):
+            pool = CandidatePool.build(state, vspec, k, bounds)
+            for station in data.stations:
+                names = select_lags_bic(pool, station)
+                bundle = DesignBundle.build(state, vspec, station, k, names, pool.span)
+                assert bundle.names == names
+                assert (names[-1] == "temp_diff_24h") == vspec.include_temp_diff
+                if not vspec.include_gw:
+                    assert not any(nm.startswith("gw_") for nm in names)
+                shared = [nm for nm in names if nm != "temp_diff_24h"]
+                in_pool = [pool.names.index(nm) for nm in shared]
+                assert in_pool == sorted(in_pool)
+                rows = bundle.X[pool.finite]
+                for nm, c in zip(shared, in_pool):
+                    assert rows[:, names.index(nm)].tobytes() == pool.X[:, c].tobytes(), nm
+                lagged += sum("_r[" in nm for nm in names)
+        assert lagged >= 16  # the selections hold lags, not just the forced columns
 
 
 def _recovery_setup(noise=0.05, n=24 * 70, seed=5):
@@ -491,21 +549,20 @@ def _recovery_setup(noise=0.05, n=24 * 70, seed=5):
     data = _make_data(np.vstack([target, exog]), gw=gw)
     bounds = (int(data.times[0]), int(data.times[-1]) + 1)
     state = _state(data, "YMD", bounds[1], bounds)
-    spec = FeatureSpec(target_station="S1", horizon=k, variant="TDDGW-YMD",
-                       speed_lags={"S2": 0}, gw_lags=0)
+    spec = ("TDDGW-YMD", "S1", k, ("intercept", "speed_r[S2][0]", "gw_r[0]"))
     return state, spec, bounds
 
 
 def _window_arrays(state, spec, window):
     """A fit window's rows as fit_crps reads them: (X, y, offset, vol)."""
-    bundle = DesignBundle.build(state, spec)
+    bundle = _bundle(state, spec)
     rows = bundle.valid_rows(*window)
     return bundle.X[rows], bundle.target[rows], bundle.offset[rows], bundle.vol[rows]
 
 
 def _fit(state, spec, window):
     """fit_crps on the whole-axis design of ``spec``."""
-    return fit_crps(DesignBundle.build(state, spec), window)
+    return fit_crps(_bundle(state, spec), window)
 
 
 def fitted_crps(state, spec, window, c):
@@ -549,7 +606,7 @@ def oracle_fit_crps(state, spec, window):
     Returns scipy's result; ``fun`` is the window CRPS."""
     from scipy.optimize import minimize
 
-    bundle = DesignBundle.build(state, spec)
+    bundle = _bundle(state, spec)
     rows = bundle.valid_rows(*window)
     X, y, offset, vol = (bundle.X[rows], bundle.target[rows], bundle.offset[rows],
                          bundle.vol[rows])
@@ -582,7 +639,8 @@ def oracle_windows():
         vspec = parse_variant(variant)
         state = _state(data, vspec.diurnal_method, train[1], train)
         for station in ("S01", "S03"):
-            spec = select_lags_bic(CandidatePool.build(state, vspec, 2, train), station)
+            spec = (variant, station, 2,
+                    select_lags_bic(CandidatePool.build(state, vspec, 2, train), station))
             for day in range(3):
                 end = train[1] + 24 * day
                 refit = _state(data, vspec.diurnal_method, end, train)
@@ -593,7 +651,7 @@ def oracle_windows():
 class TestFitCrps:
     def test_recovers_generating_coefficients(self):
         state, spec, bounds = _recovery_setup()
-        bundle = DesignBundle.build(state, spec)
+        bundle = _bundle(state, spec)
         c = fit_crps(bundle, bounds)
         named = dict(zip(bundle.names, c.center))
         assert named["speed_r[S2][0]"] == pytest.approx(0.7, rel=0.05)
@@ -601,7 +659,7 @@ class TestFitCrps:
 
     def test_fit_beats_least_squares_start(self):
         state, spec, bounds = _recovery_setup(noise=0.5)
-        bundle = DesignBundle.build(state, spec)
+        bundle = _bundle(state, spec)
         model = fit_crps(bundle, bounds)
         rows = bundle.valid_rows(*bounds)
         X, y, offset, vol = (bundle.X[rows], bundle.target[rows], bundle.offset[rows],
@@ -626,8 +684,8 @@ class TestFitCrps:
         data = _make_data(speed)
         bounds = (int(data.times[0]), int(data.times[-1]) + 1)
         state = _state(data, "TRIG", bounds[1], bounds)
-        spec = FeatureSpec(target_station="S1", horizon=1, variant="TDD")
-        bundle = DesignBundle.build(state, spec)
+        spec = ("TDD", "S1", 1, ("intercept",))
+        bundle = _bundle(state, spec)
         model = fit_crps(bundle, bounds)
 
         rows = bundle.valid_rows(*bounds)
@@ -653,7 +711,7 @@ class TestFitCrps:
         data = _make_data(np.full((1, n), 4.0))
         bounds = (int(data.times[0]), int(data.times[-1]) + 1)
         state = _state(data, "YMD", bounds[1], bounds)
-        spec = FeatureSpec(target_station="S1", horizon=1, variant="TDD-YMD")
+        spec = ("TDD-YMD", "S1", 1, ("intercept",))
         model = _fit(state, spec, bounds)
         assert fitted_crps(state, spec, bounds, model) < 1e-4
         assert model.b0 > 0 and model.b1 > 0
@@ -805,7 +863,7 @@ class TestFitCrps:
         # (center, log b0, log b1) vanish at the fit; a wrong chain rule in
         # the fitter's gradient would stop it elsewhere
         state, spec, bounds = _recovery_setup(noise=0.3)
-        bundle = DesignBundle.build(state, spec)
+        bundle = _bundle(state, spec)
         model = fit_crps(bundle, bounds)
         rows = bundle.valid_rows(*bounds)
         X, y, offset, vol = (bundle.X[rows], bundle.target[rows], bundle.offset[rows],
@@ -834,8 +892,8 @@ class TestPredictParams:
         data = _make_data(speed[None, :])
         bounds = (int(data.times[0]), int(data.times[-1]) + 1)
         state = _state(data, "MD", bounds[1], bounds)
-        spec = FeatureSpec(target_station="S1", horizon=2, variant="TDD-MD")
-        bundle = DesignBundle.build(state, spec)
+        spec = ("TDD-MD", "S1", 2, ("intercept",))
+        bundle = _bundle(state, spec)
         model = Coefficients(np.array([0.25]), 0.5, 1e-300, 1)
         t = 30 * 24
         (mu,), (sigma,) = predict_params(model, bundle, [t])
@@ -848,7 +906,7 @@ class TestPredictParams:
         """Bit for bit, on a block from the start of the axis, whose first
         rows have no volatility yet, and on both sides of SIGMA_FLOOR."""
         state, spec, bounds = _recovery_setup(noise=0.3)
-        bundle = DesignBundle.build(state, spec)
+        bundle = _bundle(state, spec)
         fitted = fit_crps(bundle, bounds)
         # scale terms that put the rows below 0.9 of the median vol on SIGMA_FLOOR
         c = Coefficients(fitted.center, 1e-9, 1e-8 / float(np.nanmedian(bundle.vol)), 1)
@@ -871,7 +929,7 @@ class TestPredictParams:
         if missing == "feature":  # a lag-0 regressor that the volatility does not read
             state.data.gw_speed[500] = np.nan
             state = _state(state.data, "YMD", bounds[1], bounds)
-        bundle = DesignBundle.build(state, spec)
+        bundle = _bundle(state, spec)
         model = fit_crps(bundle, bounds)
         if missing != "feature":
             column = getattr(bundle, missing).copy()
