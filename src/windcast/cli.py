@@ -33,7 +33,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .config import RunConfig, dump_config, load_config
@@ -94,11 +93,14 @@ def _atomic(path, write_fn):
 
 
 def _stage_pool(jobs: int, variants=()):
-    """The one worker pool of a stage, or a null context for one job. A stage
-    that fits model ``variants`` imports scipy.special first, which the CRPS
-    fits and the forecast medians use, so that the forked workers share it."""
+    """The one worker pool of a stage, or a null context for one job. Only a
+    pool imports multiprocessing. A stage that fits model ``variants`` imports
+    scipy.special first, which the CRPS fits and the forecast medians use, so
+    that the forked workers share it."""
     if jobs <= 1:
         return contextlib.nullcontext()
+    from concurrent.futures import ProcessPoolExecutor
+
     if set(variants) - {PERSISTENCE}:
         import scipy.special  # noqa: F401
     return ProcessPoolExecutor(max_workers=jobs)

@@ -75,14 +75,22 @@ class RunConfig:
                         if x in values[:i] and x not in values[i + 1:]]
             if repeated:
                 v.append(f"{name} lists {repeated} more than once")
-        if self.feature_stations is not None:
+        named = True  # every station entry is a name
+        for name in ("stations", "feature_stations", "gw_stations"):
+            for x in getattr(self, name) or []:
+                if not isinstance(x, str):
+                    v.append(f"{name} entry {x!r} must be a string")
+                    named = False
+        if self.feature_stations is not None and named:
             missing = set(self.stations) - set(self.feature_stations)
             if missing:
                 v.append(f"feature_stations must include every target; missing {sorted(missing)}")
         if not self.horizons:
             v.append("horizons must be nonempty")
         for k in self.horizons:
-            if not isinstance(k, int) or not 1 <= k <= MAX_HORIZON:
+            if isinstance(k, bool) or not isinstance(k, int):
+                v.append(f"horizons entry {k!r} must be an integer")
+            elif not 1 <= k <= MAX_HORIZON:
                 v.append(f"horizon {k!r} outside 1..{MAX_HORIZON}")
         if not self.variants:
             v.append("variants must be nonempty")

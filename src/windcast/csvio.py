@@ -24,6 +24,13 @@ writes (QUOTE_MINIMAL, CRLF rows): a cell holding ``,``, ``"``, CR or LF is
 quoted with its quotes doubled, and a row whose only cell is empty reads
 ``""``. Only text cells can need quoting, and one regex scan of a column
 chunk tells whether any does.
+
+A numeric or bool column chunk whose values repeat, as a persistence
+forecast's points do over its horizons, is formatted once per distinct
+value, and each cell shares its value's text (``timeutil.render_once``,
+which ``iso_hours`` uses for timestamps too). The chunk's first 256 values
+decide: when more than half of them are distinct, as in station files,
+every cell is formatted in turn, without sorting.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import LoadError
-from .timeutil import epoch_minutes, iso_text
+from .timeutil import epoch_minutes, iso_text, render_once
 
 #: Rows parsed, converted or formatted at a time; bounds peak memory.
 CHUNK_ROWS = 8192
@@ -224,22 +231,29 @@ def _quote(cell: str) -> str:
 
 
 def _cells(values, nonfinite: str | None) -> list:
-    """One column chunk as cell text: floats by repr, bools as 0 and 1, text
-    as it is but quoted where it needs to be, other values by str."""
+    """One column chunk as cell text: numbers and bools as ``_numbers``
+    formats them, once per distinct value where values repeat; text as it
+    is but quoted where it needs to be; other values by str."""
     if isinstance(values, list):  # text
         cells = values
-    elif values.dtype.kind == "f":
+    elif values.dtype.kind in "biuf":
+        return render_once(values, lambda v: _numbers(v, nonfinite))
+    else:
+        cells = list(map(str, values.tolist()))
+    return list(map(_quote, cells)) if _SPECIAL.search("".join(cells)) else cells
+
+
+def _numbers(values: np.ndarray, nonfinite: str | None) -> list:
+    """Floats by repr (non-finite ones as ``nonfinite`` unless it is None),
+    bools as 0 and 1, integers by str."""
+    if values.dtype.kind == "f":
         cells = list(map(float.__repr__, values.tolist()))
         if nonfinite is not None and not np.isfinite(values).all():
             for i in np.flatnonzero(~np.isfinite(values)).tolist():
                 cells[i] = nonfinite
         return cells
-    elif values.dtype.kind in "biu":
-        ints = values.view(np.uint8) if values.dtype.kind == "b" else values
-        return list(map(str, ints.tolist()))
-    else:
-        cells = list(map(str, values.tolist()))
-    return list(map(_quote, cells)) if _SPECIAL.search("".join(cells)) else cells
+    ints = values.view(np.uint8) if values.dtype.kind == "b" else values
+    return list(map(str, ints.tolist()))
 
 
 def _rows(cells: Sequence[list]) -> list:

@@ -53,9 +53,9 @@ FORECAST_CSV_COLUMNS = (
 
 @dataclass
 class RollingConfig:
-    window_days: int = 45
-    refit_hours: int = 24
-    max_lag: int = 10
+    window_days: int
+    refit_hours: int
+    max_lag: int
 
     @property
     def window_hours(self) -> int:

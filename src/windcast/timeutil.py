@@ -16,6 +16,9 @@ SEASONS = ("DJF", "MAM", "JJA", "SON")
 
 # month number 1..12 -> season index into SEASONS
 _MONTH_SEASON = np.array([0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 0])
+#: Leading values of an array that ``render_once`` looks at to decide whether
+#: its values repeat enough to render each distinct value once.
+RENDER_SAMPLE = 256
 
 
 def iso_text(text: str) -> str:
@@ -50,9 +53,29 @@ def iso_hour(eh) -> str:
 
 
 def iso_hours(eh) -> list[str]:
-    """iso_hour of each epoch hour in an array."""
-    text = np.datetime_as_string(np.asarray(eh, dtype=np.int64).astype("datetime64[h]"))
-    return [t + ":00Z" for t in text.tolist()]
+    """iso_hour of each epoch hour in an array; a repeated hour is rendered
+    once (``render_once``)."""
+    return render_once(np.asarray(eh, dtype=np.int64), _iso_hours)
+
+
+def _iso_hours(eh: np.ndarray) -> list[str]:
+    return [t + ":00Z" for t in np.datetime_as_string(eh.astype("datetime64[h]")).tolist()]
+
+
+def render_once(values: np.ndarray, render) -> list:
+    """``render(values)``, the text of each value of a 1-D numeric or bool
+    array, with each distinct value rendered once when the values repeat.
+
+    Values are distinct by their bits (a same-width unsigned view), so -0.0
+    and 0.0, or NaNs of other payloads, are rendered apart. The first
+    ``RENDER_SAMPLE`` values decide: when more than half of them are
+    distinct, ``render`` takes the whole array as it is, unsorted."""
+    keys = values.view(f"u{values.dtype.itemsize}")
+    sample = keys[:RENDER_SAMPLE]
+    if 2 * np.unique(sample).size > sample.size:
+        return render(values)
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return np.array(render(distinct.view(values.dtype)), dtype=object)[inverse].tolist()
 
 
 def hours_of_day(eh, tz_offset_hours: int = 0):

@@ -1,5 +1,6 @@
 """CLI pipeline: config validation, chained stages, determinism."""
 
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -76,6 +77,25 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as err:
             config_from_dict(small_config(tmp_path / "out", **{name: values}))
         assert err.value.violations == [f"{name} lists {repeated} more than once"]
+
+    @pytest.mark.parametrize("name, values, violation", [
+        ("stations", [["S01"], "S02"], "stations entry ['S01'] must be a string"),
+        ("stations", ["S01", 2], "stations entry 2 must be a string"),
+        ("feature_stations", ["S01", "S02", "S03", "S04", ["S05"]],
+         "feature_stations entry ['S05'] must be a string"),
+        ("gw_stations", ["S05", 6, "S07"], "gw_stations entry 6 must be a string"),
+        ("horizons", [True, 2], "horizons entry True must be an integer"),
+        ("horizons", [2.0], "horizons entry 2.0 must be an integer"),
+    ], ids=["stations-list", "stations-int", "feature_stations", "gw_stations",
+            "horizons-bool", "horizons-float"])
+    def test_malformed_entries_refused(self, tmp_path, capsys, name, values, violation):
+        # feature_stations set: its subset check must not meet a list among the stations
+        cfg = small_config(tmp_path / "out", feature_stations=["S01", "S02", "S03", "S04"])
+        cfg[name] = values
+        assert main(["report", "--config", str(_write_config(tmp_path, cfg))]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ConfigError"
+        assert payload["violations"] == [violation]
 
     def test_cli_reports_machine_readable_error(self, tmp_path, capsys):
         path = _write_config(tmp_path, {"stations": []})
@@ -259,17 +279,18 @@ def test_import_defaults_one_blas_thread():
 DEFERRED_SCIPY = ("scipy.optimize", "scipy.integrate", "scipy.special")
 
 
-def _scipy_loaded_after(code):
-    """The deferred scipy modules loaded once ``code`` ran in a fresh interpreter."""
+def _loaded_after(code, modules=DEFERRED_SCIPY):
+    """Which of ``modules`` are loaded once ``code`` ran in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(windcast.__file__)))
-    code += f"; print(sorted(m for m in {DEFERRED_SCIPY!r} if m in sys.modules))"
+    code += f"; print(sorted(m for m in {tuple(modules)!r} if m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     return out.stdout.strip().splitlines()[-1]
 
 
-def test_cli_import_defers_fit_only_scipy():
-    assert _scipy_loaded_after("import sys, windcast.cli") == "[]"
+def test_cli_import_loads_neither_scipy_nor_multiprocessing():
+    # evaluate and report open no pool and fit nothing
+    assert _loaded_after("import sys, windcast.cli", ("multiprocessing", "scipy")) == "[]"
 
 
 @pytest.fixture(scope="module")
@@ -360,7 +381,7 @@ def test_persistence_only_stages_never_load_scipy(pipeline_run, tmp_path):
     stages = ("geowind", "forecast", "evaluate", "report")
     code = ("import sys; from windcast.cli import main; "
             f"assert all(main([s, '--config', {str(path)!r}]) == 0 for s in {stages!r})")
-    assert _scipy_loaded_after(code) == "[]"
+    assert _loaded_after(code) == "[]"
     assert (out / "report.txt").exists()
 
 
@@ -372,7 +393,7 @@ def test_report_of_a_fitted_run_never_loads_scipy(pipeline_run, tmp_path):
     path = _write_config(tmp_path, dict(cfg, out_dir=str(out)))
     code = ("import sys; from windcast.cli import main; "
             f"assert main(['report', '--config', {str(path)!r}]) == 0")
-    assert _scipy_loaded_after(code) == "[]"
+    assert _loaded_after(code) == "[]"
     assert (out / "report.txt").read_bytes() == (src / "report.txt").read_bytes()
 
 
@@ -383,7 +404,7 @@ def test_pooled_io_stages_never_load_scipy_optimize(pipeline_run, tmp_path):
     code = ("import sys; from windcast.cli import main; "
             f"assert all(main([s, '--config', {str(path)!r}, '--jobs', '2']) == 0 "
             "for s in ('synth', 'geowind'))")
-    assert "scipy.optimize" not in _scipy_loaded_after(code)
+    assert "scipy.optimize" not in _loaded_after(code)
     assert (out / "geowind.csv").exists()
 
 
@@ -395,7 +416,7 @@ def test_fitted_forecast_never_loads_scipy_optimize(pipeline_run, tmp_path):
     path = _write_config(tmp_path, dict(cfg, out_dir=str(out), variants=["PSS", "TDD"]))
     code = ("import sys; from windcast.cli import main; "
             f"assert main(['forecast', '--config', {str(path)!r}, '--jobs', '2']) == 0")
-    assert "scipy.optimize" not in _scipy_loaded_after(code)
+    assert "scipy.optimize" not in _loaded_after(code)
     assert (out / "forecasts/TDD.csv").exists()
 
 
@@ -414,12 +435,13 @@ class TestJobs:
     def _rerun(self, pipeline_run, tmp_path, command, jobs, monkeypatch, groups=None):
         pools = []
 
-        class Pool(cli.ProcessPoolExecutor):
+        class Pool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers):
                 pools.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        # cli._stage_pool imports the pool class when it opens a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         io_pooled = []  # per station-file call: whether it was given the pool
         for name in ("write_dataset", "load_network_dir"):
             def spy(*args, _fn=getattr(cli, name)):

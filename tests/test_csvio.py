@@ -17,7 +17,7 @@ from windcast.ingest import (
     write_station_csv,
 )
 from windcast.series import StationMeta, StationSeries
-from windcast.timeutil import epoch_hour, iso_hours
+from windcast.timeutil import RENDER_SAMPLE, epoch_hour, iso_hours, render_once
 
 T0 = epoch_hour("2008-01-01T00:00")
 KINDS = {"time": "time", "station": "str", "speed": "float"}
@@ -327,6 +327,65 @@ class TestWriterBytes:
         self._same(tmp_path, ["t", "x", "n", "f"],
                    [text, values, np.arange(11), values > 0], nonfinite="")
         self._same(tmp_path, ["t"], [text])
+
+
+# NaN with another payload than numpy's: it must still write as a NaN
+OTHER_NAN = float(np.array(0x7FF8000000000001, dtype=np.uint64).view(np.float64))
+REPEATED_FLOATS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 0.1, 1.5, -7.25, OTHER_NAN]
+
+
+class TestRenderOnce:
+    """Chunks whose values repeat are rendered one distinct value at a time
+    (timeutil.render_once), to the bytes csv.writer writes."""
+
+    same = TestWriterBytes._same
+
+    @pytest.mark.parametrize("nonfinite", ["", None, "NA", "n,a"])
+    def test_repeated_chunks(self, tmp_path, monkeypatch, nonfinite):
+        import windcast.csvio
+
+        monkeypatch.setattr(windcast.csvio, "CHUNK_ROWS", 40)
+        rng = np.random.default_rng(11)
+        floats = rng.choice(np.array(REPEATED_FLOATS), 200)
+        ints = rng.choice(np.array([0, -1, 7, 2**40, -2**63]), 200)
+        columns = [floats, floats.astype(np.float32), ints, ints.astype(np.int32), floats > 0,
+                   np.repeat(floats[:25], 8)]  # runs of 8 straddle chunk boundaries
+        data = self.same(tmp_path, ["f8", "f4", "i8", "i4", "b", "run"], columns,
+                         nonfinite=nonfinite)
+        assert b"-0.0," in data and b",0.0," in data
+
+    def test_distinct_sample_then_repeats(self, tmp_path, monkeypatch):
+        import windcast.csvio
+
+        monkeypatch.setattr(windcast.csvio, "CHUNK_ROWS", 1000)
+        rng = np.random.default_rng(12)
+        values = np.concatenate([rng.standard_normal(RENDER_SAMPLE),
+                                 rng.choice(np.array(REPEATED_FLOATS), 1500)])
+        self.same(tmp_path, ["x", "n"], [values, np.arange(values.size) // 300])
+
+    def test_sample_decides_the_path(self):
+        rendered = []
+
+        def render(values):
+            rendered.append(values.size)
+            return list(map(repr, values.tolist()))
+
+        head = np.arange(RENDER_SAMPLE, dtype=np.float64)
+        distinct_first = np.concatenate([head, np.zeros(744)])
+        assert render_once(distinct_first, render) == list(map(repr, distinct_first.tolist()))
+        repeated_first = np.concatenate([np.zeros(RENDER_SAMPLE), -head])
+        assert render_once(repeated_first, render) == list(map(repr, repeated_first.tolist()))
+        assert rendered == [1000, RENDER_SAMPLE + 1]  # -0.0 is not 0.0
+
+    @pytest.mark.parametrize("case", ["repeated", "unsorted", "single", "distinct"])
+    def test_iso_hours(self, case):
+        rng = np.random.default_rng(13)
+        hours = T0 + np.arange(-30, 500)
+        eh = {"repeated": np.repeat(hours, 6), "unsorted": rng.choice(hours, 3000),
+              "single": hours[:1], "distinct": hours}[case]
+        expected = [f"{np.datetime64(h, 'h')}:00Z" for h in eh.tolist()]
+        assert iso_hours(eh) == expected
+        assert iso_hours(eh.tolist()) == expected
 
 
 def _typed_and_reference(monkeypatch, path, kinds, keep=None, lenient=False):

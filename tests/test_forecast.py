@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from windcast.cli import _rolling_config
+from windcast.config import RunConfig
 from windcast.forecast import (
     ForecastColumns,
-    RollingConfig,
     persistence,
     read_records_csv,
     run_rolling,
@@ -21,7 +22,7 @@ from windcast.timeutil import epoch_hour
 
 from conftest import make_model_data, truncated_at
 
-ROLLING = RollingConfig()
+ROLLING = _rolling_config(RunConfig())
 
 
 @pytest.fixture(scope="module")
