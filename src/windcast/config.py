@@ -211,10 +211,13 @@ def config_from_dict(raw: dict) -> RunConfig:
         violations.append(f"unknown config keys: {sorted(unknown)}")
 
     cfg = RunConfig()
-    try:
-        cfg.seed = int(raw.get("seed", 0))
-    except (TypeError, ValueError):
-        violations.append("seed must be an integer")
+    for name in ("seed", "window_days", "refit_hours", "max_lag",
+                 "tz_offset_hours", "min_stations", "pit_bins", "jobs"):
+        value = raw.get(name, getattr(cfg, name))
+        if isinstance(value, bool) or not isinstance(value, int):  # int() would truncate
+            violations.append(f"{name} must be an integer, got {value!r}")
+        else:
+            setattr(cfg, name, value)
     cfg.out_dir = str(raw.get("out_dir", cfg.out_dir))
 
     data = _mapping(raw, "data", "data", violations)
@@ -256,13 +259,6 @@ def config_from_dict(raw: dict) -> RunConfig:
         violations.append("restarts: random restarts were removed, since they never beat "
                           "the single least-squares start in the ROADMAP fit study; "
                           "only 1 is accepted")
-    for name in ("window_days", "refit_hours", "max_lag",
-                 "tz_offset_hours", "min_stations", "pit_bins", "jobs"):
-        if name in raw:
-            try:
-                setattr(cfg, name, int(raw[name]))
-            except (TypeError, ValueError):
-                violations.append(f"{name} must be an integer")
     if "interval_level" in raw:
         try:
             cfg.interval_level = float(raw["interval_level"])

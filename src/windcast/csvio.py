@@ -15,15 +15,18 @@ C tokenizer). A cell that pass might read otherwise (unparseable, short, too
 wide, or any warning) sends the file to ``csv.reader``, which reads all other
 files and defines the semantics: the arrays are the same either way.
 
-Writing puts floats as ``repr`` (shortest round-trip text, so reading back
-is bit-exact) and non-finite floats as ``""`` unless asked otherwise. Rows
-are built a chunk at a time: each column's cells are formatted as a list of
-text, the lists are joined with ``","`` row by row, and the chunk goes to the
-file in one write. The bytes are those ``csv.writer``'s default dialect
-writes (QUOTE_MINIMAL, CRLF rows): a cell holding ``,``, ``"``, CR or LF is
-quoted with its quotes doubled, and a row whose only cell is empty reads
-``""``. Only text cells can need quoting, and one regex scan of a column
-chunk tells whether any does.
+Writing puts floats as ``repr`` writes them (shortest round-trip text, so
+reading back is bit-exact) and non-finite floats as ``""`` unless asked
+otherwise. A float column chunk is formatted at once by ``orjson``'s
+shortest round-trip writer, whose text equals ``repr``'s for 0 and for
+magnitudes in [1e-4, 1e16); the other cells go through ``repr`` one by one.
+Rows are built a chunk at a time: each column's cells are formatted as a
+list of text, the lists are joined with ``","`` row by row, and the chunk
+goes to the file in one write. The bytes are those ``csv.writer``'s default
+dialect writes (QUOTE_MINIMAL, CRLF rows): a cell holding ``,``, ``"``, CR
+or LF is quoted with its quotes doubled, and a row whose only cell is empty
+reads ``""``. Only text cells can need quoting, and one regex scan of a
+column chunk tells whether any does.
 
 A numeric or bool column chunk whose values repeat, as a persistence
 forecast's points do over its horizons, is formatted once per distinct
@@ -43,6 +46,7 @@ import warnings
 from typing import Mapping, Sequence
 
 import numpy as np
+import orjson
 
 from .errors import LoadError
 from .timeutil import epoch_minutes, iso_text, render_once
@@ -244,13 +248,20 @@ def _cells(values, nonfinite: str | None) -> list:
 
 
 def _numbers(values: np.ndarray, nonfinite: str | None) -> list:
-    """Floats by repr (non-finite ones as ``nonfinite`` unless it is None),
-    bools as 0 and 1, integers by str."""
+    """Floats as ``repr`` writes them (non-finite ones as ``nonfinite``
+    unless it is None), bools as 0 and 1, integers by str."""
     if values.dtype.kind == "f":
-        cells = list(map(float.__repr__, values.tolist()))
-        if nonfinite is not None and not np.isfinite(values).all():
-            for i in np.flatnonzero(~np.isfinite(values)).tolist():
-                cells[i] = nonfinite
+        # orjson reads native C-ordered float64 only; the cast keeps float(v)'s digits
+        values = np.ascontiguousarray(values, dtype=np.float64)
+        if not values.size:
+            return []
+        cells = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+        # orjson writes repr's text for 0 and for 1e-4 <= |v| < 1e16, and only there:
+        # elsewhere it writes '1e16' for '1e+16', '0.00001' for '1e-05', 'null' for NaN
+        size = np.abs(values)
+        other = np.flatnonzero(~((size >= 1e-4) & (size < 1e16) | (values == 0)))
+        for i, v in zip(other.tolist(), values[other].tolist()):
+            cells[i] = nonfinite if nonfinite is not None and not math.isfinite(v) else repr(v)
         return cells
     ints = values.view(np.uint8) if values.dtype.kind == "b" else values
     return list(map(str, ints.tolist()))
@@ -272,9 +283,9 @@ def write_columns(path, header: Sequence[str], columns: Sequence,
 
     A column is an array, or a sequence that ``numpy.asarray`` reads; a list
     of ``str`` is taken as it is. Each chunk of ``CHUNK_ROWS`` rows becomes
-    one list of cell text per column (floats by ``repr``, bools as 0 and 1,
-    other values by ``str``, text quoted as the module docstring says); the
-    rows are joined with ``","`` and the chunk is written at once."""
+    one list of cell text per column (floats as ``repr`` writes them, bools
+    as 0 and 1, other values by ``str``, text quoted as the module docstring
+    says); the rows are joined with ``","`` and the chunk is written at once."""
     columns = [c if isinstance(c, list) and {str} >= set(map(type, c)) else np.asarray(c)
                for c in columns]
     if nonfinite is not None:

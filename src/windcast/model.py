@@ -333,6 +333,13 @@ class DesignBundle:
     offset: np.ndarray  # (rows,)
     vol: np.ndarray  # (rows,)
     times: np.ndarray  # (rows,) issue times, contiguous
+    _finite: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # rows whose features, target, offset and volatility are all finite;
+        # each fit window is cut out of it (valid_rows)
+        self._finite = (np.all(np.isfinite(self.X), axis=1) & np.isfinite(self.target)
+                        & np.isfinite(self.offset) & np.isfinite(self.vol))
 
     @classmethod
     def build(cls, state: ResidualState, variant: VariantSpec, station: str, horizon: int,
@@ -361,11 +368,9 @@ class DesignBundle:
     def valid_rows(self, start_eh: int, end_eh: int) -> np.ndarray:
         """Indices of the rows with issue in [start, end-k] whose features,
         target, offset and volatility are all finite."""
-        k = self.horizon
-        mask = (self.times >= int(start_eh)) & (self.times + k <= int(end_eh))
-        mask &= np.all(np.isfinite(self.X), axis=1)
-        mask &= np.isfinite(self.target) & np.isfinite(self.offset) & np.isfinite(self.vol)
-        return np.nonzero(mask)[0]
+        lo = int(np.searchsorted(self.times, int(start_eh)))
+        hi = int(np.searchsorted(self.times, int(end_eh) - self.horizon, side="right"))
+        return lo + np.flatnonzero(self._finite[lo:hi])
 
 
 def bic_score(gram: np.ndarray, xty: np.ndarray, yty: float, n: int) -> float:

@@ -97,6 +97,24 @@ class TestConfigValidation:
         assert payload["error"] == "ConfigError"
         assert payload["violations"] == [violation]
 
+    @pytest.mark.parametrize("name, value", [
+        ("tz_offset_hours", -5.5), ("refit_hours", 24.5), ("window_days", True),
+        ("jobs", True), ("seed", 424242.9), ("max_lag", "10"), ("min_stations", 3.0),
+        ("pit_bins", False),
+    ])
+    def test_integer_keys_refuse_other_values(self, tmp_path, capsys, name, value):
+        """An integer key is refused, not truncated by int(), when it holds a
+        bool, a float or text."""
+        out = tmp_path / "out"
+        path = _write_config(tmp_path, small_config(str(out), **{name: value}))
+        assert main(["report", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        payload = json.loads(captured.err)
+        assert payload["error"] == "ConfigError"
+        assert payload["violations"] == [f"{name} must be an integer, got {value!r}"]
+        assert "Traceback" not in captured.err + captured.out
+        assert not out.exists()
+
     def test_cli_reports_machine_readable_error(self, tmp_path, capsys):
         path = _write_config(tmp_path, {"stations": []})
         code = main(["forecast", "--config", str(path)])

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from windcast.csvio import read_columns, write_columns
+from windcast.csvio import _numbers, read_columns, write_columns
 from windcast.errors import LoadError
 from windcast.forecast import ForecastColumns, read_records_csv, write_records_csv
 from windcast.ingest import (
@@ -386,6 +386,75 @@ class TestRenderOnce:
         expected = [f"{np.datetime64(h, 'h')}:00Z" for h in eh.tolist()]
         assert iso_hours(eh) == expected
         assert iso_hours(eh.tolist()) == expected
+
+
+def _float_bits(bits) -> np.ndarray:
+    return np.asarray(bits, dtype=np.uint64).view(np.float64)
+
+
+class TestFloatText:
+    """Floats are written as float.__repr__ writes them, although orjson
+    formats most of them: _numbers equals repr cell for cell, and the file
+    equals csv.writer's."""
+
+    same = TestWriterBytes._same
+
+    def _check(self, tmp_path, values, nonfinite=""):
+        want = [nonfinite if nonfinite is not None and not math.isfinite(v) else repr(v)
+                for v in values.tolist()]
+        assert _numbers(values, nonfinite) == want
+        self.same(tmp_path, ["x"], [values], nonfinite=nonfinite)
+
+    def test_random_bit_patterns(self, tmp_path):
+        """2**20 finite bit patterns: half over every exponent, half over the
+        binades from 2**-17 to 2**57, across both ends of orjson's range."""
+        rng = np.random.default_rng(21)
+        n = 1 << 19
+        anywhere = _float_bits(rng.integers(0, 2**64, n, dtype=np.uint64))
+        exponent = rng.integers(1023 - 17, 1023 + 58, n, dtype=np.uint64)
+        near = _float_bits(rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63)
+                           | exponent << np.uint64(52)
+                           | rng.integers(0, 2**52, n, dtype=np.uint64))
+        values = np.concatenate([anywhere[np.isfinite(anywhere)], near])
+        assert values.size >= 10**6
+        self._check(tmp_path, values)
+
+    def test_powers_of_ten_and_neighbours(self, tmp_path):
+        powers = np.array([10.0 ** k for k in range(-5, 18)])
+        values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+        values = np.concatenate([values, -values])
+        assert 1e16 in values and np.nextafter(1e-4, 0) in values
+        self._check(tmp_path, values)
+
+    def test_zeros_and_subnormals(self, tmp_path):
+        rng = np.random.default_rng(22)
+        subnormal = _float_bits(rng.integers(1, 2**52, 1000, dtype=np.uint64))
+        values = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                                  2.2250738585072014e-308], subnormal, -subnormal])
+        self._check(tmp_path, values)
+
+    @pytest.mark.parametrize("nonfinite", ["", None])
+    def test_nonfinite(self, tmp_path, nonfinite):
+        nans = _float_bits([0x7FF8000000000000, 0xFFF8000000000001])  # two payloads
+        values = np.array([math.inf, 1.5, -math.inf, *nans, 0.0, 1e16, 1e-5, *nans, -2.5])
+        self._check(tmp_path, values, nonfinite)
+
+    @pytest.mark.parametrize("layout", ["float32", "strided", "big-endian", "big-endian-f4"])
+    def test_input_layouts(self, tmp_path, layout):
+        """Digits are those of float(v), whatever the dtype, byte order or
+        strides of the column."""
+        rng = np.random.default_rng(23)
+        wind = np.concatenate([rng.gamma(2.0, 3.0, 3000), rng.uniform(0, 360, 3000),
+                               rng.normal(1013.25, 12, 3000), [1e-5, 1e16, 0.1, -0.0]])
+        values = {"float32": wind.astype(np.float32),
+                  "strided": np.column_stack([wind, -wind])[:, 1],
+                  "big-endian": wind.astype(">f8"),
+                  "big-endian-f4": wind.astype(">f4")}[layout]
+        self._check(tmp_path, values)
+
+    def test_empty_chunk(self, tmp_path):
+        assert _numbers(np.zeros(0), "") == []
+        self._check(tmp_path, np.zeros(0, dtype=np.float32), None)
 
 
 def _typed_and_reference(monkeypatch, path, kinds, keep=None, lenient=False):

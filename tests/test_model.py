@@ -244,6 +244,38 @@ class TestDesignSpan:
             assert x.tobytes() == y.tobytes()
         assert np.isfinite(whole[0]).sum() >= 90
 
+    @pytest.mark.parametrize("span", [None, (300, 900)], ids=["whole-axis", "span"])
+    def test_valid_rows_equal_the_per_window_mask(self, span_case, span):
+        """valid_rows cuts each window out of the mask the bundle computed
+        once; the rows equal those of the mask recomputed per window, also on
+        a bundle that dataclasses.replace gave NaN holes."""
+        data, bounds, names = span_case
+        state = _state(data, "MD", bounds[1], bounds)
+        rng = np.random.default_rng(3)
+        bundle = _bundle(state, ("TDDGWDT-MD", "S02", 3, names), span)
+        holes = {name: getattr(bundle, name).copy() for name in ("X", "target", "offset", "vol")}
+        for name, values in holes.items():
+            rows = rng.choice(bundle.times.size, 15, replace=False)
+            if name == "X":
+                values[rows, rng.integers(0, values.shape[1], rows.size)] = np.nan
+            else:
+                values[rows] = np.nan
+        t0, t1 = int(bundle.times[0]), int(bundle.times[-1])
+        windows = [(t0, t1 + 1), (t0 - 50, t0 + 100), (t1 - 200, t1 + 50), (t0 + 100, t0 + 400),
+                   (t0 + 10, t0 + 13), (t0 + 10, t0 + 12), (t1 + 5, t1 + 90), (t0 + 50, t0 + 20)]
+        for b in (bundle, dataclasses.replace(bundle, **holes)):
+            for start, end in windows:
+                k = b.horizon
+                mask = (b.times >= start) & (b.times + k <= end)
+                mask &= np.all(np.isfinite(b.X), axis=1)
+                mask &= np.isfinite(b.target) & np.isfinite(b.offset) & np.isfinite(b.vol)
+                want = np.nonzero(mask)[0]
+                got = b.valid_rows(start, end)
+                assert got.dtype == want.dtype and got.tolist() == want.tolist(), (start, end)
+        # the holes drop rows the clean bundle keeps
+        assert (b.valid_rows(t0, t1 + 1).size + 40
+                < bundle.valid_rows(t0, t1 + 1).size)
+
 
 class TestSpecValidation:
     @pytest.mark.parametrize("variant, gw_lags", [("PSS", -1), ("TDDXX", -1), ("TDD", 2),
