@@ -3,7 +3,10 @@
 Estimates the geostrophic wind from a surface pressure/temperature
 network, removes diurnal cycles, and issues 1- to 6-hour-ahead truncated
 normal predictive distributions from space-time regressions trained by
-CRPS minimization, with a full verification suite.
+CRPS minimization, with a full verification suite. The predictive law
+has no class: ``windcast.predictive`` evaluates it as vectorized functions
+of its parameter arrays (``cdf_values``, ``quantile_values``,
+``crps_values``).
 """
 
 import os
@@ -16,5 +19,4 @@ del _var
 __version__ = "0.1.0"
 
 from .errors import WindcastError  # noqa: F401
-from .predictive import TruncatedNormal  # noqa: F401
 from .series import Network, StationMeta, StationSeries  # noqa: F401

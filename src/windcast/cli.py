@@ -36,7 +36,7 @@ import sys
 
 from . import __version__
 from .config import RunConfig, dump_config, load_config
-from .errors import ConfigError, LoadError, WindcastError
+from .errors import ConfigError, InvalidInputError, LoadError, WindcastError
 from .forecast import (
     ForecastColumns,
     RollingConfig,
@@ -320,7 +320,10 @@ def main(argv=None) -> int:
             if cfg.synth is not None and cfg.data_source == "synth":
                 import dataclasses
 
-                cfg.synth = dataclasses.replace(cfg.synth, seed=args.seed)
+                try:
+                    cfg.synth = dataclasses.replace(cfg.synth, seed=args.seed)
+                except InvalidInputError as exc:
+                    raise ConfigError([f"--seed: {exc}"]) from None
         if args.out is not None:
             cfg.out_dir = args.out
         jobs = _job_count(args.jobs, cfg)

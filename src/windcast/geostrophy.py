@@ -75,8 +75,10 @@ class PhysicalConstants:
 class MeanRemovalPolicy(enum.Enum):
     """How per-station height biases are removed before the plane fit.
 
-    MONTHLY is the operational default; NONE exists for synthetic
-    round-trip tests where the generating field itself is the target.
+    MONTHLY is the operational default. NONE keeps the heights as they are:
+    it suits synthetic archives, whose barometers carry no bias, where the
+    generating field itself is the target (the round-trip tests, the test
+    benchmark config and the perfbench configs run it).
     """
 
     NONE = "none"

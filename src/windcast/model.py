@@ -652,7 +652,7 @@ def predict_params(coefficients: Coefficients, bundle: DesignBundle, rows) -> tu
     have = np.isfinite(X).all(axis=1) & np.isfinite(vol) & np.isfinite(offset)
     mu = np.full(vol.size, np.nan)
     sigma = np.full(vol.size, np.nan)
-    # one dot per row: X @ center on the block rounds differently on some rows
-    mu[have] = offset[have] + np.array([x @ coefficients.center for x in X[have]])
+    # a (1, p) @ (p, 1) product per row rounds as x @ center; X @ center on the block does not
+    mu[have] = offset[have] + (X[have][:, None, :] @ coefficients.center[:, None])[:, 0, 0]
     sigma[have] = np.maximum(coefficients.b0 + coefficients.b1 * vol[have], SIGMA_FLOOR)
     return mu, sigma

@@ -1,9 +1,12 @@
-"""Truncated normal predictive distribution on [0, inf).
+"""Truncated normal predictive distribution on [0, inf), as vectorized
+functions of its parameters.
 
 The distribution has center ``mu`` (any real) and scale ``sigma > 0``; all
 probability mass sits on the nonnegative half line, matching a nonnegative
-wind speed. Everything here is written against the complementary form of
-the normal CDF so that heavily truncated cases (mu << 0) stay accurate:
+wind speed. ``cdf_values``, ``quantile_values`` and ``crps_values`` take
+arrays (or scalars) of mu, sigma and the argument, broadcast together.
+Everything here is written against the complementary form of the normal CDF
+so that heavily truncated cases (mu << 0) stay accurate:
 
     1 - F(y) = Phi(-(y - mu)/sigma) / Phi(mu/sigma)
 
@@ -14,9 +17,10 @@ primitives (complementary-error-function based, abs error < 1e-12).
 so stages that never evaluate a distribution (geowind, persistence-only
 forecasts) do not load it.
 
-``crps`` is the closed-form continuous ranked probability score; its
-independent check ``crps_numeric`` integrates the defining integral by
-adaptive quadrature and is the authority whenever the two disagree.
+``crps_values`` is the closed-form continuous ranked probability score;
+its independent check ``crps_numeric`` integrates the defining integral for
+one (mu, sigma, y) by adaptive quadrature and is the authority whenever the
+two disagree.
 ``_crps_grad`` adds the analytic first and second derivatives in mu and
 sigma that the minimum-CRPS fit needs for its Newton steps.
 """
@@ -24,8 +28,6 @@ sigma that the minimum-CRPS fit needs for its Newton steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidDistributionError, InvalidInputError
@@ -185,62 +187,36 @@ def _crps_grad(mu, sigma, y, hessian=False):
     return crps, d_mu, d_sigma
 
 
-def _crps_core(mu, sigma, y):
-    """CRPS algebra without argument validation."""
-    return _crps_grad(mu, sigma, y)[0]
-
-
 def crps_values(mu, sigma, y):
     """Closed-form CRPS of N+(mu, sigma) against observations y >= 0 (vectorized)."""
     mu, sigma = _check_params(mu, sigma)
     y = np.asarray(y, dtype=float)
     if np.any(y < 0.0):
         raise InvalidInputError("observed wind speed must be nonnegative")
-    return _crps_core(mu, sigma, y)
+    return _crps_grad(mu, sigma, y)[0]
 
 
-@dataclass(frozen=True)
-class TruncatedNormal:
-    """Normal law with center mu and scale sigma, restricted to [0, inf)."""
+def crps_numeric(mu: float, sigma: float, y: float, tol: float = 1e-8) -> float:
+    """CRPS of N+(mu, sigma) at y by adaptive quadrature of
+    integral((F(x) - 1{x>=y})^2 dx).
 
-    mu: float
-    sigma: float
+    Development-time oracle for the closed form; deliberately routed
+    through the generic integrand rather than the CRPS algebra.
+    """
+    from scipy.integrate import quad  # only this oracle needs it
 
-    def __post_init__(self):
-        _check_params(self.mu, self.sigma)
+    _check_params(mu, sigma)
+    if y < 0.0:
+        raise InvalidInputError("observed wind speed must be nonnegative")
 
-    def cdf(self, y: float) -> float:
-        return float(cdf_values(self.mu, self.sigma, y))
+    def below(x):
+        return _cdf_core(mu, sigma, x) ** 2
 
-    def quantile(self, p: float) -> float:
-        return float(quantile_values(self.mu, self.sigma, p))
+    def above(x):
+        f = _cdf_core(mu, sigma, x)
+        return (f - 1.0) * (f - 1.0)
 
-    def median(self) -> float:
-        return self.quantile(0.5)
-
-    def crps(self, y: float) -> float:
-        return float(crps_values(self.mu, self.sigma, y))
-
-    def crps_numeric(self, y: float, tol: float = 1e-8) -> float:
-        """CRPS by adaptive quadrature of integral((F(x) - 1{x>=y})^2 dx).
-
-        Development-time oracle for the closed form; deliberately routed
-        through the generic integrand rather than the CRPS algebra.
-        """
-        from scipy.integrate import quad  # only this oracle needs it
-
-        if y < 0.0:
-            raise InvalidInputError("observed wind speed must be nonnegative")
-        mu, sigma = self.mu, self.sigma  # validated in __post_init__
-
-        def below(x):
-            return _cdf_core(mu, sigma, x) ** 2
-
-        def above(x):
-            f = _cdf_core(mu, sigma, x)
-            return (f - 1.0) * (f - 1.0)
-
-        hi = max(y, mu + 12.0 * sigma, 1.0) + 12.0 * sigma
-        left, _ = quad(below, 0.0, y, epsabs=tol, epsrel=tol, limit=300)
-        right, _ = quad(above, y, hi, epsabs=tol, epsrel=tol, limit=300)
-        return left + right
+    hi = max(y, mu + 12.0 * sigma, 1.0) + 12.0 * sigma
+    left, _ = quad(below, 0.0, y, epsabs=tol, epsrel=tol, limit=300)
+    right, _ = quad(above, y, hi, epsabs=tol, epsrel=tol, limit=300)
+    return left + right

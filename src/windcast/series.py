@@ -102,10 +102,6 @@ class Network:
                 arrays[name][i, pos] = getattr(s, name)
         return cls(times=times, stations=[s.meta for s in series], **arrays)
 
-    @property
-    def n_stations(self) -> int:
-        return len(self.stations)
-
     def station_index(self, station_id: str) -> int:
         try:
             return self._index[station_id]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -60,6 +60,15 @@ class SynthConfig:
     tz_offset_hours: int = -6
 
     def __post_init__(self):
+        for f in fields(self):  # types first: a bool is an int, and text does not compare
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+                raise InvalidInputError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and (isinstance(value, bool)
+                                      or not isinstance(value, (int, float))):
+                raise InvalidInputError(f"{f.name} must be a number, got {value!r}")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be nonnegative, got {self.seed}")
         if not 0.0 < self.kappa <= 1.0:
             raise InvalidInputError("kappa must lie in (0, 1]")
         for name in ("wind_std", "height_noise_m", "diurnal_amplitude",

@@ -59,7 +59,7 @@ def iso_hours(eh) -> list[str]:
 
 
 def _iso_hours(eh: np.ndarray) -> list[str]:
-    return [t + ":00Z" for t in np.datetime_as_string(eh.astype("datetime64[h]")).tolist()]
+    return np.datetime_as_string(eh.astype("datetime64[h]"), unit="m", timezone="UTC").tolist()
 
 
 def render_once(values: np.ndarray, render) -> list:

@@ -162,6 +162,32 @@ class TestConfigValidation:
         assert payload["violations"] == [violation]
         assert not out.exists()
 
+    @pytest.mark.parametrize("synth, argv, violation", [
+        ({"seed": -1}, [], "data.synth: seed must be nonnegative, got -1"),
+        ({}, ["--seed", "-1"], "--seed: seed must be nonnegative, got -1"),
+        ({"n_inner": 4.0}, [], "data.synth: n_inner must be an integer, got 4.0"),
+        ({"days": 130.5}, [], "data.synth: days must be an integer, got 130.5"),
+        ({"days": True}, [], "data.synth: days must be an integer, got True"),
+        ({"domain_km": "350"}, [], "data.synth: domain_km must be a number, got '350'"),
+        ({"friction_angle_deg": True}, [],
+         "data.synth: friction_angle_deg must be a number, got True"),
+    ], ids=["seed-negative", "cli-seed-negative", "n_inner-float", "days-float", "days-bool",
+            "float-text", "float-bool"])
+    def test_synth_fields_refuse_other_values(self, tmp_path, capsys, synth, argv, violation):
+        """A synth field is refused, before anything is written, when it
+        holds a value of another type or a negative seed."""
+        out = tmp_path / "out"
+        cfg = small_config(str(out))
+        cfg["data"]["synth"].update(synth)
+        path = _write_config(tmp_path, cfg)
+        assert main(["synth", "--config", str(path)] + argv) == 2
+        captured = capsys.readouterr()
+        payload = json.loads(captured.err)
+        assert payload["error"] == "ConfigError"
+        assert payload["violations"] == [violation]
+        assert "Traceback" not in captured.err + captured.out
+        assert not out.exists()
+
     def test_round_trips_through_yaml(self, tmp_path):
         path = _write_config(tmp_path, small_config(tmp_path / "out"))
         cfg = load_config(path)

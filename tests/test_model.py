@@ -934,9 +934,23 @@ class TestPredictParams:
         # b1 ~ 0 pins sigma at b0 regardless of volatility
         assert sigma == pytest.approx(0.5, abs=1e-12)
 
-    def test_block_equals_the_per_row_formula(self):
+    @staticmethod
+    def _per_row_formula(c, bundle, rows):
+        """(mu, sigma) of ``rows`` one row at a time: offset + x @ center and
+        max(b0 + b1 v, SIGMA_FLOOR), NaN where an input is missing."""
+        want_mu, want_sigma = np.full(rows.size, np.nan), np.full(rows.size, np.nan)
+        for i, t in enumerate(rows):
+            x, v, offset = bundle.X[t], bundle.vol[t], bundle.offset[t]
+            if np.isfinite(x).all() and np.isfinite(v) and np.isfinite(offset):
+                want_mu[i] = offset + x @ c.center
+                want_sigma[i] = max(c.b0 + c.b1 * v, SIGMA_FLOOR)
+        return want_mu, want_sigma
+
+    def test_block_equals_the_per_row_formula(self, span_case):
         """Bit for bit, on a block from the start of the axis, whose first
-        rows have no volatility yet, and on both sides of SIGMA_FLOOR."""
+        rows have no volatility yet, and on both sides of SIGMA_FLOOR; then
+        on every candidate column of a TDDGWDT pool, with missing feature
+        rows inside the block."""
         state, spec, bounds = _recovery_setup(noise=0.3)
         bundle = _bundle(state, spec)
         fitted = fit_crps(bundle, bounds)
@@ -944,14 +958,29 @@ class TestPredictParams:
         c = Coefficients(fitted.center, 1e-9, 1e-8 / float(np.nanmedian(bundle.vol)), 1)
         rows = np.arange(0, 600)
         mu, sigma = predict_params(c, bundle, rows)
-        want_mu, want_sigma = np.full(rows.size, np.nan), np.full(rows.size, np.nan)
-        for i, t in enumerate(rows):
-            x, v, offset = bundle.X[t], bundle.vol[t], bundle.offset[t]
-            if np.isfinite(x).all() and np.isfinite(v) and np.isfinite(offset):
-                want_mu[i] = offset + x @ c.center
-                want_sigma[i] = max(c.b0 + c.b1 * v, SIGMA_FLOOR)
+        want_mu, want_sigma = self._per_row_formula(c, bundle, rows)
         assert np.isnan(mu).any() and np.isfinite(mu).sum() > 500
         assert (sigma == SIGMA_FLOOR).any() and (sigma > SIGMA_FLOOR).any()
+        assert mu.tobytes() == want_mu.tobytes()
+        assert sigma.tobytes() == want_sigma.tobytes()
+
+        data, bounds, _ = span_case
+        vspec = parse_variant("TDDGWDT-MD")
+        state = _state(data, "MD", bounds[1], bounds)
+        names = CandidatePool.build(state, vspec, 3, bounds).names + ("temp_diff_24h",)
+        wide = DesignBundle.build(state, vspec, "S02", 3, names)
+        X = wide.X.copy()
+        X[[300, 301, 450], [7, 60, 140]] = np.nan
+        wide = dataclasses.replace(wide, X=X)
+        rng = np.random.default_rng(3)
+        c = Coefficients(rng.normal(0.0, 0.3, len(names)), 0.5, 0.2, 1)
+        rows = np.arange(0, 600)
+        mu, sigma = predict_params(c, wide, rows)
+        want_mu, want_sigma = self._per_row_formula(c, wide, rows)
+        assert len(names) > 100
+        # temp_diff_24h reaches before the axis for the first 24 rows
+        assert np.isnan(mu[:24]).all() and np.isnan(mu[[300, 301, 450]]).all()
+        assert np.isfinite(mu[24:300]).all() and np.isfinite(mu).sum() > 500
         assert mu.tobytes() == want_mu.tobytes()
         assert sigma.tobytes() == want_sigma.tobytes()
 

@@ -8,11 +8,10 @@ from scipy.optimize import brentq
 
 from windcast.errors import InvalidDistributionError, InvalidInputError
 from windcast.predictive import (
-    TruncatedNormal,
-    _crps_core,
     _crps_grad,
     _exponential_tail,
     cdf_values,
+    crps_numeric,
     crps_values,
     quantile_values,
 )
@@ -28,16 +27,14 @@ PARAM_GRID = [(-5.0, 0.1), (-3.0, 2.0), (0.0, 1.0), (2.0, 0.5), (5.0, 1.0),
 
 class TestCdf:
     def test_zero_at_origin(self):
-        assert TruncatedNormal(3.0, 2.0).cdf(0.0) == 0.0
-        assert TruncatedNormal(3.0, 2.0).cdf(-1.0) == 0.0
+        assert cdf_values(3.0, 2.0, [0.0, -1.0]).tolist() == [0.0, 0.0]
 
     def test_tends_to_one(self):
-        assert TruncatedNormal(0.0, 1.0).cdf(40.0) == pytest.approx(1.0, abs=1e-12)
+        assert cdf_values(0.0, 1.0, 40.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_half_normal_value(self):
         # mu=0 truncated at 0 doubles the density: F(1) = 2*Phi(1) - 1
-        assert TruncatedNormal(0.0, 1.0).cdf(1.0) == pytest.approx(
-            HALF_NORMAL_CDF_AT_1, abs=1e-12)
+        assert cdf_values(0.0, 1.0, 1.0) == pytest.approx(HALF_NORMAL_CDF_AT_1, abs=1e-12)
 
     @pytest.mark.parametrize("mu,sigma", PARAM_GRID)
     def test_strictly_increasing(self, mu, sigma):
@@ -48,29 +45,31 @@ class TestCdf:
         assert np.all(np.diff(vals) > 0)
 
     def test_invalid_sigma(self):
-        with pytest.raises(InvalidDistributionError):
-            TruncatedNormal(1.0, 0.0)
+        for law in (cdf_values, quantile_values, crps_values, crps_numeric):
+            with pytest.raises(InvalidDistributionError):
+                law(1.0, 0.0, 0.5)
         with pytest.raises(InvalidDistributionError):
             cdf_values(1.0, -2.0, 1.0)
+        with pytest.raises(InvalidDistributionError):  # one bad row in an array
+            crps_values([1.0, 2.0], [1.0, 0.0], 1.0)
 
 
 class TestQuantile:
     def test_median_far_from_truncation(self):
         # truncation mass Phi(-5) ~ 2.9e-7 barely shifts the median off mu;
         # root-finding on the cdf is the independent oracle
-        d = TruncatedNormal(5.0, 1.0)
-        oracle = brentq(lambda y: d.cdf(y) - 0.5, 0.0, 20.0, xtol=1e-13)
-        assert d.median() == pytest.approx(oracle, abs=1e-10)
-        assert d.median() == pytest.approx(5.0, abs=1e-4)
+        median = quantile_values(5.0, 1.0, 0.5)
+        oracle = brentq(lambda y: cdf_values(5.0, 1.0, y) - 0.5, 0.0, 20.0, xtol=1e-13)
+        assert median == pytest.approx(oracle, abs=1e-10)
+        assert median == pytest.approx(5.0, abs=1e-4)
 
     def test_half_normal_median(self):
-        assert TruncatedNormal(0.0, 1.0).median() == pytest.approx(
-            STD_NORMAL_Q75, abs=1e-12)
+        assert quantile_values(0.0, 1.0, 0.5) == pytest.approx(STD_NORMAL_Q75, abs=1e-12)
 
     @pytest.mark.parametrize("mu,sigma", PARAM_GRID)
     def test_quantile_ordering(self, mu, sigma):
-        d = TruncatedNormal(mu, sigma)
-        assert d.quantile(0.05) < d.median() < d.quantile(0.95)
+        lo, median, hi = quantile_values(mu, sigma, [0.05, 0.5, 0.95])
+        assert lo < median < hi
 
     @pytest.mark.parametrize("mu,sigma", PARAM_GRID)
     def test_inversion(self, mu, sigma):
@@ -79,31 +78,31 @@ class TestQuantile:
         assert np.max(np.abs(cdf_values(mu, sigma, qs) - ps)) < 1e-10
 
     def test_domain_errors(self):
-        d = TruncatedNormal(1.0, 1.0)
         for p in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(InvalidInputError):
-                d.quantile(p)
+                quantile_values(1.0, 1.0, p)
+            with pytest.raises(InvalidInputError):  # one bad level in an array
+                quantile_values(1.0, 1.0, [0.5, p])
 
 
 class TestCrps:
     def test_point_mass_limit(self):
         # sigma -> 0 collapses to a point mass at max(mu, 0)
         for mu, y in [(1.0, 3.0), (4.0, 4.0)]:
-            assert TruncatedNormal(mu, 1e-9).crps(y) == pytest.approx(
-                abs(y - max(mu, 0.0)), abs=1e-6)
+            assert crps_values(mu, 1e-9, y) == pytest.approx(abs(y - max(mu, 0.0)), abs=1e-6)
         # negative center: all mass piles up at the truncation point
         for sigma in (1e-4, 1e-7, 1e-9):
-            assert TruncatedNormal(-2.0, sigma).crps(0.5) == pytest.approx(0.5, abs=1e-6)
+            assert crps_values(-2.0, sigma, 0.5) == pytest.approx(0.5, abs=1e-6)
 
     def test_against_quadrature_origin(self):
-        d = TruncatedNormal(0.0, 1.0)
-        assert d.crps(0.0) == pytest.approx(d.crps_numeric(0.0), abs=1e-7)
+        assert crps_values(0.0, 1.0, 0.0) == pytest.approx(crps_numeric(0.0, 1.0, 0.0),
+                                                           abs=1e-7)
 
     @pytest.mark.parametrize("mu,sigma", PARAM_GRID)
     def test_against_quadrature_grid(self, mu, sigma):
-        d = TruncatedNormal(mu, sigma)
-        for y in (0.0, 1.0, max(0.0, mu), max(0.0, mu) + 2 * sigma, 15.0):
-            assert d.crps(y) == pytest.approx(d.crps_numeric(y), abs=1e-6)
+        ys = [0.0, 1.0, max(0.0, mu), max(0.0, mu) + 2 * sigma, 15.0]
+        oracle = [crps_numeric(mu, sigma, y) for y in ys]
+        np.testing.assert_allclose(crps_values(mu, sigma, ys), oracle, rtol=0, atol=1e-6)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(5)
@@ -114,20 +113,23 @@ class TestCrps:
 
     def test_propriety_shape(self):
         # minimized near the center of the distribution, unbounded far away
-        d = TruncatedNormal(5.0, 1.0)
-        med = d.median()
-        assert d.crps(med) < d.crps(med + 3.0)
-        assert d.crps(med) < d.crps(max(med - 3.0, 0.0))
-        big = [d.crps(y) for y in (20.0, 50.0, 100.0)]
+        med = float(quantile_values(5.0, 1.0, 0.5))
+        at_med, above, below = crps_values(5.0, 1.0, [med, med + 3.0, max(med - 3.0, 0.0)])
+        assert at_med < above and at_med < below
+        big = crps_values(5.0, 1.0, [20.0, 50.0, 100.0])
         assert big[0] < big[1] < big[2]
 
     def test_rejects_negative_observation(self):
         with pytest.raises(InvalidInputError):
-            TruncatedNormal(1.0, 1.0).crps(-0.1)
+            crps_values(1.0, 1.0, -0.1)
+        with pytest.raises(InvalidInputError):
+            crps_values(1.0, 1.0, [0.5, -0.1])
+        with pytest.raises(InvalidInputError):
+            crps_numeric(1.0, 1.0, -0.1)
 
 
 class TestCrpsGradient:
-    """``_crps_grad`` against central differences of ``_crps_core``, one
+    """``_crps_grad`` against central differences of ``crps_values``, one
     array per regime (the regime follows the smallest mu/sigma in a call)."""
 
     @staticmethod
@@ -146,9 +148,10 @@ class TestCrpsGradient:
         _, d_mu, d_sigma = _crps_grad(mu, sigma, y)
         h_mu = rel_step * np.maximum(np.abs(mu), sigma)
         h_sigma = rel_step * sigma
-        fd_mu = (_crps_core(mu + h_mu, sigma, y) - _crps_core(mu - h_mu, sigma, y)) / (2 * h_mu)
-        fd_sigma = (_crps_core(mu, sigma + h_sigma, y)
-                    - _crps_core(mu, sigma - h_sigma, y)) / (2 * h_sigma)
+        fd_mu = (crps_values(mu + h_mu, sigma, y)
+                 - crps_values(mu - h_mu, sigma, y)) / (2 * h_mu)
+        fd_sigma = (crps_values(mu, sigma + h_sigma, y)
+                    - crps_values(mu, sigma - h_sigma, y)) / (2 * h_sigma)
         np.testing.assert_allclose(d_mu, fd_mu, rtol=1e-3)
         np.testing.assert_allclose(d_sigma, fd_sigma, rtol=1e-3)
 
