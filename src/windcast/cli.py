@@ -59,6 +59,10 @@ from .verification import (
 )
 
 JOBS_ENV = "WINDCAST_JOBS"
+# The station fields (ingest roles) each stage reads: estimate_series uses
+# pressure and temperature, ModelData speed, direction and temperature.
+GEOWIND_ROLES = ("temperature", "pressure")
+FORECAST_ROLES = ("speed", "direction", "temperature")
 
 
 def _stage_digest(cfg: RunConfig, command: str) -> str:
@@ -117,14 +121,14 @@ def _data_dir(cfg: RunConfig) -> str:
     return os.path.join(cfg.out_dir, "data")
 
 
-def _load_network(cfg: RunConfig, station_ids=None, pool=None) -> Network:
+def _load_network(cfg: RunConfig, station_ids, roles, pool) -> Network:
     directory = _data_dir(cfg)
     if not os.path.isdir(directory):
         raise LoadError(
             f"data directory {directory!r} not found"
             + (" (run the synth command first)" if cfg.data_source == "synth" else "")
         )
-    series = load_network_dir(directory, cfg.csv_schema, station_ids, pool)
+    series = load_network_dir(directory, cfg.csv_schema, station_ids, roles, pool)
     return Network.from_series(series)
 
 
@@ -134,7 +138,7 @@ def _load_model_data(cfg: RunConfig, pool) -> ModelData:
     gw_path = os.path.join(cfg.out_dir, "geowind.csv")
     _check_provenance(cfg, gw_path, "geowind")
     pending = pool.submit(GeoWindSeries.from_csv, gw_path) if pool else None
-    network = _load_network(cfg, cfg.features, pool)
+    network = _load_network(cfg, cfg.features, FORECAST_ROLES, pool)
     geowind = pending.result() if pending else GeoWindSeries.from_csv(gw_path)
     return ModelData.from_network(network, geowind, cfg.features, cfg.tz_offset_hours)
 
@@ -156,7 +160,7 @@ def cmd_synth(cfg: RunConfig, jobs: int) -> None:
 
 def cmd_geowind(cfg: RunConfig, jobs: int) -> None:
     with _stage_pool(jobs) as pool:
-        network = _load_network(cfg, cfg.gw_stations, pool)
+        network = _load_network(cfg, cfg.gw_stations, GEOWIND_ROLES, pool)
     series = estimate_series(network, cfg.constants, cfg.mean_removal,
                              min_stations=cfg.min_stations)
     path = os.path.join(cfg.out_dir, "geowind.csv")

@@ -28,6 +28,8 @@ from .series import StationMeta, StationSeries
 from .timeutil import iso_hours
 
 ROLES = ("time", "station", "speed", "direction", "temperature", "pressure")
+#: The measured roles, which a load may read a subset of.
+FIELD_ROLES = ROLES[2:]
 
 # factors to canonical units; temperature handled separately (affine)
 _SPEED_FACTORS = {"m_s": 1.0, "km_h": 1.0 / 3.6, "mph": 0.44704, "knot": 0.514444}
@@ -98,13 +100,14 @@ CANONICAL_SCHEMA = SchemaConfig(
 
 @dataclass
 class RawRecords:
-    """Parsed sub-hourly rows in canonical units before hourly aggregation."""
+    """Parsed sub-hourly rows in canonical units before hourly aggregation;
+    a role that was not read is None."""
 
     times_min: np.ndarray  # int64 epoch minutes
-    speed: np.ndarray
-    direction: np.ndarray  # math radians [0, 2*pi)
-    temperature: np.ndarray
-    pressure: np.ndarray
+    speed: np.ndarray | None = None
+    direction: np.ndarray | None = None  # math radians [0, 2*pi)
+    temperature: np.ndarray | None = None
+    pressure: np.ndarray | None = None
     n_malformed: int = 0
 
 
@@ -123,20 +126,24 @@ def _to_canonical(role: str, values: np.ndarray, schema: SchemaConfig) -> np.nda
     return values * (_SPEED_FACTORS if role == "speed" else _PRESSURE_FACTORS)[unit]
 
 
-def read_raw(path, schema: SchemaConfig, station_id: str | None = None) -> RawRecords:
-    """Parse one CSV into canonical-unit records.
+def read_raw(path, schema: SchemaConfig, station_id: str | None = None,
+             roles: Sequence[str] = FIELD_ROLES) -> RawRecords:
+    """Parse one CSV into canonical-unit records of the measured ``roles``;
+    the file's other columns are not read, and their roles are None.
 
-    Rows with a malformed numeric field are counted and their bad fields
-    read as missing; an unparseable timestamp or a missing schema column is
-    a hard LoadError carrying the offending line number.
+    Rows with a malformed numeric field among those read are counted and
+    their bad fields read as missing; an unparseable timestamp or a missing
+    schema column is a hard LoadError carrying the offending line number.
     """
     cols = schema.columns
-    kinds = {name: "time" if role == "time" else "str" if role == "station" else "float"
-             for role, name in cols.items()}
     keep = (cols["station"], station_id) if station_id is not None and "station" in cols else None
+    kinds = {cols["time"]: "time"}
+    if keep is not None:
+        kinds[cols["station"]] = "str"
+    kinds.update((cols[role], "float") for role in roles)
     table = read_columns(path, kinds, keep=keep, lenient=True)
     values = {}
-    for role in ("speed", "direction", "temperature", "pressure"):
+    for role in roles:
         raw = table[cols[role]]
         missing = np.isin(raw, schema.sentinels) | ~np.isfinite(raw)
         with np.errstate(invalid="ignore"):
@@ -165,6 +172,8 @@ def hourly_average(raw: RawRecords, schema: SchemaConfig, meta: StationMeta) -> 
         ("temperature", raw.temperature),
         ("pressure", raw.pressure),
     ):
+        if values is None:  # not read
+            continue
         finite = np.isfinite(values)
         counts = np.bincount(pos[finite], minlength=n)
         sums = np.bincount(pos[finite], weights=values[finite], minlength=n)
@@ -173,21 +182,22 @@ def hourly_average(raw: RawRecords, schema: SchemaConfig, meta: StationMeta) -> 
         mean[counts < schema.min_records] = np.nan
         out[name] = mean
 
-    finite = np.isfinite(raw.direction)
-    counts = np.bincount(pos[finite], minlength=n)
-    sin_sum = np.bincount(pos[finite], weights=np.sin(raw.direction[finite]), minlength=n)
-    cos_sum = np.bincount(pos[finite], weights=np.cos(raw.direction[finite]), minlength=n)
-    direction = np.arctan2(sin_sum, cos_sum) % (2.0 * math.pi)
-    direction[counts < schema.min_records] = np.nan
-    out["wind_direction"] = direction
+    if raw.direction is not None:
+        finite = np.isfinite(raw.direction)
+        counts = np.bincount(pos[finite], minlength=n)
+        sin_sum = np.bincount(pos[finite], weights=np.sin(raw.direction[finite]), minlength=n)
+        cos_sum = np.bincount(pos[finite], weights=np.cos(raw.direction[finite]), minlength=n)
+        direction = np.arctan2(sin_sum, cos_sum) % (2.0 * math.pi)
+        direction[counts < schema.min_records] = np.nan
+        out["wind_direction"] = direction
 
     return StationSeries(meta=meta, times=axis, **out)
 
 
-def _load_station(path, schema: SchemaConfig, meta: StationMeta):
+def _load_station(path, schema: SchemaConfig, meta: StationMeta, roles: Sequence[str]):
     """read_raw + hourly_average for one station file; returns the series and
     the number of rows with a malformed numeric field."""
-    raw = read_raw(path, schema, station_id=meta.id)
+    raw = read_raw(path, schema, station_id=meta.id, roles=roles)
     return hourly_average(raw, schema, meta), raw.n_malformed
 
 
@@ -218,9 +228,11 @@ def read_stations_csv(path) -> list[StationMeta]:
 
 
 def load_network_dir(directory, schema: SchemaConfig = CANONICAL_SCHEMA,
-                     station_ids: Sequence[str] | None = None, pool=None):
+                     station_ids: Sequence[str] | None = None,
+                     roles: Sequence[str] = FIELD_ROLES, pool=None):
     """Load a directory of per-station CSVs plus a stations.csv metadata file,
-    in stations.csv order. With an executor ``pool``, each station file is
+    in stations.csv order, reading only the measured ``roles`` (the series'
+    other fields are None). With an executor ``pool``, each station file is
     read in a worker; the malformed-row warnings are logged here either way,
     one per station in that order."""
     meta_path = os.path.join(directory, "stations.csv")
@@ -237,7 +249,8 @@ def load_network_dir(directory, schema: SchemaConfig = CANONICAL_SCHEMA,
     for meta, path in zip(metas, paths):
         if not os.path.exists(path):
             raise LoadError(f"no data file for station {meta.id}: {path}")
-    loaded = (pool.map if pool else map)(_load_station, paths, repeat(schema), metas)
+    loaded = (pool.map if pool else map)(_load_station, paths, repeat(schema), metas,
+                                         repeat(tuple(roles)))
     series = []
     for meta, path, (station, n_malformed) in zip(metas, paths, loaded):
         if n_malformed:

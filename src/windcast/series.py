@@ -3,6 +3,7 @@
 Internal conventions: wind speed in m/s, direction in mathematical radians
 [0, 2*pi) (the direction the air moves toward, counterclockwise from east),
 temperature in degrees Celsius, pressure in hPa. Missing values are NaN.
+A field that was not read (a stage loads only the fields it uses) is None.
 """
 
 from __future__ import annotations
@@ -41,19 +42,20 @@ class StationMeta:
 
 @dataclass
 class StationSeries:
-    """Hourly observations for one station; NaN marks missing values."""
+    """Hourly observations for one station; NaN marks missing values, and
+    None a field that was not read."""
 
     meta: StationMeta
     times: np.ndarray  # int64 epoch hours, strictly increasing
-    wind_speed: np.ndarray
-    wind_direction: np.ndarray  # radians [0, 2*pi)
-    temperature: np.ndarray  # degC
-    pressure: np.ndarray  # hPa
+    wind_speed: np.ndarray | None = None
+    wind_direction: np.ndarray | None = None  # radians [0, 2*pi)
+    temperature: np.ndarray | None = None  # degC
+    pressure: np.ndarray | None = None  # hPa
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.int64)
         n = self.times.size
-        for name in FIELDS:
+        for name in self.fields():
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (n,):
                 raise InvalidInputError(f"{name} length {arr.shape} != times length {n}")
@@ -61,27 +63,32 @@ class StationSeries:
         if n > 1 and not np.all(np.diff(self.times) > 0):
             raise InvalidInputError(f"station {self.meta.id}: times not strictly increasing")
         speeds = self.wind_speed
-        if np.any(speeds[np.isfinite(speeds)] < 0):
+        if speeds is not None and np.any(speeds[np.isfinite(speeds)] < 0):
             raise InvalidInputError(f"station {self.meta.id}: negative wind speeds")
 
     @property
     def n(self) -> int:
         return int(self.times.size)
 
+    def fields(self) -> list[str]:
+        """The names in FIELDS of the fields that were read."""
+        return [name for name in FIELDS if getattr(self, name) is not None]
+
 
 @dataclass
 class Network:
     """Several stations aligned on one contiguous hourly axis.
 
-    Field arrays have shape (S, n) with NaN where a station did not report.
+    Field arrays have shape (S, n) with NaN where a station did not report;
+    a field that was not read is None.
     """
 
     times: np.ndarray
     stations: list[StationMeta]
-    wind_speed: np.ndarray
-    wind_direction: np.ndarray
-    temperature: np.ndarray
-    pressure: np.ndarray
+    wind_speed: np.ndarray | None = None
+    wind_direction: np.ndarray | None = None
+    temperature: np.ndarray | None = None
+    pressure: np.ndarray | None = None
     _index: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -95,10 +102,13 @@ class Network:
         end = max(int(s.times[-1]) for s in series if s.n) + 1
         times = np.arange(start, end, dtype=np.int64)
         n, S = times.size, len(series)
-        arrays = {name: np.full((S, n), np.nan) for name in FIELDS}
+        names = series[0].fields()
+        if any(s.fields() != names for s in series):
+            raise InvalidInputError("stations read with different fields")
+        arrays = {name: np.full((S, n), np.nan) for name in names}
         for i, s in enumerate(series):
             pos = s.times - start
-            for name in FIELDS:
+            for name in names:
                 arrays[name][i, pos] = getattr(s, name)
         return cls(times=times, stations=[s.meta for s in series], **arrays)
 
@@ -113,14 +123,9 @@ class Network:
 
     def subset(self, station_ids: Sequence[str]) -> "Network":
         idx = [self.station_index(s) for s in station_ids]
-        return Network(
-            times=self.times,
-            stations=[self.stations[i] for i in idx],
-            wind_speed=self.wind_speed[idx],
-            wind_direction=self.wind_direction[idx],
-            temperature=self.temperature[idx],
-            pressure=self.pressure[idx],
-        )
+        return Network(times=self.times, stations=[self.stations[i] for i in idx],
+                       **{name: getattr(self, name)[idx] for name in FIELDS
+                          if getattr(self, name) is not None})
 
     def centroid(self) -> tuple[float, float]:
         """Mean station latitude/longitude, the local projection origin."""

@@ -8,6 +8,8 @@ calendar.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import InvalidInputError
@@ -19,12 +21,24 @@ _MONTH_SEASON = np.array([0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 0])
 #: Leading values of an array that ``render_once`` looks at to decide whether
 #: its values repeat enough to render each distinct value once.
 RENDER_SAMPLE = 256
+# what iso_text hands numpy: a date, then optionally 'T' and hh[:mm[:ss[.fff]]];
+# numpy reads anything after the time (an offset, a 'z') as a timezone
+_ISO_SHAPE = re.compile(r"-?\d[^T+zZ]*(T\d\d(:\d\d(:\d\d(\.\d*)?)?)?)?")
+# 'YYYY-MM-DDTHH:MMZ': the lowest code unit at each position, and how far
+# above it the unit may be (9 for a digit, 0 for a separator or the 'Z')
+_CANONICAL = np.frombuffer(b"0000-00-00T00:00Z", np.uint8)
+_SPAN = np.where(_CANONICAL == ord("0"), 9, 0).astype(np.uint8)
 
 
 def iso_text(text: str) -> str:
     """Timestamp text as numpy parses it: stripped, 'T' between date and
-    time (a space is accepted), no trailing 'Z'."""
-    return text.strip().replace(" ", "T").removesuffix("Z")
+    time (a space is accepted), no trailing 'Z'. A ValueError for text with
+    a UTC offset, a lowercase 'z' or anything else after the time, which
+    numpy would read through its deprecated timezone parser."""
+    out = text.strip().replace(" ", "T").removesuffix("Z")
+    if not _ISO_SHAPE.fullmatch(out):
+        raise ValueError(f"not an ISO-8601 UTC timestamp: {text!r}")
+    return out
 
 
 def parse_timestamp(text: str) -> np.datetime64:
@@ -40,6 +54,26 @@ def parse_timestamp(text: str) -> np.datetime64:
 
 def epoch_minutes(text: str) -> int:
     return int(parse_timestamp(text).astype("int64"))
+
+
+def canonical_minutes(cells: np.ndarray) -> np.ndarray | None:
+    """Int64 epoch minutes of a 1-D bytes or str array whose every cell is
+    ``YYYY-MM-DDTHH:MMZ``, parsed by one numpy cast of the first 16 code
+    units; None when a cell has any other form or is no date (2008-02-30),
+    for ``parse_timestamp`` to read cell by cell."""
+    unit = np.uint8 if cells.dtype.kind == "S" else np.uint32
+    width = cells.dtype.itemsize // np.dtype(unit).itemsize
+    if width < _CANONICAL.size:
+        return None
+    codes = np.ascontiguousarray(cells).view(unit).reshape(cells.size, width)
+    # unsigned, so a unit below the lowest wraps round to a large difference
+    if codes[:, _CANONICAL.size:].any() or (codes[:, :_CANONICAL.size] - _CANONICAL > _SPAN).any():
+        return None
+    text = np.ascontiguousarray(codes[:, :16]).view(f"{cells.dtype.kind}16").ravel()
+    try:
+        return text.astype("datetime64[m]").view(np.int64)
+    except ValueError:
+        return None
 
 
 def epoch_hour(text: str) -> int:

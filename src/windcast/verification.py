@@ -135,12 +135,14 @@ def score(
 
 
 def score_groups(records: ForecastColumns, variant: str, **kwargs) -> dict:
-    """Score per (station, horizon); keys are those tuples."""
-    keys = sorted(set(zip(records.station.tolist(), records.horizon.tolist())))
-    return {(station, horizon): score(records.take((records.station == station)
-                                                   & (records.horizon == horizon)),
-                                      variant, **kwargs)
-            for station, horizon in keys}
+    """Score per (station, horizon); keys are those tuples, in sorted order.
+    One stable sort groups the rows, so each cell keeps its rows in file order."""
+    order = np.lexsort((records.horizon, records.station))
+    station, horizon = records.station[order], records.horizon[order]
+    new = (station[1:] != station[:-1]) | (horizon[1:] != horizon[:-1])
+    bounds = np.flatnonzero(np.concatenate(([True], new, [True]))) if order.size else []
+    return {(str(station[a]), int(horizon[a])): score(records.take(order[a:b]), variant, **kwargs)
+            for a, b in zip(bounds[:-1], bounds[1:])}
 
 
 def relative_reduction(report: CellScores, baseline: CellScores) -> dict:

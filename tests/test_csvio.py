@@ -3,12 +3,13 @@
 import csv
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 
 from windcast.csvio import _numbers, read_columns, write_columns
-from windcast.errors import LoadError
+from windcast.errors import InvalidInputError, LoadError
 from windcast.forecast import ForecastColumns, read_records_csv, write_records_csv
 from windcast.ingest import (
     CANONICAL_SCHEMA,
@@ -17,7 +18,7 @@ from windcast.ingest import (
     write_station_csv,
 )
 from windcast.series import StationMeta, StationSeries
-from windcast.timeutil import RENDER_SAMPLE, epoch_hour, iso_hours, render_once
+from windcast.timeutil import RENDER_SAMPLE, epoch_hour, iso_hours, parse_timestamp, render_once
 
 T0 = epoch_hour("2008-01-01T00:00")
 KINDS = {"time": "time", "station": "str", "speed": "float"}
@@ -521,11 +522,66 @@ CORPUS = {
         "n,name\n-0,Zürich\n+5,São Paulo\n 7 ,x\n".encode(), {"n": "int", "name": "str"},
         None, True),
     "blank cells": (b"time,station,speed\n2008-01-01T00:00Z,S1,\n2008-01-01T01:00Z,,2\n",
-                    KINDS, None, False),
+                    KINDS, None, True),
     "short row": (b"time,station,speed\n2008-01-01T00:00Z,S1\n", KINDS, None, False),
     "late comment": (b"time,station,speed\n" + ROWS.encode() + b"# x,y,z\n", KINDS, None, False),
     "malformed float": (b"time,station,speed\n2008-01-01T00:00Z,S1,oops\n", KINDS, None, False),
 }
+GAPPY_KINDS = {"speed": "float", "time": "time", "station": "str", "n": "int"}
+GAPPY_ROWS = (b"speed,time,station,n,temp\n"
+              b",2008-01-01T00:00Z,S1,1,\n"  # blanks at the start and end of a row
+              b"1.5,2008-01-01T01:00Z,,2,3\n"  # a blank str cell
+              b"2.5,2008-01-01T02:00Z,S3,3,4\n"
+              b",2008-01-01T03:00Z,S1,4,")  # a blank last cell at EOF
+# gappy station and forecast files: blank cells that the typed pass reads
+CORPUS.update({
+    "gappy station file": (GAPPY_ROWS, GAPPY_KINDS, None, True),
+    "gappy station file, CRLF": (GAPPY_ROWS.replace(b"\n", b"\r\n"), GAPPY_KINDS, None, True),
+    "gappy, blank unread column only": (GAPPY_ROWS, {"time": "time", "n": "int"}, None, True),
+    "gappy, keep": (GAPPY_ROWS, GAPPY_KINDS, ("station", "S1"), True),
+    "gappy, all blank float column": (
+        b"a,mu,b\n1,,x\n2,,y\n", {"a": "int", "mu": "float", "b": "str"}, None, True),
+    "gappy, blank-only row": (b"a,b,c\n1,2,3\n,,\n", {"a": "float", "c": "str"}, None, True),
+    "gappy, space-only and padded floats": (
+        b"x,y,z\n1, ,\n \t2 ,3,\n", {"x": "float", "y": "float"}, None, True),
+    "gappy, python-only number syntax": (
+        b"x,y\n1_0,\n,2\n", {"x": "float", "y": "float"}, None, True),
+    "gappy, malformed float flagged": (
+        b"x,y\noops,\n1,nan(1)\n2,\xc2\xb2\n", {"x": "float", "y": "float"}, None, True),
+    "gappy, non-Latin-1 float cell": (
+        "x,y\n1,\n2,\u0101\n".encode(), {"x": "float", "y": "float"}, None, False),
+    "gappy, non-ASCII text": (
+        "n,name,x\n1,Zürich,\n2,\u0101,3\n".encode(), {"n": "int", "name": "str", "x": "float"},
+        None, True),
+    "gappy, quoted commas and line breaks": (
+        b'time,station,speed\n2008-01-01T00:00Z,"S,\n1",\n2008-01-01T01:00Z,"S""2",2\n',
+        KINDS, None, True),
+    "gappy, wide float cell": (
+        b"x,y\n1,\n" + b"0" * 30 + b"1,2\n", {"x": "float", "y": "float"}, None, False),
+    "NUL bytes": (b"a,b,c\n1,2\0,x\0\n3,,y\n", {"a": "float", "b": "float", "c": "str"},
+                  None, False),
+    "gappy forecast file": (
+        b"station,issue_time,horizon,mu,sigma,point,fallback,observed\r\n"
+        b"S01,2010-01-01T00:00Z,1,,,4.5,0,5.25\r\nS01,2010-01-01T00:00Z,2,,,4.5,0,\r\n"
+        b"S02,2010-01-01T01:00Z,1,3.5,0.5,,1,-0.0\r\n",
+        {"station": "str", "issue_time": "time", "horizon": "int", "mu": "float",
+         "sigma": "float", "point": "float", "fallback": "int", "observed": "float"}, None, True),
+})
+# timestamps off the byte fast path, each read by the typed pass through parse_timestamp
+TIMES = {
+    "space separator": "2008-01-01 05:00",
+    "seconds": "2008-01-01T05:00:59Z",
+    "no Z": "2008-01-01T05:00",
+    "date only": "2008-01-01",
+    "year 10000": "10000-01-01T00:00Z",
+    "year -1": "-0001-01-01T00:00Z",
+    "year 0": "0000-01-01T00:00Z",
+    "padded": " 2008-01-01T05:00Z ",
+}
+# timestamps that are errors on either path
+BAD_TIMES = {"day 30 of February": "2008-02-30T00:00Z", "NaT": "NaT",
+             "UTC offset": "2008-01-01T05:00+02:00", "lowercase z": "2008-01-01T05:00z",
+             "now": "now", "text after the Z": "2008-01-01T05:00Z0"}
 
 
 class TestTypedPath:
@@ -541,6 +597,116 @@ class TestTypedPath:
         _assert_same(result, reference)
         assert taken == typed
 
+    @pytest.mark.parametrize("gappy", [False, True])
+    @pytest.mark.parametrize("name", TIMES)
+    def test_non_canonical_times(self, tmp_path, monkeypatch, name, gappy):
+        path = tmp_path / "f.csv"
+        path.write_text(f"time,station,speed\n2008-01-01T00:00Z,S1,1\n{TIMES[name]},S2,"
+                        f"{'' if gappy else 2}\n")
+        result, taken, reference = _typed_and_reference(monkeypatch, path, KINDS)
+        _assert_same(result, reference)
+        assert taken
+
+    @pytest.mark.parametrize("gappy", [False, True])
+    @pytest.mark.parametrize("name", BAD_TIMES)
+    def test_bad_times_on_both_paths(self, tmp_path, monkeypatch, name, gappy):
+        import windcast.csvio
+
+        path = tmp_path / "f.csv"
+        path.write_text(f"time,station,speed\n2008-01-01T00:00Z,S1,1\n\n{BAD_TIMES[name]},S2,"
+                        f"{'' if gappy else 2}\n")
+        message = r"f\.csv:4: unparseable time " + re.escape(repr(BAD_TIMES[name]))
+        with pytest.raises(LoadError, match=message):  # typed, then csv.reader
+            read_columns(path, KINDS)
+        monkeypatch.setattr(windcast.csvio, "_typed", lambda *args: None)
+        with pytest.raises(LoadError, match=message):  # csv.reader only
+            read_columns(path, KINDS)
+
+    def test_utc_offsets_are_refused_without_a_warning(self):
+        import warnings
+
+        for text in ("2008-01-01T05:00+02:00", "2008-01-01T05:00z", "2008-01-01T05:00-0700",
+                     "2008-01-01T05:00:00.5Z+01"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidInputError, match="unparseable timestamp"):
+                    parse_timestamp(text)
+        assert parse_timestamp("2008-01-01T05:00:30.Z") == np.datetime64("2008-01-01T05:00")
+
+    @pytest.mark.parametrize("kind", ["int", "time"])
+    def test_blank_int_or_time_goes_to_csv_reader(self, tmp_path, monkeypatch, kind):
+        import windcast.csvio
+
+        calls = []
+        monkeypatch.setattr(windcast.csvio, "_field_chunks",
+                            lambda *a, _f=windcast.csvio._field_chunks: calls.append(1) or _f(*a))
+        path = tmp_path / "f.csv"
+        good = "2008-01-01T00:00Z" if kind == "time" else "1"
+        path.write_text(f"a,b\n{good},\n,2\n")
+        with pytest.raises(LoadError, match=rf"f\.csv:3: unparseable {kind} ''"):
+            read_columns(path, {"a": kind, "b": "float"})
+        assert calls  # the typed pass gave the file up
+
+    @pytest.mark.parametrize("rows", [3 * 16, 3 * 16 + 5])
+    def test_gappy_chunks(self, tmp_path, monkeypatch, rows):
+        """A gappy file is read CHUNK_ROWS rows at a time, with the same
+        arrays, also when the rows fill the last chunk exactly."""
+        import windcast.csvio
+
+        monkeypatch.setattr(windcast.csvio, "CHUNK_ROWS", 16)
+        path = tmp_path / "f.csv"
+        speed = np.where(np.arange(rows) % 7 == 3, np.nan, np.arange(rows) / 3.0)
+        write_columns(path, ["time", "station", "speed"],
+                      [iso_hours(T0 + np.arange(rows)), [f"S{i % 5}" for i in range(rows)],
+                       speed], ["provenance"])
+        result, taken, reference = _typed_and_reference(
+            monkeypatch, path, KINDS, keep=("station", "S2"))
+        _assert_same(result, reference)
+        assert taken and result["speed"].tobytes() == speed[np.arange(rows) % 5 == 2].tobytes()
+
+    def test_gappy_loadtxt_sees_at_most_chunk_rows(self, tmp_path, monkeypatch):
+        from windcast.csvio import CHUNK_ROWS
+
+        seen = []
+
+        def spy(*args, _loadtxt=np.loadtxt, **kwargs):
+            table = _loadtxt(*args, **kwargs)
+            seen.append(len(table))
+            return table
+
+        rows = 3 * CHUNK_ROWS + 5
+        path = tmp_path / "f.csv"
+        speed = np.where(np.arange(rows) % 2 == 0, np.nan, 1.5)
+        write_columns(path, ["time", "station", "speed"],
+                      [iso_hours(T0 + np.arange(rows)), ["S1"] * rows, speed])
+        monkeypatch.setattr(np, "loadtxt", spy)
+        back = read_columns(path, KINDS)
+        assert back["speed"].tobytes() == speed.tobytes()
+        assert seen == [CHUNK_ROWS] * 3 + [5]
+
+    def test_blank_forecast_columns_stay_typed(self, tmp_path, monkeypatch):
+        """A 104,256-row persistence forecast file, with mu and sigma blank on
+        every row, is read without the csv.reader path."""
+        import windcast.csvio
+
+        def fail(*args):
+            raise AssertionError("the csv.reader path read a forecast file")
+
+        n = 104_256
+        j = np.arange(n)
+        cols = ForecastColumns(
+            station=np.array(["S01", "S02", "S03", "S04"])[j % 4], issue_time=T0 + j // 24,
+            horizon=1 + j % 6, mu=np.full(n, math.nan), sigma=np.full(n, math.nan),
+            point=np.where(j % 1000 == 7, math.nan, j / 7.0), fallback=j % 5 == 0,
+            observed=np.where(j % 999 == 0, math.nan, -j / 9.0))
+        path = tmp_path / "PSS.csv"
+        write_records_csv(cols, path)
+        monkeypatch.setattr(windcast.csvio, "_field_chunks", fail)
+        back = read_records_csv(path)
+        for name in ("station", "issue_time", "horizon", "mu", "sigma", "point", "fallback",
+                     "observed"):
+            assert getattr(back, name).tobytes() == getattr(cols, name).tobytes(), name
+
     @pytest.mark.parametrize("nonfinite", ["", None])
     def test_edge_floats(self, tmp_path, monkeypatch, nonfinite):
         path = tmp_path / "f.csv"
@@ -552,8 +718,8 @@ class TestTypedPath:
         kinds = {"s": "str", "x": "float", "t": "time", "n": "int"}
         result, taken, reference = _typed_and_reference(monkeypatch, path, kinds)
         _assert_same(result, reference)
-        assert taken == (nonfinite is None)  # blank non-finite cells go to csv.reader
-        if taken:
+        assert taken  # blank non-finite cells read NaN on the typed path too
+        if nonfinite is None:
             assert result["x"].tobytes() == values.tobytes()
 
     def test_late_comment_with_the_header_width(self, tmp_path, monkeypatch):
@@ -617,16 +783,34 @@ class TestTypedPath:
         (b'a,b\r\n"1",2\r\n', False),
     ])
     def test_prescan(self, body, plain):
-        from windcast.csvio import _plain
+        from windcast.csvio import _prescan
 
-        assert _plain(body) is plain
+        assert (_prescan(body) == "plain") is plain
+
+    @pytest.mark.parametrize("body, shape", [
+        (b"a,b\n1,,2\n", "gappy"),
+        (b"a,b\n1,\n", "gappy"),
+        (b"a,b\r\n1,\r\n", "gappy"),
+        (b"a,b\n,2\n", "gappy"),
+        (b"a,b\n1,", "gappy"),
+        (b'a,b\n"1",\n', "gappy"),
+        (b"a,b\n1,2\n#\n", None),
+        (b"a,b\n1,\n#\n", None),
+        (b'a,b\r\n"1",2\r\n', None),
+        (b'a,b\r\n"1",\r\n', None),
+        (b"a,b\n1,2\0\n", None),
+    ])
+    def test_prescan_gappy_or_refused(self, body, shape):
+        from windcast.csvio import _prescan
+
+        assert _prescan(body) == shape
 
     def test_refused_file_skips_loadtxt(self, tmp_path, monkeypatch):
         path = tmp_path / "f.csv"
-        path.write_text("time,station,speed\n" + ROWS * 50 + "2008-01-02T00:00Z,S1,\n")
+        path.write_text("time,station,speed\n" + ROWS * 50 + "# late\n2008-01-02T00:00Z,S1,\n")
 
         def fail(*args, **kwargs):
-            raise AssertionError("loadtxt called on a file with a blank cell")
+            raise AssertionError("loadtxt called on a file with a '#' line after its header")
 
         monkeypatch.setattr(np, "loadtxt", fail)
         back = read_columns(path, KINDS)

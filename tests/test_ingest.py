@@ -7,7 +7,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from windcast.errors import LoadError
+from windcast.errors import InvalidInputError, LoadError
 from windcast.ingest import (
     CANONICAL_SCHEMA,
     MATH_TOWARD,
@@ -20,7 +20,7 @@ from windcast.ingest import (
     write_station_csv,
     write_stations_csv,
 )
-from windcast.series import StationMeta, StationSeries
+from windcast.series import Network, StationMeta, StationSeries
 from windcast.timeutil import epoch_hour
 
 META = StationMeta(id="PICT", latitude=33.6, longitude=-100.8, elevation=700.0)
@@ -221,6 +221,28 @@ def test_load_network_dir_warns_per_station_with_malformed_rows(tmp_path, caplog
     warnings = [r.getMessage() for r in caplog.records]
     assert len(warnings) == 1
     assert "PICT" in warnings[0] and "2 rows" in warnings[0]
+
+
+def test_unread_roles_are_absent(tmp_path, caplog):
+    """A load reads only the roles it is given: the others are None, not
+    NaN, and a malformed cell in an unread column is not counted."""
+    write_stations_csv([META], tmp_path / "stations.csv")
+    header = "time_utc,station,wind_speed_ms,wind_dir_deg,temp_c,pressure_hpa"
+    rows = [f"2008-01-01T{h:02d}:00Z,PICT,fast,,15.0,{920 + h}" for h in range(4)]
+    _write(tmp_path / "PICT.csv", rows, header=header)
+    with caplog.at_level(logging.WARNING, logger="windcast.ingest"):
+        series = load_network_dir(tmp_path, roles=("temperature", "pressure"))
+    assert not caplog.records
+    assert series[0].wind_speed is None and series[0].wind_direction is None
+    assert series[0].pressure.tolist() == [920.0, 921.0, 922.0, 923.0]
+    network = Network.from_series(series)
+    assert network.wind_speed is None and network.temperature.shape == (1, 4)
+    assert network.subset(["PICT"]).wind_direction is None
+    raw = read_raw(tmp_path / "PICT.csv", CANONICAL_SCHEMA, roles=("speed",))
+    assert raw.n_malformed == 4 and raw.temperature is None and np.isnan(raw.speed).all()
+    with pytest.raises(InvalidInputError, match="different fields"):
+        Network.from_series([series[0], load_station_csv(tmp_path / "PICT.csv",
+                                                         CANONICAL_SCHEMA, META)])
 
 
 def test_stations_metadata_round_trip(tmp_path):

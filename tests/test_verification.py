@@ -121,6 +121,23 @@ class TestScore:
         groups = score_groups(recs, "TDD")
         assert set(groups) == {("S01", 2), ("S02", 2)}
 
+    def test_groups_keep_each_cells_rows_in_order(self):
+        """score_groups' one stable sort gives each cell the rows, in file
+        order, that a mask of its (station, horizon) selects."""
+        parts = [_records(n=90, station=st, k=k, seed=i)
+                 for i, (st, k) in enumerate([("S02", 3), ("S01", 1), ("S10", 2), ("S01", 3)])]
+        recs = ForecastColumns.concat(parts).take(np.random.default_rng(5).permutation(360))
+        recs.horizon[::7] = 1  # a cell whose rows come from several parts
+        groups = score_groups(recs, "TDD")
+        keys = sorted(set(zip(recs.station.tolist(), recs.horizon.tolist())))
+        assert list(groups) == keys
+        for (st, k), report in groups.items():
+            expected = score(recs.take((recs.station == st) & (recs.horizon == k)), "TDD")
+            for name in vars(expected):
+                assert (np.asarray(getattr(report, name)).tobytes()
+                        == np.asarray(getattr(expected, name)).tobytes()), name
+        assert score_groups(recs.take(np.zeros(0, dtype=int)), "TDD") == {}
+
     def test_fallback_exclusion(self):
         recs = _records(n=100, seed=4)
         recs.fallback[:30] = True
