@@ -50,6 +50,7 @@ from .model import ModelData, PERSISTENCE
 from .series import Network
 from .synth import write_dataset
 from .verification import (
+    SCORE_METRICS,
     format_score_table,
     read_scores_csv,
     relative_reduction,
@@ -238,7 +239,7 @@ def cmd_report(cfg: RunConfig) -> None:
     reports = read_scores_csv(scores_path)
     by_key = {(r.variant, r.station, r.horizon): r for r in reports}
     lines = [f"windcast {__version__} verification report (config {cfg.digest()})", ""]
-    for metric in ("mae", "rmse", "crps", "width90"):
+    for metric in SCORE_METRICS:
         lines.append(format_score_table(reports, metric))
     baseline_variant = PERSISTENCE if PERSISTENCE in cfg.variants else cfg.variants[0]
     lines.append(f"Relative reduction vs {baseline_variant} (percent, overall MAE):")
@@ -248,7 +249,7 @@ def cmd_report(cfg: RunConfig) -> None:
         base = by_key.get((baseline_variant, r.station, r.horizon))
         if base is None:
             continue
-        red = relative_reduction(r, base)["overall"]["mae"]
+        red = relative_reduction(r.overall["mae"], base.overall["mae"])
         text = f"{red:.1f}%" if math.isfinite(red) else "n/a"
         lines.append(f"  {r.station} k={r.horizon} {r.variant}: {text}")
     path = os.path.join(cfg.out_dir, "report.txt")

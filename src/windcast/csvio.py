@@ -233,7 +233,9 @@ def _typed(path, kinds: Mapping[str, str], index: dict, keep, skip: int,
     flags, rows_read = [], 0
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # e.g. numpy < 2 reading '1.0' as an int
+            # any warning of loadtxt or a cast sends the file to csv.reader,
+            # which reads every cell as the typed pass would or says why not
+            warnings.simplefilter("error")
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             tables = (_gappy_tables(path, dtype, usecols, skip) if gappy else
                       [np.loadtxt(path, dtype, skiprows=skip, usecols=usecols, **_LOADTXT)])

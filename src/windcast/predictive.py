@@ -86,13 +86,15 @@ def _truncation_terms(a, w):
         g = -2 (1 - Phi(w)) / P,   t2 = 2 phi(w) / P,
         t3 = Phi(sqrt(2) a) / (sqrt(pi) P^2),   m = phi(a) / P.
 
-    Mild truncation (min a > -5, the operating regime) takes direct ndtr
-    evaluations; heavier truncation goes through log-space ratios.
+    Rows of mild truncation (a > -5, the operating regime) take direct ndtr
+    evaluations; rows of heavier truncation go through log-space ratios. The
+    regime is chosen row by row, so a row's terms do not depend on the
+    other rows of the call.
     """
     from scipy.special import log_ndtr, ndtr
 
-    a_min = float(np.min(a)) if np.ndim(a) else float(a)
-    if a_min > -5.0:
+    heavy = a <= -5.0
+    if not np.any(heavy):
         p_inv = 1.0 / ndtr(a)
         g = (2.0 * ndtr(w) - 2.0) * p_inv
         t2 = 2.0 * np.exp(-0.5 * w * w - _LOG_SQRT_2PI) * p_inv
@@ -105,7 +107,12 @@ def _truncation_terms(a, w):
         t2 = 2.0 * np.exp(-0.5 * w * w - _LOG_SQRT_2PI - log_p)
         t3 = _INV_SQRT_PI * np.exp(log_ndtr(_SQRT2 * a) - 2.0 * log_p)
         m = np.exp(-0.5 * a * a - _LOG_SQRT_2PI - log_p)
-    return g, t2, t3, m
+    if np.all(heavy):
+        return g, t2, t3, m
+    # the mild rows again, directly; a = 0 keeps the heavy rows' ndtr(a) off 0
+    mild = _truncation_terms(np.where(heavy, 0.0, a), w)
+    return tuple(np.where(heavy, log_term, direct)
+                 for log_term, direct in zip((g, t2, t3, m), mild))
 
 
 def _exponential_tail(mu, sigma, y, rows):

@@ -221,31 +221,3 @@ def write_dataset(config: SynthConfig, out_dir, const: PhysicalConstants = Physi
     list(written)  # the station files are complete, and a worker's error raised, here
     return series, truth
 
-
-def roundtrip_config(height_noise_m: float = 0.0, seed: int = 31337) -> SynthConfig:
-    """30-day, 12-station setup for estimator round-trip checks."""
-    return SynthConfig(
-        seed=seed,
-        days=30,
-        n_stations=12,
-        height_noise_m=height_noise_m,
-        noise_sigma=0.0,
-        dir_noise_sigma=0.0,
-        diurnal_amplitude=0.0,
-        kappa=1.0,
-        friction_angle_deg=0.0,
-        response_lag_hours=0,
-    )
-
-
-def benchmark_config(seed: int = 424242) -> SynthConfig:
-    """Three synthetic years (two train, one test) for forecasting skill runs.
-
-    Four inner target stations surrounded by a 12-station barometer ring.
-    """
-    return SynthConfig(seed=seed, days=1096, n_stations=12, n_inner=4,
-                       height_noise_m=0.5)
-
-
-BENCHMARK_TARGETS = ("S01", "S02", "S03", "S04")
-BENCHMARK_GW_STATIONS = tuple(f"S{i:02d}" for i in range(5, 17))

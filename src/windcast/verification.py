@@ -1,13 +1,17 @@
 """Forecast verification: MAE/RMSE/CRPS, PIT histograms and sharpness.
 
-Scores are reported per calendar month of the valid time and overall;
-overall values are the sample-weighted aggregates of the monthly cells
-(pooled squared errors for RMSE), so the two views are consistent by
-construction. Probabilistic scores (CRPS, PIT, interval width) cover the
-records that carry a distribution; point scores cover every record with a
-usable point forecast and observation. Fallback records are scored too,
-which matches the headline treatment of full test samples; to leave them
-out, score ``cols.take(~cols.fallback)``.
+``SCORE_METRICS`` names the four scores, in the order of scores.csv's
+columns and report's tables: MAE, RMSE, CRPS and the mean width of the
+central ``interval_level`` interval (90% by default). A cell's ``monthly``
+and ``overall`` mappings are keyed by them: ``monthly[metric]`` is an array
+by calendar month of the valid time, ``overall[metric]`` a float. Overall
+values are the sample-weighted aggregates of the monthly cells (pooled
+squared errors for RMSE), so the two views are consistent by construction.
+Probabilistic scores (CRPS, PIT, interval width) cover the records that
+carry a distribution; point scores cover every record with a usable point
+forecast and observation. Fallback records are scored too, which matches
+the headline treatment of full test samples; to leave them out, score
+``cols.take(~cols.fallback)``.
 """
 
 from __future__ import annotations
@@ -25,26 +29,23 @@ from .forecast import ForecastColumns
 from .predictive import cdf_values, crps_values, quantile_values
 from .timeutil import format_month, month_index
 
+SCORE_METRICS = ("mae", "rmse", "crps", "width90")
+
 
 @dataclass
 class CellScores:
     """The monthly and overall scores of one (station, variant, horizon) cell:
-    what scores.csv holds."""
+    what scores.csv holds. ``monthly`` and ``overall`` are keyed by
+    SCORE_METRICS."""
 
     station: str
     variant: str
     horizon: int
     months: tuple  # month indices (months since 1970-01), sorted
     n_by_month: np.ndarray
-    mae_by_month: np.ndarray
-    rmse_by_month: np.ndarray
-    crps_by_month: np.ndarray
-    width_by_month: np.ndarray
     n_scored: int
-    mae: float
-    rmse: float
-    crps: float
-    mean_width: float
+    monthly: dict  # metric -> array by month
+    overall: dict  # metric -> float
 
 
 @dataclass
@@ -52,9 +53,7 @@ class ScoreReport(CellScores):
     """Verification scores for one (station, variant, horizon) cell."""
 
     n_prob: int
-    interval_level: float
     pit_counts: np.ndarray
-    n_fallback: int
 
 
 def score(
@@ -81,10 +80,7 @@ def score(
 
     months = tuple(int(m) for m in np.unique(valid_month))
     n_by_month = np.zeros(len(months), dtype=np.int64)
-    mae_m = np.full(len(months), np.nan)
-    rmse_m = np.full(len(months), np.nan)
-    crps_m = np.full(len(months), np.nan)
-    width_m = np.full(len(months), np.nan)
+    monthly = {metric: np.full(len(months), np.nan) for metric in SCORE_METRICS}
 
     prob = np.isfinite(usable.mu) & np.isfinite(usable.sigma)
     crps_all = np.full(len(usable), np.nan)
@@ -103,35 +99,23 @@ def score(
     for i, m in enumerate(months):
         sel = valid_month == m
         n_by_month[i] = sel.sum()
-        mae_m[i] = abs_err[sel].mean()
-        rmse_m[i] = math.sqrt(sq_err[sel].mean())
+        monthly["mae"][i] = abs_err[sel].mean()
+        monthly["rmse"][i] = math.sqrt(sq_err[sel].mean())
         psel = sel & prob
         if np.any(psel):
-            crps_m[i] = crps_all[psel].mean()
-            width_m[i] = width_all[psel].mean()
+            monthly["crps"][i] = crps_all[psel].mean()
+            monthly["width90"][i] = width_all[psel].mean()
 
     n_prob = int(prob.sum())
     pit_counts, _ = np.histogram(pit_all[prob], bins=pit_bins, range=(0.0, 1.0))
     return ScoreReport(
-        station=str(usable.station[0]),
-        variant=variant,
-        horizon=int(usable.horizon[0]),
-        months=months,
-        n_by_month=n_by_month,
-        mae_by_month=mae_m,
-        rmse_by_month=rmse_m,
-        crps_by_month=crps_m,
-        width_by_month=width_m,
-        n_scored=len(usable),
-        mae=float(abs_err.mean()),
-        rmse=float(math.sqrt(sq_err.mean())),
-        n_prob=n_prob,
-        crps=float(crps_all[prob].mean()) if n_prob else math.nan,
-        mean_width=float(width_all[prob].mean()) if n_prob else math.nan,
-        interval_level=interval_level,
-        pit_counts=pit_counts,
-        n_fallback=int(records.fallback.sum()),
-    )
+        station=str(usable.station[0]), variant=variant, horizon=int(usable.horizon[0]),
+        months=months, n_by_month=n_by_month, n_scored=len(usable), monthly=monthly,
+        overall={"mae": float(abs_err.mean()),
+                 "rmse": float(math.sqrt(sq_err.mean())),
+                 "crps": float(crps_all[prob].mean()) if n_prob else math.nan,
+                 "width90": float(width_all[prob].mean()) if n_prob else math.nan},
+        n_prob=n_prob, pit_counts=pit_counts)
 
 
 def score_groups(records: ForecastColumns, variant: str, **kwargs) -> dict:
@@ -145,40 +129,17 @@ def score_groups(records: ForecastColumns, variant: str, **kwargs) -> dict:
             for a, b in zip(bounds[:-1], bounds[1:])}
 
 
-def relative_reduction(report: CellScores, baseline: CellScores) -> dict:
+def relative_reduction(model: float, baseline: float) -> float:
     """Percent score reduction vs. a baseline: 100*(baseline - model)/baseline.
 
-    NaN marks cells where the baseline is zero (undefined) or missing.
+    NaN where the baseline is zero (undefined) or either score is not finite.
     """
-    if (report.station, report.horizon) != (baseline.station, baseline.horizon):
-        raise InvalidInputError("relative reduction needs matching station and horizon")
-
-    def pct(b, m):
-        if not (math.isfinite(b) and math.isfinite(m)) or b == 0.0:
-            return math.nan
-        return 100.0 * (b - m) / b
-
-    out = {"overall": {"mae": pct(baseline.mae, report.mae),
-                       "rmse": pct(baseline.rmse, report.rmse),
-                       "crps": pct(baseline.crps, report.crps)}}
-    base_months = {m: i for i, m in enumerate(baseline.months)}
-    monthly = {}
-    for i, m in enumerate(report.months):
-        j = base_months.get(m)
-        if j is None:
-            continue
-        monthly[format_month(m)] = {
-            "mae": pct(baseline.mae_by_month[j], report.mae_by_month[i]),
-            "rmse": pct(baseline.rmse_by_month[j], report.rmse_by_month[i]),
-            "crps": pct(baseline.crps_by_month[j], report.crps_by_month[i]),
-        }
-    out["monthly"] = monthly
-    return out
+    if not (math.isfinite(baseline) and math.isfinite(model)) or baseline == 0.0:
+        return math.nan
+    return 100.0 * (baseline - model) / baseline
 
 
-SCORES_CSV_COLUMNS = (
-    "station", "variant", "horizon", "month", "n", "mae", "rmse", "crps", "width90",
-)
+SCORES_CSV_COLUMNS = ("station", "variant", "horizon", "month", "n") + SCORE_METRICS
 
 
 def _write_blocks(path, header, blocks, header_lines) -> None:
@@ -196,16 +157,15 @@ def write_scores_csv(reports: Sequence[CellScores], path,
         blocks.append(([r.station] * k, [r.variant] * k, [r.horizon] * k,
                        [format_month(m) for m in r.months] + ["overall"],
                        r.n_by_month.tolist() + [r.n_scored],
-                       r.mae_by_month.tolist() + [r.mae],
-                       r.rmse_by_month.tolist() + [r.rmse],
-                       r.crps_by_month.tolist() + [r.crps],
-                       r.width_by_month.tolist() + [r.mean_width]))
+                       *(r.monthly[metric].tolist() + [r.overall[metric]]
+                         for metric in SCORE_METRICS)))
     _write_blocks(path, SCORES_CSV_COLUMNS, blocks, header_lines)
 
 
 def read_scores_csv(path) -> list[CellScores]:
     """The cells of a scores.csv in file order; floats read back bit-exactly."""
-    kinds = dict(zip(SCORES_CSV_COLUMNS, ("str", "str", "int", "str", "int") + ("float",) * 4))
+    kinds = dict(zip(SCORES_CSV_COLUMNS,
+                     ("str", "str", "int", "str", "int") + ("float",) * len(SCORE_METRICS)))
     table = read_columns(path, kinds)
     cells, lo = [], 0
     for end in np.flatnonzero(table["month"] == "overall").tolist():
@@ -214,11 +174,9 @@ def read_scores_csv(path) -> list[CellScores]:
             station=str(table["station"][end]), variant=str(table["variant"][end]),
             horizon=int(table["horizon"][end]),
             months=tuple(table["month"][rows].astype("datetime64[M]").astype(np.int64).tolist()),
-            n_by_month=table["n"][rows], mae_by_month=table["mae"][rows],
-            rmse_by_month=table["rmse"][rows], crps_by_month=table["crps"][rows],
-            width_by_month=table["width90"][rows], n_scored=int(table["n"][end]),
-            mae=float(table["mae"][end]), rmse=float(table["rmse"][end]),
-            crps=float(table["crps"][end]), mean_width=float(table["width90"][end])))
+            n_by_month=table["n"][rows], n_scored=int(table["n"][end]),
+            monthly={metric: table[metric][rows] for metric in SCORE_METRICS},
+            overall={metric: float(table[metric][end]) for metric in SCORE_METRICS}))
         lo = end + 1
     return cells
 
@@ -239,25 +197,18 @@ def write_pit_csv(reports: Sequence[ScoreReport], path,
 def format_score_table(reports: Sequence[CellScores], metric: str) -> str:
     """Plain-text table: one row per (station, variant), months as columns,
     'Overall' last."""
-    getters = {
-        "mae": (lambda r: r.mae_by_month, lambda r: r.mae),
-        "rmse": (lambda r: r.rmse_by_month, lambda r: r.rmse),
-        "crps": (lambda r: r.crps_by_month, lambda r: r.crps),
-        "width90": (lambda r: r.width_by_month, lambda r: r.mean_width),
-    }
-    if metric not in getters:
+    if metric not in SCORE_METRICS:
         raise InvalidInputError(f"unknown metric {metric!r}")
-    monthly_of, overall_of = getters[metric]
     all_months = sorted({m for r in reports for m in r.months})
     headers = ["Site", "Model", "k"] + [format_month(m) for m in all_months] + ["Overall"]
     lines = [f"{metric.upper()} (m/s)", "  ".join(headers)]
     for r in reports:
         cells = []
-        by_month = dict(zip(r.months, monthly_of(r)))
+        by_month = dict(zip(r.months, r.monthly[metric]))
         for m in all_months:
             v = by_month.get(m, math.nan)
             cells.append(f"{v:.3f}" if math.isfinite(v) else "--")
-        overall = overall_of(r)
+        overall = r.overall[metric]
         cells.append(f"{overall:.3f}" if math.isfinite(overall) else "--")
         lines.append("  ".join([r.station, r.variant, str(r.horizon)] + cells))
     return "\n".join(lines) + "\n"

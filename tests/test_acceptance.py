@@ -24,7 +24,7 @@ from windcast.predictive import cdf_values, crps_numeric, crps_values, quantile_
 from windcast.series import Network
 from windcast.timeutil import epoch_hour, hours_of_day
 
-from conftest import run_pipeline
+from conftest import roundtrip_config, run_pipeline
 
 
 def _report(num, ok, detail):
@@ -85,13 +85,13 @@ def test_criterion_2_quantile_inversion():
 
 
 def test_criterion_3_geostrophic_round_trip():
-    series, truth = synth.generate(synth.roundtrip_config(height_noise_m=0.0))
+    series, truth = synth.generate(roundtrip_config(height_noise_m=0.0))
     est = estimate_series(Network.from_series(series), policy=MeanRemovalPolicy.NONE)
     worst = max(float(np.nanmax(np.abs(est.u_g - truth.u_g))),
                 float(np.nanmax(np.abs(est.v_g - truth.v_g))))
 
     noisy_series, noisy_truth = synth.generate(
-        synth.roundtrip_config(height_noise_m=1.0))
+        roundtrip_config(height_noise_m=1.0))
     noisy = estimate_series(Network.from_series(noisy_series),
                             policy=MeanRemovalPolicy.NONE)
     rmse = float(np.sqrt(np.nanmean((noisy.w_g - noisy_truth.w_g) ** 2)))

@@ -273,6 +273,22 @@ def csv_config(unit="m_s"):
     return cfg
 
 
+@pytest.mark.skipif(not getattr(yaml, "__with_libyaml__", False),
+                    reason="PyYAML was built without libyaml")
+@pytest.mark.parametrize("raw", [benchmark_config_dict("out"), small_config("out"),
+                                 csv_config("m_s"), csv_config("mph")],
+                         ids=["benchmark", "small", "csv-m_s", "csv-mph"])
+def test_libyaml_reads_and_writes_configs_as_pure_python_does(tmp_path, raw):
+    """config.yaml is the same text whichever classes PyYAML offers."""
+    cfg = config_from_dict(raw)
+    text = yaml.dump(cfg.to_dict(), Dumper=yaml.SafeDumper, sort_keys=True)
+    assert yaml.dump(cfg.to_dict(), Dumper=yaml.CSafeDumper, sort_keys=True) == text
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+    dump_config(cfg, tmp_path / "config.yaml")
+    assert (tmp_path / "config.yaml").read_text() == text
+    assert load_config(tmp_path / "config.yaml").digest() == cfg.digest()
+
+
 class TestConfigDigest:
     def test_synth_digest_unchanged(self):
         cfg = small_config("out")

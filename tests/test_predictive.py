@@ -130,7 +130,7 @@ class TestCrps:
 
 class TestCrpsGradient:
     """``_crps_grad`` against central differences of ``crps_values``, one
-    array per regime (the regime follows the smallest mu/sigma in a call)."""
+    array per regime."""
 
     @staticmethod
     def _grid(a_values):
@@ -178,6 +178,40 @@ class TestCrpsGradient:
         tail_crps, d_lam, _, _ = _exponential_tail(mu, sigma, y, np.ones(mu.size, bool))
         np.testing.assert_allclose(crps, tail_crps, rtol=20 / a**2, atol=0)
         np.testing.assert_allclose(d_mu, -d_lam / sigma**2, rtol=20 / a**2, atol=0)
+
+
+class TestRowsAreIndependent:
+    """A row's CRPS and derivatives do not depend on the other rows of the
+    call: ``_truncation_terms`` picks its regime row by row."""
+
+    @staticmethod
+    def _rows(n=1000, seed=3):
+        rng = np.random.default_rng(seed)
+        sigma = rng.uniform(0.3, 3.0, n)
+        return rng.uniform(0.0, 4.0, n) * sigma, sigma, rng.uniform(0.0, 10.0, n)
+
+    def test_a_heavy_row_leaves_mild_rows_unchanged(self):
+        mu, sigma, y = self._rows()
+        extra = np.append(mu, -6.0 * 1.2), np.append(sigma, 1.2), np.append(y, 0.3)
+        assert crps_values(*extra)[:-1].tobytes() == crps_values(mu, sigma, y).tobytes()
+        for alone, mixed in zip(_crps_grad(mu, sigma, y, hessian=True),
+                                _crps_grad(*extra, hessian=True)):
+            assert mixed[:-1].tobytes() == alone.tobytes()
+
+    def test_heavy_rows_match_their_own_call(self):
+        mu, sigma, y = self._rows(n=20)
+        a = np.array([-6.0, -12.0, -45.0, -400.0])
+        heavy = a * sigma[:4], sigma[:4], y[:4]
+        mixed = [np.concatenate(pair) for pair in zip(heavy, (mu, sigma, y))]
+        for alone, both in zip(_crps_grad(*heavy, hessian=True),
+                               _crps_grad(*mixed, hessian=True)):
+            assert both[:4].tobytes() == alone.tobytes()
+            assert np.all(np.isfinite(both))
+
+    @pytest.mark.parametrize("a", [2.0, -6.0])
+    def test_scalar_inputs_give_scalars(self, a):
+        assert np.ndim(crps_values(a * 1.5, 1.5, 0.7)) == 0
+        assert all(np.ndim(v) == 0 for v in _crps_grad(a * 1.5, 1.5, 0.7, hessian=True))
 
 
 class TestCrpsHessian:

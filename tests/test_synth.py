@@ -11,6 +11,8 @@ from windcast import synth
 from windcast.geostrophy import MeanRemovalPolicy, estimate_series
 from windcast.series import FIELDS, Network
 
+from conftest import benchmark_config, roundtrip_config
+
 
 def _quick(**kw):
     base = dict(seed=99, days=12, n_stations=12)
@@ -46,7 +48,7 @@ def test_friction_factor_scales_speeds():
 
 
 def test_noiseless_round_trip():
-    series, truth = synth.generate(synth.roundtrip_config())
+    series, truth = synth.generate(roundtrip_config())
     est = estimate_series(Network.from_series(series), policy=MeanRemovalPolicy.NONE)
     assert np.nanmax(np.abs(est.u_g - truth.u_g)) < 1e-6
     assert np.nanmax(np.abs(est.v_g - truth.v_g)) < 1e-6
@@ -118,7 +120,7 @@ def _generated_arrays(series, truth):
 
 def test_generate_pinned():
     digest = hashlib.sha256()
-    generated = synth.generate(dataclasses.replace(synth.benchmark_config(), days=60))
+    generated = synth.generate(dataclasses.replace(benchmark_config(), days=60))
     for name, values in _generated_arrays(*generated):
         digest.update(name.encode())
         digest.update(np.ascontiguousarray(values).tobytes())

@@ -17,6 +17,11 @@ import windcast
 
 SRC = pathlib.Path(windcast.__file__).parent
 TESTS = pathlib.Path(__file__).parent
+# (module, name) of the package definitions that only the tests read, with why
+TEST_ONLY = {
+    ("predictive.py", "crps_numeric"):
+        "the quadrature oracle the closed-form CRPS is checked against",
+}
 
 
 def unused_imports(source: str) -> list:
@@ -85,6 +90,12 @@ def test_no_unused_definitions():
     modules = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     readers = [path.read_text() for path in sorted(TESTS.glob("*.py"))]
     assert unused_definitions(modules, readers) == []
+
+
+def test_no_definitions_only_tests_read():
+    modules = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    unread = {(module, name) for module, _, name in unused_definitions(modules)}
+    assert unread == set(TEST_ONLY)
 
 
 def test_check_finds_an_unused_definition():
