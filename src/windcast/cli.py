@@ -154,7 +154,7 @@ def cmd_synth(cfg: RunConfig, jobs: int) -> None:
         raise ConfigError(["synth command requires data.source == 'synth'"])
     out = os.path.join(cfg.out_dir, "data")
     with _stage_pool(jobs) as pool:
-        write_dataset(cfg.synth, out, cfg.constants, pool)
+        write_dataset(cfg.synth, out, pool)
     print(f"wrote synthetic dataset ({cfg.synth.n_stations} stations, "
           f"{cfg.synth.days} days) to {out}")
 
@@ -162,8 +162,7 @@ def cmd_synth(cfg: RunConfig, jobs: int) -> None:
 def cmd_geowind(cfg: RunConfig, jobs: int) -> None:
     with _stage_pool(jobs) as pool:
         network = _load_network(cfg, cfg.gw_stations, GEOWIND_ROLES, pool)
-    series = estimate_series(network, cfg.constants, cfg.mean_removal,
-                             min_stations=cfg.min_stations)
+    series = estimate_series(network, cfg.mean_removal, cfg.min_stations)
     path = os.path.join(cfg.out_dir, "geowind.csv")
     _atomic(path, lambda p: series.to_csv(p, _provenance(cfg, "geowind")))
     n_ok = int((series.n_stations >= cfg.min_stations).sum())
@@ -218,9 +217,7 @@ def _all_reports(cfg: RunConfig) -> list:
     for variant in cfg.variants:
         path = os.path.join(cfg.out_dir, "forecasts", f"{variant}.csv")
         _check_provenance(cfg, path, "forecast")
-        groups = score_groups(read_records_csv(path), variant, pit_bins=cfg.pit_bins,
-                              interval_level=cfg.interval_level)
-        reports.extend(groups.values())
+        reports.extend(score_groups(read_records_csv(path), variant).values())
     return reports
 
 
@@ -330,6 +327,8 @@ def main(argv=None) -> int:
                 except InvalidInputError as exc:
                     raise ConfigError([f"--seed: {exc}"]) from None
         if args.out is not None:
+            if not args.out:
+                raise ConfigError(["--out must be a nonempty path"])
             cfg.out_dir = args.out
         jobs = _job_count(args.jobs, cfg)
 

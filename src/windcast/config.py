@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from .errors import ConfigError, InvalidInputError
-from .geostrophy import MeanRemovalPolicy, PhysicalConstants
+from .geostrophy import MeanRemovalPolicy
 from .ingest import CANONICAL_SCHEMA, SchemaConfig
 from .model import MAX_HORIZON, MAX_LAG, PERSISTENCE, parse_variant
 from .synth import SynthConfig
@@ -23,8 +23,7 @@ from .timeutil import epoch_hour, iso_hour
 _TOP_KEYS = {
     "seed", "out_dir", "data", "stations", "feature_stations", "gw_stations",
     "horizons", "variants", "train", "test", "window_days", "refit_hours",
-    "restarts", "max_lag", "tz_offset_hours", "mean_removal", "min_stations",
-    "pit_bins", "interval_level", "constants", "jobs",
+    "restarts", "max_lag", "tz_offset_hours", "mean_removal", "min_stations", "jobs",
 }
 # libyaml's C classes when PyYAML was built with them: they read and write
 # config.yaml as the pure-Python classes do, in a fraction of the time
@@ -55,9 +54,6 @@ class RunConfig:
     tz_offset_hours: int = 0
     mean_removal: MeanRemovalPolicy = MeanRemovalPolicy.MONTHLY
     min_stations: int = 3
-    pit_bins: int = 10
-    interval_level: float = 0.90
-    constants: PhysicalConstants = PhysicalConstants()
     jobs: int = 1
 
     @property
@@ -69,8 +65,10 @@ class RunConfig:
         v = []
         if self.data_source not in ("synth", "csv"):
             v.append(f"data.source must be 'synth' or 'csv', got {self.data_source!r}")
-        if self.data_source == "csv" and not self.csv_dir:
-            v.append("data.csv.dir is required for source 'csv'")
+        if not (isinstance(self.out_dir, str) and self.out_dir):
+            v.append(f"out_dir must be a nonempty string, got {self.out_dir!r}")
+        if self.data_source == "csv" and not (isinstance(self.csv_dir, str) and self.csv_dir):
+            v.append(f"data.csv.dir must be a nonempty string, got {self.csv_dir!r}")
         if not self.stations:
             v.append("stations (forecast targets) must be nonempty")
         for name in ("stations", "feature_stations", "gw_stations", "variants", "horizons"):
@@ -124,10 +122,6 @@ class RunConfig:
             v.append(f"max_lag must lie in 1..{MAX_LAG}")
         if self.min_stations < 3:
             v.append("min_stations must be >= 3")
-        if self.pit_bins < 2:
-            v.append("pit_bins must be >= 2")
-        if not 0.0 < self.interval_level < 1.0:
-            v.append("interval_level must lie strictly in (0, 1)")
         if self.jobs < 1:
             v.append("jobs must be >= 1")
         return v
@@ -150,9 +144,6 @@ class RunConfig:
             "tz_offset_hours": self.tz_offset_hours,
             "mean_removal": self.mean_removal.value,
             "min_stations": self.min_stations,
-            "pit_bins": self.pit_bins,
-            "interval_level": self.interval_level,
-            "constants": dataclasses.asdict(self.constants),
             "jobs": self.jobs,
         }
         if self.synth is not None:
@@ -173,11 +164,11 @@ class RunConfig:
 
     def geowind_digest(self) -> str:
         """Hash of the settings the geowind stage reads: the data source (synth
-        settings, or CSV directory and schema), gw_stations, constants,
-        mean_removal and min_stations."""
+        settings, or CSV directory and schema), gw_stations, mean_removal and
+        min_stations."""
         d = self.to_dict()
-        return _sha({key: d[key] for key in ("data", "gw_stations", "constants",
-                                             "mean_removal", "min_stations")})
+        return _sha({key: d[key] for key in ("data", "gw_stations", "mean_removal",
+                                             "min_stations")})
 
 
 def _sha(d: dict) -> str:
@@ -216,13 +207,13 @@ def config_from_dict(raw: dict) -> RunConfig:
 
     cfg = RunConfig()
     for name in ("seed", "window_days", "refit_hours", "max_lag",
-                 "tz_offset_hours", "min_stations", "pit_bins", "jobs"):
+                 "tz_offset_hours", "min_stations", "jobs"):
         value = raw.get(name, getattr(cfg, name))
         if isinstance(value, bool) or not isinstance(value, int):  # int() would truncate
             violations.append(f"{name} must be an integer, got {value!r}")
         else:
             setattr(cfg, name, value)
-    cfg.out_dir = str(raw.get("out_dir", cfg.out_dir))
+    cfg.out_dir = raw.get("out_dir", cfg.out_dir)
 
     data = _mapping(raw, "data", "data", violations)
     cfg.data_source = str(data.get("source", "synth"))
@@ -263,23 +254,12 @@ def config_from_dict(raw: dict) -> RunConfig:
         violations.append("restarts: random restarts were removed, since they never beat "
                           "the single least-squares start in the ROADMAP fit study; "
                           "only 1 is accepted")
-    if "interval_level" in raw:
-        try:
-            cfg.interval_level = float(raw["interval_level"])
-        except (TypeError, ValueError):
-            violations.append("interval_level must be a number")
     if "mean_removal" in raw:
         try:
             cfg.mean_removal = MeanRemovalPolicy(str(raw["mean_removal"]))
         except ValueError:
             allowed = [p.value for p in MeanRemovalPolicy]
             violations.append(f"mean_removal must be one of {allowed}")
-    if "constants" in raw:
-        try:
-            cfg.constants = PhysicalConstants(**_mapping(raw, "constants", "constants",
-                                                         violations))
-        except (TypeError, InvalidInputError) as exc:
-            violations.append(f"constants: {exc}")
 
     violations.extend(cfg.validate())
     if violations:

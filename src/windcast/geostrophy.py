@@ -34,6 +34,14 @@ from .series import Network, StationMeta
 from .timeutil import iso_hours, month_index
 
 EARTH_RADIUS_M = 6.371e6
+# The hydrostatic and geostrophic relations' constants: standard gravity
+# (m s^-2), the gas constant of dry air (J K^-1 kg^-1), Earth's rotation rate
+# (rad s^-1) and the reference pressure surface (hPa). P_REF sets only the
+# height of the surface, which cancels from every height gradient.
+G0 = 9.80665
+GAS_CONSTANT = 287.0
+OMEGA = 7.2921159e-5
+P_REF = 850.0
 
 #: Lowest latitude magnitude (degrees) at which the geostrophic balance is
 #: allowed; closer to the equator 1/f blows up.
@@ -48,28 +56,6 @@ GEOWIND_CSV_COLUMNS = (
     "n_stations",
     "rms_residual",
 )
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Physical constants for the hydrostatic/geostrophic relations.
-
-    g0: gravitational acceleration, m s^-2
-    gas_constant: gas constant for air, J K^-1 kg^-1
-    omega: Earth rotation rate, rad s^-1
-    p_ref: reference pressure surface, hPa
-    """
-
-    g0: float = 9.80665
-    gas_constant: float = 287.0
-    omega: float = 7.2921159e-5
-    p_ref: float = 850.0
-
-    def __post_init__(self):
-        for name in ("g0", "gas_constant", "omega", "p_ref"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise InvalidInputError(f"constant {name} must be strictly positive")
 
 
 class MeanRemovalPolicy(enum.Enum):
@@ -129,7 +115,7 @@ class GeoWindSeries:
                    *(table[c] for c in GEOWIND_CSV_COLUMNS[1:]))
 
 
-def reduce_to_reference(p_i, z_i, t_bar_kelvin, const: PhysicalConstants = PhysicalConstants()):
+def reduce_to_reference(p_i, z_i, t_bar_kelvin):
     """Geopotential height of the reference pressure surface above one barometer.
 
     Integrated hydrostatic relation: Z = Z_i + (R * Tbar / g0) * ln(p_i / p_ref),
@@ -140,7 +126,15 @@ def reduce_to_reference(p_i, z_i, t_bar_kelvin, const: PhysicalConstants = Physi
     z_i = np.asarray(z_i, dtype=float)
     if np.any(p_i <= 0.0) or np.any(t_bar <= 0.0):
         raise InvalidInputError("pressure and absolute temperature must be positive")
-    return z_i + (const.gas_constant * t_bar / const.g0) * np.log(p_i / const.p_ref)
+    return z_i + (GAS_CONSTANT * t_bar / G0) * np.log(p_i / P_REF)
+
+
+def centroid(stations: Sequence[StationMeta]) -> tuple[float, float]:
+    """Mean station latitude/longitude: the origin of the local projection
+    and the latitude of the Coriolis parameter."""
+    lat = float(np.mean([m.latitude for m in stations]))
+    lon = float(np.mean([m.longitude for m in stations]))
+    return lat, lon
 
 
 def project_local(stations: Sequence[StationMeta], origin_lat: float, origin_lon: float):
@@ -180,7 +174,7 @@ def fit_plane(x, y, z) -> PlaneFit:
     return PlaneFit(coefs[0], coefs[1], coefs[2], rms, n)
 
 
-def coriolis(latitude_deg: float, const: PhysicalConstants = PhysicalConstants()) -> float:
+def coriolis(latitude_deg: float) -> float:
     """Coriolis parameter f = 2 * Omega * sin(latitude)."""
     if not np.isfinite(latitude_deg) or abs(latitude_deg) > 90.0:
         raise InvalidInputError(f"latitude {latitude_deg} out of range")
@@ -189,14 +183,14 @@ def coriolis(latitude_deg: float, const: PhysicalConstants = PhysicalConstants()
             f"|latitude| = {abs(latitude_deg):.2f} deg < {MIN_LATITUDE_DEG} deg: "
             "geostrophic balance unusable near the equator"
         )
-    return 2.0 * const.omega * math.sin(math.radians(latitude_deg))
+    return 2.0 * OMEGA * math.sin(math.radians(latitude_deg))
 
 
-def geostrophic_from_plane(fit: PlaneFit, f: float, const: PhysicalConstants = PhysicalConstants()):
+def geostrophic_from_plane(fit: PlaneFit, f: float):
     """Geostrophic components (u_g, v_g) from fitted height gradients."""
     if f == 0.0:
         raise InvalidInputError("Coriolis parameter must be nonzero")
-    scale = const.g0 / f
+    scale = G0 / f
     return -scale * fit.a2, scale * fit.a1
 
 
@@ -230,11 +224,8 @@ def _station_anomalies(heights: np.ndarray, times: np.ndarray, policy: MeanRemov
 
 def estimate_series(
     network: Network,
-    const: PhysicalConstants = PhysicalConstants(),
     policy: MeanRemovalPolicy = MeanRemovalPolicy.MONTHLY,
     min_stations: int = 3,
-    latitude_deg: float | None = None,
-    origin: tuple | None = None,
 ) -> GeoWindSeries:
     """Hourly geostrophic wind for a station network.
 
@@ -242,19 +233,16 @@ def estimate_series(
     the layer-mean temperature is the network average of those reports.
     Hours with fewer than ``min_stations`` contributors (or a degenerate
     layout) yield missing samples rather than failures. The Coriolis
-    parameter is evaluated at ``latitude_deg`` and the local projection is
-    taken about ``origin`` = (lat, lon); both default to the network
-    centroid.
+    parameter is evaluated at, and the local projection taken about, the
+    network's ``centroid``.
 
     Pure function of its inputs; safe to call concurrently on shared
     read-only networks.
     """
     if min_stations < 3:
         raise InvalidInputError("min_stations must be at least 3")
-    lat, lon = origin if origin is not None else network.centroid()
-    if latitude_deg is None:
-        latitude_deg = lat
-    f = coriolis(latitude_deg, const)
+    lat, lon = centroid(network.stations)
+    f = coriolis(lat)
     x, y = project_local(network.stations, lat, lon)
     elev = np.array([m.elevation for m in network.stations])
 
@@ -272,7 +260,7 @@ def estimate_series(
     if np.any(ok):
         rows, cols = np.nonzero(ok)
         heights[rows, cols] = reduce_to_reference(
-            network.pressure[rows, cols], elev[rows], t_bar[cols], const
+            network.pressure[rows, cols], elev[rows], t_bar[cols]
         )
     anomalies = _station_anomalies(heights, network.times, policy)
 
@@ -290,7 +278,7 @@ def estimate_series(
             fit = fit_plane(x[members], y[members], anomalies[members][:, hours])
         except RankDeficiencyError:
             continue  # collinear layout: leave these hours missing
-        u_g[hours], v_g[hours] = geostrophic_from_plane(fit, f, const)
+        u_g[hours], v_g[hours] = geostrophic_from_plane(fit, f)
         rms[hours] = fit.rms_residual
         n_used[hours] = fit.n_stations
 

@@ -126,9 +126,3 @@ class Network:
         return Network(times=self.times, stations=[self.stations[i] for i in idx],
                        **{name: getattr(self, name)[idx] for name in FIELDS
                           if getattr(self, name) is not None})
-
-    def centroid(self) -> tuple[float, float]:
-        """Mean station latitude/longitude, the local projection origin."""
-        lat = float(np.mean([m.latitude for m in self.stations]))
-        lon = float(np.mean([m.longitude for m in self.stations]))
-        return lat, lon

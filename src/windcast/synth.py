@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import InvalidInputError
-from .geostrophy import GeoWindSeries, PhysicalConstants, coriolis, project_local
+from .geostrophy import G0, GAS_CONSTANT, P_REF, GeoWindSeries, centroid, coriolis, project_local
 from .ingest import write_station_csv, write_stations_csv
 from .series import StationMeta, StationSeries
 from .timeutil import epoch_hour, hours_of_day
@@ -102,7 +102,7 @@ def _ar1(rng, n, mean, std, rho):
     return np.array(path)
 
 
-def generate(config: SynthConfig, const: PhysicalConstants = PhysicalConstants()):
+def generate(config: SynthConfig):
     """Build (station series list, geostrophic truth) for the config."""
     rng = np.random.default_rng(config.seed)
     n = config.days * 24
@@ -135,17 +135,15 @@ def generate(config: SynthConfig, const: PhysicalConstants = PhysicalConstants()
         for i in range(n_total)
     ]
 
-    # the estimator projects about the centroid; use the same frame here so
-    # noiseless estimates reproduce the truth exactly
-    centroid_lat = float(np.mean([m.latitude for m in metas]))
-    centroid_lon = float(np.mean([m.longitude for m in metas]))
+    # the estimator's frame, so noiseless estimates reproduce the truth exactly
+    centroid_lat, centroid_lon = centroid(metas)
     x, y = project_local(metas, centroid_lat, centroid_lon)
-    f = coriolis(centroid_lat, const)
+    f = coriolis(centroid_lat)
 
     u_g = _ar1(rng, n, config.mean_wind[0], config.wind_std, config.wind_rho)
     v_g = _ar1(rng, n, config.mean_wind[1], config.wind_std, config.wind_rho)
-    a1 = v_g * f / const.g0  # dZ/dx
-    a2 = -u_g * f / const.g0  # dZ/dy
+    a1 = v_g * f / G0  # dZ/dx
+    a2 = -u_g * f / G0  # dZ/dy
     a0 = _ar1(rng, n, config.base_height_m, 10.0, 0.995)
     w_g = np.hypot(u_g, v_g)
     theta_g = np.arctan2(v_g, u_g)
@@ -171,9 +169,7 @@ def generate(config: SynthConfig, const: PhysicalConstants = PhysicalConstants()
     heights = a0[None, :] + np.outer(x, a1) + np.outer(y, a2)
     if config.height_noise_m > 0:
         heights = heights + config.height_noise_m * rng.standard_normal(heights.shape)
-    pressure = const.p_ref * np.exp(
-        const.g0 * (heights - elevs[:, None]) / (const.gas_constant * t_bar_k[None, :])
-    )
+    pressure = P_REF * np.exp(G0 * (heights - elevs[:, None]) / (GAS_CONSTANT * t_bar_k[None, :]))
 
     # surface wind responds to the geostrophic wind of `lag` hours earlier
     lag = config.response_lag_hours
@@ -205,11 +201,10 @@ def generate(config: SynthConfig, const: PhysicalConstants = PhysicalConstants()
     return series, truth
 
 
-def write_dataset(config: SynthConfig, out_dir, const: PhysicalConstants = PhysicalConstants(),
-                  pool=None):
+def write_dataset(config: SynthConfig, out_dir, pool=None):
     """Generate and write station CSVs, stations.csv and truth.csv; with an
     executor ``pool``, the station CSVs are written in its workers."""
-    series, truth = generate(config, const)
+    series, truth = generate(config)
     os.makedirs(out_dir, exist_ok=True)
     write_stations_csv([s.meta for s in series], os.path.join(out_dir, "stations.csv"))
     written = (pool.map if pool else map)(

@@ -2,7 +2,7 @@
 
 ``SCORE_METRICS`` names the four scores, in the order of scores.csv's
 columns and report's tables: MAE, RMSE, CRPS and the mean width of the
-central ``interval_level`` interval (90% by default). A cell's ``monthly``
+central 90% interval (``INTERVAL_LEVEL``). A cell's ``monthly``
 and ``overall`` mappings are keyed by them: ``monthly[metric]`` is an array
 by calendar month of the valid time, ``overall[metric]`` a float. Overall
 values are the sample-weighted aggregates of the monthly cells (pooled
@@ -30,6 +30,8 @@ from .predictive import cdf_values, crps_values, quantile_values
 from .timeutil import format_month, month_index
 
 SCORE_METRICS = ("mae", "rmse", "crps", "width90")
+INTERVAL_LEVEL = 0.90  # the central interval whose width is "width90"
+PIT_BINS = 10  # equal-width PIT histogram bins on [0, 1]
 
 
 @dataclass
@@ -56,12 +58,7 @@ class ScoreReport(CellScores):
     pit_counts: np.ndarray
 
 
-def score(
-    records: ForecastColumns,
-    variant: str,
-    pit_bins: int = 10,
-    interval_level: float = 0.90,
-) -> ScoreReport:
+def score(records: ForecastColumns, variant: str) -> ScoreReport:
     """Score a homogeneous set of records (one station and horizon)."""
     if not len(records):
         raise EmptyReportError("no forecast records to score")
@@ -92,7 +89,7 @@ def score(
         yy = obs[prob]
         crps_all[prob] = crps_values(mu, sg, yy)
         pit_all[prob] = cdf_values(mu, sg, yy)
-        half = (1.0 - interval_level) / 2.0
+        half = (1.0 - INTERVAL_LEVEL) / 2.0
         width_all[prob] = (quantile_values(mu, sg, 1.0 - half)
                            - quantile_values(mu, sg, half))
 
@@ -107,7 +104,7 @@ def score(
             monthly["width90"][i] = width_all[psel].mean()
 
     n_prob = int(prob.sum())
-    pit_counts, _ = np.histogram(pit_all[prob], bins=pit_bins, range=(0.0, 1.0))
+    pit_counts, _ = np.histogram(pit_all[prob], bins=PIT_BINS, range=(0.0, 1.0))
     return ScoreReport(
         station=str(usable.station[0]), variant=variant, horizon=int(usable.horizon[0]),
         months=months, n_by_month=n_by_month, n_scored=len(usable), monthly=monthly,
@@ -118,14 +115,14 @@ def score(
         n_prob=n_prob, pit_counts=pit_counts)
 
 
-def score_groups(records: ForecastColumns, variant: str, **kwargs) -> dict:
+def score_groups(records: ForecastColumns, variant: str) -> dict:
     """Score per (station, horizon); keys are those tuples, in sorted order.
     One stable sort groups the rows, so each cell keeps its rows in file order."""
     order = np.lexsort((records.horizon, records.station))
     station, horizon = records.station[order], records.horizon[order]
     new = (station[1:] != station[:-1]) | (horizon[1:] != horizon[:-1])
     bounds = np.flatnonzero(np.concatenate(([True], new, [True]))) if order.size else []
-    return {(str(station[a]), int(horizon[a])): score(records.take(order[a:b]), variant, **kwargs)
+    return {(str(station[a]), int(horizon[a])): score(records.take(order[a:b]), variant)
             for a, b in zip(bounds[:-1], bounds[1:])}
 
 

@@ -100,7 +100,6 @@ class TestConfigValidation:
     @pytest.mark.parametrize("name, value", [
         ("tz_offset_hours", -5.5), ("refit_hours", 24.5), ("window_days", True),
         ("jobs", True), ("seed", 424242.9), ("max_lag", "10"), ("min_stations", 3.0),
-        ("pit_bins", False),
     ])
     def test_integer_keys_refuse_other_values(self, tmp_path, capsys, name, value):
         """An integer key is refused, not truncated by int(), when it holds a
@@ -114,6 +113,27 @@ class TestConfigValidation:
         assert payload["violations"] == [f"{name} must be an integer, got {value!r}"]
         assert "Traceback" not in captured.err + captured.out
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", [["a"], 5, True, ""], ids=["list", "int", "bool", "empty"])
+    @pytest.mark.parametrize("key", ["out_dir", "data.csv.dir"])
+    def test_path_keys_refuse_other_values(self, tmp_path, capsys, monkeypatch, key, value):
+        """A path key that is not a nonempty string is refused before anything
+        is written, not turned into a directory named after the value or
+        stat'ed as a file descriptor."""
+        monkeypatch.chdir(tmp_path)
+        cfg = csv_config()  # out_dir "out", below tmp_path
+        if key == "out_dir":
+            cfg["out_dir"] = value
+        else:
+            cfg["data"]["csv"]["dir"] = value
+        path = _write_config(tmp_path, cfg)
+        assert main(["geowind", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        payload = json.loads(captured.err)
+        assert payload["error"] == "ConfigError"
+        assert payload["violations"] == [f"{key} must be a nonempty string, got {value!r}"]
+        assert "Traceback" not in captured.err + captured.out
+        assert os.listdir(tmp_path) == ["config.yaml"]
 
     def test_cli_reports_machine_readable_error(self, tmp_path, capsys):
         path = _write_config(tmp_path, {"stations": []})
@@ -234,7 +254,8 @@ def test_bad_job_count_refused(tmp_path, capsys, monkeypatch, flag, env, violati
     (["forecast"], "windcast forecast: the following arguments are required: --config"),
     (["bogus", "--config", "{}"], "windcast: argument command: invalid choice: 'bogus'"),
     (["train", "--config", "{}"], "windcast: argument command: invalid choice: 'train'"),
-], ids=["jobs-text", "seed-text", "no-config", "unknown-command", "removed-train"])
+    (["report", "--config", "{}", "--out", ""], "--out must be a nonempty path"),
+], ids=["jobs-text", "seed-text", "no-config", "unknown-command", "removed-train", "out-empty"])
 def test_bad_arguments_refused_as_json(tmp_path, capsys, args, violation):
     """A usage error prints the JSON ConfigError of a bad config value, not
     argparse's usage text, and touches no output directory."""
@@ -293,9 +314,27 @@ class TestConfigDigest:
     def test_synth_digest_unchanged(self):
         cfg = small_config("out")
         assert cfg["restarts"] == 1
-        assert config_from_dict(cfg).digest() == "eab943a1d767"
+        assert config_from_dict(cfg).digest() == "8429206112c8"
         del cfg["restarts"]  # 1 is the only accepted value, so it reads as absent
-        assert config_from_dict(cfg).digest() == "eab943a1d767"
+        assert config_from_dict(cfg).digest() == "8429206112c8"
+
+    def test_removed_keys_refused(self, pipeline_run, tmp_path, capsys):
+        """The physical constants, the PIT bin count and the interval level are
+        fixed values: a fresh config.yaml holds none of them, and one that an
+        earlier version wrote with them is refused, writing nothing."""
+        src, cfg = pipeline_run
+        saved = yaml.safe_load((src / "config.yaml").read_text())
+        assert not {"constants", "pit_bins", "interval_level"} & set(saved)
+        assert load_config(src / "config.yaml").digest() == config_from_dict(cfg).digest()
+        out = tmp_path / "out"
+        saved.update(out_dir=str(out), pit_bins=10, interval_level=0.9, constants={
+            "g0": 9.80665, "gas_constant": 287.0, "omega": 7.2921159e-5, "p_ref": 850.0})
+        assert main(["report", "--config", str(_write_config(tmp_path, saved))]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ConfigError"
+        assert payload["violations"] == [
+            "unknown config keys: ['constants', 'interval_level', 'pit_bins']"]
+        assert not out.exists()
 
     def test_csv_schema_changes_digest(self):
         assert (config_from_dict(csv_config("m_s")).digest()
@@ -704,7 +743,7 @@ class TestReportScores:
         out, _, digest = self._copy(pipeline_run, tmp_path)
         (out / "scores.csv").unlink()
         _, cfg = pipeline_run
-        path = _write_config(tmp_path, dict(cfg, out_dir=str(out), interval_level=0.8))
+        path = _write_config(tmp_path, dict(cfg, out_dir=str(out), refit_hours=12))
         assert main(["evaluate", "--config", str(path)]) == 1
         payload = json.loads(capsys.readouterr().err)
         assert payload["error"] == "LoadError"

@@ -13,11 +13,15 @@ from windcast.errors import (
 )
 from windcast.geostrophy import (
     EARTH_RADIUS_M,
+    G0,
+    GAS_CONSTANT,
+    OMEGA,
+    P_REF,
     GeoWindSeries,
     MeanRemovalPolicy,
-    PhysicalConstants,
     PlaneFit,
     _nanmean,
+    centroid,
     coriolis,
     estimate_series,
     fit_plane,
@@ -27,8 +31,6 @@ from windcast.geostrophy import (
 )
 from windcast.series import Network, StationMeta, StationSeries
 from windcast.timeutil import epoch_hour
-
-CONST = PhysicalConstants()
 
 
 class TestReduceToReference:
@@ -46,7 +48,7 @@ class TestReduceToReference:
 
     def test_unit_prefactor(self):
         # T = g0/R makes the prefactor exactly 1; p = e*p_ref makes ln = 1
-        t_bar = CONST.g0 / CONST.gas_constant
+        t_bar = G0 / GAS_CONSTANT
         assert reduce_to_reference(850.0 * math.e, 0.0, t_bar) == pytest.approx(1.0, rel=1e-12)
 
     def test_rejects_nonpositive(self):
@@ -122,14 +124,14 @@ class TestFitPlane:
 
 class TestCoriolis:
     def test_pole(self):
-        assert coriolis(90.0) == pytest.approx(2.0 * CONST.omega, rel=1e-12)
+        assert coriolis(90.0) == pytest.approx(2.0 * OMEGA, rel=1e-12)
         assert coriolis(90.0) == pytest.approx(1.45842318e-4, rel=1e-8)
 
     def test_thirty_degrees(self):
-        assert coriolis(30.0) == pytest.approx(CONST.omega, rel=1e-12)
+        assert coriolis(30.0) == pytest.approx(OMEGA, rel=1e-12)
 
     def test_study_area(self):
-        expected = 2.0 * CONST.omega * math.sin(math.radians(33.6))
+        expected = 2.0 * OMEGA * math.sin(math.radians(33.6))
         assert coriolis(33.6) == pytest.approx(expected, rel=1e-12)
         assert coriolis(33.6) == pytest.approx(8.0708e-5, abs=1e-9)
 
@@ -139,7 +141,7 @@ class TestCoriolis:
                 coriolis(lat)
 
     def test_southern_hemisphere_sign(self):
-        assert coriolis(-30.0) == pytest.approx(-CONST.omega, rel=1e-12)
+        assert coriolis(-30.0) == pytest.approx(-OMEGA, rel=1e-12)
 
 
 class TestGeostrophicFromPlane:
@@ -150,14 +152,14 @@ class TestGeostrophicFromPlane:
     def test_northward_gradient(self):
         fit = PlaneFit(0.0, 0.0, 1e-4, 0.0, 5)
         u, v = geostrophic_from_plane(fit, 1e-4)
-        assert u == pytest.approx(-CONST.g0, rel=1e-12)
+        assert u == pytest.approx(-G0, rel=1e-12)
         assert v == 0.0
 
     def test_eastward_gradient(self):
         fit = PlaneFit(0.0, 1e-4, 0.0, 0.0, 5)
         u, v = geostrophic_from_plane(fit, 8.069e-5)
         assert u == 0.0
-        assert v == pytest.approx(CONST.g0 / 8.069e-5 * 1e-4, rel=1e-12)
+        assert v == pytest.approx(G0 / 8.069e-5 * 1e-4, rel=1e-12)
         assert v == pytest.approx(12.15, abs=0.01)
 
     def test_zero_coriolis(self):
@@ -165,13 +167,12 @@ class TestGeostrophicFromPlane:
             geostrophic_from_plane(PlaneFit(0.0, 0.0, 0.0, 0.0, 3), 0.0)
 
 
-def _network_from_heights(metas, times, heights, temp_c=15.0, const=CONST):
+def _network_from_heights(metas, times, heights, temp_c=15.0):
     """Forward-construct pressures from target reference-surface heights."""
     t_bar_k = temp_c + 273.15
     series = []
     for i, m in enumerate(metas):
-        p = const.p_ref * np.exp(const.g0 * (heights[i] - m.elevation)
-                                 / (const.gas_constant * t_bar_k))
+        p = P_REF * np.exp(G0 * (heights[i] - m.elevation) / (GAS_CONSTANT * t_bar_k))
         series.append(StationSeries(
             meta=m, times=times,
             wind_speed=np.zeros(times.size),
@@ -198,8 +199,7 @@ class TestEstimateSeries:
         self.metas = _ring_metas()
         self.times = np.arange(epoch_hour("2008-01-01T00:00"),
                                epoch_hour("2008-01-03T00:00"), dtype=np.int64)
-        self.lat0 = float(np.mean([m.latitude for m in self.metas]))
-        self.lon0 = float(np.mean([m.longitude for m in self.metas]))
+        self.lat0, self.lon0 = centroid(self.metas)
         self.x, self.y = project_local(self.metas, self.lat0, self.lon0)
         self.f = coriolis(self.lat0)
 
@@ -210,7 +210,7 @@ class TestEstimateSeries:
     def test_constant_planar_anomaly(self):
         net = _network_from_heights(self.metas, self.times, self._heights(0.001, 0.0))
         est = estimate_series(net, policy=MeanRemovalPolicy.NONE)
-        expected_v = CONST.g0 * 0.001 / self.f
+        expected_v = G0 * 0.001 / self.f
         assert np.allclose(est.v_g, expected_v, atol=1e-8)
         assert np.allclose(est.u_g, 0.0, atol=1e-8)
         assert np.all(est.n_stations == 12)
@@ -225,10 +225,10 @@ class TestEstimateSeries:
         full = estimate_series(
             _network_from_heights(self.metas, self.times, heights),
             policy=MeanRemovalPolicy.NONE)
-        reduced = estimate_series(
-            _network_from_heights(self.metas[:-1], self.times, heights[:-1]),
-            policy=MeanRemovalPolicy.NONE,
-            latitude_deg=self.lat0, origin=(self.lat0, self.lon0))
+        blanked = _network_from_heights(self.metas, self.times, heights)
+        blanked.pressure[-1] = np.nan  # the frame and f stay those of all 12
+        reduced = estimate_series(blanked, policy=MeanRemovalPolicy.NONE)
+        assert np.all(reduced.n_stations == 11)
         # the plane is exactly determined either way once f and the
         # projection frame are held fixed
         assert np.allclose(full.u_g, reduced.u_g, atol=1e-6)
@@ -250,7 +250,7 @@ class TestEstimateSeries:
         alpha = math.radians(35.0)
         heights = self._heights(a1, a2)
         base = estimate_series(_network_from_heights(self.metas, self.times, heights),
-                               policy=MeanRemovalPolicy.NONE, latitude_deg=self.lat0)
+                               policy=MeanRemovalPolicy.NONE)
         # rotate station positions AND the height field by alpha
         c, s = math.cos(alpha), math.sin(alpha)
         xr = c * self.x - s * self.y
@@ -262,7 +262,7 @@ class TestEstimateSeries:
                 xr[i] / (EARTH_RADIUS_M * math.cos(math.radians(self.lat0))))
             rot_metas.append(StationMeta(m.id, lat, lon, m.elevation))
         rot = estimate_series(_network_from_heights(rot_metas, self.times, heights),
-                              policy=MeanRemovalPolicy.NONE, latitude_deg=self.lat0)
+                              policy=MeanRemovalPolicy.NONE)
         u_expect = c * base.u_g - s * base.v_g
         v_expect = s * base.u_g + c * base.v_g
         assert np.allclose(rot.u_g, u_expect, rtol=1e-8, atol=1e-10)
@@ -272,9 +272,9 @@ class TestEstimateSeries:
     def test_linearity_in_anomaly(self):
         h1 = self._heights(3e-4, -1e-4, a0=0.0)
         one = estimate_series(_network_from_heights(self.metas, self.times, h1),
-                              policy=MeanRemovalPolicy.NONE, latitude_deg=self.lat0)
+                              policy=MeanRemovalPolicy.NONE)
         two = estimate_series(_network_from_heights(self.metas, self.times, 2.0 * h1),
-                              policy=MeanRemovalPolicy.NONE, latitude_deg=self.lat0)
+                              policy=MeanRemovalPolicy.NONE)
         assert np.allclose(two.u_g, 2.0 * one.u_g, rtol=1e-9, atol=1e-12)
         assert np.allclose(two.v_g, 2.0 * one.v_g, rtol=1e-9, atol=1e-12)
 

@@ -87,12 +87,11 @@ class TestScore:
         assert rep.overall["rmse"] == pytest.approx(pooled, rel=1e-12)
 
     def test_pit_values_and_counts(self):
-        rep = score(_records(n=500, seed=1), "TDD", pit_bins=10)
+        rep = score(_records(n=500, seed=1), "TDD")
         assert rep.pit_counts.sum() == rep.n_prob == 500
 
     def test_pit_uniform_when_calibrated(self):
-        rep = score(_records(n=10000, seed=42, from_own_dist=True), "TDD",
-                    pit_bins=10)
+        rep = score(_records(n=10000, seed=42, from_own_dist=True), "TDD")
         expected = rep.n_prob / 10
         stat = float(np.sum((rep.pit_counts - expected) ** 2 / expected))
         assert stat < chi2.ppf(0.95, df=9)
