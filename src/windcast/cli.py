@@ -2,22 +2,27 @@
 
 Subcommands chain through files under the run's output directory:
 
-    synth                        -> <out>/data/{stations.csv, <ID>.csv, truth.csv}
-    geowind   data/              -> <out>/geowind.csv
-    forecast  data/, geowind.csv -> <out>/forecasts/<variant>.csv
-    evaluate  forecasts/         -> <out>/scores.csv, <out>/pit.csv
-    report    scores.csv         -> <out>/report.txt
+    synth                          -> <out>/data/{stations.csv, <ID>.csv, truth.csv}
+    geowind   data/                -> <out>/geowind.csv
+    forecast  data/, [geowind.csv] -> <out>/forecasts/<variant>.csv
+    evaluate  forecasts/           -> <out>/scores.csv, <out>/pit.csv
+    report    scores.csv           -> <out>/report.txt
 
-With more than one job, synth, geowind and forecast each open one pool of
-worker processes, which writes or reads the station CSVs one task per
-station; forecast then runs the lag selection and rolling fits there, one
-task per (fitted variant, station group): each variant's targets are
-split, in config order, into ceil(jobs / fitted variants) contiguous
-groups, whose stations share the variant's residual states and candidate
-pools. Lags are selected afresh by every forecast run, deterministically
-from the config's training period. evaluate refuses forecasts, and report
-scores, that another config wrote, and forecast a geowind.csv estimated
-under other geowind settings (``_stage_digest``).
+forecast reads only the station fields its variants use, and geowind.csv
+only when one of them uses the geostrophic wind (``model.forecast_inputs``):
+a run without a TDDGW variant needs no geowind stage.
+
+With more than one job, synth, geowind and a forecast that fits a model
+each open one pool of worker processes, which writes or reads the station
+CSVs one task per station; forecast then runs the lag selection and
+rolling fits there, one task per (fitted variant, station group): each
+variant's targets are split, in config order, into ceil(jobs / fitted
+variants) contiguous groups, whose stations share the variant's residual
+states and candidate pools. Lags are selected afresh by every forecast
+run, deterministically from the config's training period. evaluate refuses
+forecasts, and report scores, that another config wrote, and a forecast
+that reads geowind.csv one estimated under other geowind settings
+(``_stage_digest``).
 
 Every command validates the config first and fails with a machine-readable
 JSON error on stderr and a nonzero exit code. Outputs are written
@@ -46,7 +51,7 @@ from .forecast import (
 )
 from .geostrophy import GeoWindSeries, estimate_series
 from .ingest import load_network_dir
-from .model import ModelData, PERSISTENCE
+from .model import ModelData, PERSISTENCE, forecast_inputs
 from .series import Network
 from .synth import write_dataset
 from .verification import (
@@ -60,10 +65,9 @@ from .verification import (
 )
 
 JOBS_ENV = "WINDCAST_JOBS"
-# The station fields (ingest roles) each stage reads: estimate_series uses
-# pressure and temperature, ModelData speed, direction and temperature.
+# The station fields (ingest roles) geowind reads, which estimate_series
+# uses; forecast's depend on its variants (model.forecast_inputs).
 GEOWIND_ROLES = ("temperature", "pressure")
-FORECAST_ROLES = ("speed", "direction", "temperature")
 
 
 def _stage_digest(cfg: RunConfig, command: str) -> str:
@@ -97,16 +101,16 @@ def _atomic(path, write_fn):
     os.replace(tmp, path)
 
 
-def _stage_pool(jobs: int, variants=()):
+def _stage_pool(jobs: int, fits: bool = False):
     """The one worker pool of a stage, or a null context for one job. Only a
-    pool imports multiprocessing. A stage that fits model ``variants`` imports
+    pool imports multiprocessing. A stage that ``fits`` models imports
     scipy.special first, which the CRPS fits and the forecast medians use, so
     that the forked workers share it."""
     if jobs <= 1:
         return contextlib.nullcontext()
     from concurrent.futures import ProcessPoolExecutor
 
-    if set(variants) - {PERSISTENCE}:
+    if fits:
         import scipy.special  # noqa: F401
     return ProcessPoolExecutor(max_workers=jobs)
 
@@ -134,13 +138,19 @@ def _load_network(cfg: RunConfig, station_ids, roles, pool) -> Network:
 
 
 def _load_model_data(cfg: RunConfig, pool) -> ModelData:
-    """The stations and geowind.csv, read side by side when there is a pool.
-    A geowind.csv estimated under other geowind settings is refused."""
+    """The station fields and geowind.csv that the run's variants use
+    (``forecast_inputs``), read side by side when there is a pool. A
+    geowind.csv estimated under other geowind settings is refused, and one
+    that no variant uses is not opened."""
+    roles, reads_gw = forecast_inputs(cfg.variants)
     gw_path = os.path.join(cfg.out_dir, "geowind.csv")
-    _check_provenance(cfg, gw_path, "geowind")
-    pending = pool.submit(GeoWindSeries.from_csv, gw_path) if pool else None
-    network = _load_network(cfg, cfg.features, FORECAST_ROLES, pool)
-    geowind = pending.result() if pending else GeoWindSeries.from_csv(gw_path)
+    geowind = pending = None
+    if reads_gw:
+        _check_provenance(cfg, gw_path, "geowind")
+        pending = pool.submit(GeoWindSeries.from_csv, gw_path) if pool else None
+    network = _load_network(cfg, cfg.features, roles, pool)
+    if reads_gw:
+        geowind = pending.result() if pending else GeoWindSeries.from_csv(gw_path)
     return ModelData.from_network(network, geowind, cfg.features, cfg.tz_offset_hours)
 
 
@@ -182,14 +192,17 @@ def _station_groups(cfg: RunConfig, jobs: int) -> list:
 
 def cmd_forecast(cfg: RunConfig, jobs: int) -> None:
     """PSS is computed here; only the variants that fit models go to the pool,
-    one task per (variant, station group)."""
+    one task per (variant, station group). A run that fits none opens no
+    pool: it would only read the station files there, which does not pay
+    for starting the workers."""
     train = (cfg.train_start, cfg.train_end)
     test = (cfg.test_start, cfg.test_end)
     rolling = _rolling_config(cfg)
 
     results: dict[tuple, ForecastColumns] = {}
     fit_keys, fit_tasks = [], []
-    with _stage_pool(jobs, cfg.variants) as pool:
+    fits = bool(set(cfg.variants) - {PERSISTENCE})
+    with _stage_pool(jobs if fits else 1, fits) as pool:
         data = _load_model_data(cfg, pool)
         for variant in cfg.variants:
             if variant == PERSISTENCE:

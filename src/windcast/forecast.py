@@ -131,7 +131,8 @@ def _selection(data: ModelData, variant: VariantSpec, stations: Sequence[str],
     design column names BIC kept} by selection on the training period. One
     candidate pool per horizon serves every station."""
     method = variant.diurnal_method
-    state = ResidualState.build(data, method, window(method, train[1], train, config.window_days))
+    state = ResidualState.build(data, method, window(method, train[1], train, config.window_days),
+                                include_gw=variant.include_gw)
     chosen = {}
     for k in horizons:
         pool = CandidatePool.build(state, variant, k, train, config.max_lag)
@@ -187,7 +188,7 @@ def run_rolling(
     for win, group in groupby(refits, lambda at: window(method, at, train, config.window_days)):
         group = list(group)
         if win != state.window:
-            state = ResidualState.build(data, method, win)
+            state = ResidualState.build(data, method, win, include_gw=parsed.include_gw)
         # from the first fit window's start to the last issue hour under this state
         span = (max(group[0] - config.window_hours - t0, 0),
                 min(group[-1] + config.refit_hours, test_end) - t0)

@@ -31,10 +31,10 @@ b1 = r^2, which keeps b0, b1 > 0 without the flat log b1 -> -inf of a
 logarithm. Its ``Coefficients`` follow the column order of the design they
 were fitted on.
 
-A ``ResidualState`` holds every series less its diurnal profile, fitted on
-the hours of one averaging window (``diurnal.window``), and keeps the
-stations' speed profiles, which the targets' offsets read, as 24 hourly
-values each. The target stations of one variant share its residual states
+A ``ResidualState`` holds every series its variant uses less its diurnal
+profile, fitted on the hours of one averaging window (``diurnal.window``),
+and keeps the stations' speed profiles, which the targets' offsets read, as
+24 hourly values each. The target stations of one variant share its residual states
 and, in selection, one candidate pool per horizon (``CandidatePool``); a
 refit's design covers only the rows that refit reads (``DesignBundle.build``
 over a row span). Distinct variants, and disjoint station groups of one
@@ -110,6 +110,21 @@ def parse_variant(name: str) -> VariantSpec:
     return VariantSpec(name, gw, gwd, tdiff, method)
 
 
+def forecast_inputs(variants: Sequence[str]) -> tuple:
+    """(station roles, whether geowind.csv is read): what a forecast of
+    ``variants`` loads. Every variant reads speed, the regression variants
+    direction too and those with the temperature difference temperature,
+    in ingest's role order; those with the geostrophic wind, which every
+    variant with its direction pair has, read geowind.csv."""
+    specs = [parse_variant(v) for v in variants if v != PERSISTENCE]
+    roles = ["speed"]
+    if specs:
+        roles.append("direction")
+    if any(s.include_temp_diff for s in specs):
+        roles.append("temperature")
+    return tuple(roles), any(s.include_gw for s in specs)
+
+
 @dataclass(frozen=True)
 class Coefficients:
     """Center weights, aligned with the columns of the design they were fitted
@@ -127,17 +142,18 @@ class Coefficients:
 
 @dataclass
 class ModelData:
-    """Aligned modeling arrays for the feature-station set."""
+    """Aligned modeling arrays for the feature-station set; an input that
+    was not read (see ``forecast_inputs``) is None."""
 
     times: np.ndarray  # (n,) epoch hours, contiguous
     stations: list[str]
     speed: np.ndarray  # (S, n)
-    cos_dir: np.ndarray
-    sin_dir: np.ndarray
-    temperature: np.ndarray
-    gw_speed: np.ndarray  # (n,)
-    gw_cos: np.ndarray
-    gw_sin: np.ndarray
+    cos_dir: np.ndarray | None
+    sin_dir: np.ndarray | None
+    temperature: np.ndarray | None
+    gw_speed: np.ndarray | None  # (n,)
+    gw_cos: np.ndarray | None
+    gw_sin: np.ndarray | None
     tz_offset: int = 0
 
     def __post_init__(self):
@@ -160,25 +176,32 @@ class ModelData:
         return i
 
     @classmethod
-    def from_network(cls, network: Network, geowind: GeoWindSeries,
+    def from_network(cls, network: Network, geowind: GeoWindSeries | None,
                      station_ids: Sequence[str] | None = None,
                      tz_offset: int = 0) -> "ModelData":
+        """The network's fields on its axis, with ``geowind`` aligned to it;
+        a network field that was not read, or every geostrophic series when
+        ``geowind`` is None, stays None."""
         net = network if station_ids is None else network.subset(list(station_ids))
-        gw_speed = np.full(net.times.size, np.nan)
-        gw_cos = np.full(net.times.size, np.nan)
-        gw_sin = np.full(net.times.size, np.nan)
-        pos = np.searchsorted(net.times, geowind.times)
-        ok = (pos < net.times.size) & (net.times[np.minimum(pos, net.times.size - 1)] == geowind.times)
-        gw_speed[pos[ok]] = geowind.w_g[ok]
-        gw_cos[pos[ok]] = np.cos(geowind.theta_g[ok])
-        gw_sin[pos[ok]] = np.sin(geowind.theta_g[ok])
+        gw_speed = gw_cos = gw_sin = None
+        if geowind is not None:
+            gw_speed = np.full(net.times.size, np.nan)
+            gw_cos = np.full(net.times.size, np.nan)
+            gw_sin = np.full(net.times.size, np.nan)
+            pos = np.searchsorted(net.times, geowind.times)
+            ok = (pos < net.times.size) & (
+                net.times[np.minimum(pos, net.times.size - 1)] == geowind.times)
+            gw_speed[pos[ok]] = geowind.w_g[ok]
+            gw_cos[pos[ok]] = np.cos(geowind.theta_g[ok])
+            gw_sin[pos[ok]] = np.sin(geowind.theta_g[ok])
+        direction, temperature = net.wind_direction, net.temperature
         return cls(
             times=net.times.copy(),
             stations=net.station_ids(),
             speed=net.wind_speed.copy(),
-            cos_dir=np.cos(net.wind_direction),
-            sin_dir=np.sin(net.wind_direction),
-            temperature=net.temperature.copy(),
+            cos_dir=None if direction is None else np.cos(direction),
+            sin_dir=None if direction is None else np.sin(direction),
+            temperature=None if temperature is None else temperature.copy(),
             gw_speed=gw_speed,
             gw_cos=gw_cos,
             gw_sin=gw_sin,
@@ -222,7 +245,8 @@ class ResidualState:
     Every series' profile is fitted on the hours of ``window`` alone (see
     ``diurnal.window``), which end at or before the fit time, so downstream
     features are leakage-free by construction. Under one method, equal
-    windows give equal states.
+    windows give equal states. ``gw_r`` is None in the state of a variant
+    without the geostrophic wind.
     """
 
     data: ModelData
@@ -231,11 +255,15 @@ class ResidualState:
     speed_r: np.ndarray
     cos_r: np.ndarray
     sin_r: np.ndarray
-    gw_r: np.ndarray
+    gw_r: np.ndarray | None
     vol: np.ndarray
 
     @classmethod
-    def build(cls, data: ModelData, method: str, window: tuple) -> "ResidualState":
+    def build(cls, data: ModelData, method: str, window: tuple, *,
+              include_gw: bool) -> "ResidualState":
+        """The residual arrays under ``method`` and ``window``: the geostrophic
+        speed's only when ``include_gw``, so a variant without it neither
+        needs geowind.csv nor fails on its gaps."""
         rows = in_window(window, data.times)
         hours = data.hod[rows]
         where = describe(method, window)
@@ -256,7 +284,7 @@ class ResidualState:
             speed_r[i], speed_diurnal[i] = residual(data.speed[i], f"speed at {st}")
             cos_r[i], _ = residual(data.cos_dir[i], f"direction cosine at {st}")
             sin_r[i], _ = residual(data.sin_dir[i], f"direction sine at {st}")
-        gw_r, _ = residual(data.gw_speed, "geostrophic speed")
+        gw_r = residual(data.gw_speed, "geostrophic speed")[0] if include_gw else None
         return cls(data=data, window=window, speed_diurnal=speed_diurnal, speed_r=speed_r,
                    cos_r=cos_r, sin_r=sin_r, gw_r=gw_r, vol=volatility(speed_r))
 

@@ -392,6 +392,21 @@ def test_cli_import_loads_neither_scipy_nor_multiprocessing():
     assert _loaded_after("import sys, windcast.cli", ("multiprocessing", "scipy")) == "[]"
 
 
+def test_persistence_forecast_opens_no_pool(pipeline_run, tmp_path):
+    """A forecast that fits nothing starts no workers, however many jobs it
+    is given, and needs no scipy.special."""
+    src, cfg = pipeline_run
+    out = tmp_path / "out"
+    shutil.copytree(src / "data", out / "data")
+    shutil.copy(src / "geowind.csv", out / "geowind.csv")
+    path = _write_config(tmp_path, dict(cfg, out_dir=str(out), variants=["PSS"]))
+    code = (f"import sys; from windcast.cli import main; "
+            f"assert main(['forecast', '--config', {str(path)!r}, '--jobs', '2']) == 0")
+    modules = ("multiprocessing", "concurrent.futures", "scipy.special")
+    assert _loaded_after(code, modules) == "[]"
+    assert (out / "forecasts" / "PSS.csv").exists()
+
+
 @pytest.fixture(scope="module")
 def pipeline_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli-run")
@@ -622,9 +637,9 @@ class TestSharedWork:
         states, pools = [], []
         build_state, build_pool = ResidualState.build.__func__, CandidatePool.build.__func__
 
-        def spy_state(cls, data, method, win):
-            states.append((method, win))
-            return build_state(cls, data, method, win)
+        def spy_state(cls, data, method, win, *, include_gw):
+            states.append((method, win, include_gw))
+            return build_state(cls, data, method, win, include_gw=include_gw)
 
         def spy_pool(cls, state, variant, horizon, *args, **kwargs):
             pools.append((variant.name, horizon))
@@ -640,17 +655,19 @@ class TestSharedWork:
         loaded = load_config(path)
         train_end, test_start = loaded.train_end, loaded.test_start
 
-        def windows(method, *fit_times):
+        def windows(method, include_gw, *fit_times):
             train = (loaded.train_start, train_end)
-            return [(method, window(method, t, train, loaded.window_days)) for t in fit_times]
+            return [(method, window(method, t, train, loaded.window_days), include_gw)
+                    for t in fit_times]
 
         assert len(loaded.stations) == 4
         per_horizon = [("TDD", 1), ("TDD", 2), ("TDDGW-MD", 1), ("TDDGW-MD", 2)]
 
         assert main(["forecast", "--config", str(path), "--jobs", "1"]) == 0
-        # MD refits on each of the 5 test days; the first reuses the selection state
-        assert states == windows("TRIG", train_end) + windows(
-            "MD", train_end, *(test_start + 24 * day for day in range(1, 5)))
+        # MD refits on each of the 5 test days; the first reuses the selection state.
+        # Only TDDGW-MD residualizes the geostrophic speed, which it alone uses.
+        assert states == windows("TRIG", False, train_end) + windows(
+            "MD", True, train_end, *(test_start + 24 * day for day in range(1, 5)))
         assert pools == per_horizon
 
 
@@ -677,8 +694,9 @@ class TestWorkerFaults:
 
 
 class TestGeowindProvenance:
-    """forecast reads a geowind.csv estimated under this run's geowind
-    settings only; the other settings may differ."""
+    """A forecast with a variant that uses the geostrophic wind reads a
+    geowind.csv estimated under this run's geowind settings only; the other
+    settings may differ. A forecast without such a variant reads none."""
 
     def _copy(self, pipeline_run, tmp_path, **changes):
         src, cfg = pipeline_run
@@ -700,10 +718,80 @@ class TestGeowindProvenance:
         assert estimated in message and load_config(path).geowind_digest() in message
         assert not (out / "forecasts").exists()
 
-    def test_other_variants_read_it(self, pipeline_run, tmp_path):
-        out, path = self._copy(pipeline_run, tmp_path, variants=["PSS", "TDD"], horizons=[1])
+    def test_missing_refused(self, pipeline_run, tmp_path, capsys):
+        out, path = self._copy(pipeline_run, tmp_path)
+        (out / "geowind.csv").unlink()
+        assert main(["forecast", "--config", str(path)]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "LoadError"
+        assert "geowind.csv not found (run the geowind command first)" in payload["message"]
+        assert not (out / "forecasts").exists()
+
+    def test_variants_without_the_geostrophic_wind_ignore_a_stale_one(self, pipeline_run,
+                                                                     tmp_path):
+        """PSS and TDD read no geowind.csv, so one estimated under other
+        geowind settings does not stop them."""
+        out, path = self._copy(pipeline_run, tmp_path, min_stations=11,
+                               variants=["PSS", "TDD"], horizons=[1])
         assert main(["forecast", "--config", str(path)]) == 0
         assert (out / "forecasts" / "TDD.csv").exists()
+
+
+class TestForecastInputs:
+    """forecast reads the station fields, and geowind.csv, that its variants
+    use (model.forecast_inputs), and no more."""
+
+    @pytest.mark.parametrize("variant, roles, reads_gw", [
+        ("PSS", ("speed",), False),
+        ("TDD", ("speed", "direction"), False),
+        ("TDDGW-MD", ("speed", "direction"), True),
+        ("TDDGWDT-SMD", ("speed", "direction", "temperature"), True),
+    ])
+    def test_loads_what_the_variant_uses(self, pipeline_run, monkeypatch, variant, roles,
+                                         reads_gw):
+        _, cfg = pipeline_run
+        loads, gw_reads = [], []
+
+        def spy_load(directory, schema, station_ids, fields, pool, _fn=cli.load_network_dir):
+            loads.append(fields)
+            return _fn(directory, schema, station_ids, fields, pool)
+
+        def spy_from_csv(cls, path, _fn=GeoWindSeries.from_csv.__func__):
+            gw_reads.append(os.path.basename(path))
+            return _fn(cls, path)
+
+        monkeypatch.setattr(cli, "load_network_dir", spy_load)
+        monkeypatch.setattr(GeoWindSeries, "from_csv", classmethod(spy_from_csv))
+        data = cli._load_model_data(config_from_dict(dict(cfg, variants=[variant])), None)
+        assert loads == [roles]
+        assert gw_reads == (["geowind.csv"] if reads_gw else [])
+        read = {"direction": data.cos_dir is not None and data.sin_dir is not None,
+                "temperature": data.temperature is not None}
+        assert read == {role: role in roles for role in read}
+        assert all((series is not None) == reads_gw
+                   for series in (data.gw_speed, data.gw_cos, data.gw_sin))
+
+    def test_geowind_gap_does_not_stop_a_variant_without_it(self, pipeline_run, tmp_path):
+        """Blank geostrophic cells on every 03:00Z row leave each MD window
+        without a geostrophic value at one local hour. TDD-MD does not use
+        the geostrophic wind, so its forecasts are those of a clean
+        geowind.csv."""
+        src, cfg = pipeline_run
+        outputs = []
+        for blank in (False, True):
+            out = tmp_path / f"blank-{blank}"
+            shutil.copytree(src / "data", out / "data")
+            lines = (src / "geowind.csv").read_text().splitlines(keepends=True)
+            if blank:
+                # iso8601_utc_hour,u_g,v_g,w_g,theta_g_rad,n_stations,rms_residual
+                lines = [",".join(l.split(",")[:1] + [""] * 4 + l.split(",")[5:])
+                         if "T03:00Z," in l else l for l in lines]
+            (out / "geowind.csv").write_text("".join(lines))
+            path = _write_config(out, dict(cfg, out_dir=str(out), variants=["PSS", "TDD-MD"]))
+            assert main(["forecast", "--config", str(path)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in (out / "forecasts").glob("*.csv")})
+        assert sorted(outputs[0]) == ["PSS.csv", "TDD-MD.csv"]
+        assert outputs[0] == outputs[1]
 
 
 class TestReportScores:
@@ -886,6 +974,18 @@ class TestFrozenModelOutputs:
             found.update((f"{variant}/{st}_k{k}", _spec_sha(variant, st, k, names))
                          for (st, k), names in chosen.items())
         assert found == self.SPECS
+
+    @pytest.mark.parametrize("variant", ["PSS", "TDD"])
+    def test_runs_without_geowind(self, run, tmp_path, variant):
+        """A variant that does not use the geostrophic wind needs no geowind
+        stage, and writes the bytes it writes in the full run."""
+        src, path = run
+        out = tmp_path / "out"
+        shutil.copytree(src / "data", out / "data")
+        cfg = dict(yaml.safe_load(path.read_text()), out_dir=str(out), variants=[variant])
+        assert main(["forecast", "--config", str(_write_config(tmp_path, cfg))]) == 0
+        assert sorted(os.listdir(out / "forecasts")) == [f"{variant}.csv"]
+        assert _data_sha(out / "forecasts" / f"{variant}.csv") == self.FORECASTS[f"{variant}.csv"]
 
     def test_leftover_models_tree_changes_nothing(self, run):
         """forecast reads no model bundle that an earlier version's train

@@ -204,7 +204,8 @@ def _residual_state(times, speed, method, cos_dir=None):
                      sin_dir=np.zeros((1, n)), temperature=np.full((1, n), 15.0),
                      gw_speed=np.ones(n), gw_cos=np.ones(n), gw_sin=np.zeros(n))
     end = int(times[-1]) + 1
-    return ResidualState.build(data, method, window(method, end, (int(times[0]), end), 45))
+    return ResidualState.build(data, method, window(method, end, (int(times[0]), end), 45),
+                               include_gw=True)
 
 
 class TestResidualize:
@@ -248,6 +249,6 @@ class TestResidualize:
         train = (int(times[0]), epoch_hour("2008-05-25T00:00"))
         win = window("SMD", epoch_hour("2008-06-01T00:00"), train, 45)
         with pytest.raises(InsufficientDataError) as info:
-            ResidualState.build(data, "SMD", win)
+            ResidualState.build(data, "SMD", win, include_gw=True)
         assert str(info.value) == ("speed at S1 in the SMD window (season JJA, before "
                                    "2008-05-25T00:00Z) has no observations at hour 00")

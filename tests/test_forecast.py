@@ -15,7 +15,7 @@ from windcast.forecast import (
     write_records_csv,
 )
 from windcast.diurnal import window
-from windcast.model import DesignBundle, ResidualState
+from windcast.model import DesignBundle, ResidualState, parse_variant
 from windcast.predictive import cdf_values
 from windcast.errors import InvalidInputError, TrainingDataError
 from windcast.timeutil import epoch_hour
@@ -264,8 +264,12 @@ def _window(method, fit_time, train):
     return window(method, fit_time, train, ROLLING.window_days)
 
 
-def _state(data, method, fit_time, train):
-    return ResidualState.build(data, method, _window(method, fit_time, train))
+def _state(data, variant, fit_time, train):
+    """The residual state ``variant`` builds for a fit at ``fit_time``."""
+    spec = parse_variant(variant)
+    method = spec.diurnal_method
+    return ResidualState.build(data, method, _window(method, fit_time, train),
+                               include_gw=spec.include_gw)
 
 
 class TestStateReuse:
@@ -295,8 +299,12 @@ class TestStateReuse:
 
     @staticmethod
     def _same_state(state, fresh):
-        for name in ("speed_r", "cos_r", "sin_r", "gw_r", "vol"):
+        for name in ("speed_r", "cos_r", "sin_r", "vol"):
             assert getattr(state, name).tobytes() == getattr(fresh, name).tobytes(), name
+        if fresh.gw_r is None:  # a variant without the geostrophic wind
+            assert state.gw_r is None
+        else:
+            assert state.gw_r.tobytes() == fresh.gw_r.tobytes()
         assert state.window == fresh.window
         assert state.speed_diurnal.tobytes() == fresh.speed_diurnal.tobytes()
 
@@ -308,7 +316,7 @@ class TestStateReuse:
         (t0, t1), _ = _bounds(data, 100, 2)
         ts = t1 + 24 * delay_days
         method = variant.partition("-")[2] or "TRIG"
-        fresh = _state(data, method, ts, (t0, t1))
+        fresh = _state(data, variant, ts, (t0, t1))
         built, fitted = self._spied_run(monkeypatch, data, variant, (t0, t1), (ts, ts + 48))
 
         assert [st.window for st in built] == [_window(method, at, (t0, t1)) for at in
@@ -332,7 +340,7 @@ class TestStateReuse:
         # one design per state, the first on the selection state
         assert [id(st) for st in fitted] == [id(st) for st in built]
         for day, state in zip([0] + rebuilt, fitted):
-            self._same_state(state, _state(data, method, t1 + 24 * day, (t0, t1)))
+            self._same_state(state, _state(data, variant, t1 + 24 * day, (t0, t1)))
 
 
 def test_records_csv_round_trip(tmp_path):

@@ -74,7 +74,8 @@ def _make_data(speed_rows, gw=None, temps=None, start="2008-01-01T00:00",
 def _state(data, method, fit_time, train, window_days=45):
     """The residual state of ``method``'s averaging window at ``fit_time``."""
     return ResidualState.build(data, method,
-                               diurnal.window(method, fit_time, train, window_days))
+                               diurnal.window(method, fit_time, train, window_days),
+                               include_gw=True)
 
 
 def _columns(speed=(), direction=(), gw=-1, forced=()):
