@@ -42,13 +42,7 @@ import sys
 from . import __version__
 from .config import RunConfig, dump_config, load_config
 from .errors import ConfigError, InvalidInputError, LoadError, WindcastError
-from .forecast import (
-    ForecastColumns,
-    RollingConfig,
-    read_records_csv,
-    run_rolling,
-    write_records_csv,
-)
+from .forecast import ForecastColumns, read_records_csv, run_rolling, write_records_csv
 from .geostrophy import GeoWindSeries, estimate_series
 from .ingest import load_network_dir
 from .model import ModelData, PERSISTENCE, forecast_inputs
@@ -148,15 +142,11 @@ def _load_model_data(cfg: RunConfig, pool) -> ModelData:
     if reads_gw:
         _check_provenance(cfg, gw_path, "geowind")
         pending = pool.submit(GeoWindSeries.from_csv, gw_path) if pool else None
-    network = _load_network(cfg, cfg.features, roles, pool)
+    network = _load_network(cfg, cfg.stations, roles, pool)
     if reads_gw:
         geowind = pending.result() if pending else GeoWindSeries.from_csv(gw_path)
-    return ModelData.from_network(network, geowind, cfg.features, cfg.tz_offset_hours)
-
-
-def _rolling_config(cfg: RunConfig) -> RollingConfig:
-    return RollingConfig(window_days=cfg.window_days, refit_hours=cfg.refit_hours,
-                         max_lag=cfg.max_lag)
+    # reordered to config order, which the candidate pools' columns follow
+    return ModelData.from_network(network, geowind, cfg.stations, cfg.tz_offset_hours)
 
 
 def cmd_synth(cfg: RunConfig, jobs: int) -> None:
@@ -197,7 +187,6 @@ def cmd_forecast(cfg: RunConfig, jobs: int) -> None:
     for starting the workers."""
     train = (cfg.train_start, cfg.train_end)
     test = (cfg.test_start, cfg.test_end)
-    rolling = _rolling_config(cfg)
 
     results: dict[tuple, ForecastColumns] = {}
     fit_keys, fit_tasks = [], []
@@ -207,12 +196,13 @@ def cmd_forecast(cfg: RunConfig, jobs: int) -> None:
         for variant in cfg.variants:
             if variant == PERSISTENCE:
                 columns = run_rolling(data, variant, cfg.stations, cfg.horizons, train, test,
-                                      rolling)
+                                      cfg.window_days, cfg.refit_hours)
                 results.update(((variant, st), c) for st, c in zip(cfg.stations, columns))
                 continue
             for group in _station_groups(cfg, jobs):
                 fit_keys.append((variant, group))
-                fit_tasks.append((data, variant, group, list(cfg.horizons), train, test, rolling))
+                fit_tasks.append((data, variant, group, list(cfg.horizons), train, test,
+                                  cfg.window_days, cfg.refit_hours))
         for (variant, group), columns in zip(fit_keys, _map(pool, run_rolling, fit_tasks)):
             results.update(((variant, st), c) for st, c in zip(group, columns))
 

@@ -7,6 +7,7 @@ single ConfigError enumerating every violated constraint.
 from __future__ import annotations
 
 import dataclasses
+import datetime
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -16,14 +17,14 @@ import yaml
 from .errors import ConfigError, InvalidInputError
 from .geostrophy import MeanRemovalPolicy
 from .ingest import CANONICAL_SCHEMA, SchemaConfig
-from .model import MAX_HORIZON, MAX_LAG, PERSISTENCE, parse_variant
+from .model import MAX_HORIZON, PERSISTENCE, parse_variant
 from .synth import SynthConfig
 from .timeutil import epoch_hour, iso_hour
 
 _TOP_KEYS = {
-    "seed", "out_dir", "data", "stations", "feature_stations", "gw_stations",
-    "horizons", "variants", "train", "test", "window_days", "refit_hours",
-    "restarts", "max_lag", "tz_offset_hours", "mean_removal", "min_stations", "jobs",
+    "seed", "out_dir", "data", "stations", "gw_stations", "horizons", "variants",
+    "train", "test", "window_days", "refit_hours", "restarts", "tz_offset_hours",
+    "mean_removal", "min_stations", "jobs",
 }
 # libyaml's C classes when PyYAML was built with them: they read and write
 # config.yaml as the pure-Python classes do, in a fraction of the time
@@ -33,32 +34,29 @@ _YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 @dataclass
 class RunConfig:
+    """A run's settings. The forecast targets are also the space-time feature
+    stations, and every model looks back at most ``model.MAX_LAG`` hours."""
+
     seed: int = 0
     out_dir: str = "runs/out"
     data_source: str = "synth"
     synth: SynthConfig | None = None
     csv_dir: str | None = None
     csv_schema: SchemaConfig = CANONICAL_SCHEMA
-    stations: list = field(default_factory=list)  # forecast targets
-    feature_stations: list | None = None  # default: targets
+    stations: list = field(default_factory=list)  # forecast targets, also the feature stations
     gw_stations: list | None = None  # default: every station in the archive
     horizons: list = field(default_factory=lambda: [1, 2, 3, 4, 5, 6])
     variants: list = field(default_factory=lambda: [PERSISTENCE, "TDD", "TDDGW-MD"])
-    train_start: int = 0
-    train_end: int = 0
-    test_start: int = 0
-    test_end: int = 0
+    train_start: int | None = None  # None until a period parses
+    train_end: int | None = None
+    test_start: int | None = None
+    test_end: int | None = None
     window_days: int = 45
     refit_hours: int = 24
-    max_lag: int = MAX_LAG
     tz_offset_hours: int = 0
     mean_removal: MeanRemovalPolicy = MeanRemovalPolicy.MONTHLY
     min_stations: int = 3
     jobs: int = 1
-
-    @property
-    def features(self) -> list:
-        return list(self.feature_stations) if self.feature_stations else list(self.stations)
 
     def validate(self) -> list:
         """Every violated constraint, empty when the config is usable."""
@@ -71,22 +69,19 @@ class RunConfig:
             v.append(f"data.csv.dir must be a nonempty string, got {self.csv_dir!r}")
         if not self.stations:
             v.append("stations (forecast targets) must be nonempty")
-        for name in ("stations", "feature_stations", "gw_stations", "variants", "horizons"):
+        for name in ("stations", "gw_stations", "variants", "horizons"):
             values = getattr(self, name) or []
             repeated = [x for i, x in enumerate(values)
                         if x in values[:i] and x not in values[i + 1:]]
             if repeated:
                 v.append(f"{name} lists {repeated} more than once")
-        named = True  # every station entry is a name
-        for name in ("stations", "feature_stations", "gw_stations"):
+        for name in ("stations", "gw_stations"):
             for x in getattr(self, name) or []:
                 if not isinstance(x, str):
                     v.append(f"{name} entry {x!r} must be a string")
-                    named = False
-        if self.feature_stations is not None and named:
-            missing = set(self.stations) - set(self.feature_stations)
-            if missing:
-                v.append(f"feature_stations must include every target; missing {sorted(missing)}")
+        if self.gw_stations is not None and len(self.gw_stations) < self.min_stations:
+            v.append(f"gw_stations lists {len(self.gw_stations)} stations, fewer than "
+                     f"min_stations ({self.min_stations}): no hour gets a geostrophic wind")
         if not self.horizons:
             v.append("horizons must be nonempty")
         for k in self.horizons:
@@ -103,23 +98,24 @@ class RunConfig:
                 parse_variant(name)
             except InvalidInputError as exc:
                 v.append(str(exc))
-        if not self.train_start < self.train_end:
+        # the order and window-length checks need periods that parsed
+        train = None not in (self.train_start, self.train_end)
+        test = None not in (self.test_start, self.test_end)
+        if train and not self.train_start < self.train_end:
             v.append("training period start must precede its end")
-        if not self.test_start < self.test_end:
+        if test and not self.test_start < self.test_end:
             v.append("test period start must precede its end")
-        if self.train_end > self.test_start:
+        if train and test and self.train_end > self.test_start:
             v.append("training period must precede the test period")
         if self.window_days < 1:
             v.append("window_days must be >= 1")
-        elif 24 * self.window_days > self.train_end - self.train_start:
+        elif train and 24 * self.window_days > self.train_end - self.train_start:
             v.append(
                 f"sliding window of {self.window_days} days exceeds the "
                 f"{(self.train_end - self.train_start) // 24}-day training period"
             )
         if self.refit_hours < 1:
             v.append("refit_hours must be >= 1")
-        if not 1 <= self.max_lag <= MAX_LAG:
-            v.append(f"max_lag must lie in 1..{MAX_LAG}")
         if self.min_stations < 3:
             v.append("min_stations must be >= 3")
         if self.jobs < 1:
@@ -132,7 +128,6 @@ class RunConfig:
             "out_dir": self.out_dir,
             "data": {"source": self.data_source},
             "stations": list(self.stations),
-            "feature_stations": self.feature_stations,
             "gw_stations": self.gw_stations,
             "horizons": list(self.horizons),
             "variants": list(self.variants),
@@ -140,7 +135,6 @@ class RunConfig:
             "test": {"start": iso_hour(self.test_start), "end": iso_hour(self.test_end)},
             "window_days": self.window_days,
             "refit_hours": self.refit_hours,
-            "max_lag": self.max_lag,
             "tz_offset_hours": self.tz_offset_hours,
             "mean_removal": self.mean_removal.value,
             "min_stations": self.min_stations,
@@ -175,15 +169,29 @@ def _sha(d: dict) -> str:
     return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()[:12]
 
 
+def _epoch_hour(value) -> int:
+    """A period bound's epoch hour. YAML reads an unquoted timestamp as a
+    date or a datetime, which is UTC when it has no offset or offset 0; any
+    other offset is refused, not shifted."""
+    if isinstance(value, datetime.datetime):
+        if value.utcoffset():
+            raise InvalidInputError(f"timestamp {value.isoformat()} is at {value.tzname()}, "
+                                    "not UTC")
+        value = value.replace(tzinfo=None)
+    return epoch_hour(str(value))
+
+
 def _parse_period(raw, name, violations):
+    """(start, end) epoch hours; (None, None), and a violation, when the period
+    does not parse."""
     if not isinstance(raw, dict) or "start" not in raw or "end" not in raw:
         violations.append(f"{name} must be a mapping with 'start' and 'end'")
-        return 0, 0
+        return None, None
     try:
-        return epoch_hour(str(raw["start"])), epoch_hour(str(raw["end"]))
+        return _epoch_hour(raw["start"]), _epoch_hour(raw["end"])
     except InvalidInputError as exc:
         violations.append(f"{name}: {exc}")
-        return 0, 0
+        return None, None
 
 
 def _mapping(parent: dict, key: str, name: str, violations) -> dict:
@@ -206,8 +214,8 @@ def config_from_dict(raw: dict) -> RunConfig:
         violations.append(f"unknown config keys: {sorted(unknown)}")
 
     cfg = RunConfig()
-    for name in ("seed", "window_days", "refit_hours", "max_lag",
-                 "tz_offset_hours", "min_stations", "jobs"):
+    for name in ("seed", "window_days", "refit_hours", "tz_offset_hours", "min_stations",
+                 "jobs"):
         value = raw.get(name, getattr(cfg, name))
         if isinstance(value, bool) or not isinstance(value, int):  # int() would truncate
             violations.append(f"{name} must be an integer, got {value!r}")
@@ -234,7 +242,7 @@ def config_from_dict(raw: dict) -> RunConfig:
             except (TypeError, InvalidInputError) as exc:
                 violations.append(f"data.csv.schema: {exc}")
 
-    for name in ("stations", "feature_stations", "gw_stations", "horizons", "variants"):
+    for name in ("stations", "gw_stations", "horizons", "variants"):
         value = raw.get(name)  # None keeps the default
         if isinstance(value, list):
             setattr(cfg, name, list(value))

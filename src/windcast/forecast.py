@@ -52,17 +52,6 @@ FORECAST_CSV_COLUMNS = (
 
 
 @dataclass
-class RollingConfig:
-    window_days: int
-    refit_hours: int
-    max_lag: int
-
-    @property
-    def window_hours(self) -> int:
-        return 24 * self.window_days
-
-
-@dataclass
 class ForecastColumns:
     """Issued forecasts as columns, one record per row. mu/sigma are NaN when
     no distribution exists (persistence or fallback); observed is NaN until
@@ -126,16 +115,16 @@ def persistence(data: ModelData, station: str, test: tuple, horizons: Sequence[i
 
 
 def _selection(data: ModelData, variant: VariantSpec, stations: Sequence[str],
-               horizons: Sequence[int], train: tuple, config: RollingConfig) -> tuple:
+               horizons: Sequence[int], train: tuple, window_days: int) -> tuple:
     """The residual state at the training end, and {(station, horizon): the
     design column names BIC kept} by selection on the training period. One
     candidate pool per horizon serves every station."""
     method = variant.diurnal_method
-    state = ResidualState.build(data, method, window(method, train[1], train, config.window_days),
+    state = ResidualState.build(data, method, window(method, train[1], train, window_days),
                                 include_gw=variant.include_gw)
     chosen = {}
     for k in horizons:
-        pool = CandidatePool.build(state, variant, k, train, config.max_lag)
+        pool = CandidatePool.build(state, variant, k, train)
         chosen.update(((st, k), select_lags_bic(pool, st)) for st in stations)
         del pool  # before the next horizon's pool is built
     return state, chosen
@@ -148,11 +137,14 @@ def run_rolling(
     horizons: Sequence[int],
     train: tuple,
     test: tuple,
-    config: RollingConfig,
+    window_days: int,
+    refit_hours: int,
 ) -> list:
     """All forecasts for one variant over the test period: one
     ForecastColumns per target station, in the order given, each ordered by
-    issue hour, then horizon.
+    issue hour, then horizon. Each refit fits the ``window_days`` sliding
+    window that ends at it and serves the next ``refit_hours`` issue hours;
+    persistence looks back at most one window length.
 
     BIC selection runs on the training period first (``_selection``), and
     each (station, horizon) design then builds the columns it kept. The
@@ -165,39 +157,41 @@ def run_rolling(
     test_start, test_end = int(test[0]), int(test[1])
     if test_start < train_end:
         raise InvalidInputError("test period must start at or after the training period end")
-    if train_end - train_start < config.window_hours:
+    window_hours = 24 * window_days
+    if train_end - train_start < window_hours:
         raise TrainingDataError(
             f"training history of {train_end - train_start} h is shorter than "
-            f"the {config.window_hours} h sliding window"
+            f"the {window_hours} h sliding window"
         )
     horizons = sorted(set(int(k) for k in horizons))
-    pss = [persistence(data, st, (test_start, test_end), horizons, config.window_hours)
+    pss = [persistence(data, st, (test_start, test_end), horizons, window_hours)
            for st in stations]
     if variant == PERSISTENCE:
         return pss
 
     parsed = parse_variant(variant)
     method = parsed.diurnal_method
-    state, chosen = _selection(data, parsed, stations, horizons, (train_start, train_end), config)
+    state, chosen = _selection(data, parsed, stations, horizons, (train_start, train_end),
+                               window_days)
     mu = [np.full(len(p), np.nan) for p in pss]
     sigma = [np.full(len(p), np.nan) for p in pss]
     t0 = int(data.times[0])
     n_k = len(horizons)
 
-    refits = range(test_start, test_end, config.refit_hours)
-    for win, group in groupby(refits, lambda at: window(method, at, train, config.window_days)):
+    refits = range(test_start, test_end, refit_hours)
+    for win, group in groupby(refits, lambda at: window(method, at, train, window_days)):
         group = list(group)
         if win != state.window:
             state = ResidualState.build(data, method, win, include_gw=parsed.include_gw)
         # from the first fit window's start to the last issue hour under this state
-        span = (max(group[0] - config.window_hours - t0, 0),
-                min(group[-1] + config.refit_hours, test_end) - t0)
+        span = (max(group[0] - window_hours - t0, 0),
+                min(group[-1] + refit_hours, test_end) - t0)
         for s, station in enumerate(stations):
             for j, k in enumerate(horizons):
                 bundle = DesignBundle.build(state, parsed, station, k, chosen[station, k], span)
                 for refit_at in group:
-                    coefficients = fit_crps(bundle, (refit_at - config.window_hours, refit_at))
-                    end = min(refit_at + config.refit_hours, test_end)
+                    coefficients = fit_crps(bundle, (refit_at - window_hours, refit_at))
+                    end = min(refit_at + refit_hours, test_end)
                     # issue hours [refit_at, end) at horizon j, and their bundle rows
                     rows = slice((refit_at - test_start) * n_k + j, (end - test_start) * n_k, n_k)
                     mu[s][rows], sigma[s][rows] = predict_params(

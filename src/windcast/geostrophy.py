@@ -61,14 +61,14 @@ GEOWIND_CSV_COLUMNS = (
 class MeanRemovalPolicy(enum.Enum):
     """How per-station height biases are removed before the plane fit.
 
-    MONTHLY is the operational default. NONE keeps the heights as they are:
-    it suits synthetic archives, whose barometers carry no bias, where the
+    MONTHLY, the operational default, subtracts each station's mean height
+    over each UTC calendar month. NONE keeps the heights as they are: it
+    suits synthetic archives, whose barometers carry no bias, where the
     generating field itself is the target (the round-trip tests, the test
     benchmark config and the perfbench configs run it).
     """
 
     NONE = "none"
-    WHOLE_RECORD = "whole"
     MONTHLY = "monthly"
 
 
@@ -212,9 +212,6 @@ def _station_anomalies(heights: np.ndarray, times: np.ndarray, policy: MeanRemov
     if policy is MeanRemovalPolicy.NONE:
         return heights
     anomalies = np.array(heights, copy=True)
-    if policy is MeanRemovalPolicy.WHOLE_RECORD:
-        anomalies -= _nanmean(heights, axis=1, keepdims=True)
-        return anomalies
     months = month_index(times)
     for m in np.unique(months):
         cols = months == m

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from windcast.config import config_from_dict, dump_config, load_config
 from windcast.diurnal import window
 from windcast.errors import ConfigError
 from windcast.forecast import read_records_csv
-from windcast.geostrophy import GeoWindSeries
+from windcast.geostrophy import GeoWindSeries, MeanRemovalPolicy
 from windcast.ingest import CANONICAL_SCHEMA
 from windcast.model import CandidatePool, ResidualState, parse_variant
 
@@ -47,6 +48,15 @@ def _write_config(tmp_path, cfg):
     return path
 
 
+def _write_unquoted_train(tmp_path, start, end):
+    """small_config with its train period written unquoted, for YAML to type."""
+    cfg = small_config(tmp_path / "out")
+    del cfg["train"]
+    path = _write_config(tmp_path, cfg)
+    path.write_text(path.read_text() + f"train: {{start: {start}, end: {end}}}\n")
+    return path
+
+
 class TestConfigValidation:
     def test_collects_every_violation(self, tmp_path):
         bad = {
@@ -68,11 +78,10 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("name, values, repeated", [
         ("stations", ["S01", "S01"], ["S01"]),
-        ("feature_stations", ["S01", "S02", "S03", "S04", "S05", "S02"], ["S02"]),
         ("gw_stations", ["S05", "S06", "S07", "S06", "S05", "S06"], ["S05", "S06"]),
         ("variants", ["PSS", "TDD", "PSS"], ["PSS"]),
         ("horizons", [2, 1, 2], [2]),
-    ], ids=["stations", "feature_stations", "gw_stations", "variants", "horizons"])
+    ], ids=["stations", "gw_stations", "variants", "horizons"])
     def test_repeated_entries_refused(self, tmp_path, name, values, repeated):
         with pytest.raises(ConfigError) as err:
             config_from_dict(small_config(tmp_path / "out", **{name: values}))
@@ -81,16 +90,13 @@ class TestConfigValidation:
     @pytest.mark.parametrize("name, values, violation", [
         ("stations", [["S01"], "S02"], "stations entry ['S01'] must be a string"),
         ("stations", ["S01", 2], "stations entry 2 must be a string"),
-        ("feature_stations", ["S01", "S02", "S03", "S04", ["S05"]],
-         "feature_stations entry ['S05'] must be a string"),
         ("gw_stations", ["S05", 6, "S07"], "gw_stations entry 6 must be a string"),
         ("horizons", [True, 2], "horizons entry True must be an integer"),
         ("horizons", [2.0], "horizons entry 2.0 must be an integer"),
-    ], ids=["stations-list", "stations-int", "feature_stations", "gw_stations",
-            "horizons-bool", "horizons-float"])
+    ], ids=["stations-list", "stations-int", "gw_stations", "horizons-bool",
+            "horizons-float"])
     def test_malformed_entries_refused(self, tmp_path, capsys, name, values, violation):
-        # feature_stations set: its subset check must not meet a list among the stations
-        cfg = small_config(tmp_path / "out", feature_stations=["S01", "S02", "S03", "S04"])
+        cfg = small_config(tmp_path / "out")
         cfg[name] = values
         assert main(["report", "--config", str(_write_config(tmp_path, cfg))]) == 2
         payload = json.loads(capsys.readouterr().err)
@@ -99,7 +105,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("name, value", [
         ("tz_offset_hours", -5.5), ("refit_hours", 24.5), ("window_days", True),
-        ("jobs", True), ("seed", 424242.9), ("max_lag", "10"), ("min_stations", 3.0),
+        ("jobs", True), ("seed", 424242.9), ("min_stations", 3.0),
     ])
     def test_integer_keys_refuse_other_values(self, tmp_path, capsys, name, value):
         """An integer key is refused, not truncated by int(), when it holds a
@@ -208,6 +214,61 @@ class TestConfigValidation:
         assert "Traceback" not in captured.err + captured.out
         assert not out.exists()
 
+    @pytest.mark.parametrize("train, violation", [
+        ({"start": "yesterday", "end": "2008-05-01T00:00"},
+         "train: unparseable timestamp 'yesterday'"),
+        ({"start": "2008-01-01T00:00"}, "train must be a mapping with 'start' and 'end'"),
+    ], ids=["unparseable", "no-end"])
+    def test_unparsed_period_adds_no_other_violation(self, tmp_path, train, violation):
+        """A period that does not parse has no order or length to check."""
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(small_config(tmp_path / "out", train=train))
+        assert err.value.violations == [violation]
+
+    @pytest.mark.parametrize("start, end", [
+        ("2008-01-01T00:00:00Z", "2008-05-01T00:00:00Z"),
+        ("2008-01-01 00:00:00", "2008-05-01 00:00:00+00:00"),
+        ("2008-01-01", "2008-05-01"),
+    ], ids=["z", "naive-and-zero-offset", "date"])
+    def test_unquoted_utc_timestamps_accepted(self, tmp_path, start, end):
+        """YAML reads an unquoted timestamp as a datetime or a date; one in UTC
+        gives the period its quoted form gives."""
+        quoted = config_from_dict(small_config(tmp_path / "out"))
+        loaded = load_config(_write_unquoted_train(tmp_path, start, end))
+        assert (loaded.train_start, loaded.train_end) == (quoted.train_start, quoted.train_end)
+        assert loaded.digest() == quoted.digest()
+
+    @pytest.mark.parametrize("start, offset", [
+        ("2008-01-01T05:00:00+05:00", "UTC+05:00"), ("2007-12-31T18:00:00-06:00", "UTC-06:00"),
+    ])
+    def test_unquoted_timestamp_with_offset_refused(self, tmp_path, start, offset):
+        with pytest.raises(ConfigError) as err:
+            load_config(_write_unquoted_train(tmp_path, start, "2008-05-01"))
+        assert err.value.violations == [f"train: timestamp {start} is at {offset}, not UTC"]
+
+    def test_fewer_gw_stations_than_min_stations_refused(self, tmp_path, capsys):
+        """No hour could reach min_stations barometers, so geowind would
+        estimate nothing and a TDDGW forecast would fail."""
+        out = tmp_path / "out"
+        path = _write_config(tmp_path, small_config(str(out), gw_stations=["S05", "S06"]))
+        assert main(["geowind", "--config", str(path)]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ConfigError"
+        assert payload["violations"] == [
+            "gw_stations lists 2 stations, fewer than min_stations (3): "
+            "no hour gets a geostrophic wind"]
+        assert not out.exists()
+
+    def test_readme_example_loads(self):
+        """README's example config is valid, and its mean_removal comment
+        lists exactly the policies there are."""
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = text.split("```yaml\n", 1)[1].split("```", 1)[0]
+        config_from_dict(yaml.safe_load(block))
+        (line,) = [x for x in block.splitlines() if x.startswith("mean_removal:")]
+        listed = line.partition("#")[2].partition("(")[0].split("|")
+        assert [x.strip() for x in listed] == [p.value for p in MeanRemovalPolicy]
+
     def test_round_trips_through_yaml(self, tmp_path):
         path = _write_config(tmp_path, small_config(tmp_path / "out"))
         cfg = load_config(path)
@@ -314,27 +375,38 @@ class TestConfigDigest:
     def test_synth_digest_unchanged(self):
         cfg = small_config("out")
         assert cfg["restarts"] == 1
-        assert config_from_dict(cfg).digest() == "8429206112c8"
+        assert config_from_dict(cfg).digest() == "bdf982fb6a3e"
         del cfg["restarts"]  # 1 is the only accepted value, so it reads as absent
-        assert config_from_dict(cfg).digest() == "8429206112c8"
+        assert config_from_dict(cfg).digest() == "bdf982fb6a3e"
 
     def test_removed_keys_refused(self, pipeline_run, tmp_path, capsys):
-        """The physical constants, the PIT bin count and the interval level are
-        fixed values: a fresh config.yaml holds none of them, and one that an
-        earlier version wrote with them is refused, writing nothing."""
+        """The physical constants, the PIT bin count, the interval level and
+        the lag depth are fixed values, the feature stations are the targets,
+        and no policy removes whole-record means: a fresh config.yaml holds
+        none of these keys, and one that an earlier version wrote with any of
+        them is refused, writing nothing."""
         src, cfg = pipeline_run
         saved = yaml.safe_load((src / "config.yaml").read_text())
-        assert not {"constants", "pit_bins", "interval_level"} & set(saved)
+        assert not {"constants", "pit_bins", "interval_level", "feature_stations",
+                    "max_lag"} & set(saved)
         assert load_config(src / "config.yaml").digest() == config_from_dict(cfg).digest()
         out = tmp_path / "out"
-        saved.update(out_dir=str(out), pit_bins=10, interval_level=0.9, constants={
-            "g0": 9.80665, "gas_constant": 287.0, "omega": 7.2921159e-5, "p_ref": 850.0})
-        assert main(["report", "--config", str(_write_config(tmp_path, saved))]) == 2
-        payload = json.loads(capsys.readouterr().err)
-        assert payload["error"] == "ConfigError"
-        assert payload["violations"] == [
-            "unknown config keys: ['constants', 'interval_level', 'pit_bins']"]
-        assert not out.exists()
+        cases = [
+            ({"pit_bins": 10, "interval_level": 0.9, "constants": {
+                "g0": 9.80665, "gas_constant": 287.0, "omega": 7.2921159e-5, "p_ref": 850.0}},
+             "unknown config keys: ['constants', 'interval_level', 'pit_bins']"),
+            ({"feature_stations": ["S01", "S02", "S03", "S04"]},
+             "unknown config keys: ['feature_stations']"),
+            ({"max_lag": 10}, "unknown config keys: ['max_lag']"),
+            ({"mean_removal": "whole"}, "mean_removal must be one of ['none', 'monthly']"),
+        ]
+        for removed, violation in cases:
+            path = _write_config(tmp_path, dict(saved, out_dir=str(out), **removed))
+            assert main(["report", "--config", str(path)]) == 2
+            payload = json.loads(capsys.readouterr().err)
+            assert payload["error"] == "ConfigError"
+            assert payload["violations"] == [violation]
+            assert not out.exists()
 
     def test_csv_schema_changes_digest(self):
         assert (config_from_dict(csv_config("m_s")).digest()
@@ -970,7 +1042,7 @@ class TestFrozenModelOutputs:
         for variant in cfg.variants[1:]:  # PSS selects nothing
             _, chosen = forecast._selection(data, parse_variant(variant), cfg.stations,
                                             cfg.horizons, (cfg.train_start, cfg.train_end),
-                                            cli._rolling_config(cfg))
+                                            cfg.window_days)
             found.update((f"{variant}/{st}_k{k}", _spec_sha(variant, st, k, names))
                          for (st, k), names in chosen.items())
         assert found == self.SPECS

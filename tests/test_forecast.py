@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from windcast.cli import _rolling_config
 from windcast.config import RunConfig
 from windcast.forecast import (
     ForecastColumns,
@@ -22,7 +21,8 @@ from windcast.timeutil import epoch_hour
 
 from conftest import make_model_data, truncated_at
 
-ROLLING = _rolling_config(RunConfig())
+ROLLING = (RunConfig.window_days, RunConfig.refit_hours)  # the config defaults
+WINDOW_HOURS = 24 * RunConfig.window_days
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +93,7 @@ class TestPersistence:
 
     def test_mae_matches_brute_force(self, data):
         (t0, t1), (ts, te) = _bounds(data, 90, 20)
-        (recs,) = run_rolling(data, "PSS", ["S02"], [3], (t0, t1), (ts, te), ROLLING)
+        (recs,) = run_rolling(data, "PSS", ["S02"], [3], (t0, t1), (ts, te), *ROLLING)
         scored = np.isfinite(recs.point) & np.isfinite(recs.observed)
         mae = np.mean(np.abs(recs.observed[scored] - recs.point[scored]))
         si = data.station_index("S02")
@@ -175,23 +175,23 @@ class TestPersistenceFaults:
         first, last = int(data.times[0]), int(data.times[-1])
         for test in ((first - 3, first + 2), (last - 3, last + 2)):
             with pytest.raises(InvalidInputError):  # neither IndexError nor a wrapped index
-                persistence(data, "S01", test, [1], ROLLING.window_hours)
+                persistence(data, "S01", test, [1], WINDOW_HOURS)
 
     def test_rolling_test_period_past_the_data_rejected(self, data):
         (t0, t1), _ = _bounds(data, 100, 1)
         end = int(data.times[-1]) + 3
         with pytest.raises(InvalidInputError):
-            run_rolling(data, "PSS", ["S01"], [1], (t0, t1), (end - 24, end), ROLLING)
+            run_rolling(data, "PSS", ["S01"], [1], (t0, t1), (end - 24, end), *ROLLING)
 
 
 class TestRunRolling:
     def test_pss_records_match_persistence_op(self, data):
         (t0, t1), (ts, te) = _bounds(data, 100, 3)
-        (recs,) = run_rolling(data, "PSS", ["S01"], [1, 4], (t0, t1), (ts, te), ROLLING)
+        (recs,) = run_rolling(data, "PSS", ["S01"], [1, 4], (t0, t1), (ts, te), *ROLLING)
         assert len(recs) == 72 * 2
         for i in range(40):
             direct = _one(data, "S01", int(recs.issue_time[i]), int(recs.horizon[i]),
-                          ROLLING.window_hours)
+                          WINDOW_HOURS)
             assert recs.point[i] == direct.point[0]
             assert recs.observed[i] == direct.observed[0] or (
                 math.isnan(recs.observed[i]) and math.isnan(direct.observed[0]))
@@ -199,7 +199,7 @@ class TestRunRolling:
     def test_record_count_and_order(self, data):
         (t0, t1), (ts, te) = _bounds(data, 100, 4)
         recs = ForecastColumns.concat(run_rolling(data, "TDDGW-MD", ["S01", "S02"], [1, 2],
-                                                  (t0, t1), (ts, te), ROLLING))
+                                                  (t0, t1), (ts, te), *ROLLING))
         assert len(recs) == 2 * 96 * 2
         keys = list(zip(recs.station.tolist(), recs.issue_time.tolist(),
                         recs.horizon.tolist()))
@@ -207,7 +207,7 @@ class TestRunRolling:
 
     def test_median_point_consistency(self, data):
         (t0, t1), (ts, te) = _bounds(data, 100, 2)
-        (recs,) = run_rolling(data, "TDD", ["S01"], [2], (t0, t1), (ts, te), ROLLING)
+        (recs,) = run_rolling(data, "TDD", ["S01"], [2], (t0, t1), (ts, te), *ROLLING)
         ok = recs.take(~recs.fallback)
         assert np.all(np.abs(cdf_values(ok.mu, ok.sigma, ok.point) - 0.5) < 1e-9)
         assert len(ok) > 40
@@ -216,10 +216,10 @@ class TestRunRolling:
         (t0, t1), (ts, _) = _bounds(data, 100, 4)
         cutoff = ts + 48
         (full,) = run_rolling(data, "TDDGW-MD", ["S01"], [2], (t0, t1), (ts, ts + 96),
-                              ROLLING)
+                              *ROLLING)
         truncated_data = truncated_at(data, cutoff)
         (part,) = run_rolling(truncated_data, "TDDGW-MD", ["S01"], [2], (t0, t1),
-                              (ts, cutoff), ROLLING)
+                              (ts, cutoff), *ROLLING)
         assert len(part) == 48
         mate = full.take(slice(0, 48))  # ordered by issue hour, one horizon
         assert part.issue_time.tolist() == mate.issue_time.tolist()
@@ -234,7 +234,7 @@ class TestRunRolling:
         t0 = int(data.times[0])
         with pytest.raises(TrainingDataError):
             run_rolling(data, "PSS", ["S01"], [1], (t0, t0 + 24 * 10),
-                        (t0 + 24 * 10, t0 + 24 * 12), ROLLING)
+                        (t0 + 24 * 10, t0 + 24 * 12), *ROLLING)
 
     def test_fallback_on_missing_features(self, data):
         (t0, t1), (ts, te) = _bounds(data, 100, 2)
@@ -242,7 +242,7 @@ class TestRunRolling:
         si = holed.station_index("S02")
         i = holed.index_of_time(ts + 30)
         holed.speed[si, i] = np.nan  # cross-station feature hole
-        (recs,) = run_rolling(holed, "TDD", ["S01"], [2], (t0, t1), (ts, te), ROLLING)
+        (recs,) = run_rolling(holed, "TDD", ["S01"], [2], (t0, t1), (ts, te), *ROLLING)
         # the hole can only matter if S02 was selected; persistence point
         # forecasts must exist either way
         assert np.isfinite(recs.point).all()
@@ -250,8 +250,8 @@ class TestRunRolling:
     def test_fallbacks_read_the_persistence_columns(self, data):
         (t0, t1), (ts, te) = _bounds(data, 100, 2)
         holed = _holed(data, "S01", data.index_of_time(ts + 30))  # the target's own lag
-        (recs,) = run_rolling(holed, "TDD", ["S01"], [2], (t0, t1), (ts, te), ROLLING)
-        pss = persistence(holed, "S01", (ts, te), [2], ROLLING.window_hours)
+        (recs,) = run_rolling(holed, "TDD", ["S01"], [2], (t0, t1), (ts, te), *ROLLING)
+        pss = persistence(holed, "S01", (ts, te), [2], WINDOW_HOURS)
         fb = recs.fallback
         assert fb.any() and not fb.all()
         assert np.isnan(recs.mu[fb]).all() and np.isnan(recs.sigma[fb]).all()
@@ -261,7 +261,7 @@ class TestRunRolling:
 
 
 def _window(method, fit_time, train):
-    return window(method, fit_time, train, ROLLING.window_days)
+    return window(method, fit_time, train, RunConfig.window_days)
 
 
 def _state(data, variant, fit_time, train):
@@ -294,7 +294,7 @@ class TestStateReuse:
 
         monkeypatch.setattr(ResidualState, "build", classmethod(spy_build))
         monkeypatch.setattr(DesignBundle, "build", classmethod(spy_design))
-        run_rolling(data, variant, ["S01"], [2], train, test, ROLLING)
+        run_rolling(data, variant, ["S01"], [2], train, test, *ROLLING)
         return built, fitted
 
     @staticmethod

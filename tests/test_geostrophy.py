@@ -295,8 +295,7 @@ class TestEstimateSeries:
         assert np.allclose(est.u_g, base.u_g, atol=1e-9)
         assert np.allclose(est.v_g, base.v_g, atol=1e-9)
 
-    @pytest.mark.parametrize("policy", [MeanRemovalPolicy.WHOLE_RECORD,
-                                        MeanRemovalPolicy.MONTHLY])
+    @pytest.mark.parametrize("policy", [MeanRemovalPolicy.MONTHLY])
     def test_station_bias_removed(self, policy):
         # time-constant per-station height biases must not leak into the wind
         rng = np.random.default_rng(9)
@@ -312,8 +311,7 @@ class TestEstimateSeries:
         assert np.allclose(est.u_g, clean.u_g, atol=1e-8)
         assert np.allclose(est.v_g, clean.v_g, atol=1e-8)
 
-    @pytest.mark.parametrize("policy", [MeanRemovalPolicy.WHOLE_RECORD,
-                                        MeanRemovalPolicy.MONTHLY])
+    @pytest.mark.parametrize("policy", [MeanRemovalPolicy.MONTHLY])
     def test_barometer_outages_warn_nothing(self, policy):
         # one barometer is out for all of February, another for the whole
         # record, and one hour has none: those means are empty and read NaN,
