@@ -8,6 +8,10 @@ Subcommands chain through files under the run's output directory:
     evaluate  forecasts/           -> <out>/scores.csv, <out>/pit.csv
     report    scores.csv           -> <out>/report.txt
 
+Each CSV a stage writes under ``<out>`` gets a sidecar of its column arrays
+in ``<out>/cache/``, which a later stage reads instead of the text while the
+bytes match (``csvio``); the cache is safe to delete at any time.
+
 forecast reads only the station fields its variants use, and geowind.csv
 only when one of them uses the geostrophic wind (``model.forecast_inputs``):
 a run without a TDDGW variant needs no geowind stage.
@@ -89,6 +93,11 @@ def _check_provenance(cfg: RunConfig, path, command: str) -> None:
                         f"this run is config {digest}; re-run {command}")
 
 
+def _cache(cfg: RunConfig) -> str:
+    """The directory of the sidecars of the CSVs written under ``out_dir``."""
+    return os.path.join(cfg.out_dir, "cache")
+
+
 def _atomic(path, write_fn):
     tmp = f"{path}.tmp"
     write_fn(tmp)
@@ -127,7 +136,9 @@ def _load_network(cfg: RunConfig, station_ids, roles, pool) -> Network:
             f"data directory {directory!r} not found"
             + (" (run the synth command first)" if cfg.data_source == "synth" else "")
         )
-    series = load_network_dir(directory, cfg.csv_schema, station_ids, roles, pool)
+    # nothing writes sidecars for the files under data.csv.dir, so they are not hashed
+    cache = _cache(cfg) if cfg.data_source == "synth" else None
+    series = load_network_dir(directory, cfg.csv_schema, station_ids, roles, pool, cache=cache)
     return Network.from_series(series)
 
 
@@ -141,10 +152,11 @@ def _load_model_data(cfg: RunConfig, pool) -> ModelData:
     geowind = pending = None
     if reads_gw:
         _check_provenance(cfg, gw_path, "geowind")
-        pending = pool.submit(GeoWindSeries.from_csv, gw_path) if pool else None
+        pending = pool.submit(GeoWindSeries.from_csv, gw_path, cache=_cache(cfg)) if pool else None
     network = _load_network(cfg, cfg.stations, roles, pool)
     if reads_gw:
-        geowind = pending.result() if pending else GeoWindSeries.from_csv(gw_path)
+        geowind = (pending.result() if pending
+                   else GeoWindSeries.from_csv(gw_path, cache=_cache(cfg)))
     # reordered to config order, which the candidate pools' columns follow
     return ModelData.from_network(network, geowind, cfg.stations, cfg.tz_offset_hours)
 
@@ -154,7 +166,7 @@ def cmd_synth(cfg: RunConfig, jobs: int) -> None:
         raise ConfigError(["synth command requires data.source == 'synth'"])
     out = os.path.join(cfg.out_dir, "data")
     with _stage_pool(jobs) as pool:
-        write_dataset(cfg.synth, out, pool)
+        write_dataset(cfg.synth, out, pool, cache=_cache(cfg))
     print(f"wrote synthetic dataset ({cfg.synth.n_stations} stations, "
           f"{cfg.synth.days} days) to {out}")
 
@@ -164,7 +176,7 @@ def cmd_geowind(cfg: RunConfig, jobs: int) -> None:
         network = _load_network(cfg, cfg.gw_stations, GEOWIND_ROLES, pool)
     series = estimate_series(network, cfg.mean_removal, cfg.min_stations)
     path = os.path.join(cfg.out_dir, "geowind.csv")
-    _atomic(path, lambda p: series.to_csv(p, _provenance(cfg, "geowind")))
+    _atomic(path, lambda p: series.to_csv(p, _provenance(cfg, "geowind"), cache=_cache(cfg)))
     n_ok = int((series.n_stations >= cfg.min_stations).sum())
     print(f"estimated geostrophic wind for {n_ok}/{series.n} hours -> {path}")
 
@@ -210,7 +222,8 @@ def cmd_forecast(cfg: RunConfig, jobs: int) -> None:
     for variant in cfg.variants:
         columns = ForecastColumns.concat([results[(variant, s)] for s in cfg.stations])
         path = os.path.join(cfg.out_dir, "forecasts", f"{variant}.csv")
-        _atomic(path, lambda p, c=columns: write_records_csv(c, p, _provenance(cfg, "forecast")))
+        _atomic(path, lambda p, c=columns: write_records_csv(c, p, _provenance(cfg, "forecast"),
+                                                             cache=_cache(cfg)))
         print(f"{variant}: {len(columns)} forecasts ({int(columns.fallback.sum())} fallbacks) "
               f"-> {path}")
 
@@ -220,7 +233,7 @@ def _all_reports(cfg: RunConfig) -> list:
     for variant in cfg.variants:
         path = os.path.join(cfg.out_dir, "forecasts", f"{variant}.csv")
         _check_provenance(cfg, path, "forecast")
-        reports.extend(score_groups(read_records_csv(path), variant).values())
+        reports.extend(score_groups(read_records_csv(path, cache=_cache(cfg)), variant).values())
     return reports
 
 
@@ -228,15 +241,16 @@ def cmd_evaluate(cfg: RunConfig) -> None:
     reports = _all_reports(cfg)
     scores_path = os.path.join(cfg.out_dir, "scores.csv")
     pit_path = os.path.join(cfg.out_dir, "pit.csv")
-    _atomic(scores_path, lambda p: write_scores_csv(reports, p, _provenance(cfg, "evaluate")))
-    _atomic(pit_path, lambda p: write_pit_csv(reports, p, _provenance(cfg, "evaluate")))
+    lines = _provenance(cfg, "evaluate")
+    _atomic(scores_path, lambda p: write_scores_csv(reports, p, lines, cache=_cache(cfg)))
+    _atomic(pit_path, lambda p: write_pit_csv(reports, p, lines, cache=_cache(cfg)))
     print(f"scored {len(reports)} (station, variant, horizon) cells -> {scores_path}")
 
 
 def cmd_report(cfg: RunConfig) -> None:
     scores_path = os.path.join(cfg.out_dir, "scores.csv")
     _check_provenance(cfg, scores_path, "evaluate")
-    reports = read_scores_csv(scores_path)
+    reports = read_scores_csv(scores_path, cache=_cache(cfg))
     by_key = {(r.variant, r.station, r.horizon): r for r in reports}
     lines = [f"windcast {__version__} verification report (config {cfg.digest()})", ""]
     for metric in SCORE_METRICS:

@@ -169,16 +169,21 @@ def _sha(d: dict) -> str:
     return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()[:12]
 
 
-def _epoch_hour(value) -> int:
-    """A period bound's epoch hour. YAML reads an unquoted timestamp as a
-    date or a datetime, which is UTC when it has no offset or offset 0; any
-    other offset is refused, not shifted."""
+def _utc_text(value):
+    """A timestamp as text. YAML reads an unquoted timestamp as a date or a
+    datetime, which is UTC when it has no offset or offset 0; any other
+    offset is refused, not shifted. Other values are returned as they are."""
     if isinstance(value, datetime.datetime):
         if value.utcoffset():
             raise InvalidInputError(f"timestamp {value.isoformat()} is at {value.tzname()}, "
                                     "not UTC")
         value = value.replace(tzinfo=None)
-    return epoch_hour(str(value))
+    return str(value) if isinstance(value, datetime.date) else value
+
+
+def _epoch_hour(value) -> int:
+    """A period bound's epoch hour (``_utc_text``)."""
+    return epoch_hour(str(_utc_text(value)))
 
 
 def _parse_period(raw, name, violations):
@@ -229,6 +234,8 @@ def config_from_dict(raw: dict) -> RunConfig:
         synth_raw = dict(_mapping(data, "synth", "data.synth", violations))
         synth_raw.setdefault("seed", cfg.seed)
         try:
+            if "start" in synth_raw:
+                synth_raw["start"] = _utc_text(synth_raw["start"])
             cfg.synth = SynthConfig(**synth_raw)
         except (TypeError, InvalidInputError) as exc:
             violations.append(f"data.synth: {exc}")

@@ -9,6 +9,28 @@ blank cell is NaN), ``"int"``, ``"str"`` (text unchanged) and ``"time"``
 it). An unparseable cell is a LoadError naming its physical line, except a
 float cell in a lenient read, which reads NaN and flags its row as malformed.
 
+A read takes the first of three paths that serves it: a sidecar, typed
+``numpy.loadtxt`` passes, or ``csv.reader``, which defines the semantics;
+each gives the same arrays. Given a ``cache`` directory, ``write_columns``
+stores there a sidecar named by the sha256 of the CSV's bytes: a
+``<CRC-32 hex> <JSON>`` line (the digest; each column's name, dtype, length
+and CRC-32), then the column arrays as a parse of the text reads them
+(floats as float64, NaN for blank and NaN cells; ints and bools as int64;
+ASCII text as bytes, other text as str). It stores none for text that would
+read back otherwise: a cell or name that starts with ``#`` or holds a NUL
+or a ``#`` after a line break, a provenance line with a line break, or a
+``nonfinite`` text other than ``""`` or None. ``read_columns`` given the
+cache hashes the file and serves a matching sidecar that holds every
+requested column: text answers ``"str"`` at the width of its widest kept
+cell and ``"time"`` through ``canonical_minutes``; ``keep`` applies as on
+the other paths; no row is malformed. No cache, a stale, truncated or
+damaged sidecar, a column it lacks, time text of another form, or an
+external archive leaves the file to be parsed. On the archive-io
+benchmark's seed-424242 files (a 2-vCPU x86 VM, Python 3.11, numpy 2.4.6),
+sidecars serve geowind's 12 barometer files in 45-47 ms, forecast's 4
+station files in 16-17 ms, ``geowind.csv`` in 4 ms and the persistence
+forecast file in 19-21 ms.
+
 A file with no ``#`` line after its header, no NUL byte and, if it has CR
 line ends, no quote is read by typed ``numpy.loadtxt`` passes (numpy's C
 tokenizer) over the requested columns only. A file with no blank cell takes
@@ -23,13 +45,12 @@ through ``iso_text``, as on the ``csv.reader`` path. A cell that the typed
 passes might read otherwise (a blank int or time, an unparseable or too wide
 cell, a short row, or any warning) sends the file to ``csv.reader``, which
 reads all other files, names the line of a bad cell and defines the
-semantics: the arrays are the same either way. On the archive-io
-benchmark's seed-424242 files (a 2-vCPU x86 VM, Python 3.11, numpy 2.4.6),
-reading the temperature and pressure of geowind's 12 barometer files takes
-0.26-0.34 s, the speed, direction and temperature of forecast's 4 station
-files 0.12-0.18 s, and the 104,256-row persistence forecast file, whose
-``mu`` and ``sigma`` are blank, 0.12-0.22 s. Parsing the floats' 17-digit
-text is most of that.
+semantics: the arrays are the same either way. On the same files, parsing
+the temperature and pressure of geowind's 12 barometer files takes
+0.24-0.25 s, the speed, direction and temperature of forecast's 4 station
+files 0.10 s, ``geowind.csv`` 0.04-0.05 s, and the 104,256-row persistence
+forecast file, whose ``mu`` and ``sigma`` are blank, 0.11-0.12 s. Parsing
+the floats' 17-digit text is most of that.
 
 Writing puts floats as ``repr`` writes them (shortest round-trip text, so
 reading back is bit-exact) and non-finite floats as ``""`` unless asked
@@ -54,11 +75,16 @@ every cell is formatted in turn, without sorting.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
 import itertools
+import json
 import math
+import os
 import re
 import warnings
+import zlib
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -69,6 +95,8 @@ from .timeutil import canonical_minutes, epoch_minutes, iso_text, render_once
 
 #: Rows parsed, converted or formatted at a time; bounds peak memory.
 CHUNK_ROWS = 8192
+#: A sidecar's file name in its cache directory: the sha256 of the CSV's bytes, then this.
+SIDECAR_SUFFIX = ".columns"
 #: Width of a str or time field on the loadtxt path; a cell this long or
 #: longer could have been cut, so its file takes the csv.reader path.
 TEXT_WIDTH = 24
@@ -76,6 +104,8 @@ _DTYPE = {"float": "f8", "int": "i8", "str": f"U{TEXT_WIDTH}", "time": f"S{TEXT_
 _LOADTXT = {"comments": None, "delimiter": ",", "ndmin": 1, "encoding": None, "quotechar": '"'}
 _PREAMBLE = re.compile(rb"(?:(?:#[^\r\n]*)?(?:\r\n?|\n))*")  # '#' and blank lines
 _SPECIAL = re.compile(r'[,"\r\n]')  # a written cell holding one of these is quoted
+#: The dtype kinds a sidecar may store a column in, for each kind it is read as.
+_STORED = {"float": "f", "int": "i", "str": "SU", "time": "SU"}
 
 
 class Columns(dict):
@@ -216,13 +246,11 @@ def _gappy_tables(path, dtype, usecols: list, skip: int):
 
 
 def _typed(path, kinds: Mapping[str, str], index: dict, keep, skip: int,
-           lenient: bool) -> Columns | None:
-    """read_columns in typed numpy.loadtxt passes, or None where they could
-    read otherwise than csv.reader."""
+           lenient: bool, shape: str | None) -> Columns | None:
+    """read_columns in typed numpy.loadtxt passes over a file of ``_prescan``
+    ``shape``, or None where they could read otherwise than csv.reader."""
     if keep and (kinds[keep[0]] != "str" or len(keep[1]) >= TEXT_WIDTH):
         return None  # a cell cut to the field width would not match a wide value
-    with open(path, "rb") as fh:
-        shape = _prescan(fh.read())
     if shape is None:
         return None
     gappy = shape == "gappy"  # float fields as bytes, for blank cells to read NaN
@@ -259,11 +287,62 @@ def _typed(path, kinds: Mapping[str, str], index: dict, keep, skip: int,
     return out
 
 
+def _from_sidecar(cache, digest: str, kinds: Mapping[str, str], keep) -> Columns | None:
+    """read_columns served from the sidecar of a file whose bytes have the
+    sha256 ``digest``; None when there is none, it is damaged, or it lacks a
+    requested column in a dtype that reads as requested."""
+    columns = {}
+    try:
+        with open(os.path.join(cache, digest + SIDECAR_SUFFIX), "rb") as fh:
+            check, _, head = fh.readline().rstrip(b"\n").partition(b" ")
+            meta = json.loads(head) if check == b"%08x" % zlib.crc32(head) else {}
+            if meta.get("sha256") != digest:
+                return None
+            for name, dtype, size, crc in meta["columns"]:
+                dtype = np.dtype(dtype)
+                if name not in kinds or dtype.kind not in _STORED[kinds[name]]:
+                    fh.seek(dtype.itemsize * size, os.SEEK_CUR)
+                    continue
+                values = columns[name] = np.empty(size, dtype)
+                if fh.readinto(values) != values.nbytes or zlib.crc32(values) != crc:
+                    return None
+    except (OSError, ValueError):
+        return None
+    if not kinds or len(columns) < len(kinds) or keep and columns[keep[0]].dtype.kind not in "SU":
+        return None
+    if keep is not None:
+        text = columns[keep[0]]
+        if not (rows := text == (keep[1].encode() if text.dtype.kind == "S" else keep[1])).all():
+            columns = {name: values[rows] for name, values in columns.items()}
+    out = Columns()
+    for name, kind in kinds.items():
+        values = columns[name]
+        if kind == "str":  # as wide as its widest kept cell; each ASCII byte is a code point
+            if values.dtype.kind == "S":
+                values = values.view(np.uint8).astype(np.uint32).view(f"U{values.itemsize}")
+            values = values.astype(f"U{max(1, int(np.char.str_len(values).max(initial=0)))}")
+        elif kind == "time" and (values := canonical_minutes(values)) is None:
+            return None  # a form other than YYYY-MM-DDTHH:MMZ, which the parse reads
+        out[name] = values
+    out.malformed = np.zeros(len(values), dtype=bool)
+    return out
+
+
 def read_columns(path, kinds: Mapping[str, str], keep: tuple | None = None,
-                 lenient: bool = False) -> Columns:
+                 lenient: bool = False, cache=None) -> Columns:
     """Read the columns named in ``kinds`` (name -> kind); other columns are
     ignored. ``keep=(column, value)`` reads only the rows whose cell in that
-    column, one of ``kinds``, equals ``value``."""
+    column, one of ``kinds``, equals ``value``. With a ``cache`` directory, a
+    sidecar there that ``write_columns`` wrote for these very bytes is read
+    instead of the text when it holds every requested column."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if cache is not None:
+        served = _from_sidecar(cache, hashlib.sha256(data).hexdigest(), kinds, keep)
+        if served is not None:
+            return served
+    shape = _prescan(data)
+    del data
     chunks = {name: [] for name in kinds}
     flags = []
     with open(path, newline="") as fh:
@@ -275,7 +354,7 @@ def read_columns(path, kinds: Mapping[str, str], keep: tuple | None = None,
         if missing:
             raise LoadError(f"{path}: columns {missing} not found in header {header}")
         index = {name: header.index(name) for name in kinds}
-        typed = _typed(path, kinds, index, keep, reader.line_num, lenient)
+        typed = _typed(path, kinds, index, keep, reader.line_num, lenient, shape)
         if typed is not None:
             return typed
         keep = None if keep is None else (index[keep[0]], keep[1])
@@ -348,8 +427,64 @@ def _rows(cells: Sequence[list]) -> list:
     return list(map(",".join, zip(*cells)))
 
 
+def _text_array(cells: Sequence[str]) -> np.ndarray | None:
+    """Text cells as a sidecar stores them, as bytes if they are ASCII; None
+    if they would read back otherwise: a cell, or a line in one, that starts
+    with '#' (a comment line if it starts a row), or a NUL."""
+    text = "".join(cells)
+    if "\n#" in text or "\r#" in text or "\0" in text:
+        return None
+    if not text.isascii():
+        array = np.array(cells, dtype=str)
+    elif len(widths := set(map(len, cells))) == 1 and (width := widths.pop()):
+        array = np.frombuffer(text.encode(), f"S{width}")  # 10 times faster than np.array
+    else:
+        array = np.array(cells, dtype="S")
+    return None if np.strings.startswith(array, array.dtype.type("#")).any() else array
+
+
+def _write_sidecar(cache, path, header, columns: list, header_lines, nonfinite) -> None:
+    """Store in ``cache`` the sidecar of the bytes ``path`` now holds, named by
+    their sha256: by column name (the first of a repeated name), the floats,
+    ints, bools and text that the module docstring says; other columns are
+    left out. None is stored for text that would read back otherwise, for
+    unequal columns, or when the cache cannot be written."""
+    if (nonfinite not in ("", None) or not header or _text_array(header) is None
+            or re.search("[\r\n]", "".join(header_lines)) or len(set(map(len, columns))) > 1):
+        return
+    arrays = {}
+    for name, column in zip(header, columns):
+        if isinstance(column, list) or column.dtype.kind == "U":
+            text = _text_array(column if isinstance(column, list) else column.tolist())
+            if text is None:
+                return
+            arrays.setdefault(name, text)
+        elif column.dtype.kind == "f":
+            values = np.ascontiguousarray(column, dtype=np.float64)
+            other = np.isnan(values) if nonfinite is None else ~np.isfinite(values)
+            arrays.setdefault(name, np.where(other, math.nan, values) if other.any() else values)
+        elif column.dtype.kind in "bi":
+            arrays.setdefault(name, np.ascontiguousarray(column, dtype=np.int64))
+    with open(path, "rb") as fh:
+        digest = hashlib.file_digest(fh, "sha256").hexdigest()
+    head = json.dumps({"sha256": digest, "columns": [[name, a.dtype.str, a.size, zlib.crc32(a)]
+                                                     for name, a in arrays.items()]}).encode()
+    final = os.path.join(cache, digest + SIDECAR_SUFFIX)
+    tmp = f"{final}.{os.getpid()}.tmp"
+    try:
+        os.makedirs(cache, exist_ok=True)
+        with open(tmp, "wb") as fh:
+            fh.write(b"%08x %s\n" % (zlib.crc32(head), head))
+            fh.writelines(arrays.values())
+        os.replace(tmp, final)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+
+
 def write_columns(path, header: Sequence[str], columns: Sequence,
-                  header_lines: Sequence[str] = (), nonfinite: str | None = "") -> None:
+                  header_lines: Sequence[str] = (), nonfinite: str | None = "",
+                  cache=None) -> None:
     """Write ``# line`` provenance lines, the header, then one CRLF-ended row
     per index of the equal-length ``columns``. Non-finite floats are written
     as ``nonfinite``, or by ``repr`` ('nan', 'inf') when it is None.
@@ -358,15 +493,17 @@ def write_columns(path, header: Sequence[str], columns: Sequence,
     of ``str`` is taken as it is. Each chunk of ``CHUNK_ROWS`` rows becomes
     one list of cell text per column (floats as ``repr`` writes them, bools
     as 0 and 1, other values by ``str``, text quoted as the module docstring
-    says); the rows are joined with ``","`` and the chunk is written at once."""
+    says); the rows are joined with ``","`` and the chunk is written at once.
+    With a ``cache`` directory, the written file's sidecar goes there."""
     columns = [c if isinstance(c, list) and {str} >= set(map(type, c)) else np.asarray(c)
                for c in columns]
-    if nonfinite is not None:
-        nonfinite = _quote(nonfinite)
+    quoted = nonfinite if nonfinite is None else _quote(nonfinite)
     n = len(columns[0]) if columns else 0
     with open(path, "w", newline="") as fh:
         fh.writelines(f"# {line}\n" for line in header_lines)
         fh.write("".join(_rows([[_quote(name)] for name in header])) + "\r\n")
         for lo in range(0, n, CHUNK_ROWS):
-            rows = _rows([_cells(c[lo:lo + CHUNK_ROWS], nonfinite) for c in columns])
+            rows = _rows([_cells(c[lo:lo + CHUNK_ROWS], quoted) for c in columns])
             fh.write("\r\n".join(rows) + "\r\n")
+    if cache is not None:
+        _write_sidecar(cache, path, header, columns, header_lines, nonfinite)

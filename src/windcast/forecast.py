@@ -207,16 +207,18 @@ def run_rolling(
     return out
 
 
-def write_records_csv(cols: ForecastColumns, path, header_lines: Sequence[str] = ()) -> None:
+def write_records_csv(cols: ForecastColumns, path, header_lines: Sequence[str] = (),
+                      cache=None) -> None:
     write_columns(path, FORECAST_CSV_COLUMNS,
                   [cols.station, iso_hours(cols.issue_time), cols.horizon, cols.mu,
-                   cols.sigma, cols.point, cols.fallback, cols.observed], header_lines)
+                   cols.sigma, cols.point, cols.fallback, cols.observed], header_lines,
+                  cache=cache)
 
 
-def read_records_csv(path) -> "ForecastColumns":
+def read_records_csv(path, cache=None) -> "ForecastColumns":
     kinds = {"station": "str", "issue_time": "time", "horizon": "int", "mu": "float",
              "sigma": "float", "point": "float", "fallback": "int", "observed": "float"}
-    table = read_columns(path, kinds)
+    table = read_columns(path, kinds, cache=cache)
     table["issue_time"] //= 60
     table["fallback"] = table["fallback"] != 0
     return ForecastColumns(**table)

@@ -100,17 +100,17 @@ class GeoWindSeries:
     def n(self) -> int:
         return int(self.times.size)
 
-    def to_csv(self, path, header_lines: Sequence[str] = ()) -> None:
+    def to_csv(self, path, header_lines: Sequence[str] = (), cache=None) -> None:
         write_columns(path, GEOWIND_CSV_COLUMNS,
                       [iso_hours(self.times), self.u_g, self.v_g, self.w_g, self.theta_g,
                        np.asarray(self.n_stations, dtype=np.int64), self.rms_residual],
-                      header_lines, nonfinite=None)
+                      header_lines, nonfinite=None, cache=cache)
 
     @classmethod
-    def from_csv(cls, path) -> "GeoWindSeries":
+    def from_csv(cls, path, cache=None) -> "GeoWindSeries":
         kinds = dict.fromkeys(GEOWIND_CSV_COLUMNS, "float")
         kinds.update({GEOWIND_CSV_COLUMNS[0]: "time", "n_stations": "int"})
-        table = read_columns(path, kinds)
+        table = read_columns(path, kinds, cache=cache)
         return cls(table[GEOWIND_CSV_COLUMNS[0]] // 60,
                    *(table[c] for c in GEOWIND_CSV_COLUMNS[1:]))
 

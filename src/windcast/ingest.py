@@ -127,7 +127,7 @@ def _to_canonical(role: str, values: np.ndarray, schema: SchemaConfig) -> np.nda
 
 
 def read_raw(path, schema: SchemaConfig, station_id: str | None = None,
-             roles: Sequence[str] = FIELD_ROLES) -> RawRecords:
+             roles: Sequence[str] = FIELD_ROLES, cache=None) -> RawRecords:
     """Parse one CSV into canonical-unit records of the measured ``roles``;
     the file's other columns are not read, and their roles are None.
 
@@ -141,7 +141,7 @@ def read_raw(path, schema: SchemaConfig, station_id: str | None = None,
     if keep is not None:
         kinds[cols["station"]] = "str"
     kinds.update((cols[role], "float") for role in roles)
-    table = read_columns(path, kinds, keep=keep, lenient=True)
+    table = read_columns(path, kinds, keep=keep, lenient=True, cache=cache)
     values = {}
     for role in roles:
         raw = table[cols[role]]
@@ -194,51 +194,57 @@ def hourly_average(raw: RawRecords, schema: SchemaConfig, meta: StationMeta) -> 
     return StationSeries(meta=meta, times=axis, **out)
 
 
-def _load_station(path, schema: SchemaConfig, meta: StationMeta, roles: Sequence[str]):
+def _load_station(path, schema: SchemaConfig, meta: StationMeta, roles: Sequence[str], cache):
     """read_raw + hourly_average for one station file; returns the series and
     the number of rows with a malformed numeric field."""
-    raw = read_raw(path, schema, station_id=meta.id, roles=roles)
+    raw = read_raw(path, schema, station_id=meta.id, roles=roles, cache=cache)
     return hourly_average(raw, schema, meta), raw.n_malformed
 
 
-def write_station_csv(series: StationSeries, path, header_lines: Sequence[str] = ()) -> None:
-    """Write the canonical hourly CSV (CANONICAL_SCHEMA layout)."""
+def write_station_csv(series: StationSeries, path, header_lines: Sequence[str] = (),
+                      cache=None, time_text=None) -> None:
+    """Write the canonical hourly CSV (CANONICAL_SCHEMA layout); ``time_text``
+    is ``iso_hours(series.times)`` when the caller has rendered it already."""
     cols = CANONICAL_SCHEMA.columns
     # canonical files carry meteorological degrees
     with np.errstate(invalid="ignore"):
         direction = np.degrees((1.5 * math.pi - series.wind_direction) % (2.0 * math.pi))
     write_columns(path, [cols[r] for r in ROLES],
-                  [iso_hours(series.times), [series.meta.id] * series.n, series.wind_speed,
-                   direction, series.temperature, series.pressure], header_lines)
+                  [iso_hours(series.times) if time_text is None else time_text,
+                   [series.meta.id] * series.n, series.wind_speed, direction,
+                   series.temperature, series.pressure], header_lines, cache=cache)
 
 
 STATIONS_FILE_COLUMNS = ("station", "latitude_deg", "longitude_deg", "elevation_m")
 
 
-def write_stations_csv(stations: Sequence[StationMeta], path) -> None:
+def write_stations_csv(stations: Sequence[StationMeta], path, cache=None) -> None:
     write_columns(path, STATIONS_FILE_COLUMNS,
                   [[m.id for m in stations], [float(m.latitude) for m in stations],
-                   [float(m.longitude) for m in stations], [float(m.elevation) for m in stations]])
+                   [float(m.longitude) for m in stations], [float(m.elevation) for m in stations]],
+                  cache=cache)
 
 
-def read_stations_csv(path) -> list[StationMeta]:
-    table = read_columns(path, dict(zip(STATIONS_FILE_COLUMNS, ("str", "float", "float", "float"))))
+def read_stations_csv(path, cache=None) -> list[StationMeta]:
+    kinds = dict(zip(STATIONS_FILE_COLUMNS, ("str", "float", "float", "float")))
+    table = read_columns(path, kinds, cache=cache)
     return [StationMeta(id=i, latitude=lat, longitude=lon, elevation=z)
             for i, lat, lon, z in zip(*(table[c].tolist() for c in STATIONS_FILE_COLUMNS))]
 
 
 def load_network_dir(directory, schema: SchemaConfig = CANONICAL_SCHEMA,
                      station_ids: Sequence[str] | None = None,
-                     roles: Sequence[str] = FIELD_ROLES, pool=None):
+                     roles: Sequence[str] = FIELD_ROLES, pool=None, cache=None):
     """Load a directory of per-station CSVs plus a stations.csv metadata file,
     in stations.csv order, reading only the measured ``roles`` (the series'
-    other fields are None). With an executor ``pool``, each station file is
+    other fields are None), through the sidecars in ``cache`` where they
+    serve (``read_columns``). With an executor ``pool``, each station file is
     read in a worker; the malformed-row warnings are logged here either way,
     one per station in that order."""
     meta_path = os.path.join(directory, "stations.csv")
     if not os.path.exists(meta_path):
         raise LoadError(f"no station metadata file: {meta_path}")
-    metas = read_stations_csv(meta_path)
+    metas = read_stations_csv(meta_path, cache)
     if station_ids is not None:
         wanted = set(station_ids)
         metas = [m for m in metas if m.id in wanted]
@@ -250,7 +256,7 @@ def load_network_dir(directory, schema: SchemaConfig = CANONICAL_SCHEMA,
         if not os.path.exists(path):
             raise LoadError(f"no data file for station {meta.id}: {path}")
     loaded = (pool.map if pool else map)(_load_station, paths, repeat(schema), metas,
-                                         repeat(tuple(roles)))
+                                         repeat(tuple(roles)), repeat(cache))
     series = []
     for meta, path, (station, n_malformed) in zip(metas, paths, loaded):
         if n_malformed:

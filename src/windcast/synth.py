@@ -16,9 +16,11 @@ config, making every dataset bit-reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from .errors import InvalidInputError
 from .geostrophy import G0, GAS_CONSTANT, P_REF, GeoWindSeries, centroid, coriolis, project_local
 from .ingest import write_station_csv, write_stations_csv
 from .series import StationMeta, StationSeries
-from .timeutil import epoch_hour, hours_of_day
+from .timeutil import epoch_hour, hours_of_day, iso_hours
 
 
 @dataclass(frozen=True)
@@ -67,6 +69,9 @@ class SynthConfig:
             if f.type == "float" and (isinstance(value, bool)
                                       or not isinstance(value, (int, float))):
                 raise InvalidInputError(f"{f.name} must be a number, got {value!r}")
+            if f.type == "str" and not isinstance(value, str):
+                raise InvalidInputError(f"{f.name} must be text, got {value!r}")
+        epoch_hour(self.start)  # unparseable text is an InvalidInputError
         if self.seed < 0:
             raise InvalidInputError(f"seed must be nonnegative, got {self.seed}")
         if not 0.0 < self.kappa <= 1.0:
@@ -201,18 +206,32 @@ def generate(config: SynthConfig):
     return series, truth
 
 
-def write_dataset(config: SynthConfig, out_dir, pool=None):
-    """Generate and write station CSVs, stations.csv and truth.csv; with an
-    executor ``pool``, the station CSVs are written in its workers."""
+@functools.lru_cache(maxsize=1)
+def _time_text(times: bytes) -> list:
+    """``iso_hours`` of the int64 epoch hours in ``times``, a list its callers
+    share and must not change. The stations of an archive share their time
+    axis, so a process renders it once."""
+    return iso_hours(np.frombuffer(times, np.int64))
+
+
+def _write_station(series: StationSeries, path, header_lines, cache) -> None:
+    write_station_csv(series, path, header_lines, cache, _time_text(series.times.tobytes()))
+
+
+def write_dataset(config: SynthConfig, out_dir, pool=None, cache=None):
+    """Generate and write station CSVs, stations.csv and truth.csv, and their
+    sidecars to ``cache``; with an executor ``pool``, the station CSVs are
+    written in its workers."""
     series, truth = generate(config)
     os.makedirs(out_dir, exist_ok=True)
-    write_stations_csv([s.meta for s in series], os.path.join(out_dir, "stations.csv"))
+    write_stations_csv([s.meta for s in series], os.path.join(out_dir, "stations.csv"), cache)
     written = (pool.map if pool else map)(
-        write_station_csv, series,
+        _write_station, series,
         [os.path.join(out_dir, f"{s.meta.id}.csv") for s in series],
-        [[f"synthetic station {s.meta.id} seed={config.seed}"] for s in series])
+        [[f"synthetic station {s.meta.id} seed={config.seed}"] for s in series],
+        repeat(cache))
     truth.to_csv(os.path.join(out_dir, "truth.csv"),
-                 header_lines=[f"synthetic geostrophic truth seed={config.seed}"])
+                 header_lines=[f"synthetic geostrophic truth seed={config.seed}"], cache=cache)
     list(written)  # the station files are complete, and a worker's error raised, here
     return series, truth
 

@@ -59,17 +59,20 @@ def epoch_minutes(text: str) -> int:
 def canonical_minutes(cells: np.ndarray) -> np.ndarray | None:
     """Int64 epoch minutes of a 1-D bytes or str array whose every cell is
     ``YYYY-MM-DDTHH:MMZ``, parsed by one numpy cast of the first 16 code
-    units; None when a cell has any other form or is no date (2008-02-30),
-    for ``parse_timestamp`` to read cell by cell."""
+    units as bytes (numpy parses str text about 9 times slower); None when a
+    cell has any other form or is no date (2008-02-30), for
+    ``parse_timestamp`` to read cell by cell."""
     unit = np.uint8 if cells.dtype.kind == "S" else np.uint32
     width = cells.dtype.itemsize // np.dtype(unit).itemsize
+    if not cells.size:  # every cell is canonical
+        return np.zeros(0, dtype=np.int64)
     if width < _CANONICAL.size:
         return None
     codes = np.ascontiguousarray(cells).view(unit).reshape(cells.size, width)
     # unsigned, so a unit below the lowest wraps round to a large difference
     if codes[:, _CANONICAL.size:].any() or (codes[:, :_CANONICAL.size] - _CANONICAL > _SPAN).any():
         return None
-    text = np.ascontiguousarray(codes[:, :16]).view(f"{cells.dtype.kind}16").ravel()
+    text = codes[:, :16].astype(np.uint8).view("S16").ravel()  # every unit is ASCII here
     try:
         return text.astype("datetime64[m]").view(np.int64)
     except ValueError:

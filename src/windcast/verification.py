@@ -139,14 +139,14 @@ def relative_reduction(model: float, baseline: float) -> float:
 SCORES_CSV_COLUMNS = ("station", "variant", "horizon", "month", "n") + SCORE_METRICS
 
 
-def _write_blocks(path, header, blocks, header_lines) -> None:
+def _write_blocks(path, header, blocks, header_lines, cache) -> None:
     """Write per-report blocks of columns, one block after another."""
     columns = [list(chain.from_iterable(col)) for col in zip(*blocks)]
-    write_columns(path, header, columns or [[]] * len(header), header_lines)
+    write_columns(path, header, columns or [[]] * len(header), header_lines, cache=cache)
 
 
 def write_scores_csv(reports: Sequence[CellScores], path,
-                     header_lines: Sequence[str] = ()) -> None:
+                     header_lines: Sequence[str] = (), cache=None) -> None:
     """Monthly rows then an 'overall' row per report."""
     blocks = []
     for r in reports:
@@ -156,14 +156,14 @@ def write_scores_csv(reports: Sequence[CellScores], path,
                        r.n_by_month.tolist() + [r.n_scored],
                        *(r.monthly[metric].tolist() + [r.overall[metric]]
                          for metric in SCORE_METRICS)))
-    _write_blocks(path, SCORES_CSV_COLUMNS, blocks, header_lines)
+    _write_blocks(path, SCORES_CSV_COLUMNS, blocks, header_lines, cache)
 
 
-def read_scores_csv(path) -> list[CellScores]:
+def read_scores_csv(path, cache=None) -> list[CellScores]:
     """The cells of a scores.csv in file order; floats read back bit-exactly."""
     kinds = dict(zip(SCORES_CSV_COLUMNS,
                      ("str", "str", "int", "str", "int") + ("float",) * len(SCORE_METRICS)))
-    table = read_columns(path, kinds)
+    table = read_columns(path, kinds, cache=cache)
     cells, lo = [], 0
     for end in np.flatnonzero(table["month"] == "overall").tolist():
         rows = slice(lo, end)
@@ -179,7 +179,7 @@ def read_scores_csv(path) -> list[CellScores]:
 
 
 def write_pit_csv(reports: Sequence[ScoreReport], path,
-                  header_lines: Sequence[str] = ()) -> None:
+                  header_lines: Sequence[str] = (), cache=None) -> None:
     blocks = []
     for r in reports:
         nb = r.pit_counts.size
@@ -188,7 +188,7 @@ def write_pit_csv(reports: Sequence[ScoreReport], path,
                        edges[:-1].tolist(), edges[1:].tolist(), r.pit_counts.tolist(),
                        [r.n_prob / nb] * nb))
     _write_blocks(path, ("station", "variant", "horizon", "bin_lo", "bin_hi", "count",
-                         "expected"), blocks, header_lines)
+                         "expected"), blocks, header_lines, cache)
 
 
 def format_score_table(reports: Sequence[CellScores], metric: str) -> str:

@@ -14,6 +14,7 @@ import pytest
 import yaml
 
 import windcast
+import windcast.csvio
 from windcast import cli, forecast
 from windcast.cli import main
 from windcast.config import config_from_dict, dump_config, load_config
@@ -23,6 +24,7 @@ from windcast.forecast import read_records_csv
 from windcast.geostrophy import GeoWindSeries, MeanRemovalPolicy
 from windcast.ingest import CANONICAL_SCHEMA
 from windcast.model import CandidatePool, ResidualState, parse_variant
+from windcast.timeutil import epoch_hour
 
 from conftest import benchmark_config_dict, run_pipeline
 
@@ -197,8 +199,12 @@ class TestConfigValidation:
         ({"domain_km": "350"}, [], "data.synth: domain_km must be a number, got '350'"),
         ({"friction_angle_deg": True}, [],
          "data.synth: friction_angle_deg must be a number, got True"),
+        ({"start": "yesterday"}, [], "data.synth: unparseable timestamp 'yesterday'"),
+        ({"start": "2008-01-01T05:00+05:00"}, [],
+         "data.synth: unparseable timestamp '2008-01-01T05:00+05:00'"),
+        ({"start": 2008}, [], "data.synth: start must be text, got 2008"),
     ], ids=["seed-negative", "cli-seed-negative", "n_inner-float", "days-float", "days-bool",
-            "float-text", "float-bool"])
+            "float-text", "float-bool", "start-unparseable", "start-offset-text", "start-int"])
     def test_synth_fields_refuse_other_values(self, tmp_path, capsys, synth, argv, violation):
         """A synth field is refused, before anything is written, when it
         holds a value of another type or a negative seed."""
@@ -245,6 +251,41 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as err:
             load_config(_write_unquoted_train(tmp_path, start, "2008-05-01"))
         assert err.value.violations == [f"train: timestamp {start} is at {offset}, not UTC"]
+
+    @pytest.mark.parametrize("start", ["2008-01-01T00:00:00Z", "2008-01-01 00:00:00",
+                                       "2008-01-01"], ids=["z", "naive", "date"])
+    def test_unquoted_utc_synth_start_accepted(self, tmp_path, capsys, start):
+        """YAML reads an unquoted data.synth.start as a datetime or a date; one
+        in UTC is kept as text that names the same hour, and synth runs on it
+        to the archive a quoted start writes."""
+        quoted = tmp_path / "quoted"
+        cfg = small_config(str(quoted))
+        cfg["data"]["synth"]["days"] = 2
+        cfg["train"] = {"start": "2008-01-01T00:00", "end": "2008-01-02T00:00"}
+        cfg.update(test={"start": "2008-01-02T00:00", "end": "2008-01-03T00:00"}, window_days=1)
+        assert main(["synth", "--config", str(_write_config(tmp_path, cfg))]) == 0
+        out = tmp_path / "unquoted"
+        path = _write_config(tmp_path, dict(cfg, out_dir=str(out)))
+        path.write_text(path.read_text().replace("days: 2", f"days: 2\n    start: {start}"))
+        loaded = load_config(path)
+        assert isinstance(loaded.synth.start, str) and loaded.synth.start != "2008-01-01T00:00"
+        assert epoch_hour(loaded.synth.start) == epoch_hour("2008-01-01T00:00")
+        assert main(["synth", "--config", str(path)]) == 0
+        capsys.readouterr()
+        for name in ("stations.csv", "S01.csv", "truth.csv"):
+            assert (out / "data" / name).read_bytes() == (quoted / "data" / name).read_bytes()
+
+    def test_unquoted_synth_start_with_offset_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = _write_config(tmp_path, small_config(str(out)))
+        path.write_text(path.read_text().replace(
+            "days: 130", "days: 130\n    start: 2008-01-01T05:00:00+05:00"))
+        assert main(["synth", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.err)["violations"] == [
+            "data.synth: timestamp 2008-01-01T05:00:00+05:00 is at UTC+05:00, not UTC"]
+        assert "Traceback" not in captured.err + captured.out
+        assert not out.exists()
 
     def test_fewer_gw_stations_than_min_stations_refused(self, tmp_path, capsys):
         """No hour could reach min_stations barometers, so geowind would
@@ -519,6 +560,41 @@ class TestPipeline:
         assert "MAE (m/s)" in text
 
 
+ARTIFACTS = ("data/*", "geowind.csv", "forecasts/*", "scores.csv", "pit.csv", "report.txt")
+
+
+def _artifacts(out) -> dict:
+    return {str(p.relative_to(out)): p.read_bytes()
+            for pattern in ARTIFACTS for p in sorted(out.glob(pattern))}
+
+
+class TestSidecarCache:
+    """Every CSV a stage writes has a sidecar in <out>/cache, and the next
+    stages read it from there; the cache changes no artifact."""
+
+    def test_cache_deleted_before_every_stage(self, pipeline_run, tmp_path):
+        src, cfg = pipeline_run
+        csvs = [name for name in _artifacts(src) if name.endswith(".csv")]
+        assert len(csvs) == 23 and len(list((src / "cache").glob("*.columns"))) == len(csvs)
+        out = tmp_path / "out"
+        path = _write_config(tmp_path, dict(cfg, out_dir=str(out)))
+        for command in ("synth", "geowind", "forecast", "evaluate", "report"):
+            shutil.rmtree(out / "cache", ignore_errors=True)
+            assert main([command, "--config", str(path)]) == 0
+        assert _artifacts(out) == _artifacts(src)
+
+    def test_stages_read_their_inputs_from_sidecars(self, pipeline_run, tmp_path, monkeypatch):
+        src, cfg = pipeline_run
+        out = tmp_path / "out"
+        shutil.copytree(src, out)
+        for name in ("_typed", "_field_chunks"):
+            monkeypatch.setattr(windcast.csvio, name, lambda *args: pytest.fail("parsed"))
+        path = _write_config(tmp_path, dict(cfg, out_dir=str(out)))
+        for command in ("geowind", "forecast", "evaluate", "report"):
+            assert main([command, "--config", str(path)]) == 0
+        assert _artifacts(out) == _artifacts(src)
+
+
 def test_determinism_byte_identical(tmp_path):
     """Same config + seed into two directories: identical forecast/score CSVs."""
     outputs = []
@@ -630,9 +706,9 @@ class TestJobs:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         io_pooled = []  # per station-file call: whether it was given the pool
         for name in ("write_dataset", "load_network_dir"):
-            def spy(*args, _fn=getattr(cli, name)):
+            def spy(*args, _fn=getattr(cli, name), **kwargs):
                 io_pooled.append(args[-1] is not None)
-                return _fn(*args)
+                return _fn(*args, **kwargs)
             monkeypatch.setattr(cli, name, spy)
         if groups is not None:
             def spy_map(pool, fn, tasks, _map=cli._map):
@@ -824,13 +900,14 @@ class TestForecastInputs:
         _, cfg = pipeline_run
         loads, gw_reads = [], []
 
-        def spy_load(directory, schema, station_ids, fields, pool, _fn=cli.load_network_dir):
+        def spy_load(directory, schema, station_ids, fields, pool, _fn=cli.load_network_dir,
+                     **kwargs):
             loads.append(fields)
-            return _fn(directory, schema, station_ids, fields, pool)
+            return _fn(directory, schema, station_ids, fields, pool, **kwargs)
 
-        def spy_from_csv(cls, path, _fn=GeoWindSeries.from_csv.__func__):
+        def spy_from_csv(cls, path, _fn=GeoWindSeries.from_csv.__func__, **kwargs):
             gw_reads.append(os.path.basename(path))
-            return _fn(cls, path)
+            return _fn(cls, path, **kwargs)
 
         monkeypatch.setattr(cli, "load_network_dir", spy_load)
         monkeypatch.setattr(GeoWindSeries, "from_csv", classmethod(spy_from_csv))

@@ -3,22 +3,33 @@
 import csv
 import hashlib
 import math
+import os
 import re
 
 import numpy as np
 import pytest
 
-from windcast.csvio import _numbers, read_columns, write_columns
+import windcast.csvio
+import windcast.forecast
+import windcast.geostrophy
+import windcast.ingest
+import windcast.verification
+from windcast import synth
+from windcast.csvio import SIDECAR_SUFFIX, _numbers, read_columns, write_columns
 from windcast.errors import InvalidInputError, LoadError
 from windcast.forecast import ForecastColumns, read_records_csv, write_records_csv
+from windcast.geostrophy import GeoWindSeries
 from windcast.ingest import (
     CANONICAL_SCHEMA,
     SchemaConfig,
     read_raw,
+    read_stations_csv,
     write_station_csv,
+    write_stations_csv,
 )
 from windcast.series import StationMeta, StationSeries
 from windcast.timeutil import RENDER_SAMPLE, epoch_hour, iso_hours, parse_timestamp, render_once
+from windcast.verification import read_scores_csv, score_groups, write_pit_csv, write_scores_csv
 
 T0 = epoch_hour("2008-01-01T00:00")
 KINDS = {"time": "time", "station": "str", "speed": "float"}
@@ -815,3 +826,304 @@ class TestTypedPath:
         monkeypatch.setattr(np, "loadtxt", fail)
         back = read_columns(path, KINDS)
         assert back["speed"].size == 101 and np.isnan(back["speed"][-1])
+
+
+# ---------------------------------------------------------------------------
+# sidecars: a CSV written with a cache directory is read back from the arrays
+# stored there, which must be the arrays a parse of its text gives
+
+
+def _no_parse(*args):
+    raise AssertionError("parsed, not served from the sidecar")
+
+
+def _served_and_parsed(monkeypatch, path, kinds, keep, lenient, cache):
+    """read_columns served from the sidecar in ``cache`` with every parse
+    path disabled, and read_columns parsing the same file."""
+    with monkeypatch.context() as patch:
+        patch.setattr(windcast.csvio, "_typed", _no_parse)
+        patch.setattr(windcast.csvio, "_field_chunks", _no_parse)
+        served = read_columns(path, kinds, keep=keep, lenient=lenient, cache=cache)
+    return served, read_columns(path, kinds, keep=keep, lenient=lenient)
+
+
+def _reader_requests(monkeypatch, module, read) -> list:
+    """The (path, kinds, keep, lenient) of each read_columns call that
+    ``read()`` makes through ``module``."""
+    calls, real = [], module.read_columns
+
+    def spy(path, kinds, keep=None, lenient=False, cache=None):
+        calls.append((path, dict(kinds), keep, lenient))
+        return real(path, kinds, keep=keep, lenient=lenient, cache=cache)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "read_columns", spy)
+        read()
+    assert calls
+    return calls
+
+
+def _edge_station(station_id):
+    series = _station_series()
+    series.meta = StationMeta(station_id, 33.6, -100.8, 712.5)
+    series.temperature[[5, 6]] = [math.inf, -math.inf]
+    return series
+
+
+def _edge_geowind():
+    n = 12
+    values = np.linspace(-3.0, 3.0, n)
+    values[[1, 2, 3, 4]] = [math.nan, math.inf, -math.inf, -0.0]
+    return GeoWindSeries(times=np.arange(T0, T0 + n, dtype=np.int64), u_g=values,
+                         v_g=values[::-1].copy(), w_g=np.abs(values), theta_g=values / 7.0,
+                         n_stations=np.arange(n) % 13, rms_residual=np.full(n, 0.25))
+
+
+def _reports(records):
+    return list(score_groups(records, "PSS").values())
+
+
+# writer -> (module whose read_columns the reader calls, write(path, cache), readers)
+SIDECAR_WRITERS = {
+    "station": (windcast.ingest,
+                lambda p, c: write_station_csv(_edge_station('S,"7'), p, ["prov"], cache=c),
+                [lambda p, c: read_raw(p, CANONICAL_SCHEMA, 'S,"7', cache=c),
+                 lambda p, c: read_raw(p, CANONICAL_SCHEMA, "S99", ("speed",), cache=c),
+                 lambda p, c: read_raw(p, CANONICAL_SCHEMA, None, ("pressure",), cache=c)]),
+    "station non-ASCII": (windcast.ingest,
+                          lambda p, c: write_station_csv(_edge_station("Zürich"), p, cache=c),
+                          [lambda p, c: read_raw(p, CANONICAL_SCHEMA, "Zürich", cache=c)]),
+    "stations": (windcast.ingest,
+                 lambda p, c: write_stations_csv(
+                     [StationMeta('a,"b', 1.5, -0.0, 3.0),
+                      StationMeta("Zürich", 47.4, 8.5, 408.0),
+                      StationMeta(" S3 ", 1e-5, -179.99999999999997, -2.5)], p, cache=c),
+                 [lambda p, c: read_stations_csv(p, cache=c)]),
+    "truth": (windcast.geostrophy,
+              lambda p, c: synth.generate(synth.SynthConfig(seed=5, days=2))[1].to_csv(
+                  p, ["truth"], cache=c),
+              [lambda p, c: GeoWindSeries.from_csv(p, cache=c)]),
+    "geowind": (windcast.geostrophy,
+                lambda p, c: _edge_geowind().to_csv(p, ["prov"], cache=c),
+                [lambda p, c: GeoWindSeries.from_csv(p, cache=c)]),
+    "forecast": (windcast.forecast,
+                 lambda p, c: write_records_csv(_forecast_records(), p, ["prov"], cache=c),
+                 [lambda p, c: read_records_csv(p, cache=c)]),
+    "forecast empty": (windcast.forecast,
+                       lambda p, c: write_records_csv(_forecast_records().take([]), p, cache=c),
+                       [lambda p, c: read_records_csv(p, cache=c)]),
+    "scores": (windcast.verification,
+               lambda p, c: write_scores_csv(_reports(_forecast_records()), p, ["prov"], cache=c),
+               [lambda p, c: read_scores_csv(p, cache=c)]),
+}
+PIT_KINDS = {"station": "str", "variant": "str", "horizon": "int", "bin_lo": "float",
+             "bin_hi": "float", "count": "int", "expected": "float"}
+
+
+def _sidecars(cache) -> list:
+    return sorted(cache.glob("*" + SIDECAR_SUFFIX)) if cache.is_dir() else []
+
+
+class TestSidecars:
+    """A sidecar read gives the arrays a parse gives: names, dtypes (text
+    widths too) and bits, and the malformed flags."""
+
+    @pytest.mark.parametrize("writer", sorted(SIDECAR_WRITERS))
+    def test_every_reader_request_served_as_parsed(self, tmp_path, monkeypatch, writer):
+        module, write, readers = SIDECAR_WRITERS[writer]
+        path, cache = tmp_path / "f.csv", tmp_path / "cache"
+        write(path, cache)
+        assert len(_sidecars(cache)) == 1
+        for read in readers:
+            for _, kinds, keep, lenient in _reader_requests(
+                    monkeypatch, module, lambda: read(path, cache)):
+                _assert_same(*_served_and_parsed(monkeypatch, path, kinds, keep, lenient, cache))
+
+    def test_pit_served_as_parsed(self, tmp_path, monkeypatch):
+        path, cache = tmp_path / "pit.csv", tmp_path / "cache"
+        write_pit_csv(_reports(_forecast_records()), path, ["prov"], cache=cache)
+        _assert_same(*_served_and_parsed(monkeypatch, path, PIT_KINDS, None, False, cache))
+
+    @pytest.mark.parametrize("nonfinite", ["", None])
+    def test_nonfinite_signed_zero_and_text(self, tmp_path, monkeypatch, nonfinite):
+        """NaN, ±inf and -0.0 in either nonfinite mode; quoted, padded,
+        multi-line and non-ASCII text; ints and bools read as int."""
+        path, cache = tmp_path / "f.csv", tmp_path / "cache"
+        x = np.array([math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16])
+        text = ['a,"b"', " pad ", "", "Zürich", "x\ny", "q\r\nz", "not # first", "é"]
+        times = iso_hours(T0 + np.arange(-3, 5) * 1000)
+        write_columns(path, ["x", "s", "t", "i", "b", "f32"],
+                      [x, text, times, np.arange(-4, 4), x > 0, x.astype(np.float32)],
+                      header_lines=["a provenance line"], nonfinite=nonfinite, cache=cache)
+        kinds = {"x": "float", "s": "str", "t": "time", "i": "int", "b": "int", "f32": "float"}
+        served, parsed = _served_and_parsed(monkeypatch, path, kinds, None, False, cache)
+        _assert_same(served, parsed)
+        assert served["s"].tolist() == text and served["s"].dtype == np.dtype("U11")
+        expected = x.copy()
+        expected[np.isnan(x) if nonfinite is None else ~np.isfinite(x)] = math.nan
+        assert np.array_equal(served["x"].view(np.uint64),
+                              np.where(np.isnan(expected), math.nan, expected).view(np.uint64))
+
+    @pytest.mark.parametrize("keep", [("s", "b"), ("s", "zz"), ("s", "long " * 6)])
+    def test_keep_and_lenient(self, tmp_path, monkeypatch, keep):
+        path, cache = tmp_path / "f.csv", tmp_path / "cache"
+        write_columns(path, ["t", "s", "v"],
+                      [iso_hours(T0 + np.arange(6)), ["a", "b", "ccc", "b", "long " * 6, "b"],
+                       [1.0, math.nan, 2.5, -0.0, 3.0, 4.0]], cache=cache)
+        kinds = {"t": "time", "s": "str", "v": "float"}
+        for lenient in (False, True):
+            served, parsed = _served_and_parsed(monkeypatch, path, kinds, keep, lenient, cache)
+            _assert_same(served, parsed)
+        assert served["s"].tolist() == [keep[1]] * served["s"].size
+
+    def test_empty_tables(self, tmp_path, monkeypatch):
+        path, cache = tmp_path / "f.csv", tmp_path / "cache"
+        write_columns(path, ["t", "s", "x", "i"],
+                      [[], [], np.zeros(0), np.zeros(0, dtype=int)], cache=cache)
+        kinds = {"t": "time", "s": "str", "x": "float", "i": "int"}
+        _assert_same(*_served_and_parsed(monkeypatch, path, kinds, None, False, cache))
+        # a table of text columns only, as write_scores_csv writes no cells:
+        # its int and float requests are parsed
+        scores = tmp_path / "scores.csv"
+        write_scores_csv([], scores, cache=cache)
+        assert read_scores_csv(scores, cache=cache) == read_scores_csv(scores) == []
+
+    @pytest.mark.parametrize("header, columns, kw", [
+        (["s", "v"], [["#x", "y"], [1.0, 2.0]], {}),
+        (["v", "s"], [[1.0, 2.0], ["a\n#b", "y"]], {}),
+        (["v", "s"], [[1.0, 2.0], ["a\r\n#b", "y"]], {}),
+        (["s", "v"], [["a\0b", "y"], [1.0, 2.0]], {}),
+        (["#s", "v"], [["a", "y"], [1.0, 2.0]], {}),
+        (["s", "v"], [["a", "y"], [1.0, math.nan]], {"nonfinite": "NA"}),
+        (["s", "v"], [["a", "y"], [1.0, 2.0]], {"header_lines": ["one\ntwo"]}),
+    ], ids=["hash-first-cell", "hash-after-LF", "hash-after-CRLF", "NUL", "hash-header",
+            "nonfinite-text", "multiline-provenance"])
+    def test_no_sidecar_for_text_that_reads_otherwise(self, tmp_path, header, columns, kw):
+        path, cache = tmp_path / "f.csv", tmp_path / "cache"
+        write_columns(path, header, columns, cache=cache, **kw)
+        assert not _sidecars(cache)
+
+    def test_strided_columns(self, tmp_path, monkeypatch):
+        path, cache = tmp_path / "f.csv", tmp_path / "cache"
+        table = np.asfortranarray(np.arange(12.0).reshape(4, 3) - 5.5)
+        write_columns(path, ["x", "i"], [table[:, 1], np.arange(8)[::2]], cache=cache)
+        kinds = {"x": "float", "i": "int"}
+        served, parsed = _served_and_parsed(monkeypatch, path, kinds, None, False, cache)
+        _assert_same(served, parsed)
+        assert served["x"].tolist() == table[:, 1].tolist()
+
+    def test_repeated_column_name_serves_the_first(self, tmp_path, monkeypatch):
+        path, cache = tmp_path / "f.csv", tmp_path / "cache"
+        write_columns(path, ["v", "v"], [[1.0, 2.0], [3.0, 4.0]], cache=cache)
+        served, parsed = _served_and_parsed(monkeypatch, path, {"v": "float"}, None, False, cache)
+        _assert_same(served, parsed)
+        assert served["v"].tolist() == [1.0, 2.0]
+
+    def test_unstored_kind_is_parsed(self, tmp_path):
+        """An int column read as float, a float read as str, or time text in
+        another form than YYYY-MM-DDTHH:MMZ is not in the sidecar as read, so
+        the file is parsed."""
+        path, cache = tmp_path / "f.csv", tmp_path / "cache"
+        times = ["2008-01-01 01:00", "2008-01-01T02:00:00", "2008-01-01", " 2008-01-01T04:00Z"]
+        write_columns(path, ["i", "x", "t"], [[1, 2, 3, 4], [0.5, 1.5, -0.0, 2.0], times],
+                      cache=cache)
+        for kinds in ({"i": "float"}, {"x": "str"}, {"t": "time", "i": "int"}):
+            _assert_same(read_columns(path, kinds, cache=cache), read_columns(path, kinds))
+
+    def test_bytes_are_deterministic(self, tmp_path):
+        blobs = []
+        for name in ("a", "b"):
+            cache = tmp_path / name
+            write_records_csv(_forecast_records(), tmp_path / f"{name}.csv", cache=cache)
+            blobs.append([p.read_bytes() for p in _sidecars(cache)])
+        assert blobs[0] == blobs[1] and len(blobs[0]) == 1
+
+
+class TestSidecarFaults:
+    """A sidecar that does not serve the file as it is on disk is passed
+    over: the file is parsed, and nothing crashes."""
+
+    KINDS = {"issue_time": "time", "station": "str", "horizon": "int", "point": "float"}
+
+    def _written(self, tmp_path):
+        path, cache = tmp_path / "PSS.csv", tmp_path / "cache"
+        write_records_csv(_forecast_records(), path, ["prov"], cache=cache)
+        (sidecar,) = _sidecars(cache)
+        return path, cache, sidecar
+
+    def test_csv_edited_after_writing(self, tmp_path):
+        path, cache, _ = self._written(tmp_path)
+        text = path.read_text()
+        path.write_text(text.replace("\nS01,", "\nS09,", 1).replace("2008-01-01T05:00Z",
+                                                                    "2008-01-01T05:30Z"))
+        back = read_columns(path, self.KINDS, cache=cache)
+        _assert_same(back, read_columns(path, self.KINDS))
+        assert "S09" in back["station"].tolist()
+        assert back["issue_time"][5] == 60 * (T0 + 5) + 30
+
+    @pytest.mark.parametrize("cut", [0, 5, 9, -2, 0.5, -1])
+    def test_truncated_sidecar(self, tmp_path, cut):
+        path, cache, sidecar = self._written(tmp_path)
+        blob = sidecar.read_bytes()
+        head = blob.index(b"\n") + 1
+        size = {-2: head, 0.5: len(blob) // 2, -1: len(blob) - 1}.get(cut, cut)
+        sidecar.write_bytes(blob[:size])
+        _assert_same(read_columns(path, self.KINDS, cache=cache), read_columns(path, self.KINDS))
+
+    @pytest.mark.parametrize("where", ["crc", "header", "first data byte", "last data byte",
+                                       "garbage", "other file"])
+    def test_corrupt_sidecar(self, tmp_path, where):
+        path, cache, sidecar = self._written(tmp_path)
+        blob = bytearray(sidecar.read_bytes())
+        head = blob.index(b"\n")
+        if where == "garbage":
+            blob = bytearray(b"\x93NUMPY garbage \xff\n" * 50)
+        elif where == "other file":  # a valid sidecar, of other bytes, under this name
+            other = tmp_path / "other"
+            write_records_csv(_forecast_records().take([0, 1]), tmp_path / "o.csv", cache=other)
+            blob = bytearray(_sidecars(other)[0].read_bytes())
+        else:
+            i = {"crc": 3, "header": head - 5, "first data byte": head + 1,
+                 "last data byte": len(blob) - 1}[where]
+            blob[i] ^= 0x10
+        sidecar.write_bytes(bytes(blob))
+        _assert_same(read_columns(path, self.KINDS, cache=cache), read_columns(path, self.KINDS))
+
+    def test_cache_missing(self, tmp_path):
+        path, cache, _ = self._written(tmp_path)
+        for sidecar in _sidecars(cache):
+            sidecar.unlink()
+        cache.rmdir()
+        _assert_same(read_columns(path, self.KINDS, cache=cache), read_columns(path, self.KINDS))
+
+    def test_file_in_place_of_the_cache(self, tmp_path):
+        path, cache = tmp_path / "PSS.csv", tmp_path / "cache"
+        cache.write_text("not a directory")
+        write_records_csv(_forecast_records(), path, cache=cache)
+        assert cache.read_text() == "not a directory"
+        _assert_same(read_columns(path, self.KINDS, cache=cache), read_columns(path, self.KINDS))
+        write_records_csv(_forecast_records(), path, cache=cache / "below")  # no crash
+
+    def test_unwritable_cache(self, tmp_path):
+        """A cache that cannot be written to is skipped (as root, the write
+        may still succeed; the reads are the same either way)."""
+        path, cache = tmp_path / "PSS.csv", tmp_path / "cache"
+        cache.mkdir()
+        os.chmod(cache, 0o500)
+        try:
+            write_records_csv(_forecast_records(), path, cache=cache)
+            assert not list(cache.glob("*.tmp"))
+            _assert_same(read_columns(path, self.KINDS, cache=cache),
+                         read_columns(path, self.KINDS))
+        finally:
+            os.chmod(cache, 0o700)
+
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        path, cache = tmp_path / "PSS.csv", tmp_path / "cache"
+
+        def full(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(windcast.csvio.os, "replace", full)
+        write_records_csv(_forecast_records(), path, cache=cache)
+        assert list(cache.iterdir()) == []
