@@ -9,48 +9,36 @@ blank cell is NaN), ``"int"``, ``"str"`` (text unchanged) and ``"time"``
 it). An unparseable cell is a LoadError naming its physical line, except a
 float cell in a lenient read, which reads NaN and flags its row as malformed.
 
-A read takes the first of three paths that serves it: a sidecar, typed
-``numpy.loadtxt`` passes, or ``csv.reader``, which defines the semantics;
-each gives the same arrays. Given a ``cache`` directory, ``write_columns``
-stores there a sidecar named by the sha256 of the CSV's bytes: a
-``<CRC-32 hex> <JSON>`` line (the digest; each column's name, dtype, length
-and CRC-32), then the column arrays as a parse of the text reads them
-(floats as float64, NaN for blank and NaN cells; ints and bools as int64;
-ASCII text as bytes, other text as str). It stores none for text that would
-read back otherwise: a cell or name that starts with ``#`` or holds a NUL
-or a ``#`` after a line break, a provenance line with a line break, or a
-``nonfinite`` text other than ``""`` or None. ``read_columns`` given the
-cache hashes the file and serves a matching sidecar that holds every
-requested column: text answers ``"str"`` at the width of its widest kept
-cell and ``"time"`` through ``canonical_minutes``; ``keep`` applies as on
-the other paths; no row is malformed. No cache, a stale, truncated or
-damaged sidecar, a column it lacks, time text of another form, or an
-external archive leaves the file to be parsed. On the archive-io
-benchmark's seed-424242 files (a 2-vCPU x86 VM, Python 3.11, numpy 2.4.6),
-sidecars serve geowind's 12 barometer files in 45-47 ms, forecast's 4
-station files in 16-17 ms, ``geowind.csv`` in 4 ms and the persistence
-forecast file in 19-21 ms.
+A read takes one of two paths: a sidecar, or ``csv.reader``, which defines
+the semantics; both give the same arrays. Given a ``cache`` directory,
+``write_columns`` stores there a sidecar named by the sha256 of the CSV's
+bytes: a ``<CRC-32 hex> <JSON>`` line (the digest; each column's name,
+dtype, length and CRC-32), then the column arrays as a parse of the text
+reads them (floats as float64, NaN for blank and NaN cells; ints and bools
+as int64; ASCII text as bytes, other text as str). It stores none for text
+that would read back otherwise: a cell or name that starts with ``#`` or
+holds a NUL or a ``#`` after a line break, a provenance line with a line
+break, or a ``nonfinite`` text other than ``""`` or None. ``read_columns``
+given the cache hashes the file and serves a matching sidecar that holds
+every requested column: text answers ``"str"`` at the width of its widest
+kept cell and ``"time"`` through ``canonical_minutes``; ``keep`` applies as
+on the parse; no row is malformed. On the archive-io benchmark's
+seed-424242 files (a 2-vCPU x86 VM, Python 3.11, numpy 2.4.6), sidecars
+serve geowind's 12 barometer files in 45-47 ms, forecast's 4 station files
+in 16-17 ms, ``geowind.csv`` in 4 ms and the persistence forecast file in
+19-21 ms.
 
-A file with no ``#`` line after its header, no NUL byte and, if it has CR
-line ends, no quote is read by typed ``numpy.loadtxt`` passes (numpy's C
-tokenizer) over the requested columns only. A file with no blank cell takes
-one path-based call. A file with blank cells is streamed from one open file,
-``CHUNK_ROWS`` rows per call, with its float columns as bytes: a blank float
-reads NaN, and every other float goes through numpy's bytes-to-float64 cast,
-which parses as ``float()`` does; a blank str cell reads ``''``. Time columns
-are read as bytes too: a column whose every cell is ``YYYY-MM-DDTHH:MMZ`` is
-converted by one cast of its first 16 bytes (``timeutil.canonical_minutes``,
-which the ``csv.reader`` path's chunks also try first), and any other column
-through ``iso_text``, as on the ``csv.reader`` path. A cell that the typed
-passes might read otherwise (a blank int or time, an unparseable or too wide
-cell, a short row, or any warning) sends the file to ``csv.reader``, which
-reads all other files, names the line of a bad cell and defines the
-semantics: the arrays are the same either way. On the same files, parsing
-the temperature and pressure of geowind's 12 barometer files takes
-0.24-0.25 s, the speed, direction and temperature of forecast's 4 station
-files 0.10 s, ``geowind.csv`` 0.04-0.05 s, and the 104,256-row persistence
-forecast file, whose ``mu`` and ``sigma`` are blank, 0.11-0.12 s. Parsing
-the floats' 17-digit text is most of that.
+No cache, a stale, truncated or damaged sidecar, a column it lacks, time
+text of another form, or an external archive leaves the file to
+``csv.reader``, ``CHUNK_ROWS`` rows at a time. Each requested column of a
+chunk is converted at once: floats by ``float()``, ints by ``int()``, and
+time text of the form ``YYYY-MM-DDTHH:MMZ`` by one cast
+(``timeutil.canonical_minutes``), other forms through ``iso_text``. A chunk
+with a cell that does not convert is converted again cell by cell, to find
+it. On the same files the parse of geowind's 12 barometer files
+(temperature and pressure) takes 0.61-0.62 s, of forecast's 4 station files
+(speed) 0.18-0.19 s, of ``geowind.csv`` 0.07 s and of the 104,256-row
+persistence forecast file 0.25 s.
 
 Writing puts floats as ``repr`` writes them (shortest round-trip text, so
 reading back is bit-exact) and non-finite floats as ``""`` unless asked
@@ -83,7 +71,6 @@ import json
 import math
 import os
 import re
-import warnings
 import zlib
 from typing import Mapping, Sequence
 
@@ -97,12 +84,6 @@ from .timeutil import canonical_minutes, epoch_minutes, iso_text, render_once
 CHUNK_ROWS = 8192
 #: A sidecar's file name in its cache directory: the sha256 of the CSV's bytes, then this.
 SIDECAR_SUFFIX = ".columns"
-#: Width of a str or time field on the loadtxt path; a cell this long or
-#: longer could have been cut, so its file takes the csv.reader path.
-TEXT_WIDTH = 24
-_DTYPE = {"float": "f8", "int": "i8", "str": f"U{TEXT_WIDTH}", "time": f"S{TEXT_WIDTH}"}
-_LOADTXT = {"comments": None, "delimiter": ",", "ndmin": 1, "encoding": None, "quotechar": '"'}
-_PREAMBLE = re.compile(rb"(?:(?:#[^\r\n]*)?(?:\r\n?|\n))*")  # '#' and blank lines
 _SPECIAL = re.compile(r'[,"\r\n]')  # a written cell holding one of these is quoted
 #: The dtype kinds a sidecar may store a column in, for each kind it is read as.
 _STORED = {"float": "f", "int": "i", "str": "SU", "time": "SU"}
@@ -186,107 +167,6 @@ def _field_chunks(reader, width: int):
             yield list(zip(*rows))
 
 
-def _prescan(data: bytes) -> str | None:
-    """How the typed pass may read a file, from its bytes after the header:
-    "plain" (no blank cell), "gappy" (blank cells), or None for a '#' line,
-    a NUL (numpy drops trailing NULs from text fields) or, if there is a CR,
-    a quote (loadtxt would read a quoted CRLF as LF)."""
-    start = _PREAMBLE.match(data).end()
-    if data.find(b"\0", start) >= 0 or b"\r" in data and data.find(b'"', start) >= 0:
-        return None
-    blank = data.endswith(b",")
-    for lo in range(start, len(data), 1 << 16):  # cache-sized pieces
-        b = np.frombuffer(data, np.uint8, min(len(data) - lo, (1 << 16) + 1), lo)
-        sep, end = b == ord(","), (b == ord("\n")) | (b == ord("\r"))
-        if (end[:-1] & (b[1:] == ord("#"))).any():
-            return None
-        blank = blank or bool((sep[:-1] & (sep[1:] | end[1:]) | end[:-1] & sep[1:]).any())
-    return "gappy" if blank else "plain"
-
-
-def _column(field: np.ndarray, kind: str, lenient: bool):
-    """One loadtxt field as the csv.reader path returns it, plus its
-    malformed-cell mask or None; ValueError if a cell may have been cut to
-    the field width or is not what the csv.reader path reads there."""
-    if field.dtype.kind in "fi":
-        return np.ascontiguousarray(field), None
-    if kind == "str":
-        width = int(np.char.str_len(field).max(initial=0))
-        if width >= TEXT_WIDTH:
-            raise ValueError(f"a cell of {width} characters")
-        return field.astype(f"U{max(1, width)}"), None  # as np.array(cells, dtype=str)
-    cells = np.ascontiguousarray(field)  # bytes: a time, or a float of a gappy file
-    if cells.view(np.uint8).reshape(-1, TEXT_WIDTH)[:, -1].any():
-        raise ValueError("a cell as wide as the field")
-    if kind == "time":
-        minutes = canonical_minutes(cells)
-        if minutes is not None:
-            return minutes, None
-    else:  # a blank float reads NaN
-        values, blank = np.full(cells.size, math.nan), cells == b""
-        try:
-            values[~blank] = cells[~blank].astype(np.float64)  # parsed as float() parses
-            return values, None
-        except ValueError:
-            pass
-    text = [cell.decode("latin-1") for cell in cells.tolist()]  # loadtxt's encoding
-    return _convert(text, kind, lenient)  # a bad cell raises _BadCell
-
-
-def _gappy_tables(path, dtype, usecols: list, skip: int):
-    """A file with blank cells as loadtxt tables of at most CHUNK_ROWS rows,
-    streamed from one open file, which decodes as numpy's path-based read does."""
-    with open(path) as fh:
-        for _ in itertools.islice(fh, skip):
-            pass
-        while len(table := np.loadtxt(fh, dtype, max_rows=CHUNK_ROWS, usecols=usecols,
-                                      **_LOADTXT)) == CHUNK_ROWS:
-            yield table
-        yield table
-
-
-def _typed(path, kinds: Mapping[str, str], index: dict, keep, skip: int,
-           lenient: bool, shape: str | None) -> Columns | None:
-    """read_columns in typed numpy.loadtxt passes over a file of ``_prescan``
-    ``shape``, or None where they could read otherwise than csv.reader."""
-    if keep and (kinds[keep[0]] != "str" or len(keep[1]) >= TEXT_WIDTH):
-        return None  # a cell cut to the field width would not match a wide value
-    if shape is None:
-        return None
-    gappy = shape == "gappy"  # float fields as bytes, for blank cells to read NaN
-    dtype = [(name, f"S{TEXT_WIDTH}" if gappy and kind == "float" else _DTYPE[kind])
-             for name, kind in kinds.items()]
-    usecols = list(index.values())
-    chunks = {name: [] for name in kinds}
-    flags, rows_read = [], 0
-    try:
-        with warnings.catch_warnings():
-            # any warning of loadtxt or a cast sends the file to csv.reader,
-            # which reads every cell as the typed pass would or says why not
-            warnings.simplefilter("error")
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            tables = (_gappy_tables(path, dtype, usecols, skip) if gappy else
-                      [np.loadtxt(path, dtype, skiprows=skip, usecols=usecols, **_LOADTXT)])
-            for table in tables:
-                rows_read += len(table)
-                if keep is not None and not (rows := table[keep[0]] == keep[1]).all():
-                    table = table[rows]
-                malformed = np.zeros(len(table), dtype=bool)
-                for name, kind in kinds.items():
-                    values, bad = _column(table[name], kind, lenient)
-                    chunks[name].append(values)
-                    if bad is not None:
-                        malformed |= bad
-                flags.append(malformed)
-    except (ValueError, Warning):
-        return None
-    if not rows_read:
-        return None
-    out = Columns((name, np.concatenate(parts)) for name, parts in chunks.items())
-    out.malformed = np.concatenate(flags)
-    return out
-
-
 def _from_sidecar(cache, digest: str, kinds: Mapping[str, str], keep) -> Columns | None:
     """read_columns served from the sidecar of a file whose bytes have the
     sha256 ``digest``; None when there is none, it is damaged, or it lacks a
@@ -335,14 +215,12 @@ def read_columns(path, kinds: Mapping[str, str], keep: tuple | None = None,
     column, one of ``kinds``, equals ``value``. With a ``cache`` directory, a
     sidecar there that ``write_columns`` wrote for these very bytes is read
     instead of the text when it holds every requested column."""
-    with open(path, "rb") as fh:
-        data = fh.read()
     if cache is not None:
-        served = _from_sidecar(cache, hashlib.sha256(data).hexdigest(), kinds, keep)
+        with open(path, "rb") as fh:
+            digest = hashlib.file_digest(fh, "sha256").hexdigest()
+        served = _from_sidecar(cache, digest, kinds, keep)
         if served is not None:
             return served
-    shape = _prescan(data)
-    del data
     chunks = {name: [] for name in kinds}
     flags = []
     with open(path, newline="") as fh:
@@ -354,9 +232,6 @@ def read_columns(path, kinds: Mapping[str, str], keep: tuple | None = None,
         if missing:
             raise LoadError(f"{path}: columns {missing} not found in header {header}")
         index = {name: header.index(name) for name in kinds}
-        typed = _typed(path, kinds, index, keep, reader.line_num, lenient, shape)
-        if typed is not None:
-            return typed
         keep = None if keep is None else (index[keep[0]], keep[1])
         for fields in _field_chunks(reader, len(header)):
             if keep is not None:

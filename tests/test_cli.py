@@ -587,12 +587,32 @@ class TestSidecarCache:
         src, cfg = pipeline_run
         out = tmp_path / "out"
         shutil.copytree(src, out)
-        for name in ("_typed", "_field_chunks"):
-            monkeypatch.setattr(windcast.csvio, name, lambda *args: pytest.fail("parsed"))
+        monkeypatch.setattr(windcast.csvio, "_field_chunks", lambda *args: pytest.fail("parsed"))
         path = _write_config(tmp_path, dict(cfg, out_dir=str(out)))
         for command in ("geowind", "forecast", "evaluate", "report"):
             assert main([command, "--config", str(path)]) == 0
         assert _artifacts(out) == _artifacts(src)
+
+
+def test_external_archive_reads_as_the_synth_run(tmp_path):
+    """geowind, forecast and evaluate on a data.csv.dir copy of the synth
+    data/ parse every station file and write what the synth run writes;
+    only their own outputs get sidecars."""
+    variants = ["PSS", "TDD", "TDDGW-MD"]
+    synth_out, out, archive = tmp_path / "synth", tmp_path / "csv", tmp_path / "archive"
+    synth_out.mkdir()
+    run_pipeline(_write_config(synth_out, small_config(synth_out, variants=variants)), synth_out,
+                 commands=("synth", "geowind", "forecast", "evaluate"))
+    shutil.copytree(synth_out / "data", archive)
+    out.mkdir()
+    cfg = small_config(out, variants=variants, data={"source": "csv", "csv": {"dir": str(archive)}})
+    run_pipeline(_write_config(out, cfg), out, commands=("geowind", "forecast", "evaluate"))
+    outputs = ["geowind.csv", *(f"forecasts/{v}.csv" for v in variants), "scores.csv", "pit.csv"]
+    for name in outputs:
+        assert _stripped(out / name) == _stripped(synth_out / name), name
+    assert sorted(p.name for p in (out / "cache").iterdir()) == sorted(
+        hashlib.sha256((out / name).read_bytes()).hexdigest() + windcast.csvio.SIDECAR_SUFFIX
+        for name in outputs)
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -1021,10 +1041,15 @@ def test_seed_flag_overrides_config(tmp_path):
     assert a == (out_b / "data" / "S01.csv").read_bytes()
 
 
+def _stripped(path) -> bytes:
+    """A file's bytes without its ``#`` provenance lines."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    return b"".join(l for l in lines if not l.startswith(b"#"))
+
+
 def _data_sha(path) -> str:
     """sha256 of a data file without its ``#`` provenance lines."""
-    lines = path.read_bytes().splitlines(keepends=True)
-    return hashlib.sha256(b"".join(l for l in lines if not l.startswith(b"#"))).hexdigest()
+    return hashlib.sha256(_stripped(path)).hexdigest()
 
 
 def _spec_sha(variant, station, horizon, names) -> str:

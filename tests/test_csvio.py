@@ -469,25 +469,19 @@ class TestFloatText:
         self._check(tmp_path, np.zeros(0, dtype=np.float32), None)
 
 
-def _typed_and_reference(monkeypatch, path, kinds, keep=None, lenient=False):
-    """read_columns as it reads ``path``, whether its typed loadtxt pass took
-    the file, and the csv.reader path's reading of the same file."""
-    import windcast.csvio
-
-    typed = windcast.csvio._typed
-    taken = []
-
-    def spy(*args):
-        out = typed(*args)
-        taken.append(out is not None)
-        return out
-
-    monkeypatch.setattr(windcast.csvio, "_typed", spy)
-    result = read_columns(path, kinds, keep=keep, lenient=lenient)
-    monkeypatch.setattr(windcast.csvio, "_typed", lambda *args: None)
-    reference = read_columns(path, kinds, keep=keep, lenient=lenient)
-    monkeypatch.setattr(windcast.csvio, "_typed", typed)
-    return result, taken == [True], reference
+def _expected(kinds, values: dict):
+    """The Columns a read of ``kinds`` returns: ``values`` maps each column to
+    its cells' values, times as hours after T0, and may hold the row flags
+    under ``"malformed"`` (all False by default)."""
+    dtypes = {"float": np.float64, "int": np.int64, "time": np.int64, "str": str}
+    out = windcast.csvio.Columns(
+        (name, np.array(values[name], dtype=dtypes[kind])) for name, kind in kinds.items())
+    for name, kind in kinds.items():
+        if kind == "time":
+            out[name] = (T0 + out[name]) * 60
+    size = len(next(iter(out.values())))
+    out.malformed = np.array(values.get("malformed", [False] * size), dtype=bool)
+    return out
 
 
 def _assert_same(result, reference):
@@ -498,45 +492,58 @@ def _assert_same(result, reference):
     assert result.malformed.tobytes() == reference.malformed.tobytes()
 
 
+NAN = math.nan
 ROWS = "2008-01-01T00:00Z,S1,1.5\n2008-01-01T01:00Z,S2,2.5\n"
-# name -> (file bytes, kinds, keep, whether the typed pass reads it)
+TWO_ROWS = {"time": [0, 1], "station": ["S1", "S2"], "speed": [1.5, 2.5]}
+NO_ROWS = {"time": [], "station": [], "speed": []}
+# name -> (file bytes, kinds, keep, what a lenient read returns)
 CORPUS = {
-    "plain LF": (b"time,station,speed\n" + ROWS.encode(), KINDS, None, True),
-    "CRLF": (b"time,station,speed\r\n" + ROWS.replace("\n", "\r\n").encode(), KINDS, None, True),
+    "plain LF": (b"time,station,speed\n" + ROWS.encode(), KINDS, None, TWO_ROWS),
+    "CRLF": (b"time,station,speed\r\n" + ROWS.replace("\n", "\r\n").encode(), KINDS, None,
+             TWO_ROWS),
     "provenance and blank lines first": (
         b'# a "quoted, comment\n\n# more\r\n\ntime,station,speed\n' + ROWS.encode(),
-        KINDS, None, True),
+        KINDS, None, TWO_ROWS),
     "quoted commas, doubled quotes and line breaks": (
         b'time,"station",speed\n"2008-01-01T00:00Z","S,1","1.5"\n'
-        b'2008-01-01T01:00Z,"S""2",2\n2008-01-01T02:00Z,"S\n3",3\n', KINDS, None, True),
+        b'2008-01-01T01:00Z,"S""2",2\n2008-01-01T02:00Z,"S\n3",3\n', KINDS, None,
+        {"time": [0, 1, 2], "station": ["S,1", 'S"2', "S\n3"], "speed": [1.5, 2.0, 3.0]}),
     "quotes in a CRLF file": (
-        b'time,station,speed\r\n2008-01-01T00:00Z,"S\r\n1",1.5\r\n', KINDS, None, False),
+        b'time,station,speed\r\n2008-01-01T00:00Z,"S\r\n1",1.5\r\n', KINDS, None,
+        {"time": [0], "station": ["S\r\n1"], "speed": [1.5]}),
     "padded cells": (
         b"time,station,speed\n  2008-01-01T00:00Z , S1 , 1.5 \n"
-        b"2008-01-01 01:00,S2,\t2.5\n2008-01-01T02:00:59Z,S3,3\n", KINDS, None, True),
+        b"2008-01-01 01:00,S2,\t2.5\n2008-01-01T02:00:59Z,S3,3\n", KINDS, None,
+        {"time": [0, 1, 2], "station": [" S1 ", "S2", "S3"], "speed": [1.5, 2.5, 3.0]}),
     "blank lines between rows and extra fields": (
         b"time,station,speed\n\n2008-01-01T00:00Z,S1,1.5,x\n\r\n2008-01-01T01:00Z,S2,2.5\n",
-        KINDS, None, True),
+        KINDS, None, TWO_ROWS),
     "columns in another order": (
         b"speed,x,station,time\n1.5,0,S1,2008-01-01T00:00Z\n2.5,0,S2,2008-01-01T01:00Z\n",
-        KINDS, None, True),
+        KINDS, None, TWO_ROWS),
     "keep drops rows": (
-        b"time,station,speed\n" + (ROWS * 3).encode(), KINDS, ("station", "S2"), True),
+        b"time,station,speed\n" + (ROWS * 3).encode(), KINDS, ("station", "S2"),
+        {"time": [1] * 3, "station": ["S2"] * 3, "speed": [2.5] * 3}),
     "keep drops every row": (
-        b"time,station,speed\n" + ROWS.encode(), KINDS, ("station", "S9"), True),
+        b"time,station,speed\n" + ROWS.encode(), KINDS, ("station", "S9"), NO_ROWS),
     "keep on a float column": (
-        b"time,station,speed\n" + ROWS.encode(), KINDS, ("speed", "2.5"), False),
-    "no data rows": (b"# x\ntime,station,speed\n", KINDS, None, False),
+        b"time,station,speed\n" + ROWS.encode(), KINDS, ("speed", "2.5"),
+        {"time": [1], "station": ["S2"], "speed": [2.5]}),
+    "no data rows": (b"# x\ntime,station,speed\n", KINDS, None, NO_ROWS),
     "one data row, no final newline": (
-        b"time,station,speed\n2008-01-01T00:00Z,S1,1", KINDS, None, True),
+        b"time,station,speed\n2008-01-01T00:00Z,S1,1", KINDS, None,
+        {"time": [0], "station": ["S1"], "speed": [1.0]}),
     "ints and non-ASCII text": (
         "n,name\n-0,Zürich\n+5,São Paulo\n 7 ,x\n".encode(), {"n": "int", "name": "str"},
-        None, True),
+        None, {"n": [0, 5, 7], "name": ["Zürich", "São Paulo", "x"]}),
     "blank cells": (b"time,station,speed\n2008-01-01T00:00Z,S1,\n2008-01-01T01:00Z,,2\n",
-                    KINDS, None, True),
-    "short row": (b"time,station,speed\n2008-01-01T00:00Z,S1\n", KINDS, None, False),
-    "late comment": (b"time,station,speed\n" + ROWS.encode() + b"# x,y,z\n", KINDS, None, False),
-    "malformed float": (b"time,station,speed\n2008-01-01T00:00Z,S1,oops\n", KINDS, None, False),
+                    KINDS, None, {"time": [0, 1], "station": ["S1", ""], "speed": [NAN, 2.0]}),
+    "short row": (b"time,station,speed\n2008-01-01T00:00Z,S1\n", KINDS, None,
+                  {"time": [0], "station": ["S1"], "speed": [NAN]}),
+    "late comment": (b"time,station,speed\n" + ROWS.encode() + b"# x,y,z\n", KINDS, None,
+                     TWO_ROWS),
+    "malformed float": (b"time,station,speed\n2008-01-01T00:00Z,S1,oops\n", KINDS, None,
+                        {"time": [0], "station": ["S1"], "speed": [NAN], "malformed": [True]}),
 }
 GAPPY_KINDS = {"speed": "float", "time": "time", "station": "str", "n": "int"}
 GAPPY_ROWS = (b"speed,time,station,n,temp\n"
@@ -544,93 +551,105 @@ GAPPY_ROWS = (b"speed,time,station,n,temp\n"
               b"1.5,2008-01-01T01:00Z,,2,3\n"  # a blank str cell
               b"2.5,2008-01-01T02:00Z,S3,3,4\n"
               b",2008-01-01T03:00Z,S1,4,")  # a blank last cell at EOF
-# gappy station and forecast files: blank cells that the typed pass reads
+GAPPY = {"speed": [NAN, 1.5, 2.5, NAN], "time": [0, 1, 2, 3], "station": ["S1", "", "S3", "S1"],
+         "n": [1, 2, 3, 4]}
+# gappy station and forecast files: a blank float cell reads NaN, a blank str ''
 CORPUS.update({
-    "gappy station file": (GAPPY_ROWS, GAPPY_KINDS, None, True),
-    "gappy station file, CRLF": (GAPPY_ROWS.replace(b"\n", b"\r\n"), GAPPY_KINDS, None, True),
-    "gappy, blank unread column only": (GAPPY_ROWS, {"time": "time", "n": "int"}, None, True),
-    "gappy, keep": (GAPPY_ROWS, GAPPY_KINDS, ("station", "S1"), True),
+    "gappy station file": (GAPPY_ROWS, GAPPY_KINDS, None, GAPPY),
+    "gappy station file, CRLF": (GAPPY_ROWS.replace(b"\n", b"\r\n"), GAPPY_KINDS, None, GAPPY),
+    "gappy, blank unread column only": (GAPPY_ROWS, {"time": "time", "n": "int"}, None, GAPPY),
+    "gappy, keep": (GAPPY_ROWS, GAPPY_KINDS, ("station", "S1"),
+                    {"speed": [NAN, NAN], "time": [0, 3], "station": ["S1", "S1"], "n": [1, 4]}),
     "gappy, all blank float column": (
-        b"a,mu,b\n1,,x\n2,,y\n", {"a": "int", "mu": "float", "b": "str"}, None, True),
-    "gappy, blank-only row": (b"a,b,c\n1,2,3\n,,\n", {"a": "float", "c": "str"}, None, True),
+        b"a,mu,b\n1,,x\n2,,y\n", {"a": "int", "mu": "float", "b": "str"}, None,
+        {"a": [1, 2], "mu": [NAN, NAN], "b": ["x", "y"]}),
+    "gappy, blank-only row": (b"a,b,c\n1,2,3\n,,\n", {"a": "float", "c": "str"}, None,
+                              {"a": [1.0, NAN], "c": ["3", ""]}),
     "gappy, space-only and padded floats": (
-        b"x,y,z\n1, ,\n \t2 ,3,\n", {"x": "float", "y": "float"}, None, True),
+        b"x,y,z\n1, ,\n \t2 ,3,\n", {"x": "float", "y": "float"}, None,
+        {"x": [1.0, 2.0], "y": [NAN, 3.0]}),
     "gappy, python-only number syntax": (
-        b"x,y\n1_0,\n,2\n", {"x": "float", "y": "float"}, None, True),
+        b"x,y\n1_0,\n,2\n", {"x": "float", "y": "float"}, None,
+        {"x": [10.0, NAN], "y": [NAN, 2.0]}),
     "gappy, malformed float flagged": (
-        b"x,y\noops,\n1,nan(1)\n2,\xc2\xb2\n", {"x": "float", "y": "float"}, None, True),
+        b"x,y\noops,\n1,nan(1)\n2,\xc2\xb2\n", {"x": "float", "y": "float"}, None,
+        {"x": [NAN, 1.0, 2.0], "y": [NAN] * 3, "malformed": [True] * 3}),
     "gappy, non-Latin-1 float cell": (
-        "x,y\n1,\n2,\u0101\n".encode(), {"x": "float", "y": "float"}, None, False),
+        "x,y\n1,\n2,ā\n".encode(), {"x": "float", "y": "float"}, None,
+        {"x": [1.0, 2.0], "y": [NAN, NAN], "malformed": [False, True]}),
     "gappy, non-ASCII text": (
-        "n,name,x\n1,Zürich,\n2,\u0101,3\n".encode(), {"n": "int", "name": "str", "x": "float"},
-        None, True),
+        "n,name,x\n1,Zürich,\n2,ā,3\n".encode(), {"n": "int", "name": "str", "x": "float"},
+        None, {"n": [1, 2], "name": ["Zürich", "ā"], "x": [NAN, 3.0]}),
     "gappy, quoted commas and line breaks": (
         b'time,station,speed\n2008-01-01T00:00Z,"S,\n1",\n2008-01-01T01:00Z,"S""2",2\n',
-        KINDS, None, True),
+        KINDS, None, {"time": [0, 1], "station": ["S,\n1", 'S"2'], "speed": [NAN, 2.0]}),
     "gappy, wide float cell": (
-        b"x,y\n1,\n" + b"0" * 30 + b"1,2\n", {"x": "float", "y": "float"}, None, False),
+        b"x,y\n1,\n" + b"0" * 30 + b"1,2\n", {"x": "float", "y": "float"}, None,
+        {"x": [1.0, 1.0], "y": [NAN, 2.0]}),
     "NUL bytes": (b"a,b,c\n1,2\0,x\0\n3,,y\n", {"a": "float", "b": "float", "c": "str"},
-                  None, False),
+                  None, {"a": [1.0, 3.0], "b": [NAN, NAN], "c": ["x\0", "y"],
+                         "malformed": [True, False]}),
     "gappy forecast file": (
         b"station,issue_time,horizon,mu,sigma,point,fallback,observed\r\n"
         b"S01,2010-01-01T00:00Z,1,,,4.5,0,5.25\r\nS01,2010-01-01T00:00Z,2,,,4.5,0,\r\n"
         b"S02,2010-01-01T01:00Z,1,3.5,0.5,,1,-0.0\r\n",
         {"station": "str", "issue_time": "time", "horizon": "int", "mu": "float",
-         "sigma": "float", "point": "float", "fallback": "int", "observed": "float"}, None, True),
+         "sigma": "float", "point": "float", "fallback": "int", "observed": "float"}, None,
+        {"station": ["S01", "S01", "S02"], "issue_time": [17544, 17544, 17545],
+         "horizon": [1, 2, 1], "mu": [NAN, NAN, 3.5], "sigma": [NAN, NAN, 0.5],
+         "point": [4.5, 4.5, NAN], "fallback": [0, 0, 1], "observed": [5.25, NAN, -0.0]}),
 })
-# timestamps off the byte fast path, each read by the typed pass through parse_timestamp
+# timestamps off the canonical fast path: text -> the minute it reads as
 TIMES = {
-    "space separator": "2008-01-01 05:00",
-    "seconds": "2008-01-01T05:00:59Z",
-    "no Z": "2008-01-01T05:00",
-    "date only": "2008-01-01",
-    "year 10000": "10000-01-01T00:00Z",
-    "year -1": "-0001-01-01T00:00Z",
-    "year 0": "0000-01-01T00:00Z",
-    "padded": " 2008-01-01T05:00Z ",
+    "space separator": ("2008-01-01 05:00", "2008-01-01T05:00"),
+    "seconds": ("2008-01-01T05:00:59Z", "2008-01-01T05:00"),
+    "no Z": ("2008-01-01T05:00", "2008-01-01T05:00"),
+    "date only": ("2008-01-01", "2008-01-01T00:00"),
+    "year 10000": ("10000-01-01T00:00Z", "10000-01-01T00:00"),
+    "year -1": ("-0001-01-01T00:00Z", "-0001-01-01T00:00"),
+    "year 0": ("0000-01-01T00:00Z", "0000-01-01T00:00"),
+    "padded": (" 2008-01-01T05:00Z ", "2008-01-01T05:00"),
 }
-# timestamps that are errors on either path
+# timestamps that are errors
 BAD_TIMES = {"day 30 of February": "2008-02-30T00:00Z", "NaT": "NaT",
              "UTC offset": "2008-01-01T05:00+02:00", "lowercase z": "2008-01-01T05:00z",
              "now": "now", "text after the Z": "2008-01-01T05:00Z0"}
 
 
 class TestTypedPath:
-    """The typed loadtxt pass reads exactly what the csv.reader path reads."""
+    """What a parse reads in each kind of column (float, int, str, time),
+    and which cells it refuses."""
 
     @pytest.mark.parametrize("name", CORPUS)
-    def test_corpus(self, tmp_path, monkeypatch, name):
-        data, kinds, keep, typed = CORPUS[name]
+    def test_corpus(self, tmp_path, name):
+        data, kinds, keep, values = CORPUS[name]
         path = tmp_path / "f.csv"
         path.write_bytes(data)
-        result, taken, reference = _typed_and_reference(
-            monkeypatch, path, kinds, keep, lenient=True)
-        _assert_same(result, reference)
-        assert taken == typed
+        _assert_same(read_columns(path, kinds, keep=keep, lenient=True), _expected(kinds, values))
 
     @pytest.mark.parametrize("gappy", [False, True])
     @pytest.mark.parametrize("name", TIMES)
-    def test_non_canonical_times(self, tmp_path, monkeypatch, name, gappy):
+    def test_non_canonical_times(self, tmp_path, name, gappy):
+        text, minute = TIMES[name]
         path = tmp_path / "f.csv"
-        path.write_text(f"time,station,speed\n2008-01-01T00:00Z,S1,1\n{TIMES[name]},S2,"
+        path.write_text(f"time,station,speed\n2008-01-01T00:00Z,S1,1\n{text},S2,"
                         f"{'' if gappy else 2}\n")
-        result, taken, reference = _typed_and_reference(monkeypatch, path, KINDS)
-        _assert_same(result, reference)
-        assert taken
+        result = read_columns(path, KINDS)
+        expected = _expected(KINDS, {"time": [0, 0], "station": ["S1", "S2"],
+                                     "speed": [1.0, NAN if gappy else 2.0]})
+        expected["time"][1] = np.datetime64(minute, "m").astype(np.int64)
+        _assert_same(result, expected)
 
     @pytest.mark.parametrize("gappy", [False, True])
     @pytest.mark.parametrize("name", BAD_TIMES)
-    def test_bad_times_on_both_paths(self, tmp_path, monkeypatch, name, gappy):
-        import windcast.csvio
-
+    def test_bad_times_on_both_paths(self, tmp_path, name, gappy):
+        """A bad time is an error that names its physical line, whether or
+        not its row has a blank cell."""
         path = tmp_path / "f.csv"
         path.write_text(f"time,station,speed\n2008-01-01T00:00Z,S1,1\n\n{BAD_TIMES[name]},S2,"
                         f"{'' if gappy else 2}\n")
         message = r"f\.csv:4: unparseable time " + re.escape(repr(BAD_TIMES[name]))
-        with pytest.raises(LoadError, match=message):  # typed, then csv.reader
-            read_columns(path, KINDS)
-        monkeypatch.setattr(windcast.csvio, "_typed", lambda *args: None)
-        with pytest.raises(LoadError, match=message):  # csv.reader only
+        with pytest.raises(LoadError, match=message):
             read_columns(path, KINDS)
 
     def test_utc_offsets_are_refused_without_a_warning(self):
@@ -645,64 +664,32 @@ class TestTypedPath:
         assert parse_timestamp("2008-01-01T05:00:30.Z") == np.datetime64("2008-01-01T05:00")
 
     @pytest.mark.parametrize("kind", ["int", "time"])
-    def test_blank_int_or_time_goes_to_csv_reader(self, tmp_path, monkeypatch, kind):
-        import windcast.csvio
-
-        calls = []
-        monkeypatch.setattr(windcast.csvio, "_field_chunks",
-                            lambda *a, _f=windcast.csvio._field_chunks: calls.append(1) or _f(*a))
+    def test_blank_int_or_time_goes_to_csv_reader(self, tmp_path, kind):
+        """A blank int or time cell is an error, unlike a blank float."""
         path = tmp_path / "f.csv"
         good = "2008-01-01T00:00Z" if kind == "time" else "1"
         path.write_text(f"a,b\n{good},\n,2\n")
         with pytest.raises(LoadError, match=rf"f\.csv:3: unparseable {kind} ''"):
             read_columns(path, {"a": kind, "b": "float"})
-        assert calls  # the typed pass gave the file up
 
     @pytest.mark.parametrize("rows", [3 * 16, 3 * 16 + 5])
     def test_gappy_chunks(self, tmp_path, monkeypatch, rows):
-        """A gappy file is read CHUNK_ROWS rows at a time, with the same
-        arrays, also when the rows fill the last chunk exactly."""
-        import windcast.csvio
-
+        """A gappy file is read CHUNK_ROWS rows at a time, also when the rows
+        fill the last chunk exactly."""
         monkeypatch.setattr(windcast.csvio, "CHUNK_ROWS", 16)
         path = tmp_path / "f.csv"
         speed = np.where(np.arange(rows) % 7 == 3, np.nan, np.arange(rows) / 3.0)
         write_columns(path, ["time", "station", "speed"],
                       [iso_hours(T0 + np.arange(rows)), [f"S{i % 5}" for i in range(rows)],
                        speed], ["provenance"])
-        result, taken, reference = _typed_and_reference(
-            monkeypatch, path, KINDS, keep=("station", "S2"))
-        _assert_same(result, reference)
-        assert taken and result["speed"].tobytes() == speed[np.arange(rows) % 5 == 2].tobytes()
+        kept = np.arange(rows) % 5 == 2
+        expected = _expected(KINDS, {"time": np.arange(rows)[kept], "station": ["S2"] * kept.sum(),
+                                     "speed": speed[kept]})
+        _assert_same(read_columns(path, KINDS, keep=("station", "S2")), expected)
 
-    def test_gappy_loadtxt_sees_at_most_chunk_rows(self, tmp_path, monkeypatch):
-        from windcast.csvio import CHUNK_ROWS
-
-        seen = []
-
-        def spy(*args, _loadtxt=np.loadtxt, **kwargs):
-            table = _loadtxt(*args, **kwargs)
-            seen.append(len(table))
-            return table
-
-        rows = 3 * CHUNK_ROWS + 5
-        path = tmp_path / "f.csv"
-        speed = np.where(np.arange(rows) % 2 == 0, np.nan, 1.5)
-        write_columns(path, ["time", "station", "speed"],
-                      [iso_hours(T0 + np.arange(rows)), ["S1"] * rows, speed])
-        monkeypatch.setattr(np, "loadtxt", spy)
-        back = read_columns(path, KINDS)
-        assert back["speed"].tobytes() == speed.tobytes()
-        assert seen == [CHUNK_ROWS] * 3 + [5]
-
-    def test_blank_forecast_columns_stay_typed(self, tmp_path, monkeypatch):
+    def test_blank_forecast_columns_stay_typed(self, tmp_path):
         """A 104,256-row persistence forecast file, with mu and sigma blank on
-        every row, is read without the csv.reader path."""
-        import windcast.csvio
-
-        def fail(*args):
-            raise AssertionError("the csv.reader path read a forecast file")
-
+        every row, reads back bit for bit."""
         n = 104_256
         j = np.arange(n)
         cols = ForecastColumns(
@@ -712,14 +699,15 @@ class TestTypedPath:
             observed=np.where(j % 999 == 0, math.nan, -j / 9.0))
         path = tmp_path / "PSS.csv"
         write_records_csv(cols, path)
-        monkeypatch.setattr(windcast.csvio, "_field_chunks", fail)
         back = read_records_csv(path)
         for name in ("station", "issue_time", "horizon", "mu", "sigma", "point", "fallback",
                      "observed"):
             assert getattr(back, name).tobytes() == getattr(cols, name).tobytes(), name
 
     @pytest.mark.parametrize("nonfinite", ["", None])
-    def test_edge_floats(self, tmp_path, monkeypatch, nonfinite):
+    def test_edge_floats(self, tmp_path, nonfinite):
+        """Edge floats read back bit for bit; a non-finite float written
+        blank reads NaN."""
         path = tmp_path / "f.csv"
         values = np.array(EDGE_FLOATS + [-np.inf])
         rows = np.arange(values.size)
@@ -727,39 +715,32 @@ class TestTypedPath:
                       [iso_hours(T0 + rows), values, rows - 3, [f"s{i}" for i in rows]],
                       ["provenance"], nonfinite=nonfinite)
         kinds = {"s": "str", "x": "float", "t": "time", "n": "int"}
-        result, taken, reference = _typed_and_reference(monkeypatch, path, kinds)
-        _assert_same(result, reference)
-        assert taken  # blank non-finite cells read NaN on the typed path too
-        if nonfinite is None:
-            assert result["x"].tobytes() == values.tobytes()
+        read = values if nonfinite is None else np.where(np.isfinite(values), values, NAN)
+        expected = _expected(kinds, {"s": [f"s{i}" for i in rows], "x": read, "t": rows,
+                                     "n": rows - 3})
+        _assert_same(read_columns(path, kinds), expected)
 
-    def test_late_comment_with_the_header_width(self, tmp_path, monkeypatch):
+    def test_late_comment_with_the_header_width(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("a,b,c\nx,y,z\n# a,b,c\nu,v,w\n")
         kinds = {"a": "str", "b": "str", "c": "str"}
-        result, _, reference = _typed_and_reference(monkeypatch, path, kinds)
-        _assert_same(result, reference)
-        assert result["a"].tolist() == ["x", "u"]
+        expected = _expected(kinds, {"a": ["x", "u"], "b": ["y", "v"], "c": ["z", "w"]})
+        _assert_same(read_columns(path, kinds), expected)
 
     @pytest.mark.parametrize("extra", [0, 9])
     @pytest.mark.parametrize("kept", ["cut", "wide"])
-    def test_wide_text_is_not_cut(self, tmp_path, monkeypatch, extra, kept):
-        from windcast.csvio import TEXT_WIDTH
-
-        wide = "W" * (TEXT_WIDTH + extra)
+    def test_wide_text_is_not_cut(self, tmp_path, extra, kept):
+        wide = "W" * (24 + extra)
         path = tmp_path / "f.csv"
         path.write_text(f"time,station,speed\n2008-01-01T00:00Z,{wide},1\n"
                         f"2008-01-01T01:00Z,S2,2\n")
         # a cut cell would match the first value, and not match the second
-        keep = "W" * TEXT_WIDTH if kept == "cut" else wide
-        result, taken, reference = _typed_and_reference(
-            monkeypatch, path, KINDS, keep=("station", keep))
-        _assert_same(result, reference)
-        assert not taken and result["station"].tolist() == ([wide] if keep == wide else [])
+        keep = "W" * 24 if kept == "cut" else wide
+        result = read_columns(path, KINDS, keep=("station", keep))
+        assert result["station"].tolist() == ([wide] if keep == wide else [])
         assert read_columns(path, KINDS)["station"].tolist() == [wide, "S2"]
 
     def test_int_with_a_fraction_is_refused(self, tmp_path):
-        # numpy 1.24-1.26 loadtxt reads '1.0' as an int, with a DeprecationWarning
         path = tmp_path / "f.csv"
         path.write_text("n\n1\n1.0\n")
         with pytest.raises(LoadError, match=r":3: unparseable int '1.0'"):
@@ -772,60 +753,12 @@ class TestTypedPath:
         with pytest.raises(LoadError, match=r":3: unparseable time 'NaT'"):
             read_columns(path, KINDS)
 
-    def test_python_only_number_syntax(self, tmp_path, monkeypatch):
-        # float() and int() read underscores and non-ASCII digits; loadtxt does not
+    def test_python_only_number_syntax(self, tmp_path):
+        # float() and int() read underscores and non-ASCII digits
         path = tmp_path / "f.csv"
         path.write_text("x,n\n1_0,2_0\n١٢,٣\n", encoding="utf-8")
-        result, taken, reference = _typed_and_reference(
-            monkeypatch, path, {"x": "float", "n": "int"})
-        _assert_same(result, reference)
-        assert result["x"].tolist() == [10.0, 12.0] and result["n"].tolist() == [20, 3]
-
-    @pytest.mark.parametrize("body, plain", [
-        (b"a,b\n1,2\r\n3,4", True),
-        (b"# x,,y\n#\n\na,b\n1,2\n", True),
-        (b"a,b\n1,,2\n", False),
-        (b"a,b\n1,\n", False),
-        (b"a,b\r\n1,\r\n", False),
-        (b"a,b\n,2\n", False),
-        (b"a,b\n1,2\n#\n", False),
-        (b"a,b\n1,", False),
-        (b'a,b\n"1",2\n', True),
-        (b'a,b\r\n"1",2\r\n', False),
-    ])
-    def test_prescan(self, body, plain):
-        from windcast.csvio import _prescan
-
-        assert (_prescan(body) == "plain") is plain
-
-    @pytest.mark.parametrize("body, shape", [
-        (b"a,b\n1,,2\n", "gappy"),
-        (b"a,b\n1,\n", "gappy"),
-        (b"a,b\r\n1,\r\n", "gappy"),
-        (b"a,b\n,2\n", "gappy"),
-        (b"a,b\n1,", "gappy"),
-        (b'a,b\n"1",\n', "gappy"),
-        (b"a,b\n1,2\n#\n", None),
-        (b"a,b\n1,\n#\n", None),
-        (b'a,b\r\n"1",2\r\n', None),
-        (b'a,b\r\n"1",\r\n', None),
-        (b"a,b\n1,2\0\n", None),
-    ])
-    def test_prescan_gappy_or_refused(self, body, shape):
-        from windcast.csvio import _prescan
-
-        assert _prescan(body) == shape
-
-    def test_refused_file_skips_loadtxt(self, tmp_path, monkeypatch):
-        path = tmp_path / "f.csv"
-        path.write_text("time,station,speed\n" + ROWS * 50 + "# late\n2008-01-02T00:00Z,S1,\n")
-
-        def fail(*args, **kwargs):
-            raise AssertionError("loadtxt called on a file with a '#' line after its header")
-
-        monkeypatch.setattr(np, "loadtxt", fail)
-        back = read_columns(path, KINDS)
-        assert back["speed"].size == 101 and np.isnan(back["speed"][-1])
+        kinds = {"x": "float", "n": "int"}
+        _assert_same(read_columns(path, kinds), _expected(kinds, {"x": [10.0, 12.0], "n": [20, 3]}))
 
 
 # ---------------------------------------------------------------------------
@@ -838,10 +771,9 @@ def _no_parse(*args):
 
 
 def _served_and_parsed(monkeypatch, path, kinds, keep, lenient, cache):
-    """read_columns served from the sidecar in ``cache`` with every parse
-    path disabled, and read_columns parsing the same file."""
+    """read_columns served from the sidecar in ``cache`` with the parse
+    disabled, and read_columns parsing the same file."""
     with monkeypatch.context() as patch:
-        patch.setattr(windcast.csvio, "_typed", _no_parse)
         patch.setattr(windcast.csvio, "_field_chunks", _no_parse)
         served = read_columns(path, kinds, keep=keep, lenient=lenient, cache=cache)
     return served, read_columns(path, kinds, keep=keep, lenient=lenient)
