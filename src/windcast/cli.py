@@ -16,14 +16,15 @@ forecast reads only the station fields its variants use, and geowind.csv
 only when one of them uses the geostrophic wind (``model.forecast_inputs``):
 a run without a TDDGW variant needs no geowind stage.
 
-With more than one job, synth, geowind and a forecast that fits a model
-each open one pool of worker processes, which writes or reads the station
-CSVs one task per station; forecast then runs the lag selection and
-rolling fits there, one task per (fitted variant, station group): each
-variant's targets are split, in config order, into ceil(jobs / fitted
-variants) contiguous groups, whose stations share the variant's residual
-states and candidate pools. Lags are selected afresh by every forecast
-run, deterministically from the config's training period. evaluate refuses
+Every stage reads its inputs in the calling process. With more than one
+job, synth opens a pool of worker processes that writes the station CSVs,
+one task per station, and a forecast that fits a model opens one, once its
+inputs are read, that runs the lag selection and rolling fits, one task
+per (fitted variant, station group): each variant's targets are split, in
+config order, into ceil(jobs / fitted variants) contiguous groups, whose
+stations share the variant's residual states and candidate pools. Nothing
+else runs in a pool. Lags are selected afresh by every forecast run,
+deterministically from the config's training period. evaluate refuses
 forecasts, and report scores, that another config wrote, and a forecast
 that reads geowind.csv one estimated under other geowind settings
 (``_stage_digest``).
@@ -45,7 +46,8 @@ import sys
 
 from . import __version__
 from .config import RunConfig, dump_config, load_config
-from .errors import ConfigError, InvalidInputError, LoadError, WindcastError
+from .errors import (ConfigError, InsufficientDataError, InvalidInputError, LoadError,
+                     WindcastError)
 from .forecast import ForecastColumns, read_records_csv, run_rolling, write_records_csv
 from .geostrophy import GeoWindSeries, estimate_series
 from .ingest import load_network_dir
@@ -104,23 +106,19 @@ def _atomic(path, write_fn):
     os.replace(tmp, path)
 
 
-def _stage_pool(jobs: int, fits: bool = False):
+def _stage_pool(jobs: int):
     """The one worker pool of a stage, or a null context for one job. Only a
-    pool imports multiprocessing. A stage that ``fits`` models imports
-    scipy.special first, which the CRPS fits and the forecast medians use, so
-    that the forked workers share it."""
+    pool imports multiprocessing."""
     if jobs <= 1:
         return contextlib.nullcontext()
     from concurrent.futures import ProcessPoolExecutor
 
-    if fits:
-        import scipy.special  # noqa: F401
     return ProcessPoolExecutor(max_workers=jobs)
 
 
 def _map(pool, fn, tasks: list) -> list:
     """``fn(*task)`` for each of ``tasks``, results in task order."""
-    return list(pool.map(fn, *zip(*tasks))) if pool and tasks else [fn(*t) for t in tasks]
+    return list(pool.map(fn, *zip(*tasks))) if pool else [fn(*t) for t in tasks]
 
 
 def _data_dir(cfg: RunConfig) -> str:
@@ -129,7 +127,7 @@ def _data_dir(cfg: RunConfig) -> str:
     return os.path.join(cfg.out_dir, "data")
 
 
-def _load_network(cfg: RunConfig, station_ids, roles, pool) -> Network:
+def _load_network(cfg: RunConfig, station_ids, roles) -> Network:
     directory = _data_dir(cfg)
     if not os.path.isdir(directory):
         raise LoadError(
@@ -138,46 +136,48 @@ def _load_network(cfg: RunConfig, station_ids, roles, pool) -> Network:
         )
     # nothing writes sidecars for the files under data.csv.dir, so they are not hashed
     cache = _cache(cfg) if cfg.data_source == "synth" else None
-    series = load_network_dir(directory, cfg.csv_schema, station_ids, roles, pool, cache=cache)
+    series = load_network_dir(directory, cfg.csv_schema, station_ids, roles, cache=cache)
     return Network.from_series(series)
 
 
-def _load_model_data(cfg: RunConfig, pool) -> ModelData:
+def _load_model_data(cfg: RunConfig) -> ModelData:
     """The station fields and geowind.csv that the run's variants use
-    (``forecast_inputs``), read side by side when there is a pool. A
-    geowind.csv estimated under other geowind settings is refused, and one
-    that no variant uses is not opened."""
+    (``forecast_inputs``). A geowind.csv estimated under other geowind
+    settings is refused, and one that no variant uses is not opened."""
     roles, reads_gw = forecast_inputs(cfg.variants)
-    gw_path = os.path.join(cfg.out_dir, "geowind.csv")
-    geowind = pending = None
+    geowind = None
     if reads_gw:
+        gw_path = os.path.join(cfg.out_dir, "geowind.csv")
         _check_provenance(cfg, gw_path, "geowind")
-        pending = pool.submit(GeoWindSeries.from_csv, gw_path, cache=_cache(cfg)) if pool else None
-    network = _load_network(cfg, cfg.stations, roles, pool)
-    if reads_gw:
-        geowind = (pending.result() if pending
-                   else GeoWindSeries.from_csv(gw_path, cache=_cache(cfg)))
+        geowind = GeoWindSeries.from_csv(gw_path, cache=_cache(cfg))
+    network = _load_network(cfg, cfg.stations, roles)
     # reordered to config order, which the candidate pools' columns follow
     return ModelData.from_network(network, geowind, cfg.stations, cfg.tz_offset_hours)
 
 
-def cmd_synth(cfg: RunConfig, jobs: int) -> None:
+def cmd_synth(cfg: RunConfig) -> None:
     if cfg.data_source != "synth":
         raise ConfigError(["synth command requires data.source == 'synth'"])
     out = os.path.join(cfg.out_dir, "data")
-    with _stage_pool(jobs) as pool:
+    with _stage_pool(cfg.jobs) as pool:
         write_dataset(cfg.synth, out, pool, cache=_cache(cfg))
     print(f"wrote synthetic dataset ({cfg.synth.n_stations} stations, "
           f"{cfg.synth.days} days) to {out}")
 
 
-def cmd_geowind(cfg: RunConfig, jobs: int) -> None:
-    with _stage_pool(jobs) as pool:
-        network = _load_network(cfg, cfg.gw_stations, GEOWIND_ROLES, pool)
+def cmd_geowind(cfg: RunConfig) -> None:
+    network = _load_network(cfg, cfg.gw_stations, GEOWIND_ROLES)
     series = estimate_series(network, cfg.mean_removal, cfg.min_stations)
+    n_ok = int((series.n_stations >= cfg.min_stations).sum())
+    if not n_ok:
+        schema = cfg.csv_schema
+        raise InsufficientDataError(
+            f"estimated the geostrophic wind for 0/{series.n} hours; an hour needs "
+            f"min_stations={cfg.min_stations} stations with an hourly temperature and pressure, "
+            f"and an hourly value needs ceil(min_fraction={schema.min_fraction} x "
+            f"expected_per_hour={schema.expected_per_hour}) = {schema.min_records} records")
     path = os.path.join(cfg.out_dir, "geowind.csv")
     _atomic(path, lambda p: series.to_csv(p, _provenance(cfg, "geowind"), cache=_cache(cfg)))
-    n_ok = int((series.n_stations >= cfg.min_stations).sum())
     print(f"estimated geostrophic wind for {n_ok}/{series.n} hours -> {path}")
 
 
@@ -192,31 +192,34 @@ def _station_groups(cfg: RunConfig, jobs: int) -> list:
     return [cfg.stations[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def cmd_forecast(cfg: RunConfig, jobs: int) -> None:
+def cmd_forecast(cfg: RunConfig) -> None:
     """PSS is computed here; only the variants that fit models go to the pool,
-    one task per (variant, station group). A run that fits none opens no
-    pool: it would only read the station files there, which does not pay
-    for starting the workers."""
+    one task per (variant, station group). The pool opens once the inputs
+    are read, and only for such a task."""
     train = (cfg.train_start, cfg.train_end)
     test = (cfg.test_start, cfg.test_end)
+    data = _load_model_data(cfg)
 
     results: dict[tuple, ForecastColumns] = {}
     fit_keys, fit_tasks = [], []
-    fits = bool(set(cfg.variants) - {PERSISTENCE})
-    with _stage_pool(jobs if fits else 1, fits) as pool:
-        data = _load_model_data(cfg, pool)
-        for variant in cfg.variants:
-            if variant == PERSISTENCE:
-                columns = run_rolling(data, variant, cfg.stations, cfg.horizons, train, test,
-                                      cfg.window_days, cfg.refit_hours)
-                results.update(((variant, st), c) for st, c in zip(cfg.stations, columns))
-                continue
-            for group in _station_groups(cfg, jobs):
-                fit_keys.append((variant, group))
-                fit_tasks.append((data, variant, group, list(cfg.horizons), train, test,
-                                  cfg.window_days, cfg.refit_hours))
-        for (variant, group), columns in zip(fit_keys, _map(pool, run_rolling, fit_tasks)):
-            results.update(((variant, st), c) for st, c in zip(group, columns))
+    for variant in cfg.variants:
+        if variant == PERSISTENCE:
+            columns = run_rolling(data, variant, cfg.stations, cfg.horizons, train, test,
+                                  cfg.window_days, cfg.refit_hours)
+            results.update(((variant, st), c) for st, c in zip(cfg.stations, columns))
+            continue
+        for group in _station_groups(cfg, cfg.jobs):
+            fit_keys.append((variant, group))
+            fit_tasks.append((data, variant, group, list(cfg.horizons), train, test,
+                              cfg.window_days, cfg.refit_hours))
+    if fit_tasks:
+        # the CRPS fits and the forecast medians use it; imported before the
+        # workers fork, they share it
+        import scipy.special  # noqa: F401
+
+        with _stage_pool(cfg.jobs) as pool:
+            for (variant, group), columns in zip(fit_keys, _map(pool, run_rolling, fit_tasks)):
+                results.update(((variant, st), c) for st, c in zip(group, columns))
 
     os.makedirs(os.path.join(cfg.out_dir, "forecasts"), exist_ok=True)
     for variant in cfg.variants:
@@ -283,7 +286,6 @@ COMMANDS = {
     "evaluate": cmd_evaluate,
     "report": cmd_report,
 }
-POOLED = ("synth", "geowind", "forecast")  # the commands that take a job count
 
 
 def _job_count(flag: int | None, cfg: RunConfig) -> int:
@@ -347,15 +349,12 @@ def main(argv=None) -> int:
             if not args.out:
                 raise ConfigError(["--out must be a nonempty path"])
             cfg.out_dir = args.out
-        jobs = _job_count(args.jobs, cfg)
+        cfg.jobs = _job_count(args.jobs, cfg)
 
         os.makedirs(cfg.out_dir, exist_ok=True)
         _atomic(os.path.join(cfg.out_dir, "config.yaml"),
                 lambda p: dump_config(cfg, p))
-        if args.command in POOLED:
-            COMMANDS[args.command](cfg, jobs)
-        else:
-            COMMANDS[args.command](cfg)
+        COMMANDS[args.command](cfg)
         return 0
     except ConfigError as exc:
         json.dump({"error": "ConfigError", "message": str(exc),

@@ -7,8 +7,13 @@ field with an undeclared unit is a load error rather than a silent guess.
 
 Hourly aggregation: scalar fields are arithmetic means, wind direction is
 averaged vectorially (mean of unit vectors, renormalized), and an hour is
-kept only when at least ``min_fraction`` of the expected records within the
-hour are present (default 9 of 12 five-minute records).
+kept only when at least ``min_fraction`` of the ``expected_per_hour``
+records that the schema states are present (9 of 12 five-minute records at
+the default fraction).
+
+``load_network_dir`` reads the station files one after another in the
+calling process. A worker pool writes synth's station files and runs
+forecast's fits, and nothing else (``cli``).
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ import logging
 import math
 import os
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -49,9 +53,9 @@ class SchemaConfig:
 
     columns: dict  # role -> column name; 'station' optional
     units: dict  # role -> unit string (speed/direction/temperature/pressure)
+    expected_per_hour: int  # records an hour holds: 1 for hourly files, 12 for five-minute ones
     direction_convention: str = MET_FROM
     sentinels: tuple = (-999.0,)
-    expected_per_hour: int = 12
     min_fraction: float = 0.75
 
     def __post_init__(self):
@@ -194,13 +198,6 @@ def hourly_average(raw: RawRecords, schema: SchemaConfig, meta: StationMeta) -> 
     return StationSeries(meta=meta, times=axis, **out)
 
 
-def _load_station(path, schema: SchemaConfig, meta: StationMeta, roles: Sequence[str], cache):
-    """read_raw + hourly_average for one station file; returns the series and
-    the number of rows with a malformed numeric field."""
-    raw = read_raw(path, schema, station_id=meta.id, roles=roles, cache=cache)
-    return hourly_average(raw, schema, meta), raw.n_malformed
-
-
 def write_station_csv(series: StationSeries, path, header_lines: Sequence[str] = (),
                       cache=None, time_text=None) -> None:
     """Write the canonical hourly CSV (CANONICAL_SCHEMA layout); ``time_text``
@@ -234,13 +231,12 @@ def read_stations_csv(path, cache=None) -> list[StationMeta]:
 
 def load_network_dir(directory, schema: SchemaConfig = CANONICAL_SCHEMA,
                      station_ids: Sequence[str] | None = None,
-                     roles: Sequence[str] = FIELD_ROLES, pool=None, cache=None):
+                     roles: Sequence[str] = FIELD_ROLES, cache=None):
     """Load a directory of per-station CSVs plus a stations.csv metadata file,
     in stations.csv order, reading only the measured ``roles`` (the series'
     other fields are None), through the sidecars in ``cache`` where they
-    serve (``read_columns``). With an executor ``pool``, each station file is
-    read in a worker; the malformed-row warnings are logged here either way,
-    one per station in that order."""
+    serve (``read_columns``). A station with malformed rows gets one warning,
+    in that order."""
     meta_path = os.path.join(directory, "stations.csv")
     if not os.path.exists(meta_path):
         raise LoadError(f"no station metadata file: {meta_path}")
@@ -255,12 +251,11 @@ def load_network_dir(directory, schema: SchemaConfig = CANONICAL_SCHEMA,
     for meta, path in zip(metas, paths):
         if not os.path.exists(path):
             raise LoadError(f"no data file for station {meta.id}: {path}")
-    loaded = (pool.map if pool else map)(_load_station, paths, repeat(schema), metas,
-                                         repeat(tuple(roles)), repeat(cache))
     series = []
-    for meta, path, (station, n_malformed) in zip(metas, paths, loaded):
-        if n_malformed:
+    for meta, path in zip(metas, paths):
+        raw = read_raw(path, schema, station_id=meta.id, roles=roles, cache=cache)
+        if raw.n_malformed:
             log.warning("station %s: %d rows with a malformed numeric field in %s",
-                        meta.id, n_malformed, path)
-        series.append(station)
+                        meta.id, raw.n_malformed, path)
+        series.append(hourly_average(raw, schema, meta))
     return series

@@ -17,10 +17,7 @@ primitives (complementary-error-function based, abs error < 1e-12).
 so stages that never evaluate a distribution (geowind, persistence-only
 forecasts) do not load it.
 
-``crps_values`` is the closed-form continuous ranked probability score;
-its independent check ``crps_numeric`` integrates the defining integral for
-one (mu, sigma, y) by adaptive quadrature and is the authority whenever the
-two disagree.
+``crps_values`` is the closed-form continuous ranked probability score.
 ``_crps_grad`` adds the analytic first and second derivatives in mu and
 sigma that the minimum-CRPS fit needs for its Newton steps.
 """
@@ -201,29 +198,3 @@ def crps_values(mu, sigma, y):
     if np.any(y < 0.0):
         raise InvalidInputError("observed wind speed must be nonnegative")
     return _crps_grad(mu, sigma, y)[0]
-
-
-def crps_numeric(mu: float, sigma: float, y: float, tol: float = 1e-8) -> float:
-    """CRPS of N+(mu, sigma) at y by adaptive quadrature of
-    integral((F(x) - 1{x>=y})^2 dx).
-
-    Development-time oracle for the closed form; deliberately routed
-    through the generic integrand rather than the CRPS algebra.
-    """
-    from scipy.integrate import quad  # only this oracle needs it
-
-    _check_params(mu, sigma)
-    if y < 0.0:
-        raise InvalidInputError("observed wind speed must be nonnegative")
-
-    def below(x):
-        return _cdf_core(mu, sigma, x) ** 2
-
-    def above(x):
-        f = _cdf_core(mu, sigma, x)
-        return (f - 1.0) * (f - 1.0)
-
-    hi = max(y, mu + 12.0 * sigma, 1.0) + 12.0 * sigma
-    left, _ = quad(below, 0.0, y, epsabs=tol, epsrel=tol, limit=300)
-    right, _ = quad(above, y, hi, epsabs=tol, epsrel=tol, limit=300)
-    return left + right

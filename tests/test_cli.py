@@ -122,6 +122,19 @@ class TestConfigValidation:
         assert "Traceback" not in captured.err + captured.out
         assert not out.exists()
 
+    def test_schema_must_state_expected_per_hour(self, tmp_path, capsys):
+        """A data.csv.schema states how many records an hour holds, as it
+        states its units: no cadence is assumed."""
+        cfg = csv_config()
+        del cfg["data"]["csv"]["schema"]["expected_per_hour"]
+        cfg["out_dir"] = str(tmp_path / "out")
+        assert main(["geowind", "--config", str(_write_config(tmp_path, cfg))]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ConfigError"
+        [violation] = payload["violations"]
+        assert violation.startswith("data.csv.schema:") and "expected_per_hour" in violation
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("value", [["a"], 5, True, ""], ids=["list", "int", "bool", "empty"])
     @pytest.mark.parametrize("key", ["out_dir", "data.csv.dir"])
     def test_path_keys_refuse_other_values(self, tmp_path, capsys, monkeypatch, key, value):
@@ -392,6 +405,7 @@ def csv_config(unit="m_s"):
         "columns": dict(CANONICAL_SCHEMA.columns),
         "units": dict(CANONICAL_SCHEMA.units, speed=unit),
         "sentinels": [-999.0, 9999.0],
+        "expected_per_hour": 1,
     }}}
     return cfg
 
@@ -506,18 +520,18 @@ def test_cli_import_loads_neither_scipy_nor_multiprocessing():
 
 
 def test_persistence_forecast_opens_no_pool(pipeline_run, tmp_path):
-    """A forecast that fits nothing starts no workers, however many jobs it
-    is given, and needs no scipy.special."""
+    """geowind, and a forecast that fits nothing, start no workers, however
+    many jobs they are given; neither needs scipy.special."""
     src, cfg = pipeline_run
     out = tmp_path / "out"
     shutil.copytree(src / "data", out / "data")
-    shutil.copy(src / "geowind.csv", out / "geowind.csv")
     path = _write_config(tmp_path, dict(cfg, out_dir=str(out), variants=["PSS"]))
     code = (f"import sys; from windcast.cli import main; "
-            f"assert main(['forecast', '--config', {str(path)!r}, '--jobs', '2']) == 0")
+            f"assert all(main([s, '--config', {str(path)!r}, '--jobs', '2']) == 0 "
+            "for s in ('geowind', 'forecast'))")
     modules = ("multiprocessing", "concurrent.futures", "scipy.special")
     assert _loaded_after(code, modules) == "[]"
-    assert (out / "forecasts" / "PSS.csv").exists()
+    assert (out / "geowind.csv").exists() and (out / "forecasts" / "PSS.csv").exists()
 
 
 @pytest.fixture(scope="module")
@@ -615,6 +629,25 @@ def test_external_archive_reads_as_the_synth_run(tmp_path):
         for name in outputs)
 
 
+def test_geowind_that_estimates_no_hour_fails(pipeline_run, tmp_path, capsys):
+    """An hourly archive read under a schema that expects 12 records an hour
+    keeps no hour, so geowind estimates none: it fails naming the rule's
+    values, and writes no geowind.csv."""
+    src, _ = pipeline_run
+    shutil.copytree(src / "data", tmp_path / "archive")
+    cfg = csv_config()
+    cfg["out_dir"] = str(tmp_path / "out")
+    cfg["data"]["csv"].update(dir=str(tmp_path / "archive"))
+    cfg["data"]["csv"]["schema"]["expected_per_hour"] = 12
+    assert main(["geowind", "--config", str(_write_config(tmp_path, cfg))]) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "InsufficientDataError"
+    for text in ("0/3120 hours", "min_stations=3", "min_fraction=0.75", "expected_per_hour=12",
+                 "= 9 records"):
+        assert text in payload["message"]
+    assert not (tmp_path / "out" / "geowind.csv").exists()
+
+
 def test_determinism_byte_identical(tmp_path):
     """Same config + seed into two directories: identical forecast/score CSVs."""
     outputs = []
@@ -703,9 +736,11 @@ def test_fitted_forecast_never_loads_scipy_optimize(pipeline_run, tmp_path):
 
 
 class TestJobs:
-    """One worker and two give the same bytes, and a stage opens at most one
-    pool, which also does its station file I/O. On the mixed forecast path PSS
-    runs in the calling process and the fitted variant in the pool."""
+    """One worker and two give the same bytes. synth writes its station files
+    in its pool and forecast runs its fits in one, while every stage reads
+    its inputs in the calling process, and geowind opens no pool. On the
+    mixed forecast path PSS runs in the calling process and the fitted
+    variant in the pool."""
 
     OUTPUTS = {"synth": "data", "geowind": "geowind.csv", "forecast": "forecasts"}
 
@@ -724,10 +759,11 @@ class TestJobs:
 
         # cli._stage_pool imports the pool class when it opens a pool
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-        io_pooled = []  # per station-file call: whether it was given the pool
+        io_calls = []  # per station-file call: its name, and whether it was given a pool
         for name in ("write_dataset", "load_network_dir"):
-            def spy(*args, _fn=getattr(cli, name), **kwargs):
-                io_pooled.append(args[-1] is not None)
+            def spy(*args, _fn=getattr(cli, name), _name=name, **kwargs):
+                io_calls.append((_name, any(isinstance(a, concurrent.futures.Executor)
+                                            for a in (*args, *kwargs.values()))))
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(cli, name, spy)
         if groups is not None:
@@ -745,8 +781,9 @@ class TestJobs:
             output.unlink()
         path = _write_config(out, dict(cfg, out_dir=str(out)))
         assert main([command, "--config", str(path), "--jobs", str(jobs)]) == 0
-        assert pools == ([] if jobs == 1 else [jobs])
-        assert io_pooled == [jobs > 1]
+        assert pools == ([jobs] if jobs > 1 and command != "geowind" else [])
+        assert io_calls == ([("write_dataset", jobs > 1)] if command == "synth"
+                            else [("load_network_dir", False)])
         return out
 
     def _same_files(self, a, b, pattern):
@@ -840,8 +877,8 @@ class TestSharedWork:
 
 
 class TestWorkerFaults:
-    """A corrupt station file fails a pooled stage with the same JSON error as
-    one job."""
+    """A corrupt station file fails a stage with the same JSON error under one
+    job and two."""
 
     @pytest.mark.parametrize("command, station", [("geowind", "S05"), ("forecast", "S01")])
     def test_corrupt_station_file(self, pipeline_run, tmp_path, capsys, command, station):
@@ -920,10 +957,9 @@ class TestForecastInputs:
         _, cfg = pipeline_run
         loads, gw_reads = [], []
 
-        def spy_load(directory, schema, station_ids, fields, pool, _fn=cli.load_network_dir,
-                     **kwargs):
+        def spy_load(directory, schema, station_ids, fields, _fn=cli.load_network_dir, **kwargs):
             loads.append(fields)
-            return _fn(directory, schema, station_ids, fields, pool, **kwargs)
+            return _fn(directory, schema, station_ids, fields, **kwargs)
 
         def spy_from_csv(cls, path, _fn=GeoWindSeries.from_csv.__func__, **kwargs):
             gw_reads.append(os.path.basename(path))
@@ -931,7 +967,7 @@ class TestForecastInputs:
 
         monkeypatch.setattr(cli, "load_network_dir", spy_load)
         monkeypatch.setattr(GeoWindSeries, "from_csv", classmethod(spy_from_csv))
-        data = cli._load_model_data(config_from_dict(dict(cfg, variants=[variant])), None)
+        data = cli._load_model_data(config_from_dict(dict(cfg, variants=[variant])))
         assert loads == [roles]
         assert gw_reads == (["geowind.csv"] if reads_gw else [])
         read = {"direction": data.cos_dir is not None and data.sin_dir is not None,
@@ -1139,7 +1175,7 @@ class TestFrozenModelOutputs:
     def test_selected_specs(self, run):
         _, path = run
         cfg = load_config(path)
-        data = cli._load_model_data(cfg, None)
+        data = cli._load_model_data(cfg)
         found = {}
         for variant in cfg.variants[1:]:  # PSS selects nothing
             _, chosen = forecast._selection(data, parse_variant(variant), cfg.stations,

@@ -2,7 +2,6 @@
 
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -104,7 +103,8 @@ class TestLoading:
             SchemaConfig(
                 columns=FIVE_MIN_SCHEMA.columns,
                 units={"speed": "furlong", "direction": "deg",
-                       "temperature": "celsius", "pressure": "hpa"})
+                       "temperature": "celsius", "pressure": "hpa"},
+                expected_per_hour=12)
 
     def test_unit_conversion(self, tmp_path):
         schema = SchemaConfig(
@@ -253,7 +253,8 @@ def test_stations_metadata_round_trip(tmp_path):
     assert back == metas
 
 
-def test_load_network_dir_in_a_pool_warns_in_station_order(tmp_path, caplog):
+def test_load_network_dir_warns_in_station_order(tmp_path, caplog):
+    """One warning per station with malformed rows, in stations.csv order."""
     ids = ["PICT", "JAYT", "ASPR"]
     write_stations_csv([StationMeta(i, 33.25, -100.57, 640.0) for i in ids],
                        tmp_path / "stations.csv")
@@ -262,9 +263,8 @@ def test_load_network_dir_in_a_pool_warns_in_station_order(tmp_path, caplog):
         rows = [f"2008-01-01T{h:02d}:00Z,{station},5.0,90.0,15.0,920.0" for h in range(4)]
         rows[:n_bad] = [r.replace(",5.0,", ",fast,") for r in rows[:n_bad]]
         _write(tmp_path / f"{station}.csv", rows, header=header)
-    with caplog.at_level(logging.WARNING, logger="windcast.ingest"), \
-            ProcessPoolExecutor(max_workers=2) as pool:
-        series = load_network_dir(tmp_path, pool=pool)
+    with caplog.at_level(logging.WARNING, logger="windcast.ingest"):
+        series = load_network_dir(tmp_path)
     assert [s.meta.id for s in series] == ids
     assert np.isnan(series[0].wind_speed[:2]).all() and np.isfinite(series[1].wind_speed).all()
     warnings = [r.getMessage() for r in caplog.records]

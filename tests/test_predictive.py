@@ -11,10 +11,11 @@ from windcast.predictive import (
     _crps_grad,
     _exponential_tail,
     cdf_values,
-    crps_numeric,
     crps_values,
     quantile_values,
 )
+
+from oracles import crps_numeric
 
 # standard-normal facts, frozen from erf tables: 2*Phi(1)-1 = erf(1/sqrt(2)),
 # Phi^-1(0.75) = sqrt(2)*erfinv(0.5)
