@@ -22,12 +22,13 @@ one task per station, and a forecast that fits a model opens one, once its
 inputs are read, that runs the lag selection and rolling fits, one task
 per (fitted variant, station group): each variant's targets are split, in
 config order, into ceil(jobs / fitted variants) contiguous groups, whose
-stations share the variant's residual states and candidate pools. Nothing
-else runs in a pool. Lags are selected afresh by every forecast run,
-deterministically from the config's training period. evaluate refuses
-forecasts, and report scores, that another config wrote, and a forecast
-that reads geowind.csv one estimated under other geowind settings
-(``_stage_digest``).
+stations share the variant's residual states and candidate pools. The
+model data reach each fit worker once, through the pool's initializer, and
+no task carries them. Nothing else runs in a pool. Lags are selected
+afresh by every forecast run, deterministically from the config's training
+period. evaluate refuses forecasts, and report scores, that another config
+wrote, and a forecast that reads geowind.csv one estimated under other
+geowind settings (``_stage_digest``).
 
 Every command validates the config first and fails with a machine-readable
 JSON error on stderr and a nonzero exit code. Outputs are written
@@ -46,6 +47,7 @@ import sys
 
 from . import __version__
 from .config import RunConfig, dump_config, load_config
+from .csvio import SIDECAR_SUFFIX, file_sha256
 from .errors import (ConfigError, InsufficientDataError, InvalidInputError, LoadError,
                      WindcastError)
 from .forecast import ForecastColumns, read_records_csv, run_rolling, write_records_csv
@@ -100,20 +102,30 @@ def _cache(cfg: RunConfig) -> str:
     return os.path.join(cfg.out_dir, "cache")
 
 
-def _atomic(path, write_fn):
+def _atomic(path, write_fn, cache=None):
+    """``write_fn(tmp)``, then ``tmp`` moved to ``path``. A CSV written with
+    its sidecar in ``cache`` that replaces other bytes takes the old bytes'
+    sidecar with it, so a rerun under another config leaves none behind."""
+    old = file_sha256(path) if cache is not None and os.path.exists(path) else None
     tmp = f"{path}.tmp"
     write_fn(tmp)
     os.replace(tmp, path)
+    if old is not None and file_sha256(path) != old:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(cache, old + SIDECAR_SUFFIX))
 
 
-def _stage_pool(jobs: int):
-    """The one worker pool of a stage, or a null context for one job. Only a
-    pool imports multiprocessing."""
+def _stage_pool(jobs: int, initializer=None, initargs: tuple = ()):
+    """The one worker pool of a stage, or a null context for one job. Each
+    worker runs ``initializer(*initargs)`` before its first task, so what
+    every task reads reaches a worker once: inherited under fork, pickled
+    once per worker under spawn or forkserver. Only a pool imports
+    multiprocessing."""
     if jobs <= 1:
         return contextlib.nullcontext()
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(max_workers=jobs)
+    return ProcessPoolExecutor(max_workers=jobs, initializer=initializer, initargs=initargs)
 
 
 def _map(pool, fn, tasks: list) -> list:
@@ -176,8 +188,8 @@ def cmd_geowind(cfg: RunConfig) -> None:
             f"min_stations={cfg.min_stations} stations with an hourly temperature and pressure, "
             f"and an hourly value needs ceil(min_fraction={schema.min_fraction} x "
             f"expected_per_hour={schema.expected_per_hour}) = {schema.min_records} records")
-    path = os.path.join(cfg.out_dir, "geowind.csv")
-    _atomic(path, lambda p: series.to_csv(p, _provenance(cfg, "geowind"), cache=_cache(cfg)))
+    path, cache = os.path.join(cfg.out_dir, "geowind.csv"), _cache(cfg)
+    _atomic(path, lambda p: series.to_csv(p, _provenance(cfg, "geowind"), cache=cache), cache)
     print(f"estimated geostrophic wind for {n_ok}/{series.n} hours -> {path}")
 
 
@@ -192,10 +204,31 @@ def _station_groups(cfg: RunConfig, jobs: int) -> list:
     return [cfg.stations[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
+#: The model data that the fit tasks of the running forecast read (``_hold``).
+_fit_data: ModelData | None = None
+
+
+def _hold(data: ModelData | None) -> None:
+    """Set the model data that ``_fit`` reads: the fit pool's initializer, and
+    a call in the calling process for one job."""
+    global _fit_data
+    _fit_data = data
+
+
+def _fit(variant: str, stations: list, horizons: list, train: tuple, test: tuple,
+         window_days: int, refit_hours: int) -> list:
+    """One fit task: ``run_rolling`` of a fitted variant at a station group
+    on the held model data."""
+    return run_rolling(_fit_data, variant, stations, horizons, train, test, window_days,
+                       refit_hours)
+
+
 def cmd_forecast(cfg: RunConfig) -> None:
     """PSS is computed here; only the variants that fit models go to the pool,
     one task per (variant, station group). The pool opens once the inputs
-    are read, and only for such a task."""
+    are read, and only for such a task. The tasks carry no data: the pool's
+    initializer hands each worker the model data once, and one job holds it
+    here while the same tasks run in turn."""
     train = (cfg.train_start, cfg.train_end)
     test = (cfg.test_start, cfg.test_end)
     data = _load_model_data(cfg)
@@ -210,23 +243,28 @@ def cmd_forecast(cfg: RunConfig) -> None:
             continue
         for group in _station_groups(cfg, cfg.jobs):
             fit_keys.append((variant, group))
-            fit_tasks.append((data, variant, group, list(cfg.horizons), train, test,
+            fit_tasks.append((variant, group, list(cfg.horizons), train, test,
                               cfg.window_days, cfg.refit_hours))
     if fit_tasks:
-        # the CRPS fits and the forecast medians use it; imported before the
-        # workers fork, they share it
+        # the CRPS fits and the forecast medians use it; imported before
+        # forked workers start, they share it
         import scipy.special  # noqa: F401
 
-        with _stage_pool(cfg.jobs) as pool:
-            for (variant, group), columns in zip(fit_keys, _map(pool, run_rolling, fit_tasks)):
-                results.update(((variant, st), c) for st, c in zip(group, columns))
+        _hold(data)
+        try:
+            with _stage_pool(cfg.jobs, _hold, (data,)) as pool:
+                for (variant, group), columns in zip(fit_keys, _map(pool, _fit, fit_tasks)):
+                    results.update(((variant, st), c) for st, c in zip(group, columns))
+        finally:
+            _hold(None)
 
     os.makedirs(os.path.join(cfg.out_dir, "forecasts"), exist_ok=True)
+    cache = _cache(cfg)
     for variant in cfg.variants:
         columns = ForecastColumns.concat([results[(variant, s)] for s in cfg.stations])
         path = os.path.join(cfg.out_dir, "forecasts", f"{variant}.csv")
         _atomic(path, lambda p, c=columns: write_records_csv(c, p, _provenance(cfg, "forecast"),
-                                                             cache=_cache(cfg)))
+                                                             cache=cache), cache)
         print(f"{variant}: {len(columns)} forecasts ({int(columns.fallback.sum())} fallbacks) "
               f"-> {path}")
 
@@ -244,9 +282,9 @@ def cmd_evaluate(cfg: RunConfig) -> None:
     reports = _all_reports(cfg)
     scores_path = os.path.join(cfg.out_dir, "scores.csv")
     pit_path = os.path.join(cfg.out_dir, "pit.csv")
-    lines = _provenance(cfg, "evaluate")
-    _atomic(scores_path, lambda p: write_scores_csv(reports, p, lines, cache=_cache(cfg)))
-    _atomic(pit_path, lambda p: write_pit_csv(reports, p, lines, cache=_cache(cfg)))
+    lines, cache = _provenance(cfg, "evaluate"), _cache(cfg)
+    _atomic(scores_path, lambda p: write_scores_csv(reports, p, lines, cache=cache), cache)
+    _atomic(pit_path, lambda p: write_pit_csv(reports, p, lines, cache=cache), cache)
     print(f"scored {len(reports)} (station, variant, horizon) cells -> {scores_path}")
 
 

@@ -208,6 +208,12 @@ def _from_sidecar(cache, digest: str, kinds: Mapping[str, str], keep) -> Columns
     return out
 
 
+def file_sha256(path) -> str:
+    """The sha256 of the file's bytes, which name its sidecar."""
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
+
+
 def read_columns(path, kinds: Mapping[str, str], keep: tuple | None = None,
                  lenient: bool = False, cache=None) -> Columns:
     """Read the columns named in ``kinds`` (name -> kind); other columns are
@@ -216,9 +222,7 @@ def read_columns(path, kinds: Mapping[str, str], keep: tuple | None = None,
     sidecar there that ``write_columns`` wrote for these very bytes is read
     instead of the text when it holds every requested column."""
     if cache is not None:
-        with open(path, "rb") as fh:
-            digest = hashlib.file_digest(fh, "sha256").hexdigest()
-        served = _from_sidecar(cache, digest, kinds, keep)
+        served = _from_sidecar(cache, file_sha256(path), kinds, keep)
         if served is not None:
             return served
     chunks = {name: [] for name in kinds}
@@ -340,8 +344,7 @@ def _write_sidecar(cache, path, header, columns: list, header_lines, nonfinite) 
             arrays.setdefault(name, np.where(other, math.nan, values) if other.any() else values)
         elif column.dtype.kind in "bi":
             arrays.setdefault(name, np.ascontiguousarray(column, dtype=np.int64))
-    with open(path, "rb") as fh:
-        digest = hashlib.file_digest(fh, "sha256").hexdigest()
+    digest = file_sha256(path)
     head = json.dumps({"sha256": digest, "columns": [[name, a.dtype.str, a.size, zlib.crc32(a)]
                                                      for name, a in arrays.items()]}).encode()
     final = os.path.join(cache, digest + SIDECAR_SUFFIX)

@@ -15,7 +15,9 @@ residual volatility,
 Lag bundles are chosen once per target/horizon on the training record by
 greedy forward selection under BIC on the least-squares center fit. Each
 candidate is scored from the sub-block of one Gram matrix that its design
-columns index; the candidate pool lists every lag family's columns per lag.
+columns index; the candidate pool lists every lag family's columns per lag
+and adds up each station's normal equations a chunk of rows at a time, so
+no design of the whole selection period exists.
 The variant (``VariantSpec``) fixes which lag families exist, whether the
 geostrophic direction pair and the temperature difference are forced in, and
 the diurnal method. A selection is the tuple of design column names BIC
@@ -71,6 +73,7 @@ SIGMA_FLOOR = 1e-8
 FIT_GTOL = 1e-8  # gradient 2-norm at which a CRPS fit stops
 FIT_MAXITER = 1000
 MIN_ROWS_PER_PARAM = 10  # selection rows needed per candidate column
+SELECTION_CHUNK_ROWS = 2048  # axis rows of the pool design built at a time
 
 log = logging.getLogger(__name__)
 
@@ -418,25 +421,29 @@ class CandidatePool:
     """The BIC candidate columns of one variant and horizon on the selection
     rows, shared by every target station.
 
-    ``X`` holds the intercept, every lag bundle up to ``max_lag`` and the
-    geostrophic direction pair when the variant has it, on the rows whose
-    issue and valid times fall inside the selection window and whose columns
-    are all finite. A target station adds only its target, offset and, when
-    the variant has it, its ``temp_diff_24h`` column (see
-    ``normal_equations``). ``families`` maps each lag family to its columns
-    per lag.
+    ``columns`` lists the intercept's followers as ``_regressors`` gives them:
+    every lag bundle up to ``max_lag`` and the geostrophic direction pair
+    when the variant has it. The pool rows are the rows of ``span`` whose
+    issue and valid times fall inside the selection window and where
+    ``finite`` holds, i.e. every column is finite. No design matrix is kept:
+    the first ``normal_equations`` call builds the pool design
+    ``SELECTION_CHUNK_ROWS`` rows at a time and adds each chunk's products
+    into the normal equations of every station of the data. A target station
+    adds only its target, offset and, when the variant has it, its
+    ``temp_diff_24h`` column. ``families`` maps each lag family to its
+    columns per lag.
     """
 
     state: ResidualState
     variant: VariantSpec
     horizon: int
     max_lag: int
+    columns: list
     names: tuple
     families: dict
     span: tuple  # axis rows [lo, hi) with issue and valid time in the window
     finite: np.ndarray  # (hi - lo,) rows where every pool column is finite
-    X: np.ndarray  # (finite rows, p)
-    _gram: np.ndarray | None = field(default=None, init=False, repr=False)
+    _equations: dict | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def build(cls, state: ResidualState, variant: VariantSpec, horizon: int,
@@ -454,33 +461,68 @@ class CandidatePool:
                 families.setdefault(family, [[] for _ in range(max_lag + 1)])[lag].append(c)
             finite &= np.isfinite(_at(series, lo, hi, -lag))
         return cls(state=state, variant=variant, horizon=horizon, max_lag=max_lag,
-                   names=("intercept",) + tuple(col[0] for col in columns), families=families,
-                   span=(lo, hi), finite=finite, X=_design(columns, lo, hi, keep=finite))
+                   columns=columns, names=("intercept",) + tuple(col[0] for col in columns),
+                   families=families, span=(lo, hi), finite=finite)
 
     def normal_equations(self, station: str) -> tuple:
         """(names, XᵀX, Xᵀy, yᵀy, n) over the station's selection rows: the
         pool rows where its target, offset and temperature difference are
         finite too, with y the target less the offset."""
+        if self._equations is None:
+            self._equations = self._accumulate()
+        try:
+            return self._equations[station]
+        except KeyError:
+            raise InvalidInputError(f"station {station!r} not in model data") from None
+
+    def _accumulate(self) -> dict:
+        """{station: normal equations} for every station of the data, in one
+        pass over the pool rows, ``SELECTION_CHUNK_ROWS`` axis rows at a time.
+        The stations that keep every pool row and add no column share one
+        XᵀX, and their Xᵀy come from one product with their stacked y; every
+        other station adds up its own XᵀX from the chunk rows it keeps."""
         lo, hi = self.span
-        target, offset = _target_offset(self.state, station, self.horizon, lo, hi)
-        keep = self.finite & np.isfinite(target) & np.isfinite(offset)
-        if self.variant.include_temp_diff:
-            temp = _temp_diff(self.state.data, station, lo, hi)
-            keep &= np.isfinite(temp)
-        names, X = self.names, self.X
-        own = keep[self.finite]
-        if not own.all():
-            X = X[own]
-        if self.variant.include_temp_diff:
-            names, X = names + ("temp_diff_24h",), np.column_stack([X, temp[keep]])
-        if X is self.X:  # every pool row and no added column: one XᵀX for all such stations
-            if self._gram is None:
-                self._gram = X.T @ X
-            gram = self._gram
-        else:
-            gram = X.T @ X
-        y = target[keep] - offset[keep]
-        return names, gram, X.T @ y, float(y @ y), y.size
+        data = self.state.data
+        names = self.names + ("temp_diff_24h",) * self.variant.include_temp_diff
+        # None, or a station that has its own rows or column -> (rows kept,
+        # added column or None, stations, their y)
+        groups = {}
+        for station in data.stations:
+            target, offset = _target_offset(self.state, station, self.horizon, lo, hi)
+            keep = self.finite & np.isfinite(target) & np.isfinite(offset)
+            temp = None
+            if self.variant.include_temp_diff:
+                temp = _temp_diff(data, station, lo, hi)
+                keep &= np.isfinite(temp)
+            key = None if temp is None and np.array_equal(keep, self.finite) else station
+            _, _, members, ys = groups.setdefault(key, (keep, temp, [], []))
+            members.append(station)
+            ys.append(target - offset)
+        p = len(names)
+        sums = {key: (np.zeros((p, p)), np.zeros((p, len(g[2])))) for key, g in groups.items()}
+        for a in range(0, hi - lo, SELECTION_CHUNK_ROWS):
+            b = min(a + SELECTION_CHUNK_ROWS, hi - lo)
+            rows = self.finite[a:b]
+            # a T variant's last column holds each station's temp_diff_24h in turn
+            slot = [np.zeros(b - a)] if self.variant.include_temp_diff else []
+            X = _design(self.columns, lo + a, lo + b, slot, keep=rows)
+            for key, (keep, temp, _, ys) in groups.items():
+                mine = keep[a:b]
+                if temp is not None:
+                    X[:, -1] = temp[a:b][rows]
+                Xg = X if mine[rows].all() else X[mine[rows]]
+                gram, xty = sums[key]
+                gram += Xg.T @ Xg
+                xty += Xg.T @ np.column_stack([y[a:b][mine] for y in ys])
+                del Xg
+            del X  # before the next chunk's design is built
+        equations = {}
+        for key, (keep, _, members, ys) in groups.items():
+            gram, xty = sums[key]
+            for j, (station, y) in enumerate(zip(members, ys)):
+                kept = y[keep]
+                equations[station] = (names, gram, xty[:, j], float(kept @ kept), kept.size)
+        return equations
 
 
 def select_lags_bic(pool: CandidatePool, target_station: str) -> tuple:
@@ -495,9 +537,9 @@ def select_lags_bic(pool: CandidatePool, target_station: str) -> tuple:
     the variant, not selected. Deterministic given the data.
 
     The Gram matrix of the pool over the station's selection rows is formed
-    once (and shared with the pool's other stations where it can be); each
-    candidate is scored from the sub-block of its columns: the forced ones,
-    then each family's lags 0..q, in pool order.
+    once, by the pool's pass over its rows (and shared with the pool's other
+    stations where it can be); each candidate is scored from the sub-block of
+    its columns: the forced ones, then each family's lags 0..q, in pool order.
     """
     names, gram, xty, yty, n = pool.normal_equations(target_station)
     p_max = len(names)

@@ -4,6 +4,7 @@ import concurrent.futures
 import hashlib
 import json
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from windcast.errors import ConfigError
 from windcast.forecast import read_records_csv
 from windcast.geostrophy import GeoWindSeries, MeanRemovalPolicy
 from windcast.ingest import CANONICAL_SCHEMA
-from windcast.model import CandidatePool, ResidualState, parse_variant
+from windcast.model import CandidatePool, ModelData, ResidualState, parse_variant
 from windcast.timeutil import epoch_hour
 
 from conftest import benchmark_config_dict, run_pipeline
@@ -607,6 +608,32 @@ class TestSidecarCache:
             assert main([command, "--config", str(path)]) == 0
         assert _artifacts(out) == _artifacts(src)
 
+    def test_rerun_under_another_config_prunes_stale_sidecars(self, pipeline_run, tmp_path):
+        """forecast and evaluate rerun on other horizons replace their CSVs and
+        take the old bytes' sidecars with them: the cache ends as a fresh
+        run's, and the synth data's sidecars stay as they were."""
+        src, cfg = pipeline_run
+        out, fresh = tmp_path / "rerun", tmp_path / "fresh"
+        shutil.copytree(src, out)
+        data_sidecars = {p.name: p.read_bytes() for p in (out / "cache").iterdir()
+                         if p.name[:-len(windcast.csvio.SIDECAR_SUFFIX)] in {
+                             hashlib.sha256(d.read_bytes()).hexdigest()
+                             for d in (out / "data").iterdir()}}
+        assert len(data_sidecars) == len(list((out / "data").iterdir()))
+        other = dict(cfg, horizons=[1])
+        run_pipeline(_write_config(out, dict(other, out_dir=str(out))), out,
+                     commands=("forecast", "evaluate"))
+        fresh.mkdir()
+        run_pipeline(_write_config(fresh, dict(other, out_dir=str(fresh))), fresh,
+                     commands=("synth", "geowind", "forecast", "evaluate"))
+        assert sorted(p.name for p in (out / "cache").iterdir()) == sorted(
+            p.name for p in (fresh / "cache").iterdir())
+        rerun, want = _artifacts(out), _artifacts(fresh)
+        del rerun["report.txt"]  # report was not rerun
+        assert rerun == want
+        for name, sidecar in data_sidecars.items():
+            assert (out / "cache" / name).read_bytes() == sidecar, name
+
 
 def test_external_archive_reads_as_the_synth_run(tmp_path):
     """geowind, forecast and evaluate on a data.csv.dir copy of the synth
@@ -749,13 +776,16 @@ class TestJobs:
     GROUPS = {1: [["S01", "S02", "S03", "S04"]], 2: [["S01", "S02"], ["S03", "S04"]],
               3: [["S01", "S02"], ["S03"], ["S04"]]}
 
-    def _rerun(self, pipeline_run, tmp_path, command, jobs, monkeypatch, groups=None):
+    def _rerun(self, pipeline_run, tmp_path, command, jobs, monkeypatch, groups=None,
+               mapped=None, inits=None):
         pools = []
 
         class Pool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **kwargs):
                 pools.append(max_workers)
-                super().__init__(max_workers)
+                if inits is not None:
+                    inits.append(kwargs)
+                super().__init__(max_workers, **kwargs)
 
         # cli._stage_pool imports the pool class when it opens a pool
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
@@ -766,9 +796,12 @@ class TestJobs:
                                             for a in (*args, *kwargs.values()))))
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(cli, name, spy)
-        if groups is not None:
+        if groups is not None or mapped is not None:
             def spy_map(pool, fn, tasks, _map=cli._map):
-                groups.append([task[2] for task in tasks])
+                if groups is not None:
+                    groups.append([task[1] for task in tasks])
+                if mapped is not None:
+                    mapped.append((fn, [pickle.dumps((fn, task)) for task in tasks]))
                 return _map(pool, fn, tasks)
             monkeypatch.setattr(cli, "_map", spy_map)
         src, cfg = pipeline_run
@@ -807,6 +840,23 @@ class TestJobs:
         for other in more:
             self._same_files(one, other, "forecasts/*.csv")
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fit_tasks_carry_no_model_data(self, pipeline_run, tmp_path, monkeypatch, jobs):
+        """The model data reach each worker once, through the pool's
+        initializer; no pickled fit task holds them."""
+        mapped, inits = [], []
+        self._rerun(pipeline_run, tmp_path, "forecast", jobs, monkeypatch, mapped=mapped,
+                    inits=inits)
+        ((fn, pickled),) = mapped
+        assert fn is cli._fit and len(pickled) == jobs
+        for task in pickled:
+            assert b"ModelData" not in task and len(task) < 2048
+        if jobs > 1:
+            (kwargs,) = inits
+            assert kwargs["initializer"] is cli._hold
+            assert [type(a) for a in kwargs["initargs"]] == [ModelData]
+        assert cli._fit_data is None  # released once the fits are done
+
     @pytest.mark.parametrize("jobs, variants, sizes", [
         (1, ["PSS", "TDD", "TDDGW-MD"], [4]),
         (2, ["PSS", "TDD", "TDDGW-MD"], [4]),
@@ -830,6 +880,27 @@ class TestJobs:
         one, two = (self._rerun(pipeline_run, tmp_path, "geowind", j, monkeypatch)
                     for j in (1, 2))
         self._same_files(one, two, "geowind.csv")
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_forecast_bytes_do_not_depend_on_the_start_method(pipeline_run, tmp_path, method):
+    """A 2-job forecast whose workers do not fork from the calling process
+    (they get the model data pickled once each) writes the 1-job bytes."""
+    src, cfg = pipeline_run
+    out = tmp_path / "out"
+    shutil.copytree(src, out)
+    shutil.rmtree(out / "forecasts")
+    path = _write_config(tmp_path, dict(cfg, out_dir=str(out)))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(windcast.__file__)))
+    code = (f"import multiprocessing, sys; multiprocessing.set_start_method({method!r}); "
+            f"from windcast.cli import main; "
+            f"sys.exit(main(['forecast', '--config', {str(path)!r}, '--jobs', '2']))")
+    subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=300,
+                   check=True)
+    names = sorted(p.name for p in (src / "forecasts").iterdir())
+    assert names == sorted(p.name for p in (out / "forecasts").iterdir())
+    for name in names:
+        assert (out / "forecasts" / name).read_bytes() == (src / "forecasts" / name).read_bytes()
 
 
 class TestSharedWork:

@@ -1,6 +1,7 @@
 """Rolling engine: persistence, causality, record bookkeeping."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,13 +9,21 @@ import pytest
 from windcast.config import RunConfig
 from windcast.forecast import (
     ForecastColumns,
+    _selection,
     persistence,
     read_records_csv,
     run_rolling,
     write_records_csv,
 )
 from windcast.diurnal import window
-from windcast.model import DesignBundle, ResidualState, parse_variant
+from windcast.model import (
+    SELECTION_CHUNK_ROWS,
+    CandidatePool,
+    DesignBundle,
+    ModelData,
+    ResidualState,
+    parse_variant,
+)
 from windcast.predictive import cdf_values
 from windcast.errors import InvalidInputError, TrainingDataError
 from windcast.timeutil import epoch_hour
@@ -357,3 +366,40 @@ def test_records_csv_round_trip(tmp_path):
         assert getattr(back, name).tolist() == getattr(records, name).tolist(), name
     for name in ("mu", "sigma", "point", "observed"):
         np.testing.assert_array_equal(getattr(back, name), getattr(records, name), name)
+
+
+def test_selection_never_holds_the_pool_design():
+    """Selection on a 48-chunk period of 4 stations (133 TDD columns) traces
+    less than a quarter of the pool design's rows x columns x 8 bytes: the
+    pool adds up its normal equations one chunk at a time. Most of what it
+    traces is the residual state, about 0.36 of that quarter."""
+    rng = np.random.default_rng(5)
+    n = 48 * SELECTION_CHUNK_ROWS + 200
+    angles = rng.uniform(0, 2 * math.pi, (4, n))
+    t0 = epoch_hour("2008-01-01T00:00")
+    data = ModelData(times=np.arange(t0, t0 + n, dtype=np.int64),
+                     stations=["S1", "S2", "S3", "S4"], speed=np.abs(rng.normal(6, 1.5, (4, n))),
+                     cos_dir=np.cos(angles), sin_dir=np.sin(angles), temperature=None,
+                     gw_speed=None, gw_cos=None, gw_sin=None)
+    train = (t0, t0 + n - 24)  # every target of the training period is observed
+    variant = parse_variant("TDD")
+    pools = []
+    build = CandidatePool.build.__func__
+
+    def spy(cls, *args, **kwargs):
+        pools.append(build(cls, *args, **kwargs))
+        return pools[-1]
+
+    tracemalloc.start()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(CandidatePool, "build", classmethod(spy))
+            _, chosen = _selection(data, variant, data.stations, [1], train, 45)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (pool,) = pools
+    rows, columns = int(pool.finite.sum()), len(pool.names)
+    assert rows > 4 * SELECTION_CHUNK_ROWS and columns > 100
+    assert len(chosen) == 4
+    assert peak < rows * columns * 8 / 4

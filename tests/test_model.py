@@ -17,10 +17,14 @@ from windcast.model import (
     FIT_MAXITER,
     ModelData,
     ResidualState,
+    SELECTION_CHUNK_ROWS,
     SIGMA_FLOOR,
     _crps_derivatives,
+    _design,
     _initial_point,
     _newton,
+    _target_offset,
+    _temp_diff,
     bic_score,
     fit_crps,
     parse_variant,
@@ -537,6 +541,77 @@ class TestBicSelection:
                                                 (train[0], train[0] + 200)), "S1")
 
 
+def dense_normal_equations(pool, station):
+    """(names, XᵀX, Xᵀy, yᵀy, n) of the station from the whole pool design,
+    built at once: the normal equations before they were added up in chunks."""
+    lo, hi = pool.span
+    X = _design(pool.columns, lo, hi, keep=pool.finite)
+    target, offset = _target_offset(pool.state, station, pool.horizon, lo, hi)
+    keep = pool.finite & np.isfinite(target) & np.isfinite(offset)
+    names = pool.names
+    if pool.variant.include_temp_diff:
+        temp = _temp_diff(pool.state.data, station, lo, hi)
+        keep &= np.isfinite(temp)
+    X = X[keep[pool.finite]]
+    if pool.variant.include_temp_diff:
+        names, X = names + ("temp_diff_24h",), np.column_stack([X, temp[keep]])
+    y = target[keep] - offset[keep]
+    return names, X.T @ X, X.T @ y, float(y @ y), y.size
+
+
+class TestChunkedNormalEquations:
+    """The pool adds up every station's normal equations over chunks of
+    SELECTION_CHUNK_ROWS rows; they equal those of the dense pool design."""
+
+    C = SELECTION_CHUNK_ROWS
+    LO = 100  # first axis row of every span
+
+    @pytest.fixture(scope="class")
+    def gappy(self):
+        # S01's speed gap blanks targets on pool rows: S01 keeps its own rows.
+        # S02's blanks every pool row of the second chunk of a long span, whose
+        # lags 0..10 all fall in it, and no later row.
+        data, _ = make_model_data(seed=24, days=200)
+        data = truncated_at(data, int(data.times[-1]))  # private copy
+        data.speed[data.station_index("S01"), 900:905] = np.nan
+        data.speed[data.station_index("S02"), self.LO + self.C:self.LO + 2 * self.C - 10] = np.nan
+        return data
+
+    @pytest.mark.parametrize("variant", ["TDD", "TDDGWT-YMD"])
+    @pytest.mark.parametrize("rows", [C // 2, 2 * C, 2 * C + 1])
+    def test_equals_the_dense_design(self, gappy, variant, rows):
+        vspec = parse_variant(variant)
+        t0, k = int(gappy.times[0]), 2
+        bounds = (t0, int(gappy.times[-1]) + 1)
+        state = _state(gappy, vspec.diurnal_method, bounds[1], bounds)
+        pool = CandidatePool.build(state, vspec, k, (t0 + self.LO, t0 + self.LO + rows + k - 1))
+        assert pool.span == (self.LO, self.LO + rows)
+        assert len(pool.names) > 100
+        if rows > self.C:
+            assert not pool.finite[self.C:2 * self.C].any()
+            assert pool.finite[2 * self.C:].all()  # the 1-row last chunk of 2C + 1 rows
+        got = {st: pool.normal_equations(st) for st in ("S01", "S03", "S04")}
+        assert got["S01"][4] < got["S03"][4]
+        # S03 and S04 keep every pool row: without temp_diff_24h they share one XᵀX
+        assert (got["S03"][1] is got["S04"][1]) == (not vspec.include_temp_diff)
+        for station, (names, gram, xty, yty, n) in got.items():
+            want_names, want_gram, want_xty, want_yty, want_n = dense_normal_equations(
+                pool, station)
+            assert names == want_names and n == want_n and yty == want_yty
+            assert gram.shape == (len(names),) * 2
+            # scaled by |XᵢᵀXⱼ| <= (XᵢᵀXᵢ XⱼᵀXⱼ)^½ and |Xᵢᵀy| <= (XᵢᵀXᵢ yᵀy)^½
+            d = np.sqrt(np.diag(want_gram))
+            assert np.all(np.abs(gram - want_gram) <= 1e-12 * np.outer(d, d))
+            assert np.all(np.abs(xty - want_xty) <= 1e-12 * d * math.sqrt(want_yty))
+
+    def test_unknown_station_refused(self, gappy):
+        t0 = int(gappy.times[0])
+        state = _state(gappy, "TRIG", t0 + 2000, (t0, t0 + 2000))
+        pool = CandidatePool.build(state, parse_variant("TDD"), 1, (t0, t0 + 2000), 2)
+        with pytest.raises(InvalidInputError, match="S99"):
+            pool.normal_equations("S99")
+
+
 class TestSelectionDesign:
     """A selection is the design column names BIC kept; the refit design
     builds exactly those columns."""
@@ -551,6 +626,8 @@ class TestSelectionDesign:
         lagged = 0
         for k in (1, 3):
             pool = CandidatePool.build(state, vspec, k, bounds)
+            design = _design(pool.columns, *pool.span, keep=pool.finite)
+            assert design.shape[1] == len(pool.names)
             for station in data.stations:
                 names = select_lags_bic(pool, station)
                 bundle = DesignBundle.build(state, vspec, station, k, names, pool.span)
@@ -563,7 +640,7 @@ class TestSelectionDesign:
                 assert in_pool == sorted(in_pool)
                 rows = bundle.X[pool.finite]
                 for nm, c in zip(shared, in_pool):
-                    assert rows[:, names.index(nm)].tobytes() == pool.X[:, c].tobytes(), nm
+                    assert rows[:, names.index(nm)].tobytes() == design[:, c].tobytes(), nm
                 lagged += sum("_r[" in nm for nm in names)
         assert lagged >= 16  # the selections hold lags, not just the forced columns
 
