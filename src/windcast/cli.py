@@ -178,8 +178,8 @@ def cmd_synth(cfg: RunConfig) -> None:
 
 
 def cmd_geowind(cfg: RunConfig) -> None:
-    network = _load_network(cfg, cfg.gw_stations, GEOWIND_ROLES)
-    series = estimate_series(network, cfg.mean_removal, cfg.min_stations)
+    series = estimate_series(_load_network(cfg, cfg.gw_stations, GEOWIND_ROLES),
+                             cfg.mean_removal, cfg.min_stations)
     n_ok = int((series.n_stations >= cfg.min_stations).sum())
     if not n_ok:
         schema = cfg.csv_schema
@@ -228,7 +228,9 @@ def cmd_forecast(cfg: RunConfig) -> None:
     one task per (variant, station group). The pool opens once the inputs
     are read, and only for such a task. The tasks carry no data: the pool's
     initializer hands each worker the model data once, and one job holds it
-    here while the same tasks run in turn."""
+    here while the same tasks run in turn. A variant's station columns leave
+    ``results`` as they are joined, so the parts and the join are never held
+    together."""
     train = (cfg.train_start, cfg.train_end)
     test = (cfg.test_start, cfg.test_end)
     data = _load_model_data(cfg)
@@ -261,7 +263,7 @@ def cmd_forecast(cfg: RunConfig) -> None:
     os.makedirs(os.path.join(cfg.out_dir, "forecasts"), exist_ok=True)
     cache = _cache(cfg)
     for variant in cfg.variants:
-        columns = ForecastColumns.concat([results[(variant, s)] for s in cfg.stations])
+        columns = ForecastColumns.concat([results.pop((variant, s)) for s in cfg.stations])
         path = os.path.join(cfg.out_dir, "forecasts", f"{variant}.csv")
         _atomic(path, lambda p, c=columns: write_records_csv(c, p, _provenance(cfg, "forecast"),
                                                              cache=cache), cache)

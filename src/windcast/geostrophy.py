@@ -229,9 +229,13 @@ def estimate_series(
     Per hour, stations reporting both pressure and temperature contribute;
     the layer-mean temperature is the network average of those reports.
     Hours with fewer than ``min_stations`` contributors (or a degenerate
-    layout) yield missing samples rather than failures. The Coriolis
-    parameter is evaluated at, and the local projection taken about, the
-    network's ``centroid``.
+    layout) yield missing samples rather than failures. The heights come
+    from one ``reduce_to_reference`` call on the whole (station, hour) field
+    with every cell that does not contribute set to NaN, so a non-positive
+    pressure is an ``InvalidInputError`` only where it contributes; the hours
+    that share a station layout get one plane fit. The Coriolis parameter is
+    evaluated at, and the local projection taken about, the network's
+    ``centroid``.
 
     Pure function of its inputs; safe to call concurrently on shared
     read-only networks.
@@ -244,21 +248,14 @@ def estimate_series(
     elev = np.array([m.elevation for m in network.stations])
 
     valid = np.isfinite(network.pressure) & np.isfinite(network.temperature)
-    counts = valid.sum(axis=0)
+    usable = valid.sum(axis=0) >= min_stations
+    ok = valid & usable[None, :]
     n = network.times.size
 
-    # layer-mean absolute temperature per hour from contributing stations
-    temp_k = np.where(valid, network.temperature + 273.15, np.nan)
-    t_bar = _nanmean(temp_k, axis=0)
-    usable = counts >= min_stations
-
-    heights = np.full_like(network.pressure, np.nan)
-    ok = valid & usable[None, :]
-    if np.any(ok):
-        rows, cols = np.nonzero(ok)
-        heights[rows, cols] = reduce_to_reference(
-            network.pressure[rows, cols], elev[rows], t_bar[cols]
-        )
+    # layer-mean absolute temperature per hour from contributing stations:
+    # NaN in an unusable hour, as every height there is
+    t_bar = _nanmean(np.where(ok, network.temperature + 273.15, np.nan), axis=0)
+    heights = reduce_to_reference(np.where(ok, network.pressure, np.nan), elev[:, None], t_bar)
     anomalies = _station_anomalies(heights, network.times, policy)
 
     u_g = np.full(n, np.nan)
@@ -272,7 +269,7 @@ def estimate_series(
         hours = np.nonzero(usable & np.all(codes == signature, axis=1))[0]
         members = ok[:, hours[0]]
         try:
-            fit = fit_plane(x[members], y[members], anomalies[members][:, hours])
+            fit = fit_plane(x[members], y[members], anomalies[np.ix_(members, hours)])
         except RankDeficiencyError:
             continue  # collinear layout: leave these hours missing
         u_g[hours], v_g[hours] = geostrophic_from_plane(fit, f)

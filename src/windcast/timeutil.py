@@ -86,7 +86,7 @@ def epoch_hour(text: str) -> int:
 
 def iso_hour(eh) -> str:
     """ISO-8601 rendering of an epoch hour, e.g. '2008-01-01T05:00Z'."""
-    return iso_hours([eh])[0]
+    return _iso_hours(np.array([eh], dtype=np.int64))[0]
 
 
 def iso_hours(eh) -> list[str]:

@@ -535,6 +535,19 @@ def test_persistence_forecast_opens_no_pool(pipeline_run, tmp_path):
     assert (out / "geowind.csv").exists() and (out / "forecasts" / "PSS.csv").exists()
 
 
+def test_report_leaves_numpy_ma_unloaded(pipeline_run, tmp_path):
+    """report imports nothing it does not use: rendering the config's hours
+    calls no ``np.unique``, whose first call imports numpy.ma."""
+    src, cfg = pipeline_run
+    out = tmp_path / "out"
+    shutil.copytree(src, out)
+    path = _write_config(tmp_path, dict(cfg, out_dir=str(out)))
+    code = (f"import sys; from windcast.cli import main; "
+            f"assert main(['report', '--config', {str(path)!r}]) == 0")
+    assert _loaded_after(code, ("numpy.ma",)) == "[]"
+    assert (out / "report.txt").read_bytes() == (src / "report.txt").read_bytes()
+
+
 @pytest.fixture(scope="module")
 def pipeline_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli-run")
